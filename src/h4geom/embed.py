@@ -3,8 +3,16 @@
 Covers the E8 embeddings of the 600-cell (m = -1 and m = +1), the m = 0
 lattice of determinant 5**4 generated by the 60 vertex pairs, and the
 partition of the 2160 norm-4 vectors of E8 into five embedded polytopes.
-All certificates (evenness, unimodularity, shell counts, spectra) are
-computed in exact arithmetic.
+
+On the E8 side (m = +-1, form multiplier 1/2) every reduced coordinate is an
+integer: a reduction map acts on the flat (a, b) coordinates of Z[phi]**4 as
+one integer 2x2 block per golden coordinate (`IntEmbedding`), lattice
+coordinates come from the integral inverse Gram matrix, and the form is half
+the integer dot product.  Each class of the norm-4 shell split is certified
+by injectivity and an 8x8 Gram identity on a Q-basis of Q(phi)**4, which by
+bilinearity fixes every pairwise inner product.  All certificates
+(evenness, unimodularity, shell counts, Gram identities) are computed in
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -12,12 +20,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import permutations
 from math import isqrt
+from operator import mul
 
 from .golden import PHI, PHI_INV, GoldenInt, GoldenRational, ReductionMap, phi_pow, reduce_scalar
-from .icosian import IcosianVec, flat_dot
+from .icosian import Flat, IcosianVec, flat_dot
 from .polytopes import Cell600, the_600cell
 
 Vec = tuple[Fraction, ...]
@@ -156,21 +165,58 @@ def embed_set(vectors, rmap: ReductionMap, source: str = "other") -> tuple[Embed
     return out
 
 
-def _as_int_vec(coords: Vec) -> IntVec:
-    if any(c.denominator != 1 for c in coords):
-        raise ValueError("non-integral embedded coordinates")
-    return tuple(int(c) for c in coords)
+# flat coordinates of the Q-basis e_0, phi*e_0, ..., e_3, phi*e_3 of Q(phi)**4
+_UNIT_FLATS = tuple(tuple(int(i == j) for j in range(8)) for i in range(8))
+
+
+@dataclass(frozen=True)
+class IntEmbedding:
+    """A reduction map on Z[phi]**4 as integer arithmetic on flat coordinates.
+
+    The golden coordinate a + b*phi goes to the slot pair a*(p, q) + b*(r, s),
+    where block = (p, q, r, s) holds the images of 1 and phi.
+    """
+
+    block: tuple[int, int, int, int]
+
+    @classmethod
+    def of(cls, rmap: ReductionMap) -> IntEmbedding:
+        """Read the block off `rmap.split_vector` and certify it on the
+        Q-basis e_i, phi*e_i.  Both maps are Q-linear, so agreeing on that
+        basis means agreeing on all of Q(phi)**4."""
+        imgs = [rmap.split_vector(IcosianVec.from_flat(u).c) for u in _UNIT_FLATS]
+        if any(x.denominator != 1 for img in imgs for x in img):
+            raise ValueError("reduction map is not integral on Z[phi]**4")
+        emb = cls((int(imgs[0][0]), int(imgs[0][1]), int(imgs[1][0]), int(imgs[1][1])))
+        if any(emb(u) != img for u, img in zip(_UNIT_FLATS, imgs)):
+            raise ValueError("integer embedding disagrees with split_vector")
+        return emb
+
+    def __call__(self, flat: Flat) -> IntVec:
+        p, q, r, s = self.block
+        a0, b0, a1, b1, a2, b2, a3, b3 = flat
+        return (
+            a0 * p + b0 * r, a0 * q + b0 * s,
+            a1 * p + b1 * r, a1 * q + b1 * s,
+            a2 * p + b2 * r, a2 * q + b2 * s,
+            a3 * p + b3 * r, a3 * q + b3 * s,
+        )
+
+
+def _half_dot(u: IntVec, v: IntVec) -> int:
+    """The E8 form sum(u_k * v_k) / 2; raises if it is not an integer."""
+    s = sum(map(mul, u, v))
+    if s % 2:
+        raise ValueError(f"inner product {s}/2 is not an integer")
+    return s // 2
 
 
 @dataclass
 class IntLattice:
     rmap: ReductionMap
-    basis: tuple[Vec, ...]
+    basis: tuple[tuple, ...]  # integers on E8, Fractions on the m = 0 lattice
     gram: tuple[IntVec, ...]
     det: int
-
-    def bform(self, u: Vec, v: Vec) -> Fraction:
-        return self.rmap.reduced_dot(u, v)
 
 
 class E8Lattice(IntLattice):
@@ -186,30 +232,26 @@ class E8Lattice(IntLattice):
             companion = PHI_INV
         else:
             raise ValueError("map does not kill a fundamental unit; not an E8 frame")
+        if rmap.multiplier != Fraction(1, 2) or set(rmap.form_weights()) != {1}:
+            raise ValueError("the integer E8 form needs multiplier 1/2 and unit slot weights")
         self.companion_scale = companion
-        h_img = [_as_int_vec(rmap.split_vector(v.c)) for v in cell.vertices]
-        phi_img = [
-            _as_int_vec(rmap.split_vector(v.scaled(companion).c)) for v in cell.vertices
-        ]
+        self.embed = IntEmbedding.of(rmap)
+        h_img = [self.embed(v.flat) for v in cell.vertices]
+        phi_img = [self.embed(v.scaled(companion).flat) for v in cell.vertices]
         roots = set(h_img) | set(phi_img)
         assert len(roots) == 240, "H and phi*H images must give 240 distinct vectors"
-        for u in h_img:
-            assert rmap.reduced_norm([Fraction(c) for c in u]) == 2
-        for u in phi_img:
-            assert rmap.reduced_norm([Fraction(c) for c in u]) == 2
+        assert all(_half_dot(u, u) == 2 for u in roots)
 
-        basis = _root_basis(h_img, rmap)
-        gram = tuple(
-            tuple(_exact_int(rmap.reduced_dot(_fr(b1), _fr(b2))) for b2 in basis)
-            for b1 in basis
-        )
+        basis = _root_basis(h_img)
+        gram = tuple(tuple(_half_dot(b1, b2) for b2 in basis) for b1 in basis)
         det = bareiss_det([list(r) for r in gram])
         assert det == 1, f"basis Gram determinant {det} != 1"
         assert all(gram[i][i] % 2 == 0 for i in range(8)), "lattice is not even"
 
-        super().__init__(rmap=rmap, basis=tuple(_fr(b) for b in basis), gram=gram, det=det)
+        super().__init__(rmap=rmap, basis=basis, gram=gram, det=det)
         self.basis_int = basis
-        self.basis_inv = mat_inv([[Fraction(c) for c in b] for b in basis])
+        # integral because det G = 1
+        self.gram_inv = tuple(tuple(_exact_int(x) for x in row) for row in mat_inv(gram))
         self.h_img = tuple(h_img)
         self.phi_img = tuple(phi_img)
         self.roots = frozenset(roots)
@@ -225,13 +267,14 @@ class E8Lattice(IntLattice):
         assert {self.from_coords(c) for c in shells[2]} == self.roots
 
     def coords_of(self, amb: IntVec) -> IntVec:
-        coords = [
-            sum(Fraction(amb[k]) * self.basis_inv[k][j] for k in range(8))
-            for j in range(8)
-        ]
-        if any(c.denominator != 1 for c in coords):
+        """x with amb = x * basis.  p = basis * amb equals 2 * G x, so amb is
+        in the lattice iff every p_i is even, and then x = (p / 2) G^-1."""
+        p = [sum(map(mul, b, amb)) for b in self.basis_int]
+        if any(pi % 2 for pi in p):
             raise ValueError(f"{amb} is not a lattice vector")
-        return tuple(int(c) for c in coords)
+        return tuple(
+            sum(p[k] // 2 * self.gram_inv[k][j] for k in range(8)) for j in range(8)
+        )
 
     def from_coords(self, coords: IntVec) -> IntVec:
         return tuple(
@@ -245,16 +288,11 @@ class E8Lattice(IntLattice):
         except ValueError:
             return False
 
-    @property
+    @cached_property
     def norm4_shell(self) -> frozenset[IntVec]:
         return frozenset(self.from_coords(c) for c in self.shell_coords[4])
 
-    def bform_int(self, u: IntVec, v: IntVec) -> int:
-        return _exact_int(self.rmap.reduced_dot(_fr(u), _fr(v)))
-
-
-def _fr(v) -> Vec:
-    return tuple(Fraction(c) for c in v)
+    bform_int = staticmethod(_half_dot)
 
 
 def _exact_int(f: Fraction) -> int:
@@ -282,7 +320,7 @@ def _frac_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def _root_basis(h_img: list[IntVec], rmap: ReductionMap) -> tuple[IntVec, ...]:
+def _root_basis(h_img: list[IntVec]) -> tuple[IntVec, ...]:
     """Pick 8 embedded roots that form a Z-basis of the generated lattice.
 
     Greedy rank extension first; if the chosen roots generate a proper
@@ -299,11 +337,7 @@ def _root_basis(h_img: list[IntVec], rmap: ReductionMap) -> tuple[IntVec, ...]:
     assert len(chosen) == 8
 
     def gram_det(basis: list[IntVec]) -> int:
-        g = [
-            [_exact_int(rmap.reduced_dot(_fr(a), _fr(b))) for b in basis]
-            for a in basis
-        ]
-        return bareiss_det(g)
+        return bareiss_det([[_half_dot(a, b) for b in basis] for a in basis])
 
     det = abs(gram_det(chosen))
     while det > 1:
@@ -453,6 +487,8 @@ def _perm_sign(p) -> int:
 class ReducedLattice(IntLattice):
     images: tuple[Vec, ...]
     census: dict[int, int]
+    rootless: bool  # no nonzero vector of norm <= 2
+    dual_basis_identity: bool  # the scaled golden duals pair to the identity with the basis
 
 
 @cache
@@ -497,10 +533,8 @@ def lattice_L() -> ReducedLattice:
             c2[abs(_exact_int(rmap.reduced_dot(rep2, images[cell.pairs[pid][0]])))] += 1
         assert dict(c2) == {4: 1, 2: 20, 1: 24, 0: 15}
 
-    # rootless and even
     assert all(gram[i][i] % 2 == 0 for i in range(8))
-    shells = short_vectors(gram, 2)
-    assert shells == {}
+    rootless = short_vectors(gram, 2) == {}
 
     # dual basis identity: (3 - phi) w_i / 5 and (-1 + 2 phi) w_i / 5
     duals = []
@@ -510,10 +544,11 @@ def lattice_L() -> ReducedLattice:
             duals.append(rmap.split_vector(coords))
     order = [0, 2, 4, 6, 1, 3, 5, 7]  # (v_i duals first block, phi v_i second)
     dual_sorted = [duals[k] for k in order]
-    for a in range(8):
-        for b in range(8):
-            expect = Fraction(1 if a == b else 0)
-            assert rmap.reduced_dot(dual_sorted[a], basis_vecs[b]) == expect
+    dual_ok = all(
+        rmap.reduced_dot(dual_sorted[a], basis_vecs[b]) == (1 if a == b else 0)
+        for a in range(8)
+        for b in range(8)
+    )
 
     return ReducedLattice(
         rmap=rmap,
@@ -522,6 +557,8 @@ def lattice_L() -> ReducedLattice:
         det=det,
         images=images,
         census=dict(census),
+        rootless=rootless,
+        dual_basis_identity=dual_ok,
     )
 
 
@@ -532,6 +569,23 @@ class ShellClass:
     source: str
     phi_power: int
     vectors: frozenset[IntVec]
+    isometric: bool  # injective on the source, and the Gram identity holds
+
+
+def _gram_identity(emb: IntEmbedding, rmap: ReductionMap) -> bool:
+    """<emb x, emb y> == reduce(s**2 <x, y>) / 2, s = rmap.scale, on the
+    Q-basis e_i, phi*e_i of Q(phi)**4.  Both sides are Q-bilinear, so this
+    fixes every pairwise inner product of an embedded set, not just their
+    multiset."""
+    imgs = [emb(u) for u in _UNIT_FLATS]
+    scale2 = rmap.scale * rmap.scale
+    # both sides carry the form's factor 1/2, so compare the doubled values
+    return all(
+        sum(map(mul, imgs[i], imgs[j]))
+        == reduce_scalar(scale2 * GoldenInt(*flat_dot(_UNIT_FLATS[i], _UNIT_FLATS[j])), rmap)
+        for i in range(8)
+        for j in range(8)
+    )
 
 
 @cache
@@ -539,60 +593,38 @@ def decompose_norm4_shell() -> tuple[ShellClass, ...]:
     """Partition of the 2160 norm-4 vectors of E8 into two 600-cells, two
     120-cells and a rectified 600-cell, each a scaled embedded image.
 
-    The scalings are found by searching unit multiples phi**k; membership is
-    certified by exact inner-product spectra against the golden originals.
+    The scalings are found by searching unit multiples phi**k.  Each class
+    records whether its map is an isometry onto it: injective on the source,
+    and an exact 8x8 Gram identity on a Q-basis of Q(phi)**4 (see
+    `_gram_identity`), which is stronger than equal inner-product spectra.
     """
     e8 = certify_e8(-1)
     cell = e8.cell
     shell = e8.norm4_shell
     sources = {
-        "600cell": tuple(cell.vertices),
-        "120cell": tuple(cell.cell120.vertices),
-        "rectified": tuple(cell.rectified),
+        "600cell": tuple(v.flat for v in cell.vertices),
+        "120cell": tuple(v.flat for v in cell.cell120.vertices),
+        "rectified": tuple(v.flat for v in cell.rectified),
     }
     classes: list[ShellClass] = []
-    for name, vecs in sources.items():
-        for k in range(-3, 4):
-            rmap_k = ReductionMap(
-                Fraction(5), Fraction(-1),
-                scale=GoldenRational(phi_pow(k)),
-                multiplier=Fraction(1, 2),
-            )
-            try:
-                imgs = [_as_int_vec(rmap_k.split_vector(v.c)) for v in vecs]
-            except ValueError:
-                continue
+    for k in range(-3, 4):
+        rmap_k = ReductionMap(
+            Fraction(5), Fraction(-1),
+            scale=GoldenRational(phi_pow(k)),
+            multiplier=Fraction(1, 2),
+        )
+        emb = IntEmbedding.of(rmap_k)
+        for name, flats in sources.items():
+            imgs = [emb(f) for f in flats]
             if all(u in shell for u in imgs):
-                classes.append(ShellClass(name, k, frozenset(imgs)))
+                vectors = frozenset(imgs)
+                isometric = len(vectors) == len(flats) and _gram_identity(emb, rmap_k)
+                classes.append(ShellClass(name, k, vectors, isometric))
     sizes = sorted(len(c.vectors) for c in classes)
-    assert sizes == [120, 120, 600, 600, 720]
+    assert sizes == [120, 120, 600, 600, 720], f"shell class sizes {sizes}"
     union: set[IntVec] = set()
     for c in classes:
-        assert not (union & c.vectors)
+        assert not (union & c.vectors), "shell classes overlap"
         union |= c.vectors
-    assert union == shell
-
-    # spectra: E8-side inner products must reproduce the reduced golden ones
-    for c in classes:
-        vecs = sources[c.source]
-        scale2 = phi_pow(2 * c.phi_power)
-        golden_spec: Counter = Counter()
-        flats = [v.flat for v in vecs]
-        for i in range(len(flats)):
-            fi = flats[i]
-            for j in range(i + 1, len(flats)):
-                a, b = flat_dot(fi, flats[j])
-                d = scale2 * GoldenInt(a, b)
-                red = Fraction(d.a, 2)  # reduce at m = -1 then halve
-                golden_spec[red] += 1
-        e8_spec: Counter = Counter()
-        cvecs = sorted(c.vectors)
-        for i in range(len(cvecs)):
-            ui = cvecs[i]
-            for j in range(i + 1, len(cvecs)):
-                s = 0
-                for a, bb in zip(ui, cvecs[j]):
-                    s += a * bb
-                e8_spec[Fraction(s, 2)] += 1
-        assert golden_spec == e8_spec, f"spectrum mismatch for {c.source}"
+    assert union == shell, "shell classes do not cover the norm-4 shell"
     return tuple(sorted(classes, key=lambda c: (len(c.vectors), c.source, c.phi_power)))

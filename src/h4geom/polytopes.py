@@ -240,32 +240,35 @@ class Cell600:
     def cell16_ambient(self) -> dict[tuple[int, ...], int]:
         """16-cell -> index of the unique 24-cell containing it."""
         out = {}
-        for idx, cell in enumerate(self.cells24):
-            for tetrad in self.tetrads_of_cell24(idx):
+        for idx, tetrads in enumerate(self.tetrads24):
+            for tetrad in tetrads:
                 assert tetrad not in out
                 out[tetrad] = idx
         assert set(out) == set(self.cells16)
         return out
 
-    def tetrads_of_cell24(self, idx: int) -> tuple[tuple[int, ...], ...]:
-        """The three mutually orthogonal tetrads inside a 24-cell."""
-        cell = sorted(self.cells24[idx])
-        groups = []
-        unused = set(cell)
-        while unused:
-            p = min(unused)
-            tetrad = [p] + [q for q in cell if q != p and self.pair_class[p][q] == "0"]
-            assert len(tetrad) == 4
-            groups.append(tuple(sorted(tetrad)))
-            unused -= set(tetrad)
-        assert len(groups) == 3
-        return tuple(groups)
+    @cached_property
+    def tetrads24(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The three mutually orthogonal tetrads inside each 24-cell."""
+        out = []
+        for cell in self.cells24:
+            cell = sorted(cell)
+            groups = []
+            unused = set(cell)
+            while unused:
+                p = min(unused)
+                tetrad = [p] + [q for q in cell if q != p and self.pair_class[p][q] == "0"]
+                assert len(tetrad) == 4
+                groups.append(tuple(sorted(tetrad)))
+                unused -= set(tetrad)
+            assert len(groups) == 3
+            out.append(tuple(groups))
+        return tuple(out)
 
     @cached_property
     def cells8(self) -> tuple[frozenset[int], ...]:
         out = set()
-        for idx in range(25):
-            tets = self.tetrads_of_cell24(idx)
+        for tets in self.tetrads24:
             for t1, t2 in combinations(tets, 2):
                 out.add(frozenset(t1) | frozenset(t2))
         cells = tuple(sorted(out, key=lambda s: tuple(sorted(s))))

@@ -232,22 +232,23 @@ class SymmetryGroup:
         """An orthogonal pid pair inside a 24-cell determines it uniquely."""
         out: dict[tuple[int, int], int] = {}
         cell = self.cell
-        for idx in range(25):
-            for tetrad in cell.tetrads_of_cell24(idx):
+        for idx, tetrads in enumerate(cell.tetrads24):
+            for tetrad in tetrads:
                 for i in range(4):
                     for j in range(4):
                         if i != j:
                             out[(tetrad[i], tetrad[j])] = idx
         return out
 
+    @cached_property
+    def _cell_reps(self) -> tuple[tuple[int, int], ...]:
+        """Per 24-cell, a vertex of each of the first two pairs of its first tetrad."""
+        pairs = self.cell.pairs
+        return tuple((pairs[t[0]][0], pairs[t[1]][0]) for t, _, _ in self.cell.tetrads24)
+
     def cell_perm(self, op: SymOp) -> tuple[int, ...]:
-        pp = self.pair_perm(op)
-        cell = self.cell
-        out = []
-        for idx in range(25):
-            t = cell.tetrads_of_cell24(idx)[0]
-            out.append(self._cell_key[(pp[t[0]], pp[t[1]])])
-        return tuple(out)
+        perm, pair_of, key = op.perm, self.cell.pair_of, self._cell_key
+        return tuple(key[(pair_of[perm[a]], pair_of[perm[b]])] for a, b in self._cell_reps)
 
     def cell_perm_checked(self, op: SymOp) -> tuple[int, ...]:
         """Full set-image computation; raises if an image is not a 24-cell."""

@@ -1,11 +1,12 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
-from h4geom import checks
+from h4geom import checks, embed
 from h4geom.cli import _DUMPERS, main
 from h4geom.serialize import dumps, jsonable
-from h4geom.golden import GoldenInt, GoldenRational
+from h4geom.golden import PHI, GoldenInt, GoldenRational
 from fractions import Fraction
 
 
@@ -102,6 +103,90 @@ def test_threaded_verify_matches_serial(tmp_path):
     ) == 0
     a = json.loads(r1.read_text())
     b = json.loads(r2.read_text())
+    for entry in a + b:
+        entry.pop("elapsed_ms")
+    assert a == b
+
+
+def test_raising_check_is_a_failure_and_the_run_goes_on(tmp_path, monkeypatch):
+    def boom():
+        raise KeyError("missing table")
+
+    bad = dict(checks.CHECKS)
+    prov, expected, _ = bad["s4/pentagons"]
+    bad["s4/pentagons"] = (prov, expected, boom)
+    monkeypatch.setattr(checks, "CHECKS", bad)
+    report = tmp_path / "r.json"
+    assert main(["verify", "--only", "s4/*", "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert len(data) == 4
+    assert sum(d["status"] == "pass" for d in data) == 3
+    failed = next(d for d in data if d["status"] == "fail")
+    assert failed["check"] == "s4/pentagons"
+    assert failed["observed"] == {"error": "KeyError: 'missing table'"}
+
+
+def test_builder_error_in_warm_up_is_reported_by_its_checks(tmp_path, monkeypatch):
+    def boom():
+        raise RuntimeError("lattice build failed")
+
+    monkeypatch.setattr(embed, "lattice_L", boom)
+    report = tmp_path / "r.json"
+    assert main(["verify", "--only", "s6/example[12]", "--report", str(report)]) == 1
+    data = {d["check"]: d for d in json.loads(report.read_text())}
+    assert data["s6/example1"]["status"] == "pass"
+    assert data["s6/example2"]["observed"] == {"error": "RuntimeError: lattice build failed"}
+
+
+def test_example2_reports_its_stored_certificates(monkeypatch, lat_l):
+    assert checks.run_check("s6/example2").status == "pass"
+    for field in ("rootless", "dual_basis_identity"):
+        corrupted = dataclasses.replace(lat_l, **{field: False})
+        monkeypatch.setattr(embed, "lattice_L", lambda: corrupted)
+        result = checks.run_check("s6/example2")
+        assert result.status == "fail"
+        assert result.observed[field] is False
+
+
+def test_example3_fails_on_a_corrupted_shell_image(monkeypatch, e8):
+    """The shell split's map for phi**1 is swapped for a non-isometric one."""
+    real_of = embed.IntEmbedding.of.__func__
+
+    def corrupted_of(cls, rmap):
+        emb = real_of(cls, rmap)
+        if rmap.scale == GoldenRational(PHI):
+            p, q, r, s = emb.block
+            return cls((p + r, q + s, r, s))
+        return emb
+
+    monkeypatch.setattr(embed.IntEmbedding, "of", classmethod(corrupted_of))
+    embed.decompose_norm4_shell.cache_clear()
+    try:
+        assert checks.run_check("s6/example3").status == "fail"
+    finally:
+        embed.decompose_norm4_shell.cache_clear()
+
+
+def test_example3_reports_the_gram_certificate(monkeypatch, shell_classes):
+    corrupted = tuple(dataclasses.replace(c, isometric=c.phi_power != 0) for c in shell_classes)
+    monkeypatch.setattr(embed, "decompose_norm4_shell", lambda: corrupted)
+    result = checks.run_check("s6/example3")
+    assert result.status == "fail"
+    assert result.observed["spectra_match"] is False
+
+
+def test_s6_report_is_the_same_under_python_O(tmp_path):
+    """Certificates are observed values, so stripping asserts changes nothing."""
+    inproc, optimized = tmp_path / "a.json", tmp_path / "o.json"
+    assert main(["verify", "--only", "s6/*", "--report", str(inproc)]) == 0
+    subprocess.run(
+        [sys.executable, "-O", "-m", "h4geom.cli", "verify", "--only", "s6/*",
+         "--report", str(optimized)],
+        capture_output=True,
+        check=True,
+    )
+    a = json.loads(inproc.read_text())
+    b = json.loads(optimized.read_text())
     for entry in a + b:
         entry.pop("elapsed_ms")
     assert a == b

@@ -1,12 +1,17 @@
 from fractions import Fraction as F
 from itertools import product as iproduct
 
-from h4geom.golden import GoldenInt, GoldenRational, PHI, ReductionMap
+import pytest
+
+from h4geom.golden import GoldenInt, GoldenRational, PHI, ReductionMap, phi_pow
 from h4geom.embed import (
     EmbeddedVec,
+    IntEmbedding,
+    _gram_identity,
     bareiss_det,
     embed_set,
     hermite_normal_form,
+    mat_inv,
     short_vectors,
 )
 
@@ -196,3 +201,66 @@ def test_scaled_reduction_map_fields():
     assert rmap.scale == GoldenRational(GoldenInt(0, 1))
     assert rmap.multiplier == F(1, 2)
     assert rmap.weight == 4 and rmap.weight_root == 2
+
+
+def _rmap(m, k=0):
+    return ReductionMap(F(5), F(m), scale=GoldenRational(phi_pow(k)), multiplier=F(1, 2))
+
+
+def test_integer_embedding_matches_split_vector(cell):
+    """Whole domain of the shell split: all 1,440 source vectors at every
+    scaling it tries, and the 600-cell with its companion at m = +1."""
+    sources = (*cell.vertices, *cell.cell120.vertices, *cell.rectified)
+    assert len(sources) == 1440
+    for k in range(-3, 4):
+        rmap = _rmap(-1, k)
+        emb = IntEmbedding.of(rmap)
+        for v in sources:
+            assert emb(v.flat) == rmap.split_vector(v.c)
+    rmap = _rmap(1)
+    emb = IntEmbedding.of(rmap)
+    assert emb.block == (1, 0, 1, 1)
+    for v in cell.vertices:
+        for w in (v, v.scaled(GoldenInt(-1, 1))):
+            assert emb(w.flat) == rmap.split_vector(w.c)
+
+
+def test_integer_embedding_rejects_a_non_integral_map():
+    with pytest.raises(ValueError):
+        IntEmbedding.of(ReductionMap(F(5), F(0)))
+
+
+def test_integer_coords_match_fraction_inverse(e8):
+    inv = mat_inv([[F(c) for c in b] for b in e8.basis_int])
+    vectors = e8.roots | e8.norm4_shell
+    assert len(vectors) == 2400
+    for u in vectors:
+        coords = tuple(sum(u[k] * inv[k][j] for k in range(8)) for j in range(8))
+        assert e8.coords_of(u) == coords
+        assert e8.from_coords(coords) == u
+    with pytest.raises(ValueError):
+        e8.coords_of((1, 0, 0, 0, 0, 0, 0, 0))
+    assert not e8.contains((1, 1, 0, 0, 0, 0, 0, 0))
+
+
+def test_bform_int_matches_reduced_dot_on_all_root_pairs(e8):
+    roots = sorted(e8.roots)
+    fr = [tuple(F(c) for c in u) for u in roots]
+    for u, fu in zip(roots, fr):
+        for v, fv in zip(roots, fr):
+            assert e8.bform_int(u, v) == e8.rmap.reduced_dot(fu, fv)
+    with pytest.raises(ValueError):
+        e8.bform_int((1, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0))
+
+
+def test_shell_classes_are_certified_isometric(shell_classes):
+    assert all(c.isometric for c in shell_classes)
+
+
+def test_gram_identity_rejects_wrong_scale_and_non_isometric_map():
+    for k in range(-3, 4):
+        emb = IntEmbedding.of(_rmap(-1, k))
+        assert _gram_identity(emb, _rmap(-1, k))
+        assert not _gram_identity(emb, _rmap(-1, k + 1))
+    # the m = +1 block is not an isometry for the m = -1 reduction
+    assert not _gram_identity(IntEmbedding.of(_rmap(1)), _rmap(-1))
