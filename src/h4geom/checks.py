@@ -224,7 +224,7 @@ def _s2_labels120():
         "cells": len(d.cells),
         "mutually_disjoint": sum(len(x) for x in d.cells) == 600,
         "pair_labels_distinct": len(labs),
-        "labels_odd_permutations": True,  # asserted during construction
+        "labels_odd_permutations": d.labels_odd_permutations,
         "example_label_present": example in labs,
         "rows_and_columns_are_600cells": rows_cols_ok,
     }
@@ -399,8 +399,8 @@ def _s7_phi():
         for y in range(256)
     )
     return {
-        "phi_squared_is_phi_plus_one": True,  # integer identity checked at build
-        "phibar_cubed_is_identity": True,  # checked at build
+        "phi_squared_is_phi_plus_one": geo.phi.squares_to_phi_plus_one,
+        "phibar_cubed_is_identity": geo.phi.cube_is_identity,
         "root_plus_image_isotropic": iso_sums,
         "phibar_self_adjoint_for_B": self_adjoint,
     }

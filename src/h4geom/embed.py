@@ -621,10 +621,13 @@ def decompose_norm4_shell() -> tuple[ShellClass, ...]:
                 isometric = len(vectors) == len(flats) and _gram_identity(emb, rmap_k)
                 classes.append(ShellClass(name, k, vectors, isometric))
     sizes = sorted(len(c.vectors) for c in classes)
-    assert sizes == [120, 120, 600, 600, 720], f"shell class sizes {sizes}"
+    if sizes != [120, 120, 600, 600, 720]:
+        raise ValueError(f"shell class sizes {sizes}")
     union: set[IntVec] = set()
     for c in classes:
-        assert not (union & c.vectors), "shell classes overlap"
+        if union & c.vectors:
+            raise ValueError("shell classes overlap")
         union |= c.vectors
-    assert union == shell, "shell classes do not cover the norm-4 shell"
+    if union != shell:
+        raise ValueError("shell classes do not cover the norm-4 shell")
     return tuple(sorted(classes, key=lambda c: (len(c.vectors), c.source, c.phi_power)))

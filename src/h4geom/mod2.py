@@ -37,6 +37,8 @@ class PhiMap:
     rows: tuple[tuple[int, ...], ...]  # integer matrix on the lattice basis
     mod2_rows: tuple[int, ...]  # row bitmasks
     table: tuple[int, ...]  # induced map on the 256 classes
+    squares_to_phi_plus_one: bool  # rows**2 == rows + 1 in integers
+    cube_is_identity: bool  # table applied three times is the identity
 
 
 class F4Geometry:
@@ -102,12 +104,10 @@ class F4Geometry:
         expect = tuple(
             tuple(rows[i][j] + (1 if i == j else 0) for j in range(8)) for i in range(8)
         )
-        assert sq == expect, "phi matrix does not satisfy x**2 = x + 1"
         mod2_rows = tuple(sum((rows[i][j] & 1) << j for j in range(8)) for i in range(8))
         table = tuple(self._fold_rows(mod2_rows, x) for x in range(256))
         cube = tuple(table[table[table[x]]] for x in range(256))
-        assert cube == tuple(range(256)), "induced map is not of order 3"
-        return PhiMap(rows, mod2_rows, table)
+        return PhiMap(rows, mod2_rows, table, sq == expect, cube == tuple(range(256)))
 
     # ---------- census ----------
 
@@ -371,18 +371,28 @@ class F4Geometry:
 
     @cached_property
     def isotropic4(self) -> tuple[frozenset[int], ...]:
-        """All totally singular 4-spaces, as frozensets of 15 nonzero vectors."""
-        iso = [x for x in range(1, 256) if self.q[x] == 0]
-        level: set[frozenset[int]] = {frozenset((x,)) for x in iso}
-        for _ in range(3):
-            nxt: set[frozenset[int]] = set()
-            for space in level:
-                for x in iso:
-                    if x in space:
-                        continue
-                    if any(self.bform(x, s) for s in space):
-                        continue
-                    nxt.add(space | {x} | {x ^ s for s in space})
+        """All totally singular 4-spaces, as frozensets of 15 nonzero vectors.
+
+        Spaces grow one singular vector at a time.  Classes are bits of a
+        256-bit mask; each partial space carries the mask of the singular
+        vectors outside it and perpendicular to all of it, and adding x
+        intersects that mask with perp[x].  Once x is added, the rest of the
+        grown space is skipped as a choice from the same partial space.
+        """
+        perp = [sum(1 << y for y in range(256) if not self.bform(x, y)) for x in range(256)]
+        iso = sum(1 << x for x in range(1, 256) if self.q[x] == 0)
+        level = {frozenset(): iso}
+        for _ in range(4):
+            nxt: dict[frozenset[int], int] = {}
+            for space, cand in level.items():
+                rest = cand
+                while rest:
+                    x = (rest & -rest).bit_length() - 1
+                    grown = space | {x} | {x ^ s for s in space}
+                    mask = sum(1 << y for y in grown)
+                    rest &= ~mask
+                    if grown not in nxt:
+                        nxt[grown] = cand & perp[x] & ~mask
             level = nxt
         out = tuple(sorted(level, key=lambda s: tuple(sorted(s))))
         assert len(out) == 270

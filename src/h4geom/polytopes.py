@@ -662,7 +662,7 @@ class Cell120:
     @cached_property
     def labels(self) -> tuple[tuple[Duad, tuple[Duad, ...]], ...]:
         """home duad + the four neighbour duads; the five use distinct rows
-        and columns and the induced permutation is odd."""
+        and columns (the parity of their permutation is `labels_odd_permutations`)."""
         out = []
         for v in range(self.n):
             home = self.duad_of_cell[self.home_cell[v]]
@@ -671,9 +671,15 @@ class Cell120:
             rows = [d[0] for d in five]
             cols = sorted(d[1] for d in five)
             assert rows == [1, 2, 3, 4, 5] and cols == [6, 7, 8, 9, 10]
-            assert perm_parity([d[1] for d in five]) == 1
             out.append((home, nbrs))
         return tuple(out)
+
+    @cached_property
+    def labels_odd_permutations(self) -> bool:
+        """Every label's five duads, sorted by row, list their columns as an odd permutation."""
+        return all(
+            perm_parity([d[1] for d in sorted((home,) + nbrs)]) == 1 for home, nbrs in self.labels
+        )
 
     def pair_labels(self) -> set[tuple[Duad, tuple[Duad, ...]]]:
         labs = set(self.labels)

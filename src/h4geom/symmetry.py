@@ -1,16 +1,19 @@
-"""The full symmetry group of the 600-cell as exact matrices.
+"""The full symmetry group of the 600-cell as vertex permutations with exact matrices.
 
-Group elements are 4x4 matrices over Q(phi) stored as an integer matrix pair
-(A, B) with common denominator d, meaning (A + B*phi)/d.  Closure of the
-left/right icosian multiplications together with one reflection yields all
-14,400 elements; each element also carries its permutation of the 120
-vertices and its parity (+1 rotation, -1 otherwise).
+The group acts faithfully on the 120 vertices, so it is closed as a group of
+vertex permutations, each carried with its parity (+1 rotation, -1
+otherwise), starting from the left/right icosian multiplications and one
+reflection; this yields all 14,400 elements.  Each element's exact matrix is
+then read off the images of the four vertices 2e_0..2e_3: a 4x4 matrix over
+Q(phi) stored as an integer matrix pair (A, B) with common denominator d,
+meaning (A + B*phi)/d.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
 from math import gcd
+from operator import itemgetter
 
 from .golden import GoldenInt, GoldenRational
 from .icosian import ICOSIAN_ONE, IcosianVec, generate_vertices, mulclose_indices, quat_mul, vertex_index
@@ -201,21 +204,32 @@ class SymmetryGroup:
         )
 
     def _close(self) -> tuple[SymOp, ...]:
-        els: dict[tuple, SymOp] = {g.key(): g for g in self.generators}
-        frontier = list(els.values())
+        """Breadth-first closure over (perm, parity); each perm is g after x."""
+        gens = [(g.perm, g.parity) for g in self.generators]
+        els: dict[tuple[int, ...], int] = dict(gens)
+        frontier = list(els.items())
         while frontier:
             new = []
-            for x in frontier:
-                for g in self.generators:
-                    y = g.compose(x)
-                    k = y.key()
-                    if k not in els:
-                        els[k] = y
-                        new.append(y)
+            for perm, parity in frontier:
+                after = itemgetter(*perm)
+                for gperm, gparity in gens:
+                    q = after(gperm)
+                    if q not in els:
+                        els[q] = gparity * parity
+                        new.append((q, els[q]))
                         if len(els) > 14400:
                             raise RuntimeError("closure exceeded 14400; arithmetic bug")
             frontier = new
-        return tuple(sorted(els.values(), key=SymOp.key))
+        flats = [v.flat for v in self.cell.vertices]
+        bidx = [self.cell.index[e.scaled(GoldenInt(2)).flat] for e in _BASIS]
+        ops = []
+        for perm, parity in els.items():
+            # column c is the image of 2e_c, halved: (A + B*phi)/2 before reduction
+            cols = [flats[perm[b]] for b in bidx]
+            anum = [col[2 * r] for r in range(4) for col in cols]
+            bnum = [col[2 * r + 1] for r in range(4) for col in cols]
+            ops.append(_normalized(anum, bnum, 2, parity, perm))
+        return tuple(sorted(ops, key=SymOp.key))
 
     @cached_property
     def rotation_count(self) -> int:
@@ -263,7 +277,8 @@ class SymmetryGroup:
         for k, op in enumerate(self.ops):
             if k % 289 == 0 or op in self.generators:
                 cp = self.cell_perm_checked(op)
-                assert cp == self.cell_perm(op)
+                if cp != self.cell_perm(op):
+                    raise ValueError(f"cell_perm fast path disagrees with the full one at op {k}")
             else:
                 cp = self.cell_perm(op)
             out.append(cp)

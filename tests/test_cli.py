@@ -190,3 +190,76 @@ def test_s6_report_is_the_same_under_python_O(tmp_path):
     for entry in a + b:
         entry.pop("elapsed_ms")
     assert a == b
+
+
+def test_labels120_reports_its_stored_parity(monkeypatch, cell):
+    assert checks.run_check("s2/labels120").status == "pass"
+    monkeypatch.setattr(cell.cell120, "labels_odd_permutations", False)
+    result = checks.run_check("s2/labels120")
+    assert result.status == "fail"
+    assert result.observed["labels_odd_permutations"] is False
+
+
+def test_phi_reports_its_stored_certificates(monkeypatch, geo):
+    assert checks.run_check("s7/phi").status == "pass"
+    phi = geo.phi
+    for field, reported in (
+        ("squares_to_phi_plus_one", "phi_squared_is_phi_plus_one"),
+        ("cube_is_identity", "phibar_cubed_is_identity"),
+    ):
+        monkeypatch.setattr(geo, "phi", dataclasses.replace(phi, **{field: False}))
+        result = checks.run_check("s7/phi")
+        assert result.status == "fail"
+        assert result.observed[reported] is False
+
+
+def test_s2_and_s7_phi_reports_are_the_same_under_python_O(tmp_path):
+    for only in ("s2/*", "s7/phi"):
+        inproc, optimized = tmp_path / "a.json", tmp_path / "o.json"
+        assert main(["verify", "--only", only, "--report", str(inproc)]) == 0
+        subprocess.run(
+            [sys.executable, "-O", "-m", "h4geom.cli", "verify", "--only", only,
+             "--report", str(optimized)],
+            capture_output=True,
+            check=True,
+        )
+        a = json.loads(inproc.read_text())
+        b = json.loads(optimized.read_text())
+        for entry in a + b:
+            entry.pop("elapsed_ms")
+        assert a == b
+
+
+_CORRUPT_PHI1_SHELL_MAP = """
+import json
+from h4geom import checks, embed
+from h4geom.golden import PHI, GoldenRational
+
+real_of = embed.IntEmbedding.of.__func__
+
+
+def corrupted_of(cls, rmap):
+    emb = real_of(cls, rmap)
+    if rmap.scale == GoldenRational(PHI):
+        p, q, r, s = emb.block
+        return cls((p + r, q + s, r, s))
+    return emb
+
+
+embed.IntEmbedding.of = classmethod(corrupted_of)
+result = checks.run_check("s6/example3")
+print(json.dumps([result.status, result.observed]))
+"""
+
+
+def test_example3_names_the_cause_of_a_corrupted_shell_image_under_python_O():
+    """The shell split's partition checks raise, so -O cannot strip them."""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_PHI1_SHELL_MAP],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    status, observed = json.loads(out.stdout.splitlines()[-1])
+    assert status == "fail"
+    assert observed == {"error": "ValueError: shell class sizes [120, 120, 600, 720]"}

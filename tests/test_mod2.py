@@ -144,6 +144,28 @@ def test_isotropic_4spaces_count(geo):
             assert geo.bform(a, b) == 0
 
 
+def _isotropic4_by_scan(geo):
+    """Level-by-level growth that scans each partial space for perpendicularity:
+    the oracle for the mask-based `isotropic4`."""
+    iso = [x for x in range(1, 256) if geo.q[x] == 0]
+    level = {frozenset((x,)) for x in iso}
+    for _ in range(3):
+        nxt = set()
+        for space in level:
+            for x in iso:
+                if x in space:
+                    continue
+                if any(geo.bform(x, s) for s in space):
+                    continue
+                nxt.add(space | {x} | {x ^ s for s in space})
+        level = nxt
+    return tuple(sorted(level, key=lambda s: tuple(sorted(s))))
+
+
+def test_isotropic4_matches_the_scanning_oracle(geo):
+    assert geo.isotropic4 == _isotropic4_by_scan(geo)
+
+
 def test_figure1(geo):
     assert geo.figure1_check()
 

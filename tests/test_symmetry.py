@@ -1,8 +1,12 @@
+import copy
 import random
+
+import pytest
 
 from h4geom.golden import GoldenRational
 from h4geom.icosian import ICOSIAN_ONE
 from h4geom.symmetry import (
+    SymOp,
     action_on_partitions,
     identity_op,
     left_mul,
@@ -175,3 +179,38 @@ def test_cell_perm_fast_path_matches_full_computation(group):
 def test_action_on_partitions_wrapper(cell, group):
     tp = action_on_partitions(identity_op())
     assert tp == tuple(range(10))
+
+
+def _matrix_closure(generators):
+    """The closure over exact matrices, keyed on SymOp.key: the oracle for
+    the permutation closure."""
+    els = {g.key(): g for g in generators}
+    frontier = list(els.values())
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = g.compose(x)
+                if y.key() not in els:
+                    els[y.key()] = y
+                    new.append(y)
+                    assert len(els) <= 14400
+        frontier = new
+    return sorted(els.values(), key=SymOp.key)
+
+
+def test_permutation_closure_matches_matrix_closure(group):
+    """Same key, parity and vertex permutation for all 14,400 elements, in the same order."""
+    oracle = _matrix_closure(group.generators)
+    assert len(oracle) == 14400
+    assert [(op.key(), op.parity, op.perm) for op in group.ops] == [
+        (op.key(), op.parity, op.perm) for op in oracle
+    ]
+
+
+def test_cell_perms_raises_when_the_fast_path_disagrees(group):
+    broken = copy.copy(group)
+    broken.__dict__.pop("cell_perms", None)
+    broken.cell_perm = lambda op: tuple(range(25))
+    with pytest.raises(ValueError, match="fast path disagrees"):
+        broken.cell_perms
