@@ -21,7 +21,7 @@ from .icosian import (
     icosian_mul,
     quat_mul,
 )
-from .polytopes import Cell120, Cell600, SubPolytope, the_600cell
+from .polytopes import Cell120, Cell600, the_600cell
 from .symmetry import SymOp, generate_group, left_mul, reflection, right_mul
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "quat_mul",
     "Cell120",
     "Cell600",
-    "SubPolytope",
     "the_600cell",
     "SymOp",
     "generate_group",

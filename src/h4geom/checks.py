@@ -18,6 +18,7 @@ from .icosian import (
     ICOSIAN_ONE,
     IcosianVec,
     element_order_index,
+    flat_dot,
     generate_vertices,
     mult_table,
     vertex_index,
@@ -80,7 +81,8 @@ def _fact4():
     keyed = {}
     for orb in orbits_pairs:
         cls = {c.pair_class[pid][q] for q in orb}
-        assert len(cls) == 1
+        if len(cls) != 1:
+            raise ValueError(f"a stabilizer orbit on pairs mixes classes {sorted(cls)}")
         keyed.setdefault(cls.pop(), []).append(len(orb))
     cperms = [grp.cell_perms[k] for k in stab_c]
     orbits_cells = sorted(len(o) for o in grp.orbits(cperms, range(25)))
@@ -202,21 +204,28 @@ def _fact10():
     }
 
 
+def _quarter(dot: tuple[int, int]) -> tuple[int, int]:
+    a, b = dot
+    if a % 4 or b % 4:
+        raise ValueError(f"120-cell inner product {a}{b:+}φ is not divisible by 4")
+    return (a // 4, b // 4)
+
+
 def _s2_labels120():
     c = the_600cell()
     d = c.cell120
     labs = d.pair_labels()
     example = ((3, 8), ((1, 6), (2, 7), (4, 10), (5, 9)))
-    spectrum_h = Counter()
-    for i, j in combinations(range(c.n), 2):
-        spectrum_h[c.paper_inner_product(i, j).key()] += 1
+    # paper inner products: the natural dot over 2, and over 4 on the 120-cell (descaled by 2)
+    dots_h = (flat_dot(u, v) for u, v in combinations(c.flats, 2))
+    spectrum_h = Counter((a // 2, b // 2) for a, b in dots_h)
+    flats = [v.flat for v in d.vertices]
     rows_cols_ok = True
     for k in range(5):
         for verts in (d.row_vertices(k), d.col_vertices(k)):
-            spec = Counter()
-            for i, j in combinations(verts, 2):
-                val = d.vertices[i].paper_dot(d.vertices[j])
-                spec[val.halved().key()] += 1  # descale by 2
+            spec = Counter(
+                _quarter(flat_dot(flats[i], flats[j])) for i, j in combinations(verts, 2)
+            )
             if spec != spectrum_h:
                 rows_cols_ok = False
     return {

@@ -1,6 +1,6 @@
 """Batch verification front-end.
 
-`h4geom verify [--only GLOB] [--report PATH] [--threads N]` runs checks and
+`h4geom verify [--only GLOB] [--report PATH]` runs checks and
 writes a JSON report; exit code 0 iff every selected check passed, 1 on any
 failure, 2 on usage or I/O errors.  `h4geom dump OBJECT [--out PATH]` emits
 canonical JSON for the main constructed objects.
@@ -10,49 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fnmatch import fnmatch
 
-from . import checks, embed, mod2, symmetry
+from . import checks, embed, mod2
 from .polytopes import duad_str, label_str, the_600cell
 from .serialize import dumps
 
 DUMP_OBJECTS = ("vertices", "labels", "array", "lines", "planes", "lattice")
-
-
-def _warm_caches(selected: list[str]) -> None:
-    """Build the shared tables serially so threaded checks only read.
-
-    A builder that raises is left for the checks that need it: they call it
-    again and report the error as a failure.
-    """
-
-    def group():
-        symmetry.generate_group().ten_perms
-
-    def s6():
-        embed.certify_e8(1)
-        embed.lattice_L()
-        embed.decompose_norm4_shell()
-
-    def f4():
-        geo = mod2.f4_geometry()
-        geo.lines
-        geo.tags
-
-    warmers = (
-        (("",), lambda: the_600cell().labels),  # every check
-        (("facts/fact3", "facts/fact4", "facts/fact6", "s7/commuting"), group),
-        (("facts/fact9", "facts/fact10", "s5", "s6", "s7"), lambda: embed.certify_e8(-1)),
-        (("s6",), s6),
-        (("facts/fact10", "s5", "s7"), f4),
-    )
-    for prefixes, build in warmers:
-        if any(s.startswith(prefixes) for s in selected):
-            try:
-                build()
-            except Exception:
-                pass
 
 
 def cmd_verify(args) -> int:
@@ -60,16 +24,7 @@ def cmd_verify(args) -> int:
     if not selected:
         print(f"error: no checks match {args.only!r}", file=sys.stderr)
         return 2
-    try:
-        _warm_caches(selected)
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(checks.run_check, selected))
-        else:
-            results = [checks.run_check(cid) for cid in selected]
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = [checks.run_check(cid) for cid in selected]
     results.sort(key=lambda r: r.check_id)
     report = [
         {
@@ -235,7 +190,6 @@ def main(argv=None) -> int:
     pv = sub.add_parser("verify", help="run verification checks")
     pv.add_argument("--only", default="*", help="glob over check ids (default: all)")
     pv.add_argument("--report", default=None, help="write JSON report to this path")
-    pv.add_argument("--threads", type=int, default=1, help="worker threads")
     pv.set_defaults(func=cmd_verify)
     pd = sub.add_parser("dump", help="dump a constructed object as canonical JSON")
     pd.add_argument("object", help=f"one of: {', '.join(DUMP_OBJECTS)}")

@@ -21,11 +21,20 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import permutations
 from math import isqrt
 from operator import mul
 
-from .golden import PHI, PHI_INV, GoldenInt, GoldenRational, ReductionMap, phi_pow, reduce_scalar
+from .golden import (
+    PHI,
+    PHI_INV,
+    GoldenInt,
+    GoldenRational,
+    ReductionMap,
+    eliminate,
+    exact_quotient,
+    phi_pow,
+    reduce_scalar,
+)
 from .icosian import Flat, IcosianVec, flat_dot
 from .polytopes import Cell600, the_600cell
 
@@ -33,41 +42,7 @@ Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
 
-# ---------- exact linear algebra ----------
-
-def mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def bareiss_det(rows: list[list[int]]) -> int:
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
+# ---------- integer lattice tools ----------
 
 def hermite_normal_form(rows) -> tuple[IntVec, ...]:
     """Canonical row HNF of an integer matrix; returns the nonzero rows."""
@@ -151,19 +126,7 @@ def short_vectors(gram, bound: int) -> dict[int, list[IntVec]]:
     return out
 
 
-# ---------- embedded vectors and lattices ----------
-
-@dataclass(frozen=True)
-class EmbeddedVec:
-    coords: Vec
-    source: str = "other"
-
-
-def embed_set(vectors, rmap: ReductionMap, source: str = "other") -> tuple[EmbeddedVec, ...]:
-    out = tuple(EmbeddedVec(rmap.split_vector(v.c), source) for v in vectors)
-    assert len({e.coords for e in out}) == len(out), "embedding is not injective on the set"
-    return out
-
+# ---------- embedded lattices ----------
 
 # flat coordinates of the Q-basis e_0, phi*e_0, ..., e_3, phi*e_3 of Q(phi)**4
 _UNIT_FLATS = tuple(tuple(int(i == j) for j in range(8)) for i in range(8))
@@ -244,14 +207,14 @@ class E8Lattice(IntLattice):
 
         basis = _root_basis(h_img)
         gram = tuple(tuple(_half_dot(b1, b2) for b2 in basis) for b1 in basis)
-        det = bareiss_det([list(r) for r in gram])
-        assert det == 1, f"basis Gram determinant {det} != 1"
+        elim = eliminate(gram)
+        if elim.det != 1:
+            raise ValueError(f"basis Gram determinant {elim.det} != 1")
         assert all(gram[i][i] % 2 == 0 for i in range(8)), "lattice is not even"
 
-        super().__init__(rmap=rmap, basis=basis, gram=gram, det=det)
+        super().__init__(rmap=rmap, basis=basis, gram=gram, det=elim.det)
         self.basis_int = basis
-        # integral because det G = 1
-        self.gram_inv = tuple(tuple(_exact_int(x) for x in row) for row in mat_inv(gram))
+        self.gram_inv = elim.adj  # the inverse, since det G = 1
         self.h_img = tuple(h_img)
         self.phi_img = tuple(phi_img)
         self.roots = frozenset(roots)
@@ -301,25 +264,6 @@ def _exact_int(f: Fraction) -> int:
     return int(f)
 
 
-def _frac_rank(rows: list[list[Fraction]]) -> int:
-    m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def _root_basis(h_img: list[IntVec]) -> tuple[IntVec, ...]:
     """Pick 8 embedded roots that form a Z-basis of the generated lattice.
 
@@ -330,22 +274,22 @@ def _root_basis(h_img: list[IntVec]) -> tuple[IntVec, ...]:
     ordered = sorted(h_img)
     chosen: list[IntVec] = []
     for u in ordered:
-        if _frac_rank([[Fraction(c) for c in v] for v in chosen + [u]]) == len(chosen) + 1:
+        if eliminate(chosen + [u]).rank == len(chosen) + 1:
             chosen.append(u)
             if len(chosen) == 8:
                 break
     assert len(chosen) == 8
 
     def gram_det(basis: list[IntVec]) -> int:
-        return bareiss_det([[_half_dot(a, b) for b in basis] for a in basis])
+        return eliminate([[_half_dot(a, b) for b in basis] for a in basis]).det
 
     det = abs(gram_det(chosen))
     while det > 1:
-        inv = mat_inv([[Fraction(c) for c in b] for b in chosen])
+        inv = eliminate(chosen)  # coordinates u * B^-1 = u * adj B / det B
         improved = False
         for u in ordered:
             coords = [
-                sum(Fraction(u[k]) * inv[k][j] for k in range(8)) for j in range(8)
+                Fraction(sum(u[k] * inv.adj[k][j] for k in range(8)), inv.det) for j in range(8)
             ]
             if all(c.denominator == 1 for c in coords):
                 continue
@@ -372,40 +316,6 @@ def certify_e8(m: int = -1) -> E8Lattice:
 
 # ---------- golden basis of the vertex module ----------
 
-def _golden_mat_inv(rows: list[list[GoldenRational]]) -> list[list[GoldenRational]]:
-    n = len(rows)
-    one, zero = GoldenRational(1), GoldenRational(0)
-    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _golden_rank(vecs: list[IcosianVec]) -> int:
-    rows = [[GoldenRational(c) for c in v.c] for v in vecs]
-    rank = 0
-    for c in range(4):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][c].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class GoldenBasis:
     indices: tuple[int, int, int, int]
@@ -422,63 +332,45 @@ def golden_basis() -> GoldenBasis:
     verts = cell.vertices
 
     def coords_all_integral(idxs: list[int]) -> bool:
-        rows = [[GoldenRational(c) for c in verts[i].c] for i in idxs]
-        inv = _golden_mat_inv(rows)
-        for w in verts:
-            for j in range(4):
-                s = GoldenRational(0)
-                for k in range(4):
-                    s = s + GoldenRational(w.c[k]) * inv[k][j]
-                if not s.is_golden_int():
-                    return False
-        return True
+        # coordinates w * B^-1 = w * adj B / det B
+        inv = eliminate([verts[i].c for i in idxs])
+        return all(
+            exact_quotient(sum(w.c[k] * inv.adj[k][j] for k in range(4)), inv.det) is not None
+            for w in verts
+            for j in range(4)
+        )
 
     def search(start: int, chosen: list[int]):
         if len(chosen) == 4:
             return tuple(chosen) if coords_all_integral(chosen) else None
         for i in range(start, len(verts)):
-            if _golden_rank([verts[j] for j in chosen + [i]]) == len(chosen) + 1:
+            if eliminate([verts[j].c for j in chosen + [i]]).rank == len(chosen) + 1:
                 got = search(i + 1, chosen + [i])
                 if got:
                     return got
         return None
 
     idxs = search(0, [])
-    assert idxs is not None, "no golden vertex basis found"
+    if idxs is None:
+        raise ValueError("no golden vertex basis found")
     basis = tuple(verts[i] for i in idxs)
 
-    gram = [[GoldenRational(basis[i].paper_dot(basis[j])) for j in range(4)] for i in range(4)]
-    ginv = _golden_mat_inv(gram)
+    gram = eliminate([[bi.paper_dot(bj) for bj in basis] for bi in basis])
+    if not gram.det.is_unit():
+        raise ValueError(f"golden Gram determinant {gram.det} is not a unit")
     dual = []
     for j in range(4):
-        coords = []
-        for c in range(4):
-            s = GoldenRational(0)
-            for k in range(4):
-                s = s + ginv[j][k] * GoldenRational(basis[k].c[c])
-            assert s.is_golden_int(), "dual basis leaves Z[phi]: lattice not self-dual"
-            coords.append(s.to_golden_int())
+        coords = [
+            exact_quotient(sum(gram.adj[j][k] * basis[k].c[c] for k in range(4)), gram.det)
+            for c in range(4)
+        ]
+        if None in coords:
+            raise ValueError("dual basis leaves Z[phi]: lattice not self-dual")
         dual.append(IcosianVec(*coords))
     dual = tuple(dual)
-    for i in range(4):
-        for j in range(4):
-            assert basis[i].paper_dot(dual[j]) == (1 if i == j else 0)
-
-    det = GoldenRational(0)
-    for p in permutations(range(4)):
-        term = GoldenRational(1)
-        for i in range(4):
-            term = term * gram[i][p[i]]
-        det = det + term if _perm_sign(p) == 1 else det - term
-    assert det.is_golden_int()
-    det_g = det.to_golden_int()
-    assert det_g.is_unit(), f"golden Gram determinant {det_g} is not a unit"
-    return GoldenBasis(idxs, basis, dual, det_g)
-
-
-def _perm_sign(p) -> int:
-    inv = sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
-    return 1 if inv % 2 == 0 else -1
+    if any(basis[i].paper_dot(dual[j]) != (1 if i == j else 0) for i in range(4) for j in range(4)):
+        raise ValueError("dual basis does not pair to the identity with the basis")
+    return GoldenBasis(idxs, basis, dual, gram.det)
 
 
 # ---------- the determinant 5**4 lattice ----------
@@ -506,8 +398,9 @@ def lattice_L() -> ReducedLattice:
         tuple(_exact_int(rmap.reduced_dot(b1, b2)) for b2 in basis_vecs)
         for b1 in basis_vecs
     )
-    det = bareiss_det([list(r) for r in gram])
-    assert det == 625
+    det = eliminate(gram).det
+    if det != 625:
+        raise ValueError(f"m = 0 lattice Gram determinant {det} != 625")
 
     # the 8 chosen vectors generate exactly the lattice of all 120 images
     scaled_imgs = [tuple(int(2 * c) for c in u) for u in images]

@@ -1,9 +1,11 @@
-"""Exact arithmetic in Z[phi] and Q(sqrt5), plus rational norm-reduction maps.
+"""Exact arithmetic in Z[phi] and Q(sqrt5), rational norm-reduction maps, and
+the package's one exact elimination routine.
 
 phi = (1 + sqrt5)/2 satisfies phi**2 = phi + 1.  Elements are stored in the
 (1, phi) integer basis, which keeps every polytope coordinate in this package
 an integer pair; the sqrt5-form x + y*sqrt5 is derived only inside the
-reduction maps.  No floating point is used anywhere.
+reduction maps.  Ranks, determinants and inverses over Z and Z[phi] all come
+from `eliminate`.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 
 class GoldenInt:
@@ -367,3 +369,77 @@ def split_coordinate(value, rmap: ReductionMap) -> tuple[Fraction, Fraction]:
     """
     x, y = _as_sqrt5_pair(value)
     return rmap.split_pair(x, y)
+
+
+# ---------- exact elimination over Z and Z[phi] ----------
+
+Ring = Union[int, GoldenInt]
+
+
+def exact_quotient(x: Ring, d: Ring) -> Optional[Ring]:
+    """x / d if d divides x in Z (both int) or in Z[phi], else None.
+
+    In Z[phi], x / d = x * conj(d) / N(d) with the integer norm N(d) = d * conj(d).
+    """
+    if isinstance(d, int):
+        if isinstance(x, int):
+            q, r = divmod(x, d)
+            return None if r else q
+        d = GoldenInt(d)
+    n = d.field_norm()
+    y = d.conj() * x
+    if y.a % n or y.b % n:
+        return None
+    return GoldenInt(y.a // n, y.b // n)
+
+
+@dataclass(frozen=True)
+class Elimination:
+    rank: int
+    det: Optional[Ring]  # det A for square A (0 if singular); None otherwise
+    adj: Optional[tuple[tuple[Ring, ...], ...]]  # adj A = det A * A^-1, for invertible A
+
+
+def eliminate(rows: Sequence[Sequence[Ring]]) -> Elimination:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of [A | I].
+
+    Entries are int (over Z) or GoldenInt (over Z[phi]).  Each pivot step
+    replaces every other row by (p * row - f * pivot_row) / p_prev, where p is
+    the new pivot, f the row's entry in the pivot column and p_prev the
+    previous pivot; every entry stays a minor of [A | I], so the division is
+    exact, and a remainder raises.  For invertible A the left block ends as
+    p * I and the right block as p * A^-1, where p = +-det A by the parity of
+    the row swaps.
+    """
+    n = len(rows)
+    m = len(rows[0]) if n else 0
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    rank, prev, sign = 0, 1, 1
+    for c in range(m):
+        piv = next((i for i in range(rank, n) if aug[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            aug[rank], aug[piv] = aug[piv], aug[rank]
+            sign = -sign
+        prow = aug[rank]
+        p = prow[c]
+        for i in range(n):
+            if i == rank:
+                continue
+            f = aug[i][c]
+            new = []
+            for x, y in zip(aug[i], prow):
+                q = exact_quotient(p * x - f * y, prev)
+                if q is None:
+                    raise ValueError(f"inexact division by the pivot {prev} in elimination")
+                new.append(q)
+            aug[i] = new
+        prev = p
+        rank += 1
+    if n != m:
+        return Elimination(rank, None, None)
+    if rank < n:
+        return Elimination(rank, 0, None)
+    adj = tuple(tuple(x if sign == 1 else -x for x in row[m:]) for row in aug)
+    return Elimination(rank, sign * prev, adj)

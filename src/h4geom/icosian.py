@@ -124,9 +124,14 @@ def icosian_mul(u: IcosianVec, v: IcosianVec) -> IcosianVec:
 
 ICOSIAN_ONE = IcosianVec(GoldenInt(2), GOLDEN_ZERO, GOLDEN_ZERO, GOLDEN_ZERO)
 
-_EVEN_PERMS4 = tuple(
-    p for p in permutations(range(4)) if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
-)
+
+def perm_parity(seq) -> int:
+    """0 for even, 1 for odd."""
+    inv = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return inv % 2
+
+
+_EVEN_PERMS4 = tuple(p for p in permutations(range(4)) if perm_parity(p) == 0)
 
 
 @cache

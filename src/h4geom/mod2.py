@@ -96,7 +96,8 @@ class F4Geometry:
             img = tuple(
                 sum(x[k] * rows[k][j] for k in range(8)) for j in range(8)
             )
-            assert img == e8.coords_of(e8.phi_img[i])
+            if img != e8.coords_of(e8.phi_img[i]):
+                raise ValueError(f"phi matrix does not map root {i} to its phi image")
         sq = tuple(
             tuple(sum(rows[i][k] * rows[k][j] for k in range(8)) for j in range(8))
             for i in range(8)
@@ -349,7 +350,8 @@ class F4Geometry:
         for i in range(0, 120, 7):
             x = e8.coords_of(e8.h_img[i])
             img = tuple(sum(x[k] * rows[k][j] for k in range(8)) for j in range(8))
-            assert img == e8.coords_of(e8.h_img[op.perm[i]])
+            if img != e8.coords_of(e8.h_img[op.perm[i]]):
+                raise ValueError(f"induced matrix does not map root {i} to its image")
         gram = e8.gram
         for i in range(8):
             for j in range(8):
@@ -358,7 +360,8 @@ class F4Geometry:
                     for a in range(8)
                     for b in range(8)
                 )
-                assert s == gram[i][j], "action does not preserve the Gram matrix"
+                if s != gram[i][j]:
+                    raise ValueError("action does not preserve the Gram matrix")
         m2 = tuple(sum((rows[i][j] & 1) << j for j in range(8)) for i in range(8))
         return tuple(self._fold_rows(m2, x) for x in range(256))
 
@@ -412,12 +415,15 @@ class F4Geometry:
             pt = self.point_of_cell[c]
             vectors |= self.points[pt]
         space = frozenset(vectors)
-        assert len(space) == 15
+        if len(space) != 15:
+            raise ValueError(f"partition {part_idx} gives {len(space)} vectors, not 15")
         span = {0}
         for v in space:
             span |= {v ^ s for s in span}
-        assert span - {0} == space, "partition vectors do not close into a 4-space"
-        assert space in set(self.isotropic4)
+        if span - {0} != space:
+            raise ValueError("partition vectors do not close into a 4-space")
+        if space not in set(self.isotropic4):
+            raise ValueError(f"partition {part_idx} space is not totally singular")
         return space
 
     def figure1_check(self) -> bool:
@@ -520,35 +526,3 @@ class F4Geometry:
 def f4_geometry() -> F4Geometry:
     return F4Geometry(certify_e8(-1))
 
-
-def build_quotient() -> dict[str, int]:
-    return f4_geometry().census()
-
-
-def build_phi() -> PhiMap:
-    return f4_geometry().phi
-
-
-def build_points():
-    geo = f4_geometry()
-    return geo.points, geo.tags
-
-
-def classify_lines() -> dict[str, int]:
-    return f4_geometry().line_census
-
-
-def classify_planes() -> dict[str, int]:
-    return f4_geometry().plane_compositions()
-
-
-def q_omega(x: int) -> int:
-    return f4_geometry().q_omega(x)
-
-
-def isotropic_4spaces():
-    return f4_geometry().isotropic4
-
-
-def pentad_completions(v1: frozenset[int], v2: frozenset[int]) -> dict:
-    return f4_geometry().pentad_completions(v1, v2)

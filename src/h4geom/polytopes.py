@@ -28,6 +28,7 @@ from .icosian import (
     generate_vertices,
     inverse_index,
     mult_table,
+    perm_parity,
     vertex_index,
 )
 
@@ -55,31 +56,6 @@ def duad_str(d: Duad) -> str:
 
 def label_str(label: tuple[Duad, ...]) -> str:
     return "".join(duad_str(d) for d in label)
-
-
-def perm_parity(seq) -> int:
-    """0 for even, 1 for odd."""
-    inv = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
-    return inv % 2
-
-
-@dataclass(frozen=True)
-class SubPolytope:
-    """A tagged member list; vertex-level kinds list vertex indices,
-    pair-level kinds list pair ids, and `partition` lists 24-cell indices."""
-
-    kind: str
-    members: tuple[int, ...]
-
-    _SIZES = {
-        "edge": 2, "triangle": 3, "tetra-cell": 4,
-        "cell16": 4, "cell8": 8, "cell24": 12,
-        "hexagon": 3, "decagon": 5, "pentagon": 5, "partition": 5,
-    }
-
-    def __post_init__(self) -> None:
-        if len(self.members) != self._SIZES[self.kind]:
-            raise ValueError(f"{self.kind} needs {self._SIZES[self.kind]} members")
 
 
 class Cell600:
@@ -700,73 +676,3 @@ _V1_FLAT = (2, 0, 2, 0, 0, 0, 0, 0)
 def the_600cell() -> Cell600:
     return Cell600()
 
-
-# ---------- operation-style wrappers ----------
-
-def paper_inner_product(u: IcosianVec, v: IcosianVec) -> GoldenInt:
-    return u.paper_dot(v)
-
-
-def enumerate_skeleton() -> tuple[int, int, int]:
-    return the_600cell().skeleton_counts()
-
-
-def enumerate_16cells() -> tuple[SubPolytope, ...]:
-    return tuple(SubPolytope("cell16", c) for c in the_600cell().cells16)
-
-
-def enumerate_24cells() -> tuple[SubPolytope, ...]:
-    return tuple(
-        SubPolytope("cell24", tuple(sorted(c))) for c in the_600cell().cells24
-    )
-
-
-def enumerate_8cells() -> tuple[SubPolytope, ...]:
-    return tuple(SubPolytope("cell8", tuple(sorted(c))) for c in the_600cell().cells8)
-
-
-def build_array() -> tuple[tuple[int, ...], ...]:
-    return the_600cell().array
-
-
-def find_all_partitions() -> tuple[SubPolytope, ...]:
-    return tuple(
-        SubPolytope("partition", tuple(sorted(p)))
-        for p in the_600cell().find_all_partitions()
-    )
-
-
-def label_all() -> tuple[tuple[Duad, ...], tuple[tuple[Duad, ...], ...]]:
-    c = the_600cell()
-    return (c.duad_of_cell, c.labels)
-
-
-def enumerate_hexagons() -> tuple[SubPolytope, ...]:
-    return tuple(
-        SubPolytope("hexagon", tuple(sorted(h))) for h in the_600cell().hexagon_list
-    )
-
-
-def enumerate_decagons() -> tuple[SubPolytope, ...]:
-    return tuple(
-        SubPolytope("decagon", tuple(sorted(d))) for d in the_600cell().decagons
-    )
-
-
-def enumerate_pentagons() -> tuple[SubPolytope, ...]:
-    c = the_600cell()
-    return tuple(
-        SubPolytope("pentagon", c.pentagon_of_decagon(d)) for d in c.decagons
-    )
-
-
-def prime_arrays(p: int) -> PrimeArray:
-    return the_600cell().prime_array(p)
-
-
-def build_120cell() -> Cell120:
-    return the_600cell().cell120
-
-
-def rectified_600cell() -> tuple[IcosianVec, ...]:
-    return the_600cell().rectified

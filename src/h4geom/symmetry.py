@@ -15,7 +15,7 @@ from functools import cache, cached_property
 from math import gcd
 from operator import itemgetter
 
-from .golden import GoldenInt, GoldenRational
+from .golden import GoldenInt, GoldenRational, eliminate
 from .icosian import ICOSIAN_ONE, IcosianVec, generate_vertices, mulclose_indices, quat_mul, vertex_index
 from .polytopes import Cell600, the_600cell
 
@@ -112,28 +112,6 @@ def _normalized(anum: list[int], bnum: list[int], den: int, parity: int, perm: t
     return SymOp(tuple(anum), tuple(bnum), den, parity, perm)
 
 
-def _det_sign(op: SymOp) -> int:
-    """Exact determinant of the matrix; must be +1 or -1."""
-    m = op.matrix()
-
-    def det(rows: list[list[GoldenRational]]) -> GoldenRational:
-        if len(rows) == 1:
-            return rows[0][0]
-        acc = GoldenRational(0)
-        for c in range(len(rows)):
-            minor = [[row[k] for k in range(len(rows)) if k != c] for row in rows[1:]]
-            term = rows[0][c] * det(minor)
-            acc = acc + (term if c % 2 == 0 else -term)
-        return acc
-
-    d = det([list(r) for r in m])
-    if d == GoldenRational(1):
-        return 1
-    if d == GoldenRational(-1):
-        return -1
-    raise ValueError(f"determinant {d} is not a sign")
-
-
 def _op_from_matrix(cols: list[IcosianVec], den: int) -> SymOp:
     anum = [0] * 16
     bnum = [0] * 16
@@ -146,7 +124,14 @@ def _op_from_matrix(cols: list[IcosianVec], den: int) -> SymOp:
     idx = vertex_index()
     perm = tuple(idx[probe.apply_vec(v).flat] for v in verts)
     op = _normalized(list(probe.anum), list(probe.bnum), den, 0, perm)
-    return SymOp(op.anum, op.bnum, op.den, _det_sign(op), perm)
+    # det((A + B*phi)/d) = +-1 exactly when det(A + B*phi) = +-d**4
+    det = eliminate(
+        [[GoldenInt(op.anum[4 * r + c], op.bnum[4 * r + c]) for c in range(4)] for r in range(4)]
+    ).det
+    unit = op.den**4
+    if det not in (unit, -unit):
+        raise ValueError(f"determinant {GoldenRational(det, unit)} is not a sign")
+    return SymOp(op.anum, op.bnum, op.den, 1 if det == unit else -1, perm)
 
 
 _BASIS = tuple(
@@ -359,14 +344,3 @@ class SymmetryGroup:
 def generate_group() -> SymmetryGroup:
     return SymmetryGroup(the_600cell())
 
-
-def action_on_partitions(op: SymOp) -> tuple[int, ...]:
-    return generate_group().ten_perm(op)
-
-
-def stabilizer_orders() -> tuple[int, int]:
-    grp = generate_group()
-    cell = grp.cell
-    v = cell.index[ICOSIAN_ONE.flat]
-    c = cell.array[0][0]
-    return (len(grp.stabilizer_of_vertex(v)), len(grp.stabilizer_of_cell(c)))

@@ -94,15 +94,19 @@ def test_dump_lines_has_357_typed_entries():
     assert types == {"partition": 10, "pentagon": 72, "cell16": 75, "triangle": 200}
 
 
-def test_threaded_verify_matches_serial(tmp_path):
-    r1 = tmp_path / "t1.json"
-    r2 = tmp_path / "t2.json"
-    assert main(["verify", "--only", "facts/fact[157]", "--report", str(r1)]) == 0
-    assert main(
-        ["verify", "--only", "facts/fact[157]", "--report", str(r2), "--threads", "3"]
-    ) == 0
-    a = json.loads(r1.read_text())
-    b = json.loads(r2.read_text())
+def test_verify_report_matches_fresh_process(tmp_path):
+    """Cross-process determinism of the report, timings aside."""
+    inproc, fresh = tmp_path / "a.json", tmp_path / "f.json"
+    assert main(["verify", "--only", "facts/fact[157]", "--report", str(inproc)]) == 0
+    subprocess.run(
+        [sys.executable, "-m", "h4geom.cli", "verify", "--only", "facts/fact[157]",
+         "--report", str(fresh)],
+        capture_output=True,
+        check=True,
+    )
+    a = json.loads(inproc.read_text())
+    b = json.loads(fresh.read_text())
+    assert len(a) == 3
     for entry in a + b:
         entry.pop("elapsed_ms")
     assert a == b
@@ -263,3 +267,32 @@ def test_example3_names_the_cause_of_a_corrupted_shell_image_under_python_O():
     status, observed = json.loads(out.stdout.splitlines()[-1])
     assert status == "fail"
     assert observed == {"error": "ValueError: shell class sizes [120, 120, 600, 720]"}
+
+
+_CORRUPT_PHI_IMAGE_OF_ONE_ROOT = """
+import json
+from h4geom import checks, embed
+
+e8 = embed.certify_e8(-1)
+basis = set(e8.basis_int)
+i = next(k for k, u in enumerate(e8.h_img) if u not in basis)
+images = list(e8.phi_img)
+images[i] = tuple(-x for x in images[i])  # still a lattice vector, and the same class mod 2
+e8.phi_img = tuple(images)
+result = checks.run_check("s7/phi")
+print(json.dumps([i, result.status, result.observed]))
+"""
+
+
+def test_s7_phi_names_a_corrupted_phi_image_under_python_O():
+    """The phi matrix is read off the basis roots; its check on the other
+    roots raises, so -O cannot strip it."""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_PHI_IMAGE_OF_ONE_ROOT],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    i, status, observed = json.loads(out.stdout.splitlines()[-1])
+    assert status == "fail"
+    assert observed == {"error": f"ValueError: phi matrix does not map root {i} to its phi image"}

@@ -3,15 +3,19 @@ from itertools import product as iproduct
 
 import pytest
 
-from h4geom.golden import GoldenInt, GoldenRational, PHI, ReductionMap, phi_pow
+from h4geom.golden import (
+    GoldenInt,
+    GoldenRational,
+    PHI,
+    ReductionMap,
+    eliminate,
+    exact_quotient,
+    phi_pow,
+)
 from h4geom.embed import (
-    EmbeddedVec,
     IntEmbedding,
     _gram_identity,
-    bareiss_det,
-    embed_set,
     hermite_normal_form,
-    mat_inv,
     short_vectors,
 )
 
@@ -25,9 +29,9 @@ def test_hnf_is_canonical_and_detects_lattice_equality():
 
 
 def test_bareiss_det():
-    assert bareiss_det([[2, 1], [1, 3]]) == 5
-    assert bareiss_det([[1, 2], [2, 4]]) == 0
-    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    assert eliminate([[2, 1], [1, 3]]).det == 5
+    assert eliminate([[1, 2], [2, 4]]).det == 0
+    assert eliminate([[0, 1], [1, 0]]).det == -1
 
 
 def test_short_vectors_on_known_forms():
@@ -40,19 +44,18 @@ def test_short_vectors_on_known_forms():
     assert len(out[2]) == 6
 
 
-def test_embed_set_is_injective_and_tagged(cell):
+def test_split_vector_is_injective_on_the_vertices(cell):
     rmap = ReductionMap(F(5), F(-1), multiplier=F(1, 2))
-    vecs = embed_set(cell.vertices, rmap, source="H")
-    assert len(vecs) == 120
-    assert all(isinstance(v, EmbeddedVec) and v.source == "H" for v in vecs)
+    vecs = [rmap.split_vector(v.c) for v in cell.vertices]
+    assert len(set(vecs)) == len(vecs) == 120
 
 
 def test_rectified_embeds_at_m_minus_2_with_norm_4(cell):
     rmap = ReductionMap(F(5), F(-2))
-    vecs = embed_set(cell.rectified, rmap, source="rectified")
-    assert len(vecs) == 720
+    vecs = [rmap.split_vector(v.c) for v in cell.rectified]
+    assert len(set(vecs)) == len(vecs) == 720
     for v in vecs:
-        assert rmap.reduced_norm(v.coords) == 4
+        assert rmap.reduced_norm(v) == 4
 
 
 def test_e8_certificate(e8):
@@ -150,16 +153,11 @@ def test_golden_basis_certificates(cell, gb):
         for j in range(4):
             assert gb.basis[i].paper_dot(gb.dual[j]) == (1 if i == j else 0)
     # spot check: a few vertices really are integral golden combinations
-    from h4geom.embed import _golden_mat_inv
-
-    rows = [[GoldenRational(c) for c in b.c] for b in gb.basis]
-    inv = _golden_mat_inv(rows)
+    inv = eliminate([b.c for b in gb.basis])
     for w in cell.vertices[::9]:
         for j in range(4):
-            s = GoldenRational(0)
-            for k in range(4):
-                s = s + GoldenRational(w.c[k]) * inv[k][j]
-            assert s.is_golden_int()
+            s = sum(w.c[k] * inv.adj[k][j] for k in range(4))
+            assert exact_quotient(s, inv.det) is not None
 
 
 def test_lattice_L(lat_l):
@@ -231,11 +229,11 @@ def test_integer_embedding_rejects_a_non_integral_map():
 
 
 def test_integer_coords_match_fraction_inverse(e8):
-    inv = mat_inv([[F(c) for c in b] for b in e8.basis_int])
+    inv = eliminate(e8.basis_int)
     vectors = e8.roots | e8.norm4_shell
     assert len(vectors) == 2400
     for u in vectors:
-        coords = tuple(sum(u[k] * inv[k][j] for k in range(8)) for j in range(8))
+        coords = tuple(F(sum(u[k] * inv.adj[k][j] for k in range(8)), inv.det) for j in range(8))
         assert e8.coords_of(u) == coords
         assert e8.from_coords(coords) == u
     with pytest.raises(ValueError):
@@ -264,3 +262,36 @@ def test_gram_identity_rejects_wrong_scale_and_non_isometric_map():
         assert not _gram_identity(emb, _rmap(-1, k + 1))
     # the m = +1 block is not an isometry for the m = -1 reduction
     assert not _gram_identity(IntEmbedding.of(_rmap(1)), _rmap(-1))
+
+
+def test_elimination_certificates_keep_their_values(gb, e8, e8_plus, group):
+    """Values computed before the linear algebra moved to `eliminate`."""
+    assert gb.indices == (0, 1, 2, 6)
+    assert [v.flat for v in gb.dual] == [
+        (-1, 0, 1, 1, 0, -1, 0, 0),
+        (0, 0, 0, -1, -1, 1, -1, 0),
+        (0, 0, 0, -1, -1, 1, 1, 0),
+        (0, 0, -2, 0, 2, 0, 0, 0),
+    ]
+    assert gb.gram_det == GoldenInt(1, 0)
+    assert e8.gram_inv == (
+        (2, 1, 0, 1, -1, -1, -2, -1),
+        (1, 2, 0, 1, -1, -1, -2, -1),
+        (0, 0, 2, 2, -1, -1, -1, -1),
+        (1, 1, 2, 4, -2, -2, -3, -2),
+        (-1, -1, -1, -2, 2, 1, 2, 1),
+        (-1, -1, -1, -2, 1, 2, 2, 1),
+        (-2, -2, -1, -3, 2, 2, 4, 2),
+        (-1, -1, -1, -2, 1, 1, 2, 2),
+    )
+    assert e8_plus.gram_inv == (
+        (4, -2, -2, -2, -2, -2, 5, 3),
+        (-2, 2, 1, 1, 1, 1, -3, -2),
+        (-2, 1, 2, 1, 1, 1, -3, -2),
+        (-2, 1, 1, 2, 1, 1, -3, -2),
+        (-2, 1, 1, 1, 2, 1, -3, -2),
+        (-2, 1, 1, 1, 1, 2, -3, -2),
+        (5, -3, -3, -3, -3, -3, 8, 5),
+        (3, -2, -2, -2, -2, -2, 5, 4),
+    )
+    assert [g.parity for g in group.generators] == [1, 1, 1, 1, -1]

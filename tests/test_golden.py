@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from h4geom.golden import (
     GoldenInt,
@@ -9,6 +10,8 @@ from h4geom.golden import (
     PHI,
     PHI_INV,
     ReductionMap,
+    eliminate,
+    exact_quotient,
     golden_sign,
     phi_pow,
     reduce_scalar,
@@ -154,3 +157,80 @@ def test_scaled_map_norm_compatibility():
         split = rmap.split_vector(v.c)
         scaled_norm = v.scaled(PHI).dot(v.scaled(PHI))
         assert rmap.reduced_norm(split) == reduce_scalar(scaled_norm, rmap) * F(1, 2)
+
+
+def _leibniz(a):
+    """Determinant as the signed sum over permutations, the sign read off the
+    cycle count: (-1) ** (n - cycles)."""
+    n = len(a)
+    total = 0
+    for p in permutations(range(n)):
+        seen, cycles = set(), 0
+        for i in range(n):
+            if i not in seen:
+                cycles += 1
+                while i not in seen:
+                    seen.add(i)
+                    i = p[i]
+        term = 1
+        for i in range(n):
+            term = a[i][p[i]] * term
+        total = total + term if (n - cycles) % 2 == 0 else total - term
+    return total
+
+
+def _largest_nonzero_minor(a):
+    rows, cols = len(a), len(a[0])
+    for k in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                if _leibniz([[a[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
+@st.composite
+def _matrices(draw, entry, zero):
+    """Up to 5x5, mostly square; half of them products of r x k and k x c
+    factors, so rank <= k."""
+    r = draw(st.integers(1, 5))
+    c = draw(st.one_of(st.just(r), st.integers(1, 5)))
+    if draw(st.booleans()):
+        return [[draw(entry) for _ in range(c)] for _ in range(r)]
+    k = draw(st.integers(0, min(r, c)))
+    u = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    v = [[draw(entry) for _ in range(c)] for _ in range(k)]
+    return [[sum((u[i][t] * v[t][j] for t in range(k)), zero) for j in range(c)] for i in range(r)]
+
+
+small = st.integers(-2, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_matrices(small, 0), _matrices(st.builds(GoldenInt, small, small), GoldenInt(0))))
+@example([[0, 1], [1, 0]])  # a row swap: adj is the sign times the eliminated block
+@example([[GoldenInt(0), PHI], [PHI_INV, GoldenInt(1)]])
+def test_eliminate_matches_leibniz_minors_and_adjugate(a):
+    e = eliminate(a)
+    assert e.rank == _largest_nonzero_minor(a)
+    n = len(a)
+    if n != len(a[0]):
+        assert e.det is None and e.adj is None
+        return
+    assert e.det == _leibniz(a)
+    if e.det:
+        for i in range(n):
+            for j in range(n):
+                assert sum((a[i][k] * e.adj[k][j] for k in range(n)), 0) == (e.det if i == j else 0)
+    else:
+        assert e.adj is None
+
+
+@given(golden, golden, coeff, st.integers(1, 40))
+def test_exact_quotient_divides_exactly_or_reports_none(x, d, n, m):
+    if d:
+        assert exact_quotient(x * d, d) == x
+    assert exact_quotient(n * m, m) == n
+    if m > 1:
+        assert exact_quotient(n * m + 1, m) is None
+    assert exact_quotient(GoldenInt(1, 1), GoldenInt(2, 0)) is None

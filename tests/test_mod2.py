@@ -1,19 +1,7 @@
 from collections import Counter
 from itertools import combinations
 
-from h4geom.mod2 import (
-    F4_MUL,
-    F4_TRACE,
-    OMEGA,
-    OMEGA_BAR,
-    build_phi,
-    build_points,
-    build_quotient,
-    classify_lines,
-    classify_planes,
-    isotropic_4spaces,
-    pentad_completions,
-)
+from h4geom.mod2 import F4_MUL, F4_TRACE, OMEGA, OMEGA_BAR
 
 
 def test_f4_arithmetic_tables():
@@ -27,7 +15,7 @@ def test_f4_arithmetic_tables():
 
 
 def test_quotient_census(geo):
-    assert build_quotient() == {"zero": 1, "isotropic": 135, "non_isotropic": 120}
+    assert geo.census() == {"zero": 1, "isotropic": 135, "non_isotropic": 120}
     assert geo.q[0] == 0
 
 
@@ -58,7 +46,7 @@ def test_q_well_defined_on_classes(geo):
 
 
 def test_phi_map_properties(geo):
-    phi = build_phi()
+    phi = geo.phi
     t = phi.table
     assert tuple(t[t[t[x]]] for x in range(256)) == tuple(range(256))
     for x in range(1, 256):
@@ -78,7 +66,7 @@ def test_roots_nonisotropic_and_sums_isotropic(geo):
 
 
 def test_points_and_tags(geo):
-    points, tags = build_points()
+    points, tags = geo.points, geo.tags
     assert len(points) == 85
     kinds = Counter(t[0] for t in tags)
     assert kinds == {"vertex": 60, "cell": 25}
@@ -96,7 +84,7 @@ def test_points_are_phibar_closed(geo):
 
 
 def test_line_census_and_certificates(geo):
-    assert classify_lines() == {
+    assert geo.line_census == {
         "partition": 10, "pentagon": 72, "cell16": 75, "triangle": 200,
     }
     assert geo.line_certificates() == {
@@ -113,7 +101,7 @@ def test_every_line_has_five_points_and_is_phibar_closed(geo):
 
 
 def test_plane_compositions(geo):
-    assert classify_planes() == {"vertex": 60, "cell": 25}
+    assert geo.plane_compositions() == {"vertex": 60, "cell": 25}
 
 
 def test_q_omega(geo):
@@ -121,12 +109,8 @@ def test_q_omega(geo):
     assert checks == {
         "values": True, "trace": True, "scaling": True, "biadditive": True,
     }
-    from h4geom.mod2 import q_omega
-
-    for x in (1, 100, 255):
-        assert q_omega(x) == geo.q_omega(x)
-    assert q_omega(geo.class_of_h[0]) == OMEGA_BAR
-    assert q_omega(geo.class_of_phi_h[0]) == OMEGA
+    assert geo.q_omega(geo.class_of_h[0]) == OMEGA_BAR
+    assert geo.q_omega(geo.class_of_phi_h[0]) == OMEGA
 
 
 def test_symmetry_action_commutes_with_phibar(geo, group):
@@ -135,7 +119,7 @@ def test_symmetry_action_commutes_with_phibar(geo, group):
 
 
 def test_isotropic_4spaces_count(geo):
-    spaces = isotropic_4spaces()
+    spaces = geo.isotropic4
     assert len(spaces) == 270
     for s in spaces[::31]:
         assert len(s) == 15
@@ -171,7 +155,7 @@ def test_figure1(geo):
 
 
 def test_pentads(geo):
-    res = pentad_completions(geo.pentad_rows[0], geo.pentad_rows[1])
+    res = geo.pentad_completions(geo.pentad_rows[0], geo.pentad_rows[1])
     assert res["common_disjoint"] == 28
     assert res["completion_sizes"] == [5, 9]
     assert res["duad_graph"]

@@ -3,21 +3,7 @@ from itertools import combinations
 
 from h4geom.golden import GoldenInt
 from h4geom.icosian import ICOSIAN_ONE
-from h4geom.polytopes import (
-    SubPolytope,
-    build_120cell,
-    enumerate_16cells,
-    enumerate_24cells,
-    enumerate_8cells,
-    enumerate_decagons,
-    enumerate_hexagons,
-    enumerate_pentagons,
-    enumerate_skeleton,
-    find_all_partitions,
-    label_str,
-    perm_parity,
-    rectified_600cell,
-)
+from h4geom.polytopes import label_str, perm_parity
 
 PHI_KEY = (0, 1)
 
@@ -43,25 +29,28 @@ def test_every_distinct_product_is_in_the_allowed_set(cell):
             assert v in allowed or (v == "-2" and cell.neg[i] == j)
 
 
-def test_skeleton_counts():
-    assert enumerate_skeleton() == (720, 1200, 600)
+def test_skeleton_counts(cell):
+    assert cell.skeleton_counts() == (720, 1200, 600)
 
 
 def test_16cells(cell):
-    cs = enumerate_16cells()
+    cs = cell.cells16
     assert len(cs) == 75
+    assert all(len(c) == 4 for c in cs)
     orth_pairs = sum(m.bit_count() for m in cell.pair_orth) // 2
     assert orth_pairs == 450
     membership = Counter()
     for c in cs:
-        for p, q in combinations(c.members, 2):
+        for p, q in combinations(c, 2):
             membership[(p, q)] += 1
     assert len(membership) == 450 and set(membership.values()) == {1}
 
 
 def test_24cells_and_8cells(cell):
-    assert len(enumerate_24cells()) == 25
-    assert len(enumerate_8cells()) == 75
+    assert len(cell.cells24) == 25
+    assert all(len(c) == 12 for c in cell.cells24)
+    assert len(cell.cells8) == 75
+    assert all(len(c) == 8 for c in cell.cells8)
     # each 16-cell and 8-cell lies in exactly one 24-cell
     for small in cell.cells16:
         assert sum(1 for big in cell.cells24 if set(small) <= big) == 1
@@ -85,9 +74,6 @@ def test_axis_16cell_extends_by_half_integer_vertices(cell):
 
 
 def test_array_rows_and_columns_partition(cell):
-    from h4geom.polytopes import build_array
-
-    assert build_array() == cell.array
     duads = {cell.duad_of_cell[cell.array[i][j]] for i in range(5) for j in range(5)}
     assert duads == {(r, c) for r in range(1, 6) for c in range(6, 11)}
     one_pid = cell.pair_of[cell.index[ICOSIAN_ONE.flat]]
@@ -95,10 +81,10 @@ def test_array_rows_and_columns_partition(cell):
         assert one_pid in cell.cells24[cell.array[i][i]]
 
 
-def test_exactly_ten_partitions():
-    parts = find_all_partitions()
+def test_exactly_ten_partitions(cell):
+    parts = cell.find_all_partitions()
     assert len(parts) == 10
-    assert all(isinstance(p, SubPolytope) and p.kind == "partition" for p in parts)
+    assert all(len(p) == 5 for p in parts)
 
 
 def test_disjointness_graph_is_rook_complement(cell):
@@ -138,8 +124,9 @@ def test_shared_duads_determine_inner_product_class(cell):
 
 
 def test_hexagons(cell):
-    hexes = enumerate_hexagons()
+    hexes = cell.hexagon_list
     assert len(hexes) == 200
+    assert all(len(h) == 3 for h in hexes)
     cells_16_27 = frozenset(
         k for k in range(25) if cell.duad_of_cell[k] in ((1, 6), (2, 7))
     )
@@ -154,15 +141,17 @@ def test_hexagons(cell):
 
 
 def test_decagons_and_pentagons(cell):
-    decs = enumerate_decagons()
+    decs = cell.decagons
     assert len(decs) == 72
+    assert all(len(d) == 5 for d in decs)
     assert len(cell.decagon_of_edge) == 720
-    pents = enumerate_pentagons()
+    pents = [cell.pentagon_of_decagon(d) for d in decs]
     assert len(pents) == 72
+    assert all(len(p) == 5 for p in pents)
     all_duads = {(r, c) for r in range(1, 6) for c in range(6, 11)}
     for pent in pents:
         duads = {
-            d for v in pent.members for d in cell.labels[cell.pair_of[v]]
+            d for v in pent for d in cell.labels[cell.pair_of[v]]
         }
         assert duads == all_duads
 
@@ -215,7 +204,7 @@ def test_prime_array_p5_is_decagon_pairs(cell):
 
 
 def test_120cell_structure(cell):
-    d = build_120cell()
+    d = cell.cell120
     assert d.n == 600
     assert len(d.cells) == 25
     assert sum(len(c) for c in d.cells) == 600
@@ -243,7 +232,7 @@ def test_120cell_rows_and_columns_are_600cells(cell):
 
 
 def test_rectified_600cell(cell):
-    r = rectified_600cell()
+    r = cell.rectified
     assert len(r) == 720
     for w in r[:50]:
         assert w.dot(w) == GoldenInt(12, 16)  # 20 + 8*sqrt(5)

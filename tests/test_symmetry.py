@@ -7,13 +7,11 @@ from h4geom.golden import GoldenRational
 from h4geom.icosian import ICOSIAN_ONE
 from h4geom.symmetry import (
     SymOp,
-    action_on_partitions,
     identity_op,
     left_mul,
     negation_op,
     reflection,
     right_mul,
-    stabilizer_orders,
 )
 
 
@@ -50,10 +48,12 @@ def test_reflection_ten_perm_is_its_label(cell, group):
         assert list(tp) == expected
 
 
-def test_group_orders(group):
+def test_group_orders(cell, group):
     assert len(group.ops) == 14400
     assert group.rotation_count == 7200
-    assert stabilizer_orders() == (120, 576)
+    v = cell.index[ICOSIAN_ONE.flat]
+    assert len(group.stabilizer_of_vertex(v)) == 120
+    assert len(group.stabilizer_of_cell(cell.array[0][0])) == 576
 
 
 def test_center_is_plus_minus_identity(group):
@@ -176,9 +176,8 @@ def test_cell_perm_fast_path_matches_full_computation(group):
         assert group.cell_perm(op) == group.cell_perm_checked(op)
 
 
-def test_action_on_partitions_wrapper(cell, group):
-    tp = action_on_partitions(identity_op())
-    assert tp == tuple(range(10))
+def test_identity_fixes_the_ten_partitions(group):
+    assert group.ten_perm(identity_op()) == tuple(range(10))
 
 
 def _matrix_closure(generators):
