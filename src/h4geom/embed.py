@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 
 from .golden import (
@@ -78,9 +78,17 @@ def hermite_normal_form(rows) -> tuple[IntVec, ...]:
 
 
 def short_vectors(gram, bound: int) -> dict[int, list[IntVec]]:
-    """All nonzero x with x G x^T <= bound, exactly, via branch and bound.
+    """All nonzero x with x G x^T <= bound, exactly (Fincke-Pohst).
 
-    Returns coordinate vectors grouped by their (integer) norm.
+    x G x^T = sum_i d_i (x_i + c_i)^2 with G = L diag(d) L^T and
+    c_i = sum_{j > i} L_ji x_j.  The LDL^T is taken once in Fractions and
+    scaled to integers: D is the common denominator of L, so c_i = C_i / D,
+    and Q that of the d_i, so w_i = Q d_i.  A level then keeps x_i = k iff
+    w_i (D k + C_i)^2 <= rem, where rem = D^2 Q * (what is left of the
+    bound), and |D k + C_i| <= isqrt(rem // w_i) is that same condition.
+
+    Returns coordinate vectors grouped by their (integer) norm, each list
+    sorted.
     """
     n = len(gram)
     g = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
@@ -95,32 +103,39 @@ def short_vectors(gram, bound: int) -> dict[int, list[IntVec]]:
         for j in range(i + 1, n):
             low[j][i] = (g[j][i] - sum(low[j][k] * low[i][k] * diag[k] for k in range(i))) / d
 
+    den = lcm(*(low[j][i].denominator for i in range(n) for j in range(i + 1, n)))
+    q = lcm(*(d.denominator for d in diag))
+    # cols[i] = the integers D * L_ji for j > i, as (j, value) pairs
+    cols = [
+        [(j, int(low[j][i] * den)) for j in range(i + 1, n) if low[j][i]] for i in range(n)
+    ]
+    weights = [int(d * q) for d in diag]
+    scale = den * den * q
+    total = scale * bound
+
     out: dict[int, list[IntVec]] = {}
     x = [0] * n
 
-    def recurse(i: int, remaining: Fraction) -> None:
-        if i < 0:
-            if any(x):
-                norm = bound - remaining
-                assert norm.denominator == 1
-                out.setdefault(int(norm), []).append(tuple(x))
-            return
-        c = sum(low[j][i] * x[j] for j in range(i + 1, n))
-        q = remaining / diag[i]
-        cn, cd = c.numerator, c.denominator
-        rhs = q * cd * cd
-        cap = rhs.numerator // rhs.denominator
-        s = isqrt(cap)
-        lo = -(-(-s - cn) // cd)
-        hi = (s - cn) // cd
-        for k in range(lo, hi + 1):
-            step = diag[i] * (k + c) * (k + c)
-            if step <= remaining:
-                x[i] = k
-                recurse(i - 1, remaining - step)
+    def recurse(i: int, rem: int) -> None:
+        w = weights[i]
+        c = 0
+        for j, lji in cols[i]:
+            c += lji * x[j]
+        s = isqrt(rem // w)
+        for k in range(-((s + c) // den), (s - c) // den + 1):
+            t = den * k + c
+            x[i] = k
+            left = rem - w * t * t
+            if i:
+                recurse(i - 1, left)
+            elif any(x):
+                norm, frac = divmod(total - left, scale)
+                if frac:
+                    raise ValueError(f"norm of {tuple(x)} is not an integer")
+                out.setdefault(norm, []).append(tuple(x))
         x[i] = 0
 
-    recurse(n - 1, Fraction(bound))
+    recurse(n - 1, total)
     for v in out.values():
         v.sort()
     return out
@@ -202,15 +217,18 @@ class E8Lattice(IntLattice):
         h_img = [self.embed(v.flat) for v in cell.vertices]
         phi_img = [self.embed(v.scaled(companion).flat) for v in cell.vertices]
         roots = set(h_img) | set(phi_img)
-        assert len(roots) == 240, "H and phi*H images must give 240 distinct vectors"
-        assert all(_half_dot(u, u) == 2 for u in roots)
+        if len(roots) != 240:
+            raise ValueError("H and phi*H images must give 240 distinct vectors")
+        if any(_half_dot(u, u) != 2 for u in roots):
+            raise ValueError("an embedded root does not have norm 2")
 
         basis = _root_basis(h_img)
         gram = tuple(tuple(_half_dot(b1, b2) for b2 in basis) for b1 in basis)
         elim = eliminate(gram)
         if elim.det != 1:
             raise ValueError(f"basis Gram determinant {elim.det} != 1")
-        assert all(gram[i][i] % 2 == 0 for i in range(8)), "lattice is not even"
+        if any(gram[i][i] % 2 for i in range(8)):
+            raise ValueError("lattice is not even")
 
         super().__init__(rmap=rmap, basis=basis, gram=gram, det=elim.det)
         self.basis_int = basis
@@ -225,9 +243,14 @@ class E8Lattice(IntLattice):
 
         shells = short_vectors(self.gram, 4)
         self.shell_coords = shells
-        assert set(shells) == {2, 4}
-        assert len(shells[2]) == 240 and len(shells[4]) == 2160
-        assert {self.from_coords(c) for c in shells[2]} == self.roots
+        if set(shells) != {2, 4}:
+            raise ValueError(f"E8 has vectors of norms {sorted(shells)} up to 4, not 2 and 4")
+        if len(shells[2]) != 240 or len(shells[4]) != 2160:
+            raise ValueError(
+                f"E8 shell sizes {len(shells[2])}, {len(shells[4])} are not 240, 2160"
+            )
+        if {self.from_coords(c) for c in shells[2]} != self.roots:
+            raise ValueError("the enumerated roots are not the embedded ones")
 
     def coords_of(self, amb: IntVec) -> IntVec:
         """x with amb = x * basis.  p = basis * amb equals 2 * G x, so amb is
@@ -278,7 +301,8 @@ def _root_basis(h_img: list[IntVec]) -> tuple[IntVec, ...]:
             chosen.append(u)
             if len(chosen) == 8:
                 break
-    assert len(chosen) == 8
+    if len(chosen) != 8:
+        raise ValueError(f"embedded roots span rank {len(chosen)}, not 8")
 
     def gram_det(basis: list[IntVec]) -> int:
         return eliminate([[_half_dot(a, b) for b in basis] for a in basis]).det
@@ -405,7 +429,8 @@ def lattice_L() -> ReducedLattice:
     # the 8 chosen vectors generate exactly the lattice of all 120 images
     scaled_imgs = [tuple(int(2 * c) for c in u) for u in images]
     scaled_basis = [tuple(int(2 * c) for c in u) for u in basis_vecs]
-    assert hermite_normal_form(scaled_imgs) == hermite_normal_form(scaled_basis)
+    if hermite_normal_form(scaled_imgs) != hermite_normal_form(scaled_basis):
+        raise ValueError("the 8 basis vectors do not generate the lattice of all 120 images")
 
     census: Counter = Counter()
     rep = images[0]
@@ -416,7 +441,8 @@ def lattice_L() -> ReducedLattice:
         pair_seen.add(cell.pair_of[i])
         val = abs(_exact_int(rmap.reduced_dot(rep, u)))
         census[val] += 1
-    assert dict(census) == {4: 1, 2: 20, 1: 24, 0: 15}
+    if dict(census) != {4: 1, 2: 20, 1: 24, 0: 15}:
+        raise ValueError(f"inner product census {dict(census)}")
 
     # census must be the same from every generator
     for j in (1, 7, 30, 59):
@@ -424,9 +450,11 @@ def lattice_L() -> ReducedLattice:
         rep2 = images[cell.pairs[j][0]]
         for pid in range(60):
             c2[abs(_exact_int(rmap.reduced_dot(rep2, images[cell.pairs[pid][0]])))] += 1
-        assert dict(c2) == {4: 1, 2: 20, 1: 24, 0: 15}
+        if dict(c2) != {4: 1, 2: 20, 1: 24, 0: 15}:
+            raise ValueError(f"inner product census {dict(c2)} from pair {j}")
 
-    assert all(gram[i][i] % 2 == 0 for i in range(8))
+    if any(gram[i][i] % 2 for i in range(8)):
+        raise ValueError("m = 0 lattice is not even")
     rootless = short_vectors(gram, 2) == {}
 
     # dual basis identity: (3 - phi) w_i / 5 and (-1 + 2 phi) w_i / 5

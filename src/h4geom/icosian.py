@@ -88,21 +88,32 @@ def flat_dot(u: Flat, v: Flat) -> tuple[int, int]:
 
 
 def _flat_quat_mul(u: Flat, v: Flat) -> Flat:
-    def gm(i: int, j: int) -> tuple[int, int]:
-        ua, ub = u[2 * i], u[2 * i + 1]
-        va, vb = v[2 * j], v[2 * j + 1]
-        return (ua * va + ub * vb, ua * vb + ub * va + ub * vb)
+    """Quaternion product on flat tuples: 16 golden products
+    (a + b*phi)(c + d*phi) = (ac + bd) + (ad + bc + bd)*phi, written out."""
+    a0, b0, a1, b1, a2, b2, a3, b3 = u
+    c0, d0, c1, d1, c2, d2, c3, d3 = v
+    return (
+        a0 * c0 + b0 * d0 - a1 * c1 - b1 * d1 - a2 * c2 - b2 * d2 - a3 * c3 - b3 * d3,
+        a0 * d0 + b0 * c0 + b0 * d0 - a1 * d1 - b1 * c1 - b1 * d1
+        - a2 * d2 - b2 * c2 - b2 * d2 - a3 * d3 - b3 * c3 - b3 * d3,
+        a0 * c1 + b0 * d1 + a1 * c0 + b1 * d0 + a2 * c3 + b2 * d3 - a3 * c2 - b3 * d2,
+        a0 * d1 + b0 * c1 + b0 * d1 + a1 * d0 + b1 * c0 + b1 * d0
+        + a2 * d3 + b2 * c3 + b2 * d3 - a3 * d2 - b3 * c2 - b3 * d2,
+        a0 * c2 + b0 * d2 - a1 * c3 - b1 * d3 + a2 * c0 + b2 * d0 + a3 * c1 + b3 * d1,
+        a0 * d2 + b0 * c2 + b0 * d2 - a1 * d3 - b1 * c3 - b1 * d3
+        + a2 * d0 + b2 * c0 + b2 * d0 + a3 * d1 + b3 * c1 + b3 * d1,
+        a0 * c3 + b0 * d3 + a1 * c2 + b1 * d2 - a2 * c1 - b2 * d1 + a3 * c0 + b3 * d0,
+        a0 * d3 + b0 * c3 + b0 * d3 + a1 * d2 + b1 * c2 + b1 * d2
+        - a2 * d1 - b2 * c1 - b2 * d1 + a3 * d0 + b3 * c0 + b3 * d0,
+    )
 
-    p = {(i, j): gm(i, j) for i in range(4) for j in range(4)}
-    c0a = p[0, 0][0] - p[1, 1][0] - p[2, 2][0] - p[3, 3][0]
-    c0b = p[0, 0][1] - p[1, 1][1] - p[2, 2][1] - p[3, 3][1]
-    c1a = p[0, 1][0] + p[1, 0][0] + p[2, 3][0] - p[3, 2][0]
-    c1b = p[0, 1][1] + p[1, 0][1] + p[2, 3][1] - p[3, 2][1]
-    c2a = p[0, 2][0] - p[1, 3][0] + p[2, 0][0] + p[3, 1][0]
-    c2b = p[0, 2][1] - p[1, 3][1] + p[2, 0][1] + p[3, 1][1]
-    c3a = p[0, 3][0] + p[1, 2][0] - p[2, 1][0] + p[3, 0][0]
-    c3b = p[0, 3][1] + p[1, 2][1] - p[2, 1][1] + p[3, 0][1]
-    return (c0a, c0b, c1a, c1b, c2a, c2b, c3a, c3b)
+
+def _halved(raw: Flat) -> Flat:
+    """raw / 2; raises unless every coordinate is even."""
+    r0, r1, r2, r3, r4, r5, r6, r7 = raw
+    if (r0 | r1 | r2 | r3 | r4 | r5 | r6 | r7) & 1:
+        raise ValueError("product is not at standard scale; inputs were not both icosians")
+    return (r0 >> 1, r1 >> 1, r2 >> 1, r3 >> 1, r4 >> 1, r5 >> 1, r6 >> 1, r7 >> 1)
 
 
 def quat_mul(u: IcosianVec, v: IcosianVec) -> IcosianVec:
@@ -116,10 +127,7 @@ def icosian_mul(u: IcosianVec, v: IcosianVec) -> IcosianVec:
     Exact only when every coordinate of the raw product is divisible by 2,
     which holds whenever both factors are norm-4 icosians.
     """
-    raw = _flat_quat_mul(u.flat, v.flat)
-    if any(x % 2 for x in raw):
-        raise ValueError("product is not at standard scale; inputs were not both icosians")
-    return IcosianVec.from_flat(tuple(x // 2 for x in raw))
+    return IcosianVec.from_flat(_halved(_flat_quat_mul(u.flat, v.flat)))
 
 
 ICOSIAN_ONE = IcosianVec(GoldenInt(2), GOLDEN_ZERO, GOLDEN_ZERO, GOLDEN_ZERO)
@@ -173,17 +181,9 @@ def vertex_index() -> dict[Flat, int]:
 @cache
 def mult_table() -> tuple[tuple[int, ...], ...]:
     """Cayley table on vertex indices: table[i][j] = index of v_i * v_j."""
-    verts = generate_vertices()
     idx = vertex_index()
-    flats = [v.flat for v in verts]
-    table = []
-    for u in flats:
-        row = []
-        for v in flats:
-            raw = _flat_quat_mul(u, v)
-            row.append(idx[tuple(x // 2 for x in raw)])
-        table.append(tuple(row))
-    return tuple(table)
+    flats = [v.flat for v in generate_vertices()]
+    return tuple(tuple(idx[_halved(_flat_quat_mul(u, v))] for v in flats) for u in flats)
 
 
 @cache

@@ -125,7 +125,8 @@ class F4Geometry:
         for x in range(1, 256):
             seen.add(frozenset((x, t[x], x ^ t[x])))
         pts = tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
-        assert len(pts) == 85
+        if len(pts) != 85:
+            raise ValueError(f"{len(pts)} points, not 85")
         return pts
 
     @cached_property
@@ -143,15 +144,17 @@ class F4Geometry:
         tags: dict[int, tuple[str, int]] = {}
         for pid, (i, _) in enumerate(cell.pairs):
             c = self.class_of_h[i]
-            assert self.class_of_h[cell.neg[i]] == c
+            if self.class_of_h[cell.neg[i]] != c:
+                raise ValueError(f"pair {pid}: a vertex and its negative differ mod 2")
             pt = self.point_of[c]
-            assert pt not in tags
-            assert self.class_of_phi_h[i] in self.points[pt]
+            if pt in tags:
+                raise ValueError(f"pair {pid} shares point {pt} with another pair")
+            if self.class_of_phi_h[i] not in self.points[pt]:
+                raise ValueError(f"pair {pid}: the phi image leaves its point")
             tags[pt] = ("vertex", pid)
-        assert len(tags) == 60
         for k, p in enumerate(self.points):
-            if k not in tags:
-                assert all(self.q[x] == 0 for x in p)
+            if k not in tags and any(self.q[x] for x in p):
+                raise ValueError(f"untagged point {k} is not singular")
         # a line with four vertex points carries a 16-cell; its fifth point
         # is tagged by the ambient 24-cell
         sixteens = {c: cell.cell16_ambient[c] for c in cell.cells16}
@@ -164,12 +167,14 @@ class F4Geometry:
             key = tuple(vs)
             if key in sixteens and len(rest) == 1:
                 proposals.setdefault(rest[0], set()).add(sixteens[key])
-        assert len(proposals) == 25
+        if len(proposals) != 25:
+            raise ValueError(f"{len(proposals)} points carry a 24-cell tag, not 25")
         for pt, cells in proposals.items():
-            assert len(cells) == 1, "ambiguous 24-cell tag"
+            if len(cells) != 1:
+                raise ValueError("ambiguous 24-cell tag")
             tags[pt] = ("cell", cells.pop())
-        assert len(tags) == 85
-        assert len({t for t in tags.values()}) == 85
+        if len(set(tags.values())) != 85:
+            raise ValueError("the 85 tags are not distinct")
         return tuple(tags[k] for k in range(85))
 
     @cached_property
@@ -190,12 +195,13 @@ class F4Geometry:
             pa = self.points[a] | {0}
             pb = self.points[b] | {0}
             span = {x ^ y for x in pa for y in pb}
-            assert len(span) == 16
             pts = frozenset(self.point_of[x] for x in span if x)
-            assert len(pts) == 5
+            if len(span) != 16 or len(pts) != 5:
+                raise ValueError(f"points {a} and {b} do not span a line of 5 points")
             seen.add(pts)
         out = tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
-        assert len(out) == 357
+        if len(out) != 357:
+            raise ValueError(f"{len(out)} lines, not 357")
         return out
 
     def line_type(self, line: frozenset[int]) -> str:
@@ -245,7 +251,11 @@ class F4Geometry:
         # all lines are totally singular exactly for the partition type
         for line in self.lines:
             singular = all(self.q[x] == 0 for p in line for x in self.points[p])
-            assert singular == (self.line_type(line) == "partition")
+            if singular != (self.line_type(line) == "partition"):
+                raise ValueError(
+                    f"line {sorted(line)}: totally singular is {singular}, "
+                    f"but its type is {self.line_type(line)}"
+                )
         return ok
 
     @cached_property
@@ -255,11 +265,12 @@ class F4Geometry:
         for p in self.points:
             a, b = sorted(p)[:2]
             perp = [y for y in range(1, 256) if self.bform(y, a) == 0 and self.bform(y, b) == 0]
-            assert len(perp) == 63
             pts = frozenset(self.point_of[y] for y in perp)
-            assert len(pts) == 21
+            if len(perp) != 63 or len(pts) != 21:
+                raise ValueError(f"the complement of point {sorted(p)} is not a plane of 21 points")
             out.append(pts)
-        assert len(set(out)) == 85
+        if len(set(out)) != 85:
+            raise ValueError("the 85 planes are not distinct")
         return tuple(out)
 
     def plane_compositions(self) -> dict[str, int]:
@@ -284,7 +295,8 @@ class F4Geometry:
                 expect = {self.point_of_cell[ref]}
                 expect |= {self.point_of_cell[c] for c in disj}
                 expect |= {self.point_of_pair[q] for q in cell.cells24[ref]}
-            assert plane == frozenset(expect)
+            if plane != frozenset(expect):
+                raise ValueError(f"plane {k} ({kind} {ref}) differs from its incidence oracle")
             counts[kind] += 1
         return counts
 
@@ -398,7 +410,8 @@ class F4Geometry:
                         nxt[grown] = cand & perp[x] & ~mask
             level = nxt
         out = tuple(sorted(level, key=lambda s: tuple(sorted(s))))
-        assert len(out) == 270
+        if len(out) != 270:
+            raise ValueError(f"{len(out)} totally singular 4-spaces, not 270")
         return out
 
     @cached_property

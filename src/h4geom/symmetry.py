@@ -270,25 +270,30 @@ class SymmetryGroup:
         return tuple(out)
 
     @cached_property
-    def _partition_index(self) -> dict[frozenset[int], int]:
-        return {p: k for k, p in enumerate(self.cell.partitions)}
+    def _partition_cells(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(part) for part in self.cell.partitions)
+
+    @cached_property
+    def _partition_index(self) -> dict[int, int]:
+        """Each partition's index, keyed by its 25-bit mask of 24-cells."""
+        return {sum(1 << c for c in part): k for k, part in enumerate(self._partition_cells)}
+
+    def _ten_perm_of(self, cp: tuple[int, ...]) -> tuple[int, ...]:
+        """The permutation of the ten partitions induced by a permutation of
+        the 25 cells; raises KeyError if an image is not a partition."""
+        index = self._partition_index
+        return tuple(
+            index[(1 << cp[a]) | (1 << cp[b]) | (1 << cp[c]) | (1 << cp[d]) | (1 << cp[e])]
+            for a, b, c, d, e in self._partition_cells
+        )
 
     def ten_perm(self, op: SymOp) -> tuple[int, ...]:
         """Induced permutation of the ten partitions (symbols 1..5, 6..X)."""
-        cp = self.cell_perm(op)
-        return tuple(
-            self._partition_index[frozenset(cp[c] for c in part)]
-            for part in self.cell.partitions
-        )
+        return self._ten_perm_of(self.cell_perm(op))
 
     @cached_property
     def ten_perms(self) -> tuple[tuple[int, ...], ...]:
-        pidx = self._partition_index
-        parts = self.cell.partitions
-        out = []
-        for cp in self.cell_perms:
-            out.append(tuple(pidx[frozenset(cp[c] for c in part)] for part in parts))
-        return tuple(out)
+        return tuple(map(self._ten_perm_of, self.cell_perms))
 
     @cached_property
     def ten_kernel(self) -> tuple[int, ...]:

@@ -179,18 +179,19 @@ def test_example3_reports_the_gram_certificate(monkeypatch, shell_classes):
     assert result.observed["spectra_match"] is False
 
 
-def test_s6_report_is_the_same_under_python_O(tmp_path):
-    """Certificates are observed values, so stripping asserts changes nothing."""
+def test_report_is_the_same_under_python_O(tmp_path):
+    """Certificates are observed values or raise, so stripping asserts
+    changes no entry of the whole 26-check report."""
     inproc, optimized = tmp_path / "a.json", tmp_path / "o.json"
-    assert main(["verify", "--only", "s6/*", "--report", str(inproc)]) == 0
+    assert main(["verify", "--report", str(inproc)]) == 0
     subprocess.run(
-        [sys.executable, "-O", "-m", "h4geom.cli", "verify", "--only", "s6/*",
-         "--report", str(optimized)],
+        [sys.executable, "-O", "-m", "h4geom.cli", "verify", "--report", str(optimized)],
         capture_output=True,
         check=True,
     )
     a = json.loads(inproc.read_text())
     b = json.loads(optimized.read_text())
+    assert len(a) == len(checks.CHECK_ORDER) == 26
     for entry in a + b:
         entry.pop("elapsed_ms")
     assert a == b
@@ -215,23 +216,6 @@ def test_phi_reports_its_stored_certificates(monkeypatch, geo):
         result = checks.run_check("s7/phi")
         assert result.status == "fail"
         assert result.observed[reported] is False
-
-
-def test_s2_and_s7_phi_reports_are_the_same_under_python_O(tmp_path):
-    for only in ("s2/*", "s7/phi"):
-        inproc, optimized = tmp_path / "a.json", tmp_path / "o.json"
-        assert main(["verify", "--only", only, "--report", str(inproc)]) == 0
-        subprocess.run(
-            [sys.executable, "-O", "-m", "h4geom.cli", "verify", "--only", only,
-             "--report", str(optimized)],
-            capture_output=True,
-            check=True,
-        )
-        a = json.loads(inproc.read_text())
-        b = json.loads(optimized.read_text())
-        for entry in a + b:
-            entry.pop("elapsed_ms")
-        assert a == b
 
 
 _CORRUPT_PHI1_SHELL_MAP = """
@@ -296,3 +280,74 @@ def test_s7_phi_names_a_corrupted_phi_image_under_python_O():
     i, status, observed = json.loads(out.stdout.splitlines()[-1])
     assert status == "fail"
     assert observed == {"error": f"ValueError: phi matrix does not map root {i} to its phi image"}
+
+
+_DROP_ONE_NORM4_VECTOR = """
+import json, sys
+from h4geom import embed
+from h4geom.cli import main
+
+real_short_vectors = embed.short_vectors
+
+
+def short_vectors(gram, bound):
+    out = real_short_vectors(gram, bound)
+    if 4 in out:
+        out[4].pop()
+    return out
+
+
+embed.short_vectors = short_vectors
+codes = [main(["verify", "--only", only, "--report", path])
+         for only, path in zip(("facts/fact9", "s6/*"), sys.argv[1:])]
+print(json.dumps(codes))
+"""
+
+
+def test_e8_shell_count_is_checked_under_python_O(tmp_path):
+    """A norm-4 vector missing from the enumeration fails every check that
+    builds E8, with the cause, even though -O strips asserts."""
+    fact9, s6 = tmp_path / "fact9.json", tmp_path / "s6.json"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _DROP_ONE_NORM4_VECTOR, str(fact9), str(s6)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == [1, 1]
+    report = json.loads(fact9.read_text()) + json.loads(s6.read_text())
+    status = {d["check"]: (d["status"], d["observed"]) for d in report}
+    error = {"error": "ValueError: E8 shell sizes 240, 2159 are not 240, 2160"}
+    assert status == {
+        "facts/fact9": ("fail", error),
+        "s6/example1": ("fail", error),
+        "s6/example2": ("pass", status["s6/example2"][1]),  # lattice_L has no norm-4 shell to lose
+        "s6/example3": ("fail", error),
+    }
+
+
+_SWAP_TWO_PLANES = """
+import json
+from h4geom import checks, mod2
+
+geo = mod2.f4_geometry()
+planes = list(geo.planes)
+planes[0], planes[1] = planes[1], planes[0]
+geo.planes = tuple(planes)
+result = checks.run_check("s7/planes")
+print(json.dumps([result.status, result.observed]))
+"""
+
+
+def test_s7_planes_fails_on_swapped_planes_under_python_O():
+    """Each plane is compared with its incidence oracle by a check that
+    raises, so -O cannot strip it."""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _SWAP_TWO_PLANES],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    status, observed = json.loads(out.stdout.splitlines()[-1])
+    assert status == "fail"
+    assert observed["error"].startswith("ValueError: plane 0 ")

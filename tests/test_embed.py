@@ -1,7 +1,9 @@
 from fractions import Fraction as F
 from itertools import product as iproduct
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from h4geom.golden import (
     GoldenInt,
@@ -32,6 +34,92 @@ def test_bareiss_det():
     assert eliminate([[2, 1], [1, 3]]).det == 5
     assert eliminate([[1, 2], [2, 4]]).det == 0
     assert eliminate([[0, 1], [1, 0]]).det == -1
+
+
+def _fraction_short_vectors(gram, bound):
+    """The Fraction branch and bound that `short_vectors` replaced: the
+    oracle for the integer enumeration."""
+    n = len(gram)
+    g = [[F(gram[i][j]) for j in range(n)] for i in range(n)]
+    low = [[F(0)] * n for _ in range(n)]
+    diag = [F(0)] * n
+    for i in range(n):
+        d = g[i][i] - sum(low[i][k] * low[i][k] * diag[k] for k in range(i))
+        if d <= 0:
+            raise ValueError("form is not positive definite")
+        diag[i] = d
+        low[i][i] = F(1)
+        for j in range(i + 1, n):
+            low[j][i] = (g[j][i] - sum(low[j][k] * low[i][k] * diag[k] for k in range(i))) / d
+
+    out = {}
+    x = [0] * n
+
+    def recurse(i, remaining):
+        if i < 0:
+            if any(x):
+                norm = bound - remaining
+                assert norm.denominator == 1
+                out.setdefault(int(norm), []).append(tuple(x))
+            return
+        c = sum(low[j][i] * x[j] for j in range(i + 1, n))
+        q = remaining / diag[i]
+        cn, cd = c.numerator, c.denominator
+        rhs = q * cd * cd
+        s = isqrt(rhs.numerator // rhs.denominator)
+        for k in range(-(-(-s - cn) // cd), (s - cn) // cd + 1):
+            step = diag[i] * (k + c) * (k + c)
+            if step <= remaining:
+                x[i] = k
+                recurse(i - 1, remaining - step)
+        x[i] = 0
+
+    recurse(n - 1, F(bound))
+    for v in out.values():
+        v.sort()
+    return out
+
+
+def _same_enumeration(gram, bound):
+    got, want = short_vectors(gram, bound), _fraction_short_vectors(gram, bound)
+    # equal norms in the same order, each with the same vectors in the same order
+    assert list(got.items()) == list(want.items())
+    return got
+
+
+@st.composite
+def _positive_definite_grams(draw):
+    """A A^T + I for a random integer A, n <= 6."""
+    n = draw(st.integers(1, 6))
+    a = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    return [
+        [sum(a[i][k] * a[j][k] for k in range(n)) + (i == j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_positive_definite_grams(), st.integers(0, 6))
+def test_short_vectors_matches_the_fraction_enumeration(gram, bound):
+    _same_enumeration(gram, bound)
+
+
+def test_short_vectors_matches_the_fraction_enumeration_on_the_paper_grams(e8, e8_plus, lat_l):
+    for gram in (e8.gram, e8_plus.gram, lat_l.gram):
+        for bound in (2, 4):
+            _same_enumeration(gram, bound)
+    assert len(short_vectors(e8.gram, 4)[4]) == 2160
+
+
+def test_short_vectors_rejects_a_form_that_is_not_positive_definite():
+    for gram in ([[1, 2], [2, 1]], [[0]], [[2, 1, 0], [1, 2, 0], [0, 0, -1]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            short_vectors(gram, 4)
+
+
+def test_short_vectors_rejects_a_norm_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="not an integer"):
+        short_vectors([[F(1, 2)]], 2)
 
 
 def test_short_vectors_on_known_forms():

@@ -1,7 +1,9 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
+from h4geom import icosian
 from h4geom.golden import GoldenInt
 from h4geom.icosian import (
     ICOSIAN_ONE,
@@ -63,6 +65,55 @@ def test_closure_and_latin_square():
         assert len(set(row)) == n
     for j in range(n):
         assert len({TABLE[i][j] for i in range(n)}) == n
+
+
+def test_table_is_the_icosian_product_on_every_pair():
+    for i, u in enumerate(VERTS):
+        for j, v in enumerate(VERTS):
+            assert TABLE[i][j] == IDX[icosian_mul(u, v).flat]
+
+
+def test_mult_table_rejects_a_product_off_the_standard_scale(monkeypatch):
+    verts = list(VERTS)
+    verts[0] = IcosianVec(GoldenInt(1), GoldenInt(0), GoldenInt(0), GoldenInt(0))
+    monkeypatch.setattr(icosian, "generate_vertices", lambda: tuple(verts))
+    with pytest.raises(ValueError, match="not at standard scale"):
+        mult_table.__wrapped__()
+
+
+def _dict_quat_mul(u, v):
+    """The quaternion product as it was written before the straight-line
+    kernel: the oracle for `_flat_quat_mul`."""
+    def gm(i, j):
+        ua, ub = u[2 * i], u[2 * i + 1]
+        va, vb = v[2 * j], v[2 * j + 1]
+        return (ua * va + ub * vb, ua * vb + ub * va + ub * vb)
+
+    p = {(i, j): gm(i, j) for i in range(4) for j in range(4)}
+    c0a = p[0, 0][0] - p[1, 1][0] - p[2, 2][0] - p[3, 3][0]
+    c0b = p[0, 0][1] - p[1, 1][1] - p[2, 2][1] - p[3, 3][1]
+    c1a = p[0, 1][0] + p[1, 0][0] + p[2, 3][0] - p[3, 2][0]
+    c1b = p[0, 1][1] + p[1, 0][1] + p[2, 3][1] - p[3, 2][1]
+    c2a = p[0, 2][0] - p[1, 3][0] + p[2, 0][0] + p[3, 1][0]
+    c2b = p[0, 2][1] - p[1, 3][1] + p[2, 0][1] + p[3, 1][1]
+    c3a = p[0, 3][0] + p[1, 2][0] - p[2, 1][0] + p[3, 0][0]
+    c3b = p[0, 3][1] + p[1, 2][1] - p[2, 1][1] + p[3, 0][1]
+    return (c0a, c0b, c1a, c1b, c2a, c2b, c3a, c3b)
+
+
+def test_flat_quat_mul_matches_the_dict_product_on_all_vertex_pairs():
+    flats = [v.flat for v in VERTS]
+    for u in flats:
+        for v in flats:
+            assert icosian._flat_quat_mul(u, v) == _dict_quat_mul(u, v)
+
+
+_flat = st.tuples(*[st.integers(-50, 50)] * 8)
+
+
+@given(_flat, _flat)
+def test_flat_quat_mul_matches_the_dict_product(u, v):
+    assert icosian._flat_quat_mul(u, v) == _dict_quat_mul(u, v)
 
 
 def test_left_right_multiplication_are_isometries():

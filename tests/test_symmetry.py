@@ -180,6 +180,26 @@ def test_identity_fixes_the_ten_partitions(group):
     assert group.ten_perm(identity_op()) == tuple(range(10))
 
 
+def test_ten_perms_match_the_frozenset_images_on_all_elements(group):
+    """The mask lookup against set images of each partition, on all 14,400 elements."""
+    index = {p: k for k, p in enumerate(group.cell.partitions)}
+    parts = group.cell.partitions
+    assert len(group.ten_perms) == 14400
+    for op, cp, tp in zip(group.ops, group.cell_perms, group.ten_perms):
+        assert tp == tuple(index[frozenset(cp[c] for c in part)] for part in parts)
+        assert group.ten_perm(op) == tp
+
+
+def test_ten_perm_raises_on_an_image_that_is_not_a_partition(group):
+    array = group.cell.array
+    cp = list(range(25))
+    cp[array[0][0]], cp[array[1][1]] = array[1][1], array[0][0]
+    broken = copy.copy(group)
+    broken.cell_perm = lambda op: tuple(cp)
+    with pytest.raises(KeyError):
+        broken.ten_perm(identity_op())
+
+
 def _matrix_closure(generators):
     """The closure over exact matrices, keyed on SymOp.key: the oracle for
     the permutation closure."""
