@@ -9,14 +9,33 @@ canonical JSON for the main constructed objects.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fnmatch import fnmatch
 
 from . import checks, embed, mod2
 from .polytopes import duad_str, label_str, the_600cell
-from .serialize import dumps
+from .serialize import dumps, jsonable
 
 DUMP_OBJECTS = ("vertices", "labels", "array", "lines", "planes", "lattice")
+
+
+def _why_failed(result) -> list[str]:
+    """The error text of a check that raised, or each top-level field whose
+    expected and observed values differ."""
+    expected, observed = jsonable(result.expected), jsonable(result.observed)
+    if isinstance(observed, dict) and list(observed) == ["error"]:
+        return [f"error: {observed['error']}"]
+    if not (isinstance(expected, dict) and isinstance(observed, dict)):
+        expected, observed = {"value": expected}, {"value": observed}
+    missing = object()
+    lines = []
+    for key in sorted(expected.keys() | observed.keys()):
+        pair = (expected.get(key, missing), observed.get(key, missing))
+        if pair[0] != pair[1]:
+            e, o = ("(missing)" if v is missing else json.dumps(v, sort_keys=True) for v in pair)
+            lines.append(f"{key}: expected {e}, observed {o}")
+    return lines
 
 
 def cmd_verify(args) -> int:
@@ -49,6 +68,9 @@ def cmd_verify(args) -> int:
         print(f"{r.status.upper():4}  {r.check_id}  ({r.elapsed_ms} ms)")
     failed = [r for r in results if r.status != "pass"]
     if failed:
+        for r in failed:
+            for line in _why_failed(r):
+                print(f"{r.check_id}: {line}", file=sys.stderr)
         print(f"{len(failed)} of {len(results)} checks failed", file=sys.stderr)
         return 1
     print(f"all {len(results)} checks passed")

@@ -144,10 +144,6 @@ def golden_sign(x: GoldenInt) -> int:
     return 1 if 5 * q * q > p * p else -1
 
 
-def golden_cmp(x: GoldenInt, y: GoldenInt) -> int:
-    return golden_sign(x - y)
-
-
 class GoldenRational:
     """num/den with num in Z[phi] and den a positive integer, kept reduced."""
 
@@ -244,14 +240,6 @@ class GoldenRational:
     def sqrt5_form(self) -> tuple[Fraction, Fraction]:
         x, y = self.num.sqrt5_form()
         return (x / self.den, y / self.den)
-
-    def is_golden_int(self) -> bool:
-        return self.den == 1
-
-    def to_golden_int(self) -> GoldenInt:
-        if self.den != 1:
-            raise ValueError(f"{self} is not in Z[phi]")
-        return self.num
 
 
 def _lift_rational(x) -> GoldenRational:

@@ -169,7 +169,8 @@ def generate_vertices() -> tuple[IcosianVec, ...]:
                 c[i] = c[i] * s
             verts.add(IcosianVec(*c))
     out = tuple(sorted(verts))
-    assert len(out) == 120
+    if len(out) != 120:
+        raise ValueError(f"{len(out)} vertices, not 120")
     return out
 
 
@@ -231,7 +232,8 @@ def cell24_base_indices() -> frozenset[int]:
     for i, v in enumerate(generate_vertices()):
         if all(x.b == 0 for x in v.c):
             out.append(i)
-    assert len(out) == 24
+    if len(out) != 24:
+        raise ValueError(f"{len(out)} base 24-cell vertices, not 24")
     return frozenset(out)
 
 

@@ -453,7 +453,8 @@ class F4Geometry:
     # ---------- disjoint-pair completions ----------
 
     def pentad_completions(self, v1: frozenset[int], v2: frozenset[int]) -> dict:
-        assert not (v1 & v2)
+        if v1 & v2:
+            raise ValueError("pentad completions need two disjoint spaces")
         spaces = self.isotropic4
         common = [u for u in spaces if u not in (v1, v2) and not (u & v1) and not (u & v2)]
         adj = {

@@ -359,9 +359,6 @@ class Cell600:
     def pair_of_label(self) -> dict[tuple[Duad, ...], int]:
         return {lab: pid for pid, lab in enumerate(self.labels)}
 
-    def label_of_vertex(self, i: int) -> tuple[Duad, ...]:
-        return self.labels[self.pair_of[i]]
-
     # ---------- hexagons, decagons, pentagons ----------
 
     @cached_property

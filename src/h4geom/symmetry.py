@@ -1,33 +1,37 @@
 """The full symmetry group of the 600-cell as vertex permutations with exact matrices.
 
-The group acts faithfully on the 120 vertices, so it is closed as a group of
-vertex permutations, each carried with its parity (+1 rotation, -1
-otherwise), starting from the left/right icosian multiplications and one
-reflection; this yields all 14,400 elements.  Each element's exact matrix is
-then read off the images of the four vertices 2e_0..2e_3: a 4x4 matrix over
-Q(phi) stored as an integer matrix pair (A, B) with common denominator d,
-meaning (A + B*phi)/d.
+Every rotation is x -> l*x*r and every reflection x -> l*conj(x)*r for icosians
+l, r, and (l, r), (-l, -r) give the same map (Conway & Smith, On Quaternions and
+Octonions, ch. 4): the group is 2I x 2I / {+-(1, 1)} extended by conjugation,
+listed straight from the Cayley table as 14,400 vertex permutations with their
+parity (+1 rotation, -1 reflection) and certified against five generators.
+Each element's exact matrix is read off the images of the vertices 2e_0..2e_3:
+an integer matrix pair (A, B) with common denominator d, meaning (A + B*phi)/d.
+Its actions on the 25 24-cells and the ten partitions are composed from those
+of x -> l*x, x -> x*r and x -> conj(x).
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
+from itertools import compress
 from math import gcd
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .golden import GoldenInt, GoldenRational, eliminate
-from .icosian import ICOSIAN_ONE, IcosianVec, generate_vertices, mulclose_indices, quat_mul, vertex_index
+from .icosian import (
+    ICOSIAN_ONE, IcosianVec, generate_vertices, inverse_index, mult_table, mulclose_indices, quat_mul,
+    vertex_index,
+)
 from .polytopes import Cell600, the_600cell
-
-Mat16 = tuple[int, ...]
-
 
 class SymOp:
     """An exact isometry of the 600-cell."""
 
     __slots__ = ("anum", "bnum", "den", "parity", "perm")
 
-    def __init__(self, anum: Mat16, bnum: Mat16, den: int, parity: int, perm: tuple[int, ...]):
+    def __init__(self, anum: tuple[int, ...], bnum: tuple[int, ...], den: int, parity: int,
+                 perm: tuple[int, ...]):
         self.anum = anum
         self.bnum = bnum
         self.den = den
@@ -53,28 +57,6 @@ class SymOp:
                 for c in range(4)
             )
             for r in range(4)
-        )
-
-    def compose(self, other: SymOp) -> SymOp:
-        """self after other."""
-        a1, b1, a2, b2 = self.anum, self.bnum, other.anum, other.bnum
-        anum = [0] * 16
-        bnum = [0] * 16
-        for r in range(4):
-            for c in range(4):
-                sa = sb = 0
-                for k in range(4):
-                    x, y = a1[4 * r + k], b1[4 * r + k]
-                    u, v = a2[4 * k + c], b2[4 * k + c]
-                    yv = y * v
-                    sa += x * u + yv
-                    sb += x * v + y * u + yv
-                anum[4 * r + c] = sa
-                bnum[4 * r + c] = sb
-        den = self.den * other.den
-        return _normalized(
-            anum, bnum, den, self.parity * other.parity,
-            tuple(self.perm[i] for i in other.perm),
         )
 
     def apply_vec(self, v: IcosianVec) -> IcosianVec:
@@ -139,6 +121,12 @@ _BASIS = tuple(
 )
 
 
+def _set_images(perm: tuple[int, ...], sets: tuple[frozenset[int], ...]) -> tuple[int, ...]:
+    """The index in sets of each set's image under perm; KeyError if an image is not in sets."""
+    index = {s: k for k, s in enumerate(sets)}
+    return tuple(index[frozenset([perm[x] for x in s])] for s in sets)
+
+
 def left_mul(v: IcosianVec) -> SymOp:
     """x -> v*x/2, a rotation."""
     return _op_from_matrix([quat_mul(v, e) for e in _BASIS], 2)
@@ -171,50 +159,84 @@ class SymmetryGroup:
     def __init__(self, cell: Cell600) -> None:
         self.cell = cell
         self.generators = self._make_generators()
-        self.ops = self._close()
-        self.by_key = {op.key(): k for k, op in enumerate(self.ops)}
+        self.ops, self._factors = self._list()
 
     def _make_generators(self) -> tuple[SymOp, ...]:
         cell = self.cell
         verts = cell.vertices
         a_idx = cell.index[cell.g.flat]
-        b_idx = next(
-            i for i in range(cell.n)
-            if len(mulclose_indices((a_idx, i))) == 120
-        )
+        b_idx = next(i for i in range(cell.n) if len(mulclose_indices((a_idx, i))) == 120)
         a, b = verts[a_idx], verts[b_idx]
-        return (
-            left_mul(a), left_mul(b), right_mul(a), right_mul(b),
-            reflection(ICOSIAN_ONE),
-        )
+        return (left_mul(a), left_mul(b), right_mul(a), right_mul(b), reflection(ICOSIAN_ONE))
 
-    def _close(self) -> tuple[SymOp, ...]:
-        """Breadth-first closure over (perm, parity); each perm is g after x."""
-        gens = [(g.perm, g.parity) for g in self.generators]
-        els: dict[tuple[int, ...], int] = dict(gens)
-        frontier = list(els.items())
-        while frontier:
-            new = []
-            for perm, parity in frontier:
-                after = itemgetter(*perm)
-                for gperm, gparity in gens:
-                    q = after(gperm)
-                    if q not in els:
-                        els[q] = gparity * parity
-                        new.append((q, els[q]))
-                        if len(els) > 14400:
-                            raise RuntimeError("closure exceeded 14400; arithmetic bug")
-            frontier = new
-        flats = [v.flat for v in self.cell.vertices]
-        bidx = [self.cell.index[e.scaled(GoldenInt(2)).flat] for e in _BASIS]
-        ops = []
-        for perm, parity in els.items():
-            # column c is the image of 2e_c, halved: (A + B*phi)/2 before reduction
-            cols = [flats[perm[b]] for b in bidx]
-            anum = [col[2 * r] for r in range(4) for col in cols]
-            bnum = [col[2 * r + 1] for r in range(4) for col in cols]
-            ops.append(_normalized(anum, bnum, 2, parity, perm))
-        return tuple(sorted(ops, key=SymOp.key))
+    def _list(self) -> tuple[tuple[SymOp, ...], tuple[bytes, bytes, bytes]]:
+        """Every element as a triple (l, r, e): x -> l*x*r, or x -> l*conj(x)*r
+        when e = 1, products read off the Cayley table; r runs over one icosian
+        of each +-pair, since (l, r) and (-l, -r) give the same map.  Returns
+        the ops in SymOp.key order and, aligned with them, their l, r and e."""
+        table, conj = mult_table(), itemgetter(*inverse_index())
+        columns = tuple(zip(*table))  # columns[r][y] = index of y*r
+        # Column c of (A + B*phi)/2, before reduction, is the image of 2e_c: entry
+        # (r, c) of A is entry 8c + 2r of the four images' flats laid end to end.
+        at_basis = itemgetter(*(self.cell.index[e.scaled(GoldenInt(2)).flat] for e in _BASIS))
+        a_of = itemgetter(*(8 * c + 2 * r for r in range(4) for c in range(4)))
+        b_of = itemgetter(*(8 * c + 2 * r + 1 for r in range(4) for c in range(4)))
+        flats = self.cell.flats
+        # SymOp.key order as one integer: den above the 32 entries of A then B,
+        # row by row, each a base-8 digit (entry + 2; entries lie in -2..2)
+        d0, d1, d2, d3 = (
+            [sum(((f[2 * r] + 2) << 48 | f[2 * r + 1] + 2) << 3 * (15 - 4 * r - c) for r in range(4))
+             for f in flats]
+            for c in range(4)
+        )
+        listed = []
+        for l, row in enumerate(table):
+            left = itemgetter(*row)
+            for r, _ in self.cell.pairs:
+                rot = left(columns[r])
+                for e, perm, parity in ((0, rot, 1), (1, conj(rot), -1)):
+                    i0, i1, i2, i3 = at_basis(perm)
+                    cols = flats[i0] + flats[i1] + flats[i2] + flats[i3]
+                    op = _normalized(a_of(cols), b_of(cols), 2, parity, perm)
+                    key = (op.den << 96) + d0[i0] + d1[i1] + d2[i2] + d3[i3]
+                    listed.append((key, op, l, r, e))
+        listed.sort(key=itemgetter(0))
+        ops, ls, rs, es = list(zip(*listed))[1:]
+        del listed
+        self._certify(ops, ls, rs, es, at_basis)
+        return ops, (bytes(ls), bytes(rs), bytes(es))
+
+    def _certify(self, ops, ls, rs, es, at_basis) -> None:
+        """Raises unless the listed elements are distinct, contain the five
+        generators and are closed under them.  An isometry is fixed by its images
+        of 2e_0..2e_3, so distinct images mean distinct permutations.  Closure is
+        checked on the triples: a rotation g = (gl, gr, 0) sends (l, r, e) to
+        (gl*l, r*gr, e), and a reflection g = (gl, gr, 1) to (gl*conj(r),
+        conj(l)*gr, 1 - e).  That must be the triple of the listed element with
+        g's images of element k's images of 2e_0..2e_3, compared as
+        (pair of l, l*r, e), which fixes a triple up to its (-l, -r) twin."""
+        table, conj = mult_table(), itemgetter(*inverse_index())
+        index = {at_basis(op.perm): k for k, op in enumerate(ops)}
+        if len(index) != len(ops):
+            raise ValueError(f"only {len(index)} of the {len(ops)} listed elements are distinct")
+        basis_images = tuple(zip(*index))
+        products = tuple(table[l][r] for l, r in zip(ls, rs))
+        classes = (itemgetter(*ls)(self.cell.pair_of), products, es)
+        for m, g in enumerate(self.generators):
+            k = index.get(at_basis(g.perm))
+            if k is None or ops[k].perm != g.perm or ops[k].parity != g.parity:
+                raise ValueError(f"generator {m} is not in the listing")
+            # gl*l*r*gr for a rotation, gl*conj(l*r)*gr for a reflection
+            left = conj(table[ls[k]]) if es[k] else table[ls[k]]
+            right = tuple(row[rs[k]] for row in table)
+            expected = (
+                itemgetter(*(rs if es[k] else ls))(itemgetter(*left)(self.cell.pair_of)),
+                itemgetter(*itemgetter(*products)(left))(right),
+                tuple(1 - e for e in es) if es[k] else es,
+            )
+            named = list(map(index.get, zip(*(itemgetter(*column)(g.perm) for column in basis_images))))
+            if None in named or expected != tuple(itemgetter(*named)(c) for c in classes):
+                raise ValueError(f"the listing is not closed under generator {m}")
 
     @cached_property
     def rotation_count(self) -> int:
@@ -222,78 +244,51 @@ class SymmetryGroup:
 
     # ---------- induced permutations ----------
 
+    def _pair_action(self, perm: tuple[int, ...]) -> tuple[int, ...]:
+        pair_of = self.cell.pair_of
+        return tuple(pair_of[perm[a]] for a, _ in self.cell.pairs)
+
     def pair_perm(self, op: SymOp) -> tuple[int, ...]:
-        cell = self.cell
-        return tuple(cell.pair_of[op.perm[cell.pairs[p][0]]] for p in range(60))
+        return self._pair_action(op.perm)
 
-    @cached_property
-    def _cell_key(self) -> dict[tuple[int, int], int]:
-        """An orthogonal pid pair inside a 24-cell determines it uniquely."""
-        out: dict[tuple[int, int], int] = {}
-        cell = self.cell
-        for idx, tetrads in enumerate(cell.tetrads24):
-            for tetrad in tetrads:
-                for i in range(4):
-                    for j in range(4):
-                        if i != j:
-                            out[(tetrad[i], tetrad[j])] = idx
-        return out
-
-    @cached_property
-    def _cell_reps(self) -> tuple[tuple[int, int], ...]:
-        """Per 24-cell, a vertex of each of the first two pairs of its first tetrad."""
-        pairs = self.cell.pairs
-        return tuple((pairs[t[0]][0], pairs[t[1]][0]) for t, _, _ in self.cell.tetrads24)
+    def _cell_action(self, perm: tuple[int, ...]) -> tuple[int, ...]:
+        """The permutation of the 25 24-cells induced by a vertex permutation;
+        raises KeyError if an image is not a 24-cell."""
+        return _set_images(self._pair_action(perm), self.cell.cells24)
 
     def cell_perm(self, op: SymOp) -> tuple[int, ...]:
-        perm, pair_of, key = op.perm, self.cell.pair_of, self._cell_key
-        return tuple(key[(pair_of[perm[a]], pair_of[perm[b]])] for a, b in self._cell_reps)
+        return self._cell_action(op.perm)
 
-    def cell_perm_checked(self, op: SymOp) -> tuple[int, ...]:
-        """Full set-image computation; raises if an image is not a 24-cell."""
-        pp = self.pair_perm(op)
-        cell = self.cell
-        lookup = {c: k for k, c in enumerate(cell.cells24)}
-        return tuple(lookup[frozenset(pp[p] for p in cell.cells24[idx])] for idx in range(25))
+    def ten_perm(self, op: SymOp) -> tuple[int, ...]:
+        """The permutation of the ten partitions (symbols 1..5, 6..X) induced
+        by op; raises KeyError if an image is not a partition."""
+        return _set_images(self.cell_perm(op), self.cell.partitions)
+
+    @cached_property
+    def _cell_tables(self) -> tuple[list, list, tuple[int, ...]]:
+        """Cell permutations of x -> l*x and x -> x*r for each icosian, and of x -> conj(x)."""
+        table, act = mult_table(), self._cell_action
+        return [act(row) for row in table], [act(col) for col in zip(*table)], act(inverse_index())
+
+    def _compose(self, left: list, right: list, conj: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Each element's action as left[l] o right[r], then o conj for a
+        reflection, since an action is a homomorphism."""
+        after_right, after_conj = [itemgetter(*p) for p in right], itemgetter(*conj)
+        return tuple(
+            after_conj(after_right[r](left[l])) if e else after_right[r](left[l])
+            for l, r, e in zip(*self._factors)
+        )
 
     @cached_property
     def cell_perms(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for k, op in enumerate(self.ops):
-            if k % 289 == 0 or op in self.generators:
-                cp = self.cell_perm_checked(op)
-                if cp != self.cell_perm(op):
-                    raise ValueError(f"cell_perm fast path disagrees with the full one at op {k}")
-            else:
-                cp = self.cell_perm(op)
-            out.append(cp)
-        return tuple(out)
-
-    @cached_property
-    def _partition_cells(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(part) for part in self.cell.partitions)
-
-    @cached_property
-    def _partition_index(self) -> dict[int, int]:
-        """Each partition's index, keyed by its 25-bit mask of 24-cells."""
-        return {sum(1 << c for c in part): k for k, part in enumerate(self._partition_cells)}
-
-    def _ten_perm_of(self, cp: tuple[int, ...]) -> tuple[int, ...]:
-        """The permutation of the ten partitions induced by a permutation of
-        the 25 cells; raises KeyError if an image is not a partition."""
-        index = self._partition_index
-        return tuple(
-            index[(1 << cp[a]) | (1 << cp[b]) | (1 << cp[c]) | (1 << cp[d]) | (1 << cp[e])]
-            for a, b, c, d, e in self._partition_cells
-        )
-
-    def ten_perm(self, op: SymOp) -> tuple[int, ...]:
-        """Induced permutation of the ten partitions (symbols 1..5, 6..X)."""
-        return self._ten_perm_of(self.cell_perm(op))
+        return self._compose(*self._cell_tables)
 
     @cached_property
     def ten_perms(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(self._ten_perm_of, self.cell_perms))
+        left, right, conj = self._cell_tables
+        parts = self.cell.partitions
+        return self._compose([_set_images(p, parts) for p in left], [_set_images(p, parts) for p in right],
+                             _set_images(conj, parts))
 
     @cached_property
     def ten_kernel(self) -> tuple[int, ...]:
@@ -329,20 +324,14 @@ class SymmetryGroup:
 
     @cached_property
     def center(self) -> tuple[int, ...]:
-        out = []
-        for k, op in enumerate(self.ops):
-            ok = True
-            for g in self.generators:
-                pa, pb = op.perm, g.perm
-                for i in range(120):
-                    if pa[pb[i]] != pb[pa[i]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(k)
-        return tuple(out)
+        """Elements commuting with every generator, after a first cut to the
+        elements x with x(g(0)) = g(x(0)) for the first generator g."""
+        gens = [g.perm for g in self.generators]
+        perms = [op.perm for op in self.ops]
+        g = gens[0]
+        first = map(eq, map(itemgetter(g[0]), perms), itemgetter(*map(itemgetter(0), perms))(g))
+        return tuple(k for k in compress(range(len(perms)), first)
+                     if all(perms[k][g[i]] == g[perms[k][i]] for g in gens for i in range(120)))
 
 
 @cache

@@ -59,6 +59,27 @@ def test_failed_check_gives_exit_1_and_writes_report(tmp_path, monkeypatch):
     assert data[0]["status"] == "fail"
 
 
+def test_failed_check_names_the_differing_fields_on_stderr(tmp_path, monkeypatch, capsys):
+    def boom():
+        raise KeyError("missing table")
+
+    bad = dict(checks.CHECKS)
+    prov, expected, fn = bad["facts/fact1"]
+    bad["facts/fact1"] = (prov, {**expected, "vertices": 121, "faces": 3}, fn)
+    prov, expected, _ = bad["facts/fact2"]
+    bad["facts/fact2"] = (prov, expected, boom)
+    monkeypatch.setattr(checks, "CHECKS", bad)
+    report = tmp_path / "r.json"
+    assert main(["verify", "--only", "facts/fact[12]", "--report", str(report)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "facts/fact1: faces: expected 3, observed (missing)",
+        "facts/fact1: vertices: expected 121, observed 120",
+        "facts/fact2: error: KeyError: 'missing table'",
+        "2 of 2 checks failed",
+    ]
+    assert [d["status"] for d in json.loads(report.read_text())] == ["fail", "fail"]
+
+
 def test_dump_outputs_are_deterministic(tmp_path):
     for obj in ("vertices", "labels", "array"):
         a = dumps(_DUMPERS[obj]())
@@ -351,3 +372,29 @@ def test_s7_planes_fails_on_swapped_planes_under_python_O():
     status, observed = json.loads(out.stdout.splitlines()[-1])
     assert status == "fail"
     assert observed["error"].startswith("ValueError: plane 0 ")
+
+
+_DROP_ONE_EVEN_PERMUTATION = """
+import json, sys
+from h4geom import icosian
+from h4geom.cli import main
+
+icosian._EVEN_PERMS4 = icosian._EVEN_PERMS4[1:]
+print(json.dumps(main(["verify", "--only", "facts/fact1", "--report", sys.argv[1]])))
+"""
+
+
+def test_vertex_count_is_checked_under_python_O(tmp_path):
+    """Eleven even permutations give 112 vertices; the count raises, so -O
+    cannot strip it, and facts/fact1 reports the cause."""
+    report = tmp_path / "fact1.json"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _DROP_ONE_EVEN_PERMUTATION, str(report)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == 1
+    (entry,) = json.loads(report.read_text())
+    assert (entry["check"], entry["status"]) == ("facts/fact1", "fail")
+    assert entry["observed"] == {"error": "ValueError: 112 vertices, not 120"}

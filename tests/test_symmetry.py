@@ -1,5 +1,9 @@
 import copy
+import json
 import random
+import subprocess
+import sys
+from operator import itemgetter
 
 import pytest
 
@@ -7,6 +11,7 @@ from h4geom.golden import GoldenRational
 from h4geom.icosian import ICOSIAN_ONE
 from h4geom.symmetry import (
     SymOp,
+    _normalized,
     identity_op,
     left_mul,
     negation_op,
@@ -15,12 +20,32 @@ from h4geom.symmetry import (
 )
 
 
+def compose(a, b):
+    """a after b, as a product of exact matrices (and of vertex permutations)."""
+    anum = [0] * 16
+    bnum = [0] * 16
+    for r in range(4):
+        for c in range(4):
+            sa = sb = 0
+            for k in range(4):
+                x, y = a.anum[4 * r + k], a.bnum[4 * r + k]
+                u, v = b.anum[4 * k + c], b.bnum[4 * k + c]
+                yv = y * v
+                sa += x * u + yv
+                sb += x * v + y * u + yv
+            anum[4 * r + c] = sa
+            bnum[4 * r + c] = sb
+    return _normalized(
+        anum, bnum, a.den * b.den, a.parity * b.parity, tuple(a.perm[i] for i in b.perm)
+    )
+
+
 def test_reflection_basics(cell):
     v = cell.vertices[3]
     r = reflection(v)
     assert r.parity == -1
     assert r.apply_vec(v) == -v
-    assert r.compose(r) == identity_op()
+    assert compose(r, r) == identity_op()
 
 
 def test_reflection_matrix_is_exact(cell):
@@ -98,7 +123,7 @@ def test_action_is_a_homomorphism(group):
         a = ops[rng.randrange(len(ops))]
         b = ops[rng.randrange(len(ops))]
         ta, tb = group.ten_perm(a), group.ten_perm(b)
-        tab = group.ten_perm(a.compose(b))
+        tab = group.ten_perm(compose(a, b))
         assert tab == tuple(ta[tb[k]] for k in range(10))
 
 
@@ -146,13 +171,13 @@ def test_vertex_stabilizer_orbits(cell, group):
 def test_minus_reflection_is_central_in_vertex_stabilizer(cell, group):
     v_idx = cell.index[ICOSIAN_ONE.flat]
     v = cell.vertices[v_idx]
-    mr = negation_op().compose(reflection(v))
+    mr = compose(negation_op(), reflection(v))
     assert mr.perm[v_idx] == v_idx
-    assert mr.compose(mr) == identity_op()
+    assert compose(mr, mr) == identity_op()
     stab = [group.ops[k] for k in group.stabilizer_of_vertex(v_idx)]
     assert mr in stab
     for op in stab:
-        assert op.compose(mr).perm == mr.compose(op).perm
+        assert compose(op, mr).perm == compose(mr, op).perm
 
 
 def test_cell_stabilizer_orbits(cell, group):
@@ -169,11 +194,6 @@ def test_cell_stabilizer_orbits(cell, group):
         if b != c0 and not (cell.disjointness_mask[c0] >> b & 1)
     }
     assert nondisjoint in [set(o) for o in group.orbits(cperms, range(25))]
-
-
-def test_cell_perm_fast_path_matches_full_computation(group):
-    for op in group.ops:
-        assert group.cell_perm(op) == group.cell_perm_checked(op)
 
 
 def test_identity_fixes_the_ten_partitions(group):
@@ -209,7 +229,7 @@ def _matrix_closure(generators):
         new = []
         for x in frontier:
             for g in generators:
-                y = g.compose(x)
+                y = compose(g, x)
                 if y.key() not in els:
                     els[y.key()] = y
                     new.append(y)
@@ -227,9 +247,99 @@ def test_permutation_closure_matches_matrix_closure(group):
     ]
 
 
-def test_cell_perms_raises_when_the_fast_path_disagrees(group):
+def _breadth_first_closure(group):
+    """The closure over (vertex permutation, parity) pairs from the five
+    generators, each matrix read off the images of 2e_0..2e_3: the oracle for
+    the listing from the Cayley table."""
+    gens = [(g.perm, g.parity) for g in group.generators]
+    els = dict(gens)
+    frontier = list(els.items())
+    while frontier:
+        new = []
+        for perm, parity in frontier:
+            after = itemgetter(*perm)
+            for gperm, gparity in gens:
+                q = after(gperm)
+                if q not in els:
+                    els[q] = gparity * parity
+                    new.append((q, els[q]))
+                    assert len(els) <= 14400
+        frontier = new
+    cell = group.cell
+    basis = [cell.index[tuple(2 if k == 2 * c else 0 for k in range(8))] for c in range(4)]
+    ops = []
+    for perm, parity in els.items():
+        cols = [cell.flats[perm[b]] for b in basis]
+        anum = [col[2 * r] for r in range(4) for col in cols]
+        bnum = [col[2 * r + 1] for r in range(4) for col in cols]
+        ops.append(_normalized(anum, bnum, 2, parity, perm))
+    return sorted(ops, key=SymOp.key)
+
+
+def test_listing_matches_the_breadth_first_closure(group):
+    """Same key, parity and vertex permutation for all 14,400 elements, in the same order."""
+    oracle = _breadth_first_closure(group)
+    assert len(oracle) == 14400
+    assert [(op.key(), op.parity, op.perm) for op in group.ops] == [
+        (op.key(), op.parity, op.perm) for op in oracle
+    ]
+
+
+def test_cell_and_ten_perms_match_set_images_on_all_elements(cell, group):
+    """The composed left/right/conjugation tables against the images of each
+    24-cell's 24 vertices and of each partition, on all 14,400 elements."""
+    cell_verts = [frozenset(v for p in c for v in cell.pairs[p]) for c in cell.cells24]
+    cell_index = {c: k for k, c in enumerate(cell_verts)}
+    part_index = {p: k for k, p in enumerate(cell.partitions)}
+    assert len(group.cell_perms) == len(group.ten_perms) == 14400
+    images = [itemgetter(*c) for c in cell_verts]  # images[k](perm): where cell k's vertices go
+    for op, cp, tp in zip(group.ops, group.cell_perms, group.ten_perms):
+        assert cp == tuple(cell_index[frozenset(image(op.perm))] for image in images)
+        assert tp == tuple(part_index[frozenset(cp[c] for c in part)] for part in cell.partitions)
+
+
+def test_listing_certificates_raise_on_a_wrong_triple_or_a_foreign_generator(cell, group):
+    at_basis = itemgetter(*(cell.index[tuple(2 if k == 2 * c else 0 for k in range(8))] for c in range(4)))
+    ls, rs, es = (tuple(f) for f in group._factors)
+    group._certify(group.ops, ls, rs, es, at_basis)
+    wrong = (cell.neg[ls[0]],) + ls[1:]  # names -x -> l*x*r in place of x -> l*x*r
+    with pytest.raises(ValueError, match="not closed under generator"):
+        group._certify(group.ops, wrong, rs, es, at_basis)
+    swap = list(range(120))
+    swap[0], swap[1] = 1, 0  # not an isometry
+    g = group.generators[0]
     broken = copy.copy(group)
-    broken.__dict__.pop("cell_perms", None)
-    broken.cell_perm = lambda op: tuple(range(25))
-    with pytest.raises(ValueError, match="fast path disagrees"):
-        broken.cell_perms
+    broken.generators = (SymOp(g.anum, g.bnum, g.den, g.parity, tuple(swap)),) + group.generators[1:]
+    with pytest.raises(ValueError, match="generator 0 is not in the listing"):
+        broken._certify(group.ops, ls, rs, es, at_basis)
+
+
+_IDENTITY_CONJUGATION = """
+import json
+from h4geom import checks, symmetry
+
+symmetry.inverse_index = lambda: tuple(range(120))
+try:
+    symmetry.generate_group()
+    raised = None
+except ValueError as exc:
+    raised = str(exc)
+result = checks.run_check("facts/fact3")
+print(json.dumps([raised, result.status, result.observed]))
+"""
+
+
+def test_listing_with_reflections_repeating_rotations_fails_fact3_under_python_O():
+    """With conjugation read as the identity every reflection repeats a
+    rotation; the distinctness certificate raises, so -O cannot strip it."""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _IDENTITY_CONJUGATION],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    raised, status, observed = json.loads(out.stdout.splitlines()[-1])
+    message = "only 7200 of the 14400 listed elements are distinct"
+    assert raised == message
+    assert status == "fail"
+    assert observed == {"error": f"ValueError: {message}"}
