@@ -6,13 +6,21 @@ multiplication-by-phi endomorphism descends to an order-3 automorphism that
 makes the 255 nonzero classes into 85 projective points, labeled by the 60
 vertex pairs and the 25 24-cells; lines, planes, the F4-valued form, and the
 270 totally singular 4-spaces are classified against the polytope oracles.
+
+Sets of classes are 256-bit masks.  perp[x], the classes B-orthogonal to x,
+comes from a fold that is linear in x's row of B; the 4-spaces grow along
+their echelon bases, each built once; phibar's B-self-adjointness and the
+biadditivity of the F4 form's polarization are checked one 256-value row at
+a time; and the pentad analyses intersect spaces as masks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
+from operator import mul
 
 from .embed import E8Lattice, certify_e8
 from .symmetry import SymOp
@@ -28,8 +36,60 @@ F4_TRACE = (0, 0, 1, 1)
 OMEGA, OMEGA_BAR = 2, 3
 
 
+_FULL = (1 << 256) - 1  # every class, as a 256-bit mask
+
+
 def _parity(x: int) -> int:
     return x.bit_count() & 1
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask(vectors) -> int:
+    return sum(1 << x for x in vectors)
+
+
+@cache
+def _has_bit() -> tuple[int, ...]:
+    """has_bit[i]: the 256-bit mask of the classes with coordinate i set."""
+    return tuple(_mask(y for y in range(256) if y >> i & 1) for i in range(8))
+
+
+def biadditive(values: Sequence[int]) -> bool:
+    """Whether b(x, y) = v[x ^ y] + v[x] + v[y] is additive in x for every y,
+    for a table v of 256 F4 values (added by xor).
+
+    Each row b(x, .) is held as two 256-bit masks, one per bit of an F4
+    value; bit y of shifted[x] is bit x ^ y of the values, and shifted[x]
+    is shifted[x ^ low] with its blocks of 2^i bits swapped, low = 2^i the
+    lowest bit of x.  Additivity in x is b(0, .) = 0 and b(x, .) =
+    b(x ^ low, .) + b(low, .) for every x, one mask comparison per row.
+    """
+    if values[0]:
+        return False  # b(0, .) is values[0] everywhere
+    has_bit = _has_bit()
+    planes = tuple(_mask(y for y, v in enumerate(values) if v >> k & 1) for k in (0, 1))
+    shifted, rows = [planes], [(0, 0)]
+    for x in range(1, 256):
+        low = x & -x
+        keep = _FULL ^ has_bit[low.bit_length() - 1]  # the classes clear at that bit
+        shifted.append(tuple((p & keep) << low | (p >> low) & keep for p in shifted[x ^ low]))
+        row = tuple(
+            p ^ plane ^ (_FULL if values[x] >> k & 1 else 0)
+            for k, (p, plane) in enumerate(zip(shifted[x], planes))
+        )
+        if x != low:
+            a, b = rows[x ^ low], rows[low]
+            if row != (a[0] ^ b[0], a[1] ^ b[1]):
+                return False
+        rows.append(row)
+    return True
 
 
 @dataclass(frozen=True)
@@ -53,9 +113,14 @@ class F4Geometry:
         self.rowvec = tuple(self._fold_rows(self._g2_rows, x) for x in range(256))
         self.q = tuple(self._q_of_class(x) for x in range(256))
 
+        # lattice coordinates of the 120 roots and of their phi images
+        self.root_coords = tuple(e8.coords_of(u) for u in e8.h_img)
+        self.phi_coords = tuple(e8.coords_of(u) for u in e8.phi_img)
+        vid_of_root = {u: i for i, u in enumerate(e8.h_img)}
+        self._basis_vids = tuple(vid_of_root[b] for b in e8.basis_int)
         self.phi = self._build_phi()
-        self.class_of_h = tuple(self._class_of(u) for u in e8.h_img)
-        self.class_of_phi_h = tuple(self._class_of(u) for u in e8.phi_img)
+        self.class_of_h = tuple(map(self._class_of, self.root_coords))
+        self.class_of_phi_h = tuple(map(self._class_of, self.phi_coords))
 
     # ---------- forms ----------
 
@@ -67,8 +132,8 @@ class F4Geometry:
                 acc ^= rows[i]
         return acc
 
-    def _class_of(self, amb) -> int:
-        coords = self.e8.coords_of(tuple(amb))
+    @staticmethod
+    def _class_of(coords) -> int:
         return sum((coords[i] & 1) << i for i in range(8))
 
     def _q_of_class(self, x: int) -> int:
@@ -82,21 +147,46 @@ class F4Geometry:
     def bform(self, x: int, y: int) -> int:
         return _parity(self.rowvec[x] & y)
 
+    @cached_property
+    def perp(self) -> tuple[int, ...]:
+        """perp[x]: the 256-bit mask of the classes y with B(x, y) = 0.
+
+        B(x, y) is the parity of r & y for r = rowvec[x], and the mask odd[r]
+        of the y that make it odd is linear in r: odd[r] = odd[r ^ low] ^
+        has_bit[low] for the lowest bit `low` of r."""
+        has_bit = _has_bit()
+        odd = [0] * 256
+        for r in range(1, 256):
+            low = r & -r
+            odd[r] = odd[r ^ low] ^ has_bit[low.bit_length() - 1]
+        return tuple(_FULL ^ odd[r] for r in self.rowvec)
+
+    def self_adjoint(self, t: tuple[int, ...]) -> bool:
+        """Whether B(t x, y) = B(x, t y) for all classes x and y.
+
+        y -> B(x, t y) is the parity of rowvec[x] & t[y].  For t linear, that
+        is the parity of tT(rowvec[x]) & y, where bit i of tT(r) is the parity
+        of r & t[1 << i]; so the 65,536 pairs agree iff t is linear and
+        rowvec[t[x]] == tT(rowvec[x]) for all 256 x.  (Since B is
+        nondegenerate, agreement on all pairs also forces t to be linear.)
+        """
+        if any(t[x] != t[x & x - 1] ^ t[x & -x] for x in range(1, 256)):
+            return False
+        images = [t[1 << i] for i in range(8)]
+
+        def transpose(r: int) -> int:
+            return sum(_parity(r & images[i]) << i for i in range(8))
+
+        rowvec = self.rowvec
+        return all(rowvec[t[x]] == transpose(rowvec[x]) for x in range(256))
+
     def _build_phi(self) -> PhiMap:
-        e8 = self.e8
-        vid_of_root = {u: i for i, u in enumerate(e8.h_img)}
-        rows = []
-        for b in e8.basis_int:
-            vid = vid_of_root[b]
-            rows.append(e8.coords_of(e8.phi_img[vid]))
-        rows = tuple(rows)
+        # rows: the coordinates of the phi images of the basis roots
+        rows = tuple(self.phi_coords[vid] for vid in self._basis_vids)
         # defining property on all 120 roots (well-definedness of the extension)
-        for i in range(120):
-            x = e8.coords_of(e8.h_img[i])
-            img = tuple(
-                sum(x[k] * rows[k][j] for k in range(8)) for j in range(8)
-            )
-            if img != e8.coords_of(e8.phi_img[i]):
+        cols = tuple(zip(*rows))
+        for i, x in enumerate(self.root_coords):
+            if tuple(sum(map(mul, x, col)) for col in cols) != self.phi_coords[i]:
                 raise ValueError(f"phi matrix does not map root {i} to its phi image")
         sq = tuple(
             tuple(sum(rows[i][k] * rows[k][j] for k in range(8)) for j in range(8))
@@ -264,9 +354,9 @@ class F4Geometry:
         out = []
         for p in self.points:
             a, b = sorted(p)[:2]
-            perp = [y for y in range(1, 256) if self.bform(y, a) == 0 and self.bform(y, b) == 0]
-            pts = frozenset(self.point_of[y] for y in perp)
-            if len(perp) != 63 or len(pts) != 21:
+            perp = self.perp[a] & self.perp[b] & ~1
+            pts = frozenset(self.point_of[y] for y in _bits(perp))
+            if perp.bit_count() != 63 or len(pts) != 21:
                 raise ValueError(f"the complement of point {sorted(p)} is not a plane of 21 points")
             out.append(pts)
         if len(set(out)) != 85:
@@ -317,54 +407,33 @@ class F4Geometry:
         cell_vectors = {
             x for k, p in enumerate(self.points) if self.tags[k][0] == "cell" for x in p
         }
-        ok_values = (
-            all(self.q_omega(x) == 0 for x in cell_vectors)
-            and all(self.q_omega(x) == 1 for x in vertex_iso)
-            and all(self.q_omega(x) == OMEGA_BAR for x in h_classes)
-            and all(self.q_omega(x) == OMEGA for x in phi_classes)
-        )
-        ok_trace = all(F4_TRACE[self.q_omega(x)] == self.q[x] for x in range(1, 256))
-        ok_scaling = all(
-            self.q_omega(t[x]) == F4_MUL[OMEGA_BAR][self.q_omega(x)] for x in range(1, 256)
-        )
         qw = [self.q_omega(x) for x in range(256)]
-        b_omega = [[qw[x ^ y] ^ qw[x] ^ qw[y] for y in range(256)] for x in range(256)]
-        ok_biadd = True
-        for y in range(256):
-            base = [b_omega[1 << i][y] for i in range(8)]
-            for x in range(256):
-                acc = 0
-                for i in range(8):
-                    if x >> i & 1:
-                        acc ^= base[i]
-                if acc != b_omega[x][y]:
-                    ok_biadd = False
-                    break
-            if not ok_biadd:
-                break
+        ok_values = (
+            all(qw[x] == 0 for x in cell_vectors)
+            and all(qw[x] == 1 for x in vertex_iso)
+            and all(qw[x] == OMEGA_BAR for x in h_classes)
+            and all(qw[x] == OMEGA for x in phi_classes)
+        )
+        ok_trace = all(F4_TRACE[qw[x]] == self.q[x] for x in range(1, 256))
+        ok_scaling = all(qw[t[x]] == F4_MUL[OMEGA_BAR][qw[x]] for x in range(1, 256))
         return {
             "values": ok_values,
             "trace": ok_trace,
             "scaling": ok_scaling,
-            "biadditive": ok_biadd,
+            "biadditive": biadditive(qw),
         }
 
     # ---------- symmetry action ----------
 
     def action_mod2(self, op: SymOp) -> tuple[int, ...]:
         """Table of the induced map on the 256 classes; checks exactness."""
-        e8 = self.e8
-        vid_of_root = {u: i for i, u in enumerate(e8.h_img)}
-        rows = []
-        for b in e8.basis_int:
-            vid = vid_of_root[b]
-            rows.append(e8.coords_of(e8.h_img[op.perm[vid]]))
-        for i in range(0, 120, 7):
-            x = e8.coords_of(e8.h_img[i])
-            img = tuple(sum(x[k] * rows[k][j] for k in range(8)) for j in range(8))
-            if img != e8.coords_of(e8.h_img[op.perm[i]]):
+        coords = self.root_coords
+        rows = [coords[op.perm[vid]] for vid in self._basis_vids]
+        cols = tuple(zip(*rows))
+        for i, x in enumerate(coords):
+            if tuple(sum(map(mul, x, col)) for col in cols) != coords[op.perm[i]]:
                 raise ValueError(f"induced matrix does not map root {i} to its image")
-        gram = e8.gram
+        gram = self.e8.gram
         for i in range(8):
             for j in range(8):
                 s = sum(
@@ -388,31 +457,39 @@ class F4Geometry:
     def isotropic4(self) -> tuple[frozenset[int], ...]:
         """All totally singular 4-spaces, as frozensets of 15 nonzero vectors.
 
-        Spaces grow one singular vector at a time.  Classes are bits of a
-        256-bit mask; each partial space carries the mask of the singular
-        vectors outside it and perpendicular to all of it, and adding x
-        intersects that mask with perp[x].  Once x is added, the rest of the
-        grown space is skipped as a choice from the same partial space.
+        Each space is grown once, along its echelon basis: x extends a
+        partial space only if its top bit lies above every element of the
+        space and it is clear at the top bits of the earlier basis vectors,
+        which makes x the least element of its coset.  Classes are bits of a
+        256-bit mask; each partial space carries the mask of its admissible
+        next basis vectors (singular, perpendicular to the space, above its
+        top bit and clear at its basis' top bits), so adding x with top bit i
+        intersects that mask with perp[x] and with keep[i].  That is 135 +
+        1,575 + 2,025 + 270 growth steps.
         """
-        perp = [sum(1 << y for y in range(256) if not self.bform(x, y)) for x in range(256)]
-        iso = sum(1 << x for x in range(1, 256) if self.q[x] == 0)
-        level = {frozenset(): iso}
+        has_bit, perp = _has_bit(), self.perp
+        # keep[i]: the classes clear at bit i and at least 2^(i+1)
+        keep = [(_FULL ^ has_bit[i]) >> (2 << i) << (2 << i) for i in range(8)]
+        iso = _mask(x for x in range(1, 256) if self.q[x] == 0)
+        level = [((0,), iso)]
         for _ in range(4):
-            nxt: dict[frozenset[int], int] = {}
-            for space, cand in level.items():
-                rest = cand
-                while rest:
-                    x = (rest & -rest).bit_length() - 1
-                    grown = space | {x} | {x ^ s for s in space}
-                    mask = sum(1 << y for y in grown)
-                    rest &= ~mask
-                    if grown not in nxt:
-                        nxt[grown] = cand & perp[x] & ~mask
+            nxt = []
+            for span, cand in level:
+                for x in _bits(cand):
+                    grown = span + tuple(s ^ x for s in span)
+                    nxt.append((grown, cand & perp[x] & keep[x.bit_length() - 1]))
             level = nxt
-        out = tuple(sorted(level, key=lambda s: tuple(sorted(s))))
+        out = tuple(
+            sorted((frozenset(span[1:]) for span, _ in level), key=lambda s: tuple(sorted(s)))
+        )
         if len(out) != 270:
             raise ValueError(f"{len(out)} totally singular 4-spaces, not 270")
         return out
+
+    @cached_property
+    def isotropic4_masks(self) -> tuple[int, ...]:
+        """The spaces of `isotropic4`, in its order, as 256-bit masks."""
+        return tuple(map(_mask, self.isotropic4))
 
     @cached_property
     def pentad_rows(self) -> tuple[frozenset[int], ...]:
@@ -455,67 +532,83 @@ class F4Geometry:
     def pentad_completions(self, v1: frozenset[int], v2: frozenset[int]) -> dict:
         if v1 & v2:
             raise ValueError("pentad completions need two disjoint spaces")
-        spaces = self.isotropic4
-        common = [u for u in spaces if u not in (v1, v2) and not (u & v1) and not (u & v2)]
-        adj = {
-            u: {w for w in common if w != u and not (u & w)} for u in common
-        }
-        cliques: list[set] = []
+        m12 = _mask(v1) | _mask(v2)
+        common_at = [k for k, m in enumerate(self.isotropic4_masks) if not m & m12]
+        common = [self.isotropic4[k] for k in common_at]
+        masks = [self.isotropic4_masks[k] for k in common_at]
+        n = len(common)
+        # adj[i]: bit j set when common spaces i and j are disjoint
+        adj = [
+            _mask(j for j in range(n) if j != i and not masks[i] & masks[j]) for i in range(n)
+        ]
+        cliques: list[int] = []  # maximal cliques, as bit masks over common
 
-        def bron(r: set, p: set, x: set) -> None:
+        def bron(r: int, p: int, x: int) -> None:
             if not p and not x:
                 cliques.append(r)
                 return
-            pivot = max(p | x, key=lambda u: len(adj[u] & p)) if p | x else None
-            for u in list(p - (adj[pivot] if pivot else set())):
-                bron(r | {u}, p & adj[u], x & adj[u])
-                p = p - {u}
-                x = x | {u}
+            pivot = max(_bits(p | x), key=lambda u: (adj[u] & p).bit_count())
+            for u in _bits(p & ~adj[pivot]):
+                bron(r | 1 << u, p & adj[u], x & adj[u])
+                p &= ~(1 << u)
+                x |= 1 << u
 
-        bron(set(), set(common), set())
-        sizes = sorted({len(c) + 2 for c in cliques})
-        stars = [c for c in cliques if len(c) == 7]
+        bron(0, (1 << n) - 1, 0)
+        sizes = sorted({c.bit_count() + 2 for c in cliques})
+        stars = [c for c in cliques if c.bit_count() == 7]
         duad_graph_ok = False
         if len(stars) == 8:
-            star_of = {u: frozenset(k for k, s in enumerate(stars) if u in s) for u in common}
+            star_of = [_mask(k for k, c in enumerate(stars) if c >> i & 1) for i in range(n)]
             duad_graph_ok = (
-                all(len(sp) == 2 for sp in star_of.values())
-                and len(set(star_of.values())) == 28
+                all(sp.bit_count() == 2 for sp in star_of)
+                and len(set(star_of)) == 28
                 and all(
-                    (len(star_of[u] & star_of[w]) > 0) == (w in adj[u])
-                    for u, w in combinations(common, 2)
+                    bool(star_of[i] & star_of[j]) == bool(adj[i] >> j & 1)
+                    for i, j in combinations(range(n), 2)
                 )
-                and all(len(set(s1) & set(s2)) == 1 for s1, s2 in combinations(stars, 2))
+                and all((s1 & s2).bit_count() == 1 for s1, s2 in combinations(stars, 2))
             )
         return {
-            "common_disjoint": len(common),
+            "common_disjoint": n,
             "completion_sizes": sizes,
             "duad_graph": duad_graph_ok,
-            "stars": stars,
+            "stars": sorted(
+                ({common[i] for i in _bits(c)} for c in stars),
+                key=lambda star: sorted(tuple(sorted(u)) for u in star),
+            ),
         }
 
-    def orbit_class_analysis(self) -> dict:
-        """Local (intersection-parity) version of the two 135-orbit structure."""
-        spaces = self.isotropic4
-        v1 = self.pentad_rows[0]
-        class_a = [u for u in spaces if len(u & v1) in (0, 3, 15)]
-        class_b = [u for u in spaces if len(u & v1) in (1, 7)]
+    def orbit_class_analysis(self, completions: dict | None = None) -> dict:
+        """Local (intersection-parity) version of the two 135-orbit structure.
+
+        `completions` is pentad_completions(pentad_rows[0], pentad_rows[1]),
+        computed here when not given."""
+        spaces = self.isotropic4_masks
+        v1 = _mask(self.pentad_rows[0])
+        class_a = [u for u in spaces if (u & v1).bit_count() in (0, 3, 15)]
+        class_b = [u for u in spaces if (u & v1).bit_count() in (1, 7)]
         ok_sizes = len(class_a) == 135 and len(class_b) == 135
         ok_within = all(
-            len(u & w) in (0, 3) for u, w in combinations(class_a, 2)
-        ) and all(len(u & w) in (0, 3) for u, w in combinations(class_b, 2))
-        ok_across = all(len(u & w) in (1, 7) for u in class_a for w in class_b)
+            (u & w).bit_count() in (0, 3) for u, w in combinations(class_a, 2)
+        ) and all((u & w).bit_count() in (0, 3) for u, w in combinations(class_b, 2))
+        ok_across = all((u & w).bit_count() in (1, 7) for u in class_a for w in class_b)
 
-        res = self.pentad_completions(self.pentad_rows[0], self.pentad_rows[1])
-        star = next(iter(res["stars"]))
-        nine = [self.pentad_rows[0], self.pentad_rows[1]] + sorted(
-            star, key=lambda s: tuple(sorted(s))
+        if completions is None:
+            completions = self.pentad_completions(self.pentad_rows[0], self.pentad_rows[1])
+        star = next(iter(completions["stars"]))
+        nine = [_mask(self.pentad_rows[0]), _mask(self.pentad_rows[1])] + [
+            _mask(u) for u in sorted(star, key=lambda s: tuple(sorted(s)))
+        ]
+        covered = 0
+        for u in nine:
+            covered |= u
+        ok_nine = covered.bit_count() == 135 and all(
+            not (a & b) for a, b in combinations(nine, 2)
         )
-        covered = set().union(*nine)
-        ok_nine = len(covered) == 135 and all(not (a & b) for a, b in combinations(nine, 2))
         others = [u for u in class_a if u not in nine] if ok_sizes else []
         ok_allocation = all(
-            sorted(len(u & v) for v in nine) == [0, 0, 0, 0, 3, 3, 3, 3, 3] for u in others
+            sorted((u & v).bit_count() for v in nine) == [0, 0, 0, 0, 3, 3, 3, 3, 3]
+            for u in others
         )
         # within the same 135-class: spaces of the other class meet every
         # 4-space in an odd-dimensional (hence nonzero) subspace

@@ -14,13 +14,16 @@ tuple (row, col) with row in 1..5 and col in 6..10 (10 is printed as X).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
+from operator import mul
 
-from .golden import GoldenInt, PHI_INV, golden_sign
+from .golden import GoldenInt, PHI_INV, eliminate, golden_sign
 from .icosian import (
     ICOSIAN_ONE,
+    Flat,
     IcosianVec,
     cell24_base_indices,
     find_order5,
@@ -157,7 +160,8 @@ class Cell600:
                 if self.adj[k] >> l & 1:
                     out.add(tuple(sorted((i, j, k, l))))
         cells = tuple(sorted(out))
-        assert len(cells) == 600
+        if len(cells) != 600:
+            raise ValueError(f"{len(cells)} tetrahedral cells, not 600")
         return cells
 
     def skeleton_counts(self) -> tuple[int, int, int]:
@@ -189,7 +193,8 @@ class Cell600:
                     if self.pair_orth[c] >> d & 1:
                         out.append((a, b, c, d))
         cells = tuple(sorted(set(out)))
-        assert len(cells) == 75
+        if len(cells) != 75:
+            raise ValueError(f"{len(cells)} 16-cells, not 75")
         return cells
 
     @cached_property
@@ -203,13 +208,16 @@ class Cell600:
                 if q not in cell
                 and all(self.pair_class[q][p] == "1" for p in cell)
             ]
-            assert len(extra) == 8, "16-cell completion is not 8 pairs"
+            if len(extra) != 8:
+                raise ValueError("16-cell completion is not 8 pairs")
             full = frozenset(cell) | frozenset(extra)
             seen.setdefault(full, []).append(cell)
         cells = tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
-        assert len(cells) == 25
+        if len(cells) != 25:
+            raise ValueError(f"{len(cells)} 24-cells, not 25")
         for cell, sixteens in seen.items():
-            assert len(sixteens) == 3  # three 16-cells per 24-cell
+            if len(sixteens) != 3:
+                raise ValueError(f"a 24-cell holds {len(sixteens)} 16-cells, not 3")
         return cells
 
     @cached_property
@@ -218,9 +226,11 @@ class Cell600:
         out = {}
         for idx, tetrads in enumerate(self.tetrads24):
             for tetrad in tetrads:
-                assert tetrad not in out
+                if tetrad in out:
+                    raise ValueError(f"16-cell {tetrad} lies in two 24-cells")
                 out[tetrad] = idx
-        assert set(out) == set(self.cells16)
+        if set(out) != set(self.cells16):
+            raise ValueError("the tetrads of the 24-cells are not the 75 16-cells")
         return out
 
     @cached_property
@@ -234,10 +244,12 @@ class Cell600:
             while unused:
                 p = min(unused)
                 tetrad = [p] + [q for q in cell if q != p and self.pair_class[p][q] == "0"]
-                assert len(tetrad) == 4
+                if len(tetrad) != 4:
+                    raise ValueError(f"a tetrad of {len(tetrad)} pairs, not 4")
                 groups.append(tuple(sorted(tetrad)))
                 unused -= set(tetrad)
-            assert len(groups) == 3
+            if len(groups) != 3:
+                raise ValueError(f"a 24-cell splits into {len(groups)} tetrads, not 3")
             out.append(tuple(groups))
         return tuple(out)
 
@@ -248,7 +260,8 @@ class Cell600:
             for t1, t2 in combinations(tets, 2):
                 out.add(frozenset(t1) | frozenset(t2))
         cells = tuple(sorted(out, key=lambda s: tuple(sorted(s))))
-        assert len(cells) == 75
+        if len(cells) != 75:
+            raise ValueError(f"{len(cells)} 8-cells, not 75")
         return cells
 
     @cached_property
@@ -258,7 +271,8 @@ class Cell600:
         for idx, cell in enumerate(self.cells24):
             for p in cell:
                 lists[p].append(idx)
-        assert all(len(l) == 5 for l in lists)
+        if any(len(l) != 5 for l in lists):
+            raise ValueError("a vertex pair does not lie in exactly five 24-cells")
         return tuple(tuple(l) for l in lists)
 
     # ---------- the 5x5 array and the ten partitions ----------
@@ -289,7 +303,8 @@ class Cell600:
                 row.append(cellset_to_idx[verts])
             grid.append(tuple(row))
         flat = [c for row in grid for c in row]
-        assert len(set(flat)) == 25
+        if len(set(flat)) != 25:
+            raise ValueError(f"the 5x5 array holds {len(set(flat))} distinct 24-cells, not 25")
         return tuple(grid)
 
     @cached_property
@@ -308,7 +323,8 @@ class Cell600:
         cols = [frozenset(self.array[i][j] for i in range(5)) for j in range(5)]
         for part in rows + cols:
             pids = [p for c in part for p in self.cells24[c]]
-            assert sorted(pids) == list(range(60))
+            if sorted(pids) != list(range(60)):
+                raise ValueError("an array row or column does not partition the 60 pairs")
         return tuple(rows + cols)
 
     @cached_property
@@ -350,9 +366,11 @@ class Cell600:
             duads = sorted(self.duad_of_cell[c] for c in self.cell_of_pair[pid])
             rows = [d[0] for d in duads]
             cols = [d[1] for d in duads]
-            assert rows == [1, 2, 3, 4, 5] and sorted(cols) == [6, 7, 8, 9, 10]
+            if rows != [1, 2, 3, 4, 5] or sorted(cols) != [6, 7, 8, 9, 10]:
+                raise ValueError(f"pair {pid}: its duads do not use each row and column once")
             out.append(tuple(duads))
-        assert len(set(out)) == 60
+        if len(set(out)) != 60:
+            raise ValueError(f"{len(set(out))} distinct labels, not 60")
         return tuple(out)
 
     @cached_property
@@ -369,12 +387,15 @@ class Cell600:
             inter = self.cells24[a] & self.cells24[b]
             if not inter:
                 continue
-            assert len(inter) == 3
+            if len(inter) != 3:
+                raise ValueError(f"24-cells {a} and {b} share {len(inter)} pairs, not 0 or 3")
             ps = sorted(inter)
             for p, q in combinations(ps, 2):
-                assert self.pair_class[p][q] == "1"
+                if self.pair_class[p][q] != "1":
+                    raise ValueError(f"pairs {p} and {q} of a hexagon are not at product 1")
             out[frozenset((a, b))] = frozenset(inter)
-        assert len(out) == 200 and len(set(out.values())) == 200
+        if len(out) != 200 or len(set(out.values())) != 200:
+            raise ValueError(f"{len(out)} hexagons, not 200 distinct")
         return out
 
     @cached_property
@@ -396,9 +417,11 @@ class Cell600:
                 (c for c in range(25) if self.duad_of_cell[c] in ((ra, cb), (rb, ca)))
             )
             mate = self.hexagons[crossed]
-            assert self.hexagons_orthogonal(hexagon, mate)
+            if not self.hexagons_orthogonal(hexagon, mate):
+                raise ValueError(f"the crossed hexagon of cells {a}, {b} is not orthogonal")
             pairs.add(frozenset((hexagon, mate)))
-        assert len(pairs) == 100
+        if len(pairs) != 100:
+            raise ValueError(f"{len(pairs)} orthogonal hexagon pairs, not 100")
         return tuple(sorted(pairs, key=lambda pr: sorted(tuple(sorted(s)) for s in pr)))
 
     @cached_property
@@ -413,13 +436,16 @@ class Cell600:
             for _ in range(9):
                 w = table[w][t]
                 orbit.append(w)
-            assert len(set(orbit)) == 10
+            if len(set(orbit)) != 10:
+                raise ValueError(f"edge ({i}, {j}) does not lie on a decagon")
             seen.add(frozenset(self.pair_of[w] for w in orbit))
         out = tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
-        assert len(out) == 72
+        if len(out) != 72:
+            raise ValueError(f"{len(out)} decagons, not 72")
         for d in out:
             for p, q in combinations(sorted(d), 2):
-                assert self.pair_class[p][q] in ("phi", "phi-inv")
+                if self.pair_class[p][q] not in ("phi", "phi-inv"):
+                    raise ValueError(f"decagon pairs {p} and {q} are not at product phi or phi-inv")
         return out
 
     @cached_property
@@ -428,9 +454,11 @@ class Cell600:
         pair_edges: dict[frozenset[int], list[tuple[int, int]]] = {d: [] for d in self.decagons}
         for i, j in self.edges:
             holders = [d for d in self.decagons if self.pair_of[i] in d and self.pair_of[j] in d]
-            assert len(holders) == 1
+            if len(holders) != 1:
+                raise ValueError(f"edge ({i}, {j}) lies on {len(holders)} decagons, not 1")
             pair_edges[holders[0]].append((i, j))
-        assert all(len(es) == 10 for es in pair_edges.values())
+        if any(len(es) != 10 for es in pair_edges.values()):
+            raise ValueError("a decagon does not hold 10 edges")
         return {e: d for d, es in pair_edges.items() for e in es}
 
     def pentagon_of_decagon(self, d: frozenset[int]) -> tuple[int, ...]:
@@ -443,7 +471,8 @@ class Cell600:
                 continue
             w, wneg = self.pairs[p]
             pent.append(w if self.pp[v0][w] in ("phi-inv", "-phi") else wneg)
-        assert all(self.pp[a][b] in ("phi-inv", "-phi") for a, b in combinations(pent, 2))
+        if not all(self.pp[a][b] in ("phi-inv", "-phi") for a, b in combinations(pent, 2)):
+            raise ValueError("a pentagon has a pair not at product phi-inv or -phi")
         return tuple(sorted(pent))
 
     # ---------- prime arrays ----------
@@ -474,7 +503,8 @@ class Cell600:
             h for h in range(self.n)
             if frozenset(table[table[h][s]][inv[h]] for s in sylow) == sylow
         )
-        assert len(normalizer) == expected_n
+        if len(normalizer) != expected_n:
+            raise ValueError(f"p = {p}: normalizer of order {len(normalizer)}, not {expected_n}")
         q1 = self.n // len(normalizer)  # q + 1 of the array
         reps: list[int] = []
         cosets = set()
@@ -483,7 +513,8 @@ class Cell600:
             if cs not in cosets:
                 cosets.add(cs)
                 reps.append(h)
-        assert len(reps) == q1
+        if len(reps) != q1:
+            raise ValueError(f"p = {p}: {len(reps)} cosets, not {q1}")
         entries = []
         for gi in reps:
             row = []
@@ -492,11 +523,13 @@ class Cell600:
                 row.append(vs)
             entries.append(tuple(row))
         flat = [e for row in entries for e in row]
-        assert len(set(flat)) == q1 * q1
+        if len(set(flat)) != q1 * q1:
+            raise ValueError(f"p = {p}: the array entries are not {q1 * q1} distinct sets")
         for k in range(q1):
             row_union = set().union(*(entries[k][j] for j in range(q1)))
             col_union = set().union(*(entries[i][k] for i in range(q1)))
-            assert len(row_union) == self.n and len(col_union) == self.n
+            if len(row_union) != self.n or len(col_union) != self.n:
+                raise ValueError(f"p = {p}: row or column {k} does not cover the vertices")
         return PrimeArray(p, q1, tuple(entries), self)
 
     @cache
@@ -519,7 +552,8 @@ class Cell600:
             w = (self.vertices[i] + self.vertices[j]).scaled(GoldenInt(0, 1))
             out.add(w)
         verts = tuple(sorted(out))
-        assert len(verts) == 720
+        if len(verts) != 720:
+            raise ValueError(f"{len(verts)} rectified vertices, not 720")
         return verts
 
     def rectified_shape_census(self) -> Counter:
@@ -558,7 +592,8 @@ class Cell120:
             for t in tet[1:]:
                 s = s + parent.vertices[t]
             centers[s.scaled(scale)] = tet
-        assert len(centers) == 600
+        if len(centers) != 600:
+            raise ValueError(f"{len(centers)} cell centres, not 600")
         self.vertices = tuple(sorted(centers))
         self.index = {v.flat: i for i, v in enumerate(self.vertices)}
         self.tetra_of = tuple(centers[v] for v in self.vertices)
@@ -588,7 +623,8 @@ class Cell120:
             av = icosian_mul(a, v1)
             for b in base24:
                 c_set.add(icosian_mul(av, b))
-        assert len(c_set) == 24
+        if len(c_set) != 24:
+            raise ValueError(f"the base 24-cell of the 120-cell has {len(c_set)} vertices, not 24")
         cells = []
         for i in range(5):
             for j in range(5):
@@ -596,10 +632,12 @@ class Cell120:
                     self.index[icosian_mul(icosian_mul(gpow[i], w), ginvpow[j]).flat]
                     for w in c_set
                 )
-                assert len(cell) == 24
+                if len(cell) != 24:
+                    raise ValueError(f"120-cell 24-cell ({i}, {j}) has {len(cell)} vertices")
                 cells.append(cell)
         covered = set().union(*cells)
-        assert len(covered) == 600  # mutually disjoint
+        if len(covered) != 600:
+            raise ValueError(f"the 25 24-cells cover {len(covered)} vertices, not 600")
         return tuple(cells)
 
     @cached_property
@@ -612,7 +650,8 @@ class Cell120:
         for k, cell in enumerate(self.cells):
             for v in cell:
                 out[v] = k
-        assert all(k >= 0 for k in out)
+        if any(k < 0 for k in out):
+            raise ValueError("a 120-cell vertex lies in none of the 25 24-cells")
         return tuple(out)
 
     @cached_property
@@ -625,11 +664,13 @@ class Cell120:
                 tri_cells.setdefault(tri, []).append(idx)
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for tri, holders in tri_cells.items():
-            assert len(holders) == 2
+            if len(holders) != 2:
+                raise ValueError(f"triangle {tri} lies in {len(holders)} tetrahedral cells, not 2")
             a, b = holders
             adj[a].add(b)
             adj[b].add(a)
-        assert all(len(s) == 4 for s in adj)
+        if any(len(s) != 4 for s in adj):
+            raise ValueError("a 120-cell vertex does not have 4 neighbours")
         return tuple(tuple(sorted(s)) for s in adj)
 
     @cached_property
@@ -643,7 +684,8 @@ class Cell120:
             five = sorted((home,) + nbrs)
             rows = [d[0] for d in five]
             cols = sorted(d[1] for d in five)
-            assert rows == [1, 2, 3, 4, 5] and cols == [6, 7, 8, 9, 10]
+            if rows != [1, 2, 3, 4, 5] or cols != [6, 7, 8, 9, 10]:
+                raise ValueError(f"120-cell vertex {v}: its duads do not use each row and column")
             out.append((home, nbrs))
         return tuple(out)
 
@@ -656,7 +698,8 @@ class Cell120:
 
     def pair_labels(self) -> set[tuple[Duad, tuple[Duad, ...]]]:
         labs = set(self.labels)
-        assert len(labs) == 300
+        if len(labs) != 300:
+            raise ValueError(f"{len(labs)} distinct 120-cell labels, not 300")
         return labs
 
     def row_vertices(self, i: int) -> tuple[int, ...]:
@@ -664,6 +707,82 @@ class Cell120:
 
     def col_vertices(self, j: int) -> tuple[int, ...]:
         return tuple(sorted(set().union(*(self.cells[5 * i + j] for i in range(5)))))
+
+    @cached_property
+    def _frame(self) -> tuple[tuple, tuple[Flat, ...], tuple[Flat, ...]]:
+        """A frame of the 600-cell for `is_600cell_image`: its first tetrahedral
+        cell f0..f3, four independent vertices.  Returns twice its natural
+        Gram (entries as (a, b) pairs for a + b*phi), and for every 600-cell
+        vertex v the numerator n of its coordinates v B^-1 in the frame basis
+        (B the frame as rows) over one integer N: v B^-1 = v adj(B) / det B =
+        n / N with n = v adj(B) conj(det B) and N = det B conj(det B).  Last,
+        the flats of this polytope's vertices times N."""
+        parent = self.parent
+        frame = [parent.flats[i] for i in parent.tetra_cells[0]]
+        gram2 = tuple(
+            tuple(tuple(2 * x for x in flat_dot(f, g)) for g in frame) for f in frame
+        )
+        elim = eliminate([list(parent.vertices[i].c) for i in parent.tetra_cells[0]])
+        if elim.adj is None or not elim.det:
+            raise ValueError("the first tetrahedral cell is not a frame")
+        scale = elim.det.conj()
+        cols = _right_mul_columns(
+            [tuple(x for g in row for x in (g * scale).key()) for row in elim.adj]
+        )
+        numerators = tuple(tuple(sum(map(mul, v, col)) for col in cols) for v in parent.flats)
+        norm = elim.det.field_norm()
+        scaled = tuple(tuple(norm * x for x in v.flat) for v in self.vertices)
+        return gram2, numerators, scaled
+
+    def is_600cell_image(self, verts: Sequence[int]) -> bool:
+        """Whether the vertices `verts` of this polytope are the image of the
+        600-cell's 120 vertices under a similarity: a linear map M that
+        doubles every natural inner product.
+
+        M is read off a frame f0..f3 of the 600-cell (`_frame`) and images
+        w0..w3 in verts: w0 is the first vertex of verts, and w1..w3 are
+        searched for so that the natural Gram of w0..w3 is twice that of
+        f0..f3.  Since the frame spans, M then doubles every inner product.
+        M sends v to (v B^-1) W = n W / N, W the images as rows; verts is
+        accepted once n W is N times a member of verts for all 120 vertices
+        (an exact division), and the next frame is tried at the first miss.
+        M is injective, so 120 distinct vertices in verts are all of them.
+        """
+        flats = [self.vertices[i].flat for i in verts]
+        if len(flats) != 120 or len(set(flats)) != 120:
+            return False
+        gram2, numerators, scaled_flats = self._frame
+        scaled = {scaled_flats[i] for i in verts}
+
+        def frames(chosen: list[Flat]) -> Iterator[list[Flat]]:
+            k = len(chosen)
+            if k == 4:
+                yield chosen
+                return
+            for w in flats:
+                if all(flat_dot(u, w) == gram2[i][k] for i, u in enumerate(chosen)) and (
+                    flat_dot(w, w) == gram2[k][k]
+                ):
+                    yield from frames(chosen + [w])
+
+        if flat_dot(flats[0], flats[0]) != gram2[0][0]:
+            return False
+        for w in frames([flats[0]]):
+            cols = _right_mul_columns(w)
+            if all(tuple(sum(map(mul, n, col)) for col in cols) in scaled for n in numerators):
+                return True
+        return False
+
+
+def _right_mul_columns(rows: Sequence[Flat]) -> tuple[tuple[int, ...], ...]:
+    """Columns of the 8x8 integer matrix of x -> x R on flats, for the 4x4
+    Z[phi] matrix R whose rows are given as flats: row 2i of the integer
+    matrix is row i of R, and row 2i + 1 is phi times it."""
+    out = []
+    for f in rows:
+        out.append(f)
+        out.append(tuple(x for k in range(0, 8, 2) for x in (f[k + 1], f[k] + f[k + 1])))
+    return tuple(zip(*out))
 
 
 _V1_FLAT = (2, 0, 2, 0, 0, 0, 0, 0)

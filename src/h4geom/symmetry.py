@@ -165,7 +165,9 @@ class SymmetryGroup:
         cell = self.cell
         verts = cell.vertices
         a_idx = cell.index[cell.g.flat]
-        b_idx = next(i for i in range(cell.n) if len(mulclose_indices((a_idx, i))) == 120)
+        b_idx = next((i for i in range(cell.n) if len(mulclose_indices((a_idx, i))) == 120), None)
+        if b_idx is None:
+            raise ValueError("no icosian generates 2I with g")
         a, b = verts[a_idx], verts[b_idx]
         return (left_mul(a), left_mul(b), right_mul(a), right_mul(b), reflection(ICOSIAN_ONE))
 

@@ -398,3 +398,62 @@ def test_vertex_count_is_checked_under_python_O(tmp_path):
     (entry,) = json.loads(report.read_text())
     assert (entry["check"], entry["status"]) == ("facts/fact1", "fail")
     assert entry["observed"] == {"error": "ValueError: 112 vertices, not 120"}
+
+
+def test_check_order_lists_every_check_once():
+    assert len(checks.CHECK_ORDER) == len(set(checks.CHECK_ORDER)) == 26
+    assert set(checks.CHECK_ORDER) == set(checks.CHECKS)
+
+
+_DROP_ONE_EDGE = """
+import json, sys
+from h4geom import polytopes
+from h4geom.cli import main
+
+cell = polytopes.the_600cell()
+adj = list(cell.adj)
+j = (adj[0] & -adj[0]).bit_length() - 1  # the least neighbour of vertex 0
+adj[0] ^= 1 << j
+adj[j] ^= 1
+cell.adj = tuple(adj)
+print(json.dumps(main(["verify", "--only", "facts/fact1", "--report", sys.argv[1]])))
+"""
+
+
+def test_tetrahedral_cell_count_is_checked_under_python_O(tmp_path):
+    """One edge dropped from the adjacency table loses the five cells on it;
+    the cell count raises, so -O cannot strip it, and facts/fact1 reports
+    the cause."""
+    report = tmp_path / "fact1.json"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _DROP_ONE_EDGE, str(report)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == 1
+    (entry,) = json.loads(report.read_text())
+    assert (entry["check"], entry["status"]) == ("facts/fact1", "fail")
+    assert entry["observed"] == {"error": "ValueError: 595 tetrahedral cells, not 600"}
+
+
+_NO_GENERATING_PAIR = """
+import json
+from h4geom import checks, symmetry
+
+symmetry.mulclose_indices = lambda gens: tuple(gens)
+result = checks.run_check("facts/fact3")
+print(json.dumps([result.status, result.observed]))
+"""
+
+
+def test_group_without_a_generating_pair_names_the_cause_under_python_O():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _NO_GENERATING_PAIR],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    status, observed = json.loads(out.stdout.splitlines()[-1])
+    assert status == "fail"
+    assert observed == {"error": "ValueError: no icosian generates 2I with g"}

@@ -1,7 +1,12 @@
+import dataclasses
 from collections import Counter
 from itertools import combinations
 
-from h4geom.mod2 import F4_MUL, F4_TRACE, OMEGA, OMEGA_BAR
+import pytest
+
+from h4geom import checks
+from h4geom.mod2 import F4_MUL, F4_TRACE, OMEGA, OMEGA_BAR, biadditive
+from h4geom.symmetry import SymOp
 
 
 def test_f4_arithmetic_tables():
@@ -55,6 +60,77 @@ def test_phi_map_properties(geo):
     for x in range(0, 256, 3):
         for y in range(256):
             assert geo.bform(t[x], y) == geo.bform(x, t[y])
+
+
+def test_perp_matches_bform_on_all_pairs(geo):
+    for x in range(256):
+        assert [geo.perp[x] >> y & 1 for y in range(256)] == [
+            1 - geo.bform(x, y) for y in range(256)
+        ]
+
+
+def _self_adjoint_by_pairs(geo, t):
+    """The 65,536-pair oracle for `F4Geometry.self_adjoint`."""
+    return all(geo.bform(t[x], y) == geo.bform(x, t[y]) for x in range(256) for y in range(256))
+
+
+def test_self_adjoint_matches_the_pair_oracle(geo):
+    """On phibar, on linear tables with one matrix entry flipped, and on a
+    table that is not linear."""
+    t = geo.phi.table
+    assert geo.self_adjoint(t) is _self_adjoint_by_pairs(geo, t) is True
+    for i, j in ((0, 1), (3, 3), (7, 2)):
+        rows = list(geo.phi.mod2_rows)
+        rows[i] ^= 1 << j
+        bad = tuple(geo._fold_rows(tuple(rows), x) for x in range(256))
+        assert geo.self_adjoint(bad) is _self_adjoint_by_pairs(geo, bad) is False
+    swapped = list(t)
+    swapped[3], swapped[5] = swapped[5], swapped[3]
+    assert geo.self_adjoint(swapped) is _self_adjoint_by_pairs(geo, swapped) is False
+
+
+def test_phi_fails_on_a_table_that_is_not_self_adjoint(monkeypatch, geo):
+    rows = list(geo.phi.mod2_rows)
+    rows[0] ^= 1 << 1
+    bad = tuple(geo._fold_rows(tuple(rows), x) for x in range(256))
+    monkeypatch.setattr(geo, "phi", dataclasses.replace(geo.phi, table=bad))
+    result = checks.run_check("s7/phi")
+    assert result.status == "fail"
+    assert result.observed["phibar_self_adjoint_for_B"] is False
+
+
+def _biadditive_by_table(qw):
+    """The oracle for `mod2.biadditive`: the whole 256 x 256 table of
+    b(x, y) = qw[x ^ y] + qw[x] + qw[y], each entry compared with the fold of
+    b over the bits of x."""
+    b_omega = [[qw[x ^ y] ^ qw[x] ^ qw[y] for y in range(256)] for x in range(256)]
+    for y in range(256):
+        base = [b_omega[1 << i][y] for i in range(8)]
+        for x in range(256):
+            acc = 0
+            for i in range(8):
+                if x >> i & 1:
+                    acc ^= base[i]
+            if acc != b_omega[x][y]:
+                return False
+    return True
+
+
+def test_biadditive_matches_the_table_oracle(monkeypatch, geo):
+    """On q_omega; on q_omega rebuilt from a q table with one class's value
+    flipped, for three classes; with a nonzero value at 0; and with a cubic
+    added."""
+    qw = [geo.q_omega(x) for x in range(256)]
+    assert biadditive(qw) is _biadditive_by_table(qw) is True
+    q = geo.q
+    for x in (geo.class_of_h[0], geo.class_of_h[0] ^ geo.class_of_phi_h[0], 255):
+        monkeypatch.setattr(geo, "q", q[:x] + (1 - q[x],) + q[x + 1:])
+        bad = [geo.q_omega(y) for y in range(256)]
+        assert biadditive(bad) is _biadditive_by_table(bad) is False
+    assert biadditive([1] + qw[1:]) is _biadditive_by_table([1] + qw[1:]) is False
+    # plus a cubic in the top three coordinates, which rows b(x, .) for x < 32 do not see
+    cubic = [v ^ (x >> 5 == 7) for x, v in enumerate(qw)]
+    assert biadditive(cubic) is _biadditive_by_table(cubic) is False
 
 
 def test_roots_nonisotropic_and_sums_isotropic(geo):
@@ -118,6 +194,20 @@ def test_symmetry_action_commutes_with_phibar(geo, group):
         assert geo.commutes_with_phi(g)
 
 
+def test_action_mod2_checks_every_root(geo, group):
+    """Two roots' images swapped, both outside the basis and off the every-7th
+    sample the check once used: the induced matrix is unchanged, and the check
+    on the first of the two raises."""
+    g = group.generators[0]
+    basis, images = set(geo._basis_vids), {g.perm[v] for v in geo._basis_vids}
+    i, j = [k for k in range(120) if k % 7 and k not in basis and k not in images][:2]
+    perm = list(g.perm)
+    perm[i], perm[j] = perm[j], perm[i]
+    bad = SymOp(g.anum, g.bnum, g.den, g.parity, tuple(perm))
+    with pytest.raises(ValueError, match=f"induced matrix does not map root {i} to its image"):
+        geo.action_mod2(bad)
+
+
 def test_isotropic_4spaces_count(geo):
     spaces = geo.isotropic4
     assert len(spaces) == 270
@@ -164,6 +254,16 @@ def test_pentads(geo):
 def test_orbit_classes(geo):
     cls = geo.orbit_class_analysis()
     assert all(cls.values()), cls
+
+
+def test_orbit_classes_hold_for_every_star(geo):
+    """The analysis completes the two pentad rows with the first of the eight
+    stars; each of the eight gives the same result."""
+    res = geo.pentad_completions(geo.pentad_rows[0], geo.pentad_rows[1])
+    assert len(res["stars"]) == 8
+    for star in res["stars"]:
+        cls = geo.orbit_class_analysis({**res, "stars": [star]})
+        assert all(cls.values()), cls
 
 
 def test_two_classes_intersection_dims(geo):

@@ -1,9 +1,10 @@
 from collections import Counter
 from itertools import combinations
 
+from h4geom import checks
 from h4geom.golden import GoldenInt
-from h4geom.icosian import ICOSIAN_ONE
-from h4geom.polytopes import label_str, perm_parity
+from h4geom.icosian import ICOSIAN_ONE, flat_dot
+from h4geom.polytopes import Cell120, label_str, perm_parity
 
 PHI_KEY = (0, 1)
 
@@ -229,6 +230,44 @@ def test_120cell_rows_and_columns_are_600cells(cell):
     for i, j in combinations(col, 2):
         spec[d.vertices[i].paper_dot(d.vertices[j]).halved().key()] += 1
     assert spec == spectrum_h
+
+
+def _spectra_match(cell, verts):
+    """The spectra oracle for `Cell120.is_600cell_image`: the natural inner
+    products over the pairs of the 120-cell vertices `verts` are, as a
+    multiset, twice those over the pairs of the 600-cell's vertices."""
+    dots = (flat_dot(u, v) for u, v in combinations(cell.flats, 2))
+    doubled = Counter((2 * a, 2 * b) for a, b in dots)
+    flats = [cell.cell120.vertices[i].flat for i in verts]
+    return Counter(flat_dot(u, v) for u, v in combinations(flats, 2)) == doubled
+
+
+def test_similarity_certificate_matches_the_spectra_oracle(cell):
+    """All ten row and column sets, and each with one vertex (the first or
+    the last) swapped for the least 120-cell vertex outside it."""
+    d = cell.cell120
+    for verts in [f(k) for k in range(5) for f in (d.row_vertices, d.col_vertices)]:
+        assert d.is_600cell_image(verts) is _spectra_match(cell, verts) is True
+        outsider = min(set(range(d.n)) - set(verts))
+        for at in (0, len(verts) - 1):
+            swapped = list(verts)
+            swapped[at] = outsider
+            assert d.is_600cell_image(swapped) is _spectra_match(cell, swapped) is False
+
+
+def test_labels120_fails_on_a_row_with_a_foreign_vertex(monkeypatch, cell):
+    real = Cell120.row_vertices
+
+    def row_vertices(self, i):
+        verts = real(self, i)
+        if i != 3:
+            return verts
+        return verts[:-1] + (min(set(range(self.n)) - set(verts)),)
+
+    monkeypatch.setattr(Cell120, "row_vertices", row_vertices)
+    result = checks.run_check("s2/labels120")
+    assert result.status == "fail"
+    assert result.observed["rows_and_columns_are_600cells"] is False
 
 
 def test_rectified_600cell(cell):
