@@ -83,7 +83,7 @@ def _fact4():
         if len(cls) != 1:
             raise ValueError(f"a stabilizer orbit on pairs mixes classes {sorted(cls)}")
         keyed.setdefault(cls.pop(), []).append(len(orb))
-    cperms = [grp.cell_perms[k] for k in stab_c]
+    cperms = grp.cell_perms_of(stab_c)
     orbits_cells = sorted(len(o) for o in grp.orbits(cperms, range(25)))
     cpair_perms = [grp.pair_perm(grp.ops[k]) for k in stab_c]
     orbits_cpairs = sorted(len(o) for o in grp.orbits(cpair_perms, range(60)))
@@ -117,17 +117,10 @@ def _fact6():
         ident = tuple(range(120))
         negation = tuple(grp.cell.neg)
         kernel_is_pm1 = perms == {ident, negation}
-    rows, cols = set(range(5)), set(range(5, 10))
-    pentads_ok = True
-    for k, op in enumerate(grp.ops):
-        tp = grp.ten_perms[k]
-        img = {tp[i] for i in rows}
-        if op.parity == 1 and img != rows:
-            pentads_ok = False
-            break
-        if op.parity == -1 and img != cols:
-            pentads_ok = False
-            break
+    rows, cols = 0b11111, 0b11111 << 5  # partitions 0..4 and 5..9 as masks
+    pentads_ok = all(
+        img == (rows if op.parity == 1 else cols) for op, img in zip(grp.ops, grp.row_images)
+    )
     return {
         "kernel_size": len(kernel),
         "kernel_is_plus_minus_identity": kernel_is_pm1,

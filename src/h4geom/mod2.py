@@ -279,16 +279,29 @@ class F4Geometry:
 
     @cached_property
     def lines(self) -> tuple[frozenset[int], ...]:
-        """All 357 projective lines, as frozensets of 5 point indices."""
-        seen = set()
+        """All 357 projective lines, as frozensets of 5 point indices.
+
+        Each line is spanned once, by its first pair of points: covered[a] is
+        the mask of points already on a line with a, and a pair it holds is
+        skipped.  A new line may cover no pair twice, since two points lie on
+        one line only."""
+        seen = []
+        covered = [0] * 85
         for a, b in combinations(range(85), 2):
+            if covered[a] >> b & 1:
+                continue
             pa = self.points[a] | {0}
             pb = self.points[b] | {0}
             span = {x ^ y for x in pa for y in pb}
             pts = frozenset(self.point_of[x] for x in span if x)
             if len(span) != 16 or len(pts) != 5:
                 raise ValueError(f"points {a} and {b} do not span a line of 5 points")
-            seen.add(pts)
+            mask = sum(1 << p for p in pts)
+            if any(covered[p] & mask for p in pts):
+                raise ValueError(f"the line of points {a} and {b} meets another line in two points")
+            for p in pts:
+                covered[p] |= mask & ~(1 << p)
+            seen.append(pts)
         out = tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
         if len(out) != 357:
             raise ValueError(f"{len(out)} lines, not 357")

@@ -1,124 +1,137 @@
-"""The full symmetry group of the 600-cell as vertex permutations with exact matrices.
+"""The full symmetry group of the 600-cell as vertex permutations.
 
 Every rotation is x -> l*x*r and every reflection x -> l*conj(x)*r for icosians
 l, r, and (l, r), (-l, -r) give the same map (Conway & Smith, On Quaternions and
 Octonions, ch. 4): the group is 2I x 2I / {+-(1, 1)} extended by conjugation,
 listed straight from the Cayley table as 14,400 vertex permutations with their
-parity (+1 rotation, -1 reflection) and certified against five generators.
-Each element's exact matrix is read off the images of the vertices 2e_0..2e_3:
-an integer matrix pair (A, B) with common denominator d, meaning (A + B*phi)/d.
-Its actions on the 25 24-cells and the ten partitions are composed from those
-of x -> l*x, x -> x*r and x -> conj(x).
+parity (+1 rotation, -1 reflection) and their triples (l, r, e), in listing
+order, and certified against five generators.  An element's exact matrix is
+read on demand off its images of the vertices 2e_0..2e_3: an integer matrix
+pair (A, B) with common denominator d, meaning (A + B*phi)/d.  Its actions on
+the 25 24-cells and the ten partitions are composed from those of x -> l*x,
+x -> x*r and x -> conj(x); stabilizers, the kernel on the partitions and the
+images of the five rows are read off those 120-entry tables without composing
+every element's permutation.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import compress
 from math import gcd
-from operator import eq, itemgetter
+from operator import itemgetter
 
 from .golden import GoldenInt, GoldenRational, eliminate
 from .icosian import (
-    ICOSIAN_ONE, IcosianVec, generate_vertices, inverse_index, mult_table, mulclose_indices, quat_mul,
-    vertex_index,
+    ICOSIAN_ONE, Flat, IcosianVec, generate_vertices, inverse_index, mult_table, mulclose_indices,
+    quat_mul, vertex_index,
 )
 from .polytopes import Cell600, the_600cell
 
+_BASIS = tuple(
+    IcosianVec(*(GoldenInt(1 if k == r else 0) for r in range(4))) for k in range(4)
+)
+
+
+@cache
+def _basis_images() -> itemgetter:
+    """A vertex permutation's images of the vertices 2e_0..2e_3."""
+    idx = vertex_index()
+    return itemgetter(*(idx[e.scaled(GoldenInt(2)).flat] for e in _BASIS))
+
+
+def _read_key(perm: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(d, A, B) of the isometry permuting the vertices by perm: column c of
+    A + B*phi is the image of 2e_c over d = 2, then reduced by the common gcd."""
+    verts = generate_vertices()
+    cols = [verts[i].c for i in _basis_images()(perm)]
+    anum = tuple(col[r].a for r in range(4) for col in cols)
+    bnum = tuple(col[r].b for r in range(4) for col in cols)
+    g = gcd(2, *anum, *bnum)
+    if g > 1:
+        return 2 // g, tuple(x // g for x in anum), tuple(x // g for x in bnum)
+    return 2, anum, bnum
+
+
+def _apply(anum: tuple[int, ...], bnum: tuple[int, ...], den: int, flat: Flat) -> Flat:
+    """(A + B*phi)/d times a flat vector; raises unless the image lies in Z[phi]^4."""
+    out = []
+    for r in range(4):
+        sa = sb = 0
+        for c in range(4):
+            x, y = anum[4 * r + c], bnum[4 * r + c]
+            u, w = flat[2 * c], flat[2 * c + 1]
+            yw = y * w
+            sa += x * u + yw
+            sb += x * w + y * u + yw
+        if sa % den or sb % den:
+            raise ValueError("image is not integral in Z[phi]")
+        out += (sa // den, sb // den)
+    return tuple(out)
+
+
 class SymOp:
-    """An exact isometry of the 600-cell."""
+    """An exact isometry of the 600-cell: a vertex permutation, which fixes
+    the isometry, and its parity.  The matrix is read off perm when first asked for."""
 
-    __slots__ = ("anum", "bnum", "den", "parity", "perm")
+    __slots__ = ("parity", "perm", "_key")
 
-    def __init__(self, anum: tuple[int, ...], bnum: tuple[int, ...], den: int, parity: int,
-                 perm: tuple[int, ...]):
-        self.anum = anum
-        self.bnum = bnum
-        self.den = den
-        self.parity = parity
+    def __init__(self, perm: tuple[int, ...], parity: int):
         self.perm = perm
+        self.parity = parity
+        self._key = None
 
-    def key(self) -> tuple:
-        return (self.den, self.anum, self.bnum)
+    def key(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(d, A, B) of the matrix (A + B*phi)/d."""
+        if self._key is None:
+            self._key = _read_key(self.perm)
+        return self._key
+
+    @property
+    def den(self) -> int:
+        return self.key()[0]
+
+    @property
+    def anum(self) -> tuple[int, ...]:
+        return self.key()[1]
+
+    @property
+    def bnum(self) -> tuple[int, ...]:
+        return self.key()[2]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SymOp) and self.key() == other.key()
+        return isinstance(other, SymOp) and self.perm == other.perm
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self.perm)
 
     def __repr__(self) -> str:
         return f"SymOp(den={self.den}, parity={self.parity:+d})"
 
     def matrix(self) -> tuple[tuple[GoldenRational, ...], ...]:
+        den, anum, bnum = self.key()
         return tuple(
-            tuple(
-                GoldenRational(GoldenInt(self.anum[4 * r + c], self.bnum[4 * r + c]), self.den)
-                for c in range(4)
-            )
+            tuple(GoldenRational(GoldenInt(anum[4 * r + c], bnum[4 * r + c]), den) for c in range(4))
             for r in range(4)
         )
 
     def apply_vec(self, v: IcosianVec) -> IcosianVec:
-        flat = v.flat
-        out = []
-        for r in range(4):
-            sa = sb = 0
-            for c in range(4):
-                x, y = self.anum[4 * r + c], self.bnum[4 * r + c]
-                u, w = flat[2 * c], flat[2 * c + 1]
-                yw = y * w
-                sa += x * u + yw
-                sb += x * w + y * u + yw
-            if sa % self.den or sb % self.den:
-                raise ValueError("image is not integral in Z[phi]")
-            out.append(GoldenInt(sa // self.den, sb // self.den))
-        return IcosianVec(*out)
-
-
-def _normalized(anum: list[int], bnum: list[int], den: int, parity: int, perm: tuple[int, ...]) -> SymOp:
-    g = den
-    for x in anum:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g > 1:
-        for x in bnum:
-            g = gcd(g, x)
-            if g == 1:
-                break
-    if g > 1:
-        anum = [x // g for x in anum]
-        bnum = [x // g for x in bnum]
-        den //= g
-    return SymOp(tuple(anum), tuple(bnum), den, parity, perm)
+        den, anum, bnum = self.key()
+        return IcosianVec.from_flat(_apply(anum, bnum, den, v.flat))
 
 
 def _op_from_matrix(cols: list[IcosianVec], den: int) -> SymOp:
-    anum = [0] * 16
-    bnum = [0] * 16
-    for c, col in enumerate(cols):
-        for r in range(4):
-            anum[4 * r + c] = col.c[r].a
-            bnum[4 * r + c] = col.c[r].b
-    probe = SymOp(tuple(anum), tuple(bnum), den, 0, ())
-    verts = generate_vertices()
+    anum = tuple(col.c[r].a for r in range(4) for col in cols)
+    bnum = tuple(col.c[r].b for r in range(4) for col in cols)
     idx = vertex_index()
-    perm = tuple(idx[probe.apply_vec(v).flat] for v in verts)
-    op = _normalized(list(probe.anum), list(probe.bnum), den, 0, perm)
+    perm = tuple(idx[_apply(anum, bnum, den, v.flat)] for v in generate_vertices())
     # det((A + B*phi)/d) = +-1 exactly when det(A + B*phi) = +-d**4
     det = eliminate(
-        [[GoldenInt(op.anum[4 * r + c], op.bnum[4 * r + c]) for c in range(4)] for r in range(4)]
+        [[GoldenInt(anum[4 * r + c], bnum[4 * r + c]) for c in range(4)] for r in range(4)]
     ).det
-    unit = op.den**4
+    unit = den**4
     if det not in (unit, -unit):
         raise ValueError(f"determinant {GoldenRational(det, unit)} is not a sign")
-    return SymOp(op.anum, op.bnum, op.den, 1 if det == unit else -1, perm)
-
-
-_BASIS = tuple(
-    IcosianVec(*(GoldenInt(1 if k == r else 0) for r in range(4))) for k in range(4)
-)
+    return SymOp(perm, 1 if det == unit else -1)
 
 
 def _set_images(perm: tuple[int, ...], sets: tuple[frozenset[int], ...]) -> tuple[int, ...]:
@@ -147,14 +160,6 @@ def reflection(v: IcosianVec) -> SymOp:
     return _op_from_matrix(cols, 2)
 
 
-def identity_op() -> SymOp:
-    return _op_from_matrix([e.scaled(GoldenInt(2)) for e in _BASIS], 2)
-
-
-def negation_op() -> SymOp:
-    return _op_from_matrix([e.scaled(GoldenInt(-2)) for e in _BASIS], 2)
-
-
 class SymmetryGroup:
     def __init__(self, cell: Cell600) -> None:
         self.cell = cell
@@ -171,42 +176,26 @@ class SymmetryGroup:
         a, b = verts[a_idx], verts[b_idx]
         return (left_mul(a), left_mul(b), right_mul(a), right_mul(b), reflection(ICOSIAN_ONE))
 
-    def _list(self) -> tuple[tuple[SymOp, ...], tuple[bytes, bytes, bytes]]:
+    def _list(self) -> tuple[tuple[SymOp, ...], tuple[tuple[int, ...], ...]]:
         """Every element as a triple (l, r, e): x -> l*x*r, or x -> l*conj(x)*r
         when e = 1, products read off the Cayley table; r runs over one icosian
         of each +-pair, since (l, r) and (-l, -r) give the same map.  Returns
-        the ops in SymOp.key order and, aligned with them, their l, r and e."""
+        the ops in listing order (l, then r, then e) and their l, r and e."""
         table, conj = mult_table(), itemgetter(*inverse_index())
         columns = tuple(zip(*table))  # columns[r][y] = index of y*r
-        # Column c of (A + B*phi)/2, before reduction, is the image of 2e_c: entry
-        # (r, c) of A is entry 8c + 2r of the four images' flats laid end to end.
-        at_basis = itemgetter(*(self.cell.index[e.scaled(GoldenInt(2)).flat] for e in _BASIS))
-        a_of = itemgetter(*(8 * c + 2 * r for r in range(4) for c in range(4)))
-        b_of = itemgetter(*(8 * c + 2 * r + 1 for r in range(4) for c in range(4)))
-        flats = self.cell.flats
-        # SymOp.key order as one integer: den above the 32 entries of A then B,
-        # row by row, each a base-8 digit (entry + 2; entries lie in -2..2)
-        d0, d1, d2, d3 = (
-            [sum(((f[2 * r] + 2) << 48 | f[2 * r + 1] + 2) << 3 * (15 - 4 * r - c) for r in range(4))
-             for f in flats]
-            for c in range(4)
-        )
-        listed = []
-        for l, row in enumerate(table):
+        reps = tuple(r for r, _ in self.cell.pairs)
+        ops = []
+        for row in table:
             left = itemgetter(*row)
-            for r, _ in self.cell.pairs:
+            for r in reps:
                 rot = left(columns[r])
-                for e, perm, parity in ((0, rot, 1), (1, conj(rot), -1)):
-                    i0, i1, i2, i3 = at_basis(perm)
-                    cols = flats[i0] + flats[i1] + flats[i2] + flats[i3]
-                    op = _normalized(a_of(cols), b_of(cols), 2, parity, perm)
-                    key = (op.den << 96) + d0[i0] + d1[i1] + d2[i2] + d3[i3]
-                    listed.append((key, op, l, r, e))
-        listed.sort(key=itemgetter(0))
-        ops, ls, rs, es = list(zip(*listed))[1:]
-        del listed
-        self._certify(ops, ls, rs, es, at_basis)
-        return ops, (bytes(ls), bytes(rs), bytes(es))
+                ops += (SymOp(rot, 1), SymOp(conj(rot), -1))
+        ops = tuple(ops)
+        ls = tuple(l for l in range(len(table)) for _ in range(2 * len(reps)))
+        rs = tuple(r for r in reps for _ in range(2)) * len(table)
+        es = (0, 1) * (len(table) * len(reps))
+        self._certify(ops, ls, rs, es, _basis_images())
+        return ops, (ls, rs, es)
 
     def _certify(self, ops, ls, rs, es, at_basis) -> None:
         """Raises unless the listed elements are distinct, contain the five
@@ -272,30 +261,69 @@ class SymmetryGroup:
         table, act = mult_table(), self._cell_action
         return [act(row) for row in table], [act(col) for col in zip(*table)], act(inverse_index())
 
-    def _compose(self, left: list, right: list, conj: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """Each element's action as left[l] o right[r], then o conj for a
-        reflection, since an action is a homomorphism."""
+    @cached_property
+    def _ten_tables(self) -> tuple[list, list, tuple[int, ...]]:
+        """The cell tables projected onto the ten partitions."""
+        left, right, conj = self._cell_tables
+        parts = self.cell.partitions
+        return [_set_images(p, parts) for p in left], [_set_images(p, parts) for p in right], \
+            _set_images(conj, parts)
+
+    def _compose(self, tables: tuple[list, list, tuple[int, ...]], ks) -> tuple[tuple[int, ...], ...]:
+        """The action of each element k in ks as left[l] o right[r], then o conj
+        for a reflection, since an action is a homomorphism."""
+        left, right, conj = tables
         after_right, after_conj = [itemgetter(*p) for p in right], itemgetter(*conj)
+        ls, rs, es = self._factors
         return tuple(
-            after_conj(after_right[r](left[l])) if e else after_right[r](left[l])
-            for l, r, e in zip(*self._factors)
+            after_conj(after_right[rs[k]](left[ls[k]])) if es[k] else after_right[rs[k]](left[ls[k]])
+            for k in ks
         )
+
+    def _images_of(self, tables: tuple[list, list, tuple[int, ...]], x: int) -> list[int]:
+        """Each element's image of the point x, composed as in _compose:
+        left[l][right[r][x]], with conj[x] in place of x when e = 1."""
+        left, right, conj = tables
+        xs = (x, conj[x])
+        return [left[l][right[r][xs[e]]] for l, r, e in zip(*self._factors)]
 
     @cached_property
     def cell_perms(self) -> tuple[tuple[int, ...], ...]:
-        return self._compose(*self._cell_tables)
+        return self._compose(self._cell_tables, range(len(self.ops)))
 
     @cached_property
     def ten_perms(self) -> tuple[tuple[int, ...], ...]:
-        left, right, conj = self._cell_tables
-        parts = self.cell.partitions
-        return self._compose([_set_images(p, parts) for p in left], [_set_images(p, parts) for p in right],
-                             _set_images(conj, parts))
+        return self._compose(self._ten_tables, range(len(self.ops)))
+
+    def cell_perms_of(self, ks) -> tuple[tuple[int, ...], ...]:
+        """The 24-cell permutations of the elements ks alone."""
+        return self._compose(self._cell_tables, ks)
 
     @cached_property
     def ten_kernel(self) -> tuple[int, ...]:
-        idt = tuple(range(10))
-        return tuple(k for k, tp in enumerate(self.ten_perms) if tp == idt)
+        """Elements fixing all ten partitions: those fixing partition 0, then
+        each of them checked on its whole permutation."""
+        tables, idt = self._ten_tables, tuple(range(10))
+        fixing = [k for k, y in enumerate(self._images_of(tables, 0)) if y == 0]
+        return tuple(k for k, tp in zip(fixing, self._compose(tables, fixing)) if tp == idt)
+
+    @cached_property
+    def row_images(self) -> tuple[int, ...]:
+        """Each element's image of the five rows (partitions 0..4) as a 10-bit
+        mask, composed as in _compose: right[r] of the rows (of their conj images
+        when e = 1) as a mask, then left[l] of that mask, once per l and mask."""
+        left, right, conj = self._ten_tables
+        starts = (range(5), [conj[i] for i in range(5)])
+        inner = [[sum(1 << perm[i] for i in s) for s in starts] for perm in right]
+        images: dict[tuple[int, int], int] = {}
+        out = []
+        for l, r, e in zip(*self._factors):
+            m = inner[r][e]
+            y = images.get((l, m))
+            if y is None:
+                y = images[l, m] = sum(1 << left[l][i] for i in range(10) if m >> i & 1)
+            out.append(y)
+        return tuple(out)
 
     # ---------- stabilizers ----------
 
@@ -303,7 +331,7 @@ class SymmetryGroup:
         return tuple(k for k, op in enumerate(self.ops) if op.perm[i] == i)
 
     def stabilizer_of_cell(self, c: int) -> tuple[int, ...]:
-        return tuple(k for k, cp in enumerate(self.cell_perms) if cp[c] == c)
+        return tuple(k for k, y in enumerate(self._images_of(self._cell_tables, c)) if y == c)
 
     def orbits(self, perms: list[tuple[int, ...]], points: range) -> list[set[int]]:
         seen: set[int] = set()
@@ -327,13 +355,13 @@ class SymmetryGroup:
     @cached_property
     def center(self) -> tuple[int, ...]:
         """Elements commuting with every generator, after a first cut to the
-        elements x with x(g(0)) = g(x(0)) for the first generator g."""
+        elements x with x(g(0)) = g(x(0)) for each generator g."""
         gens = [g.perm for g in self.generators]
         perms = [op.perm for op in self.ops]
-        g = gens[0]
-        first = map(eq, map(itemgetter(g[0]), perms), itemgetter(*map(itemgetter(0), perms))(g))
-        return tuple(k for k in compress(range(len(perms)), first)
-                     if all(perms[k][g[i]] == g[perms[k][i]] for g in gens for i in range(120)))
+        ks = range(len(perms))
+        for g in gens:
+            ks = [k for k in ks if perms[k][g[0]] == g[perms[k][0]]]
+        return tuple(k for k in ks if all(perms[k][g[i]] == g[perms[k][i]] for g in gens for i in range(120)))
 
 
 @cache

@@ -176,6 +176,20 @@ def test_every_line_has_five_points_and_is_phibar_closed(geo):
         assert {t[x] for x in vecs} == vecs
 
 
+def _lines_from_every_pair(geo):
+    """The span of each of the 3,570 pairs of points: the oracle for lines,
+    which spans each line once."""
+    seen = set()
+    for a, b in combinations(range(85), 2):
+        span = {x ^ y for x in geo.points[a] | {0} for y in geo.points[b] | {0}}
+        seen.add(frozenset(geo.point_of[x] for x in span if x))
+    return tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
+
+
+def test_lines_match_the_every_pair_oracle(geo):
+    assert geo.lines == _lines_from_every_pair(geo)
+
+
 def test_plane_compositions(geo):
     assert geo.plane_compositions() == {"vertex": 60, "cell": 25}
 
@@ -203,7 +217,7 @@ def test_action_mod2_checks_every_root(geo, group):
     i, j = [k for k in range(120) if k % 7 and k not in basis and k not in images][:2]
     perm = list(g.perm)
     perm[i], perm[j] = perm[j], perm[i]
-    bad = SymOp(g.anum, g.bnum, g.den, g.parity, tuple(perm))
+    bad = SymOp(tuple(perm), g.parity)
     with pytest.raises(ValueError, match=f"induced matrix does not map root {i} to its image"):
         geo.action_mod2(bad)
 

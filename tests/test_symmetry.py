@@ -3,25 +3,40 @@ import json
 import random
 import subprocess
 import sys
+from math import gcd
 from operator import itemgetter
 
 import pytest
 
-from h4geom.golden import GoldenRational
+from h4geom.golden import GoldenInt, GoldenRational
 from h4geom.icosian import ICOSIAN_ONE
 from h4geom.symmetry import (
+    _BASIS,
     SymOp,
-    _normalized,
-    identity_op,
+    _op_from_matrix,
     left_mul,
-    negation_op,
     reflection,
     right_mul,
 )
 
 
+def identity_op():
+    return _op_from_matrix([e.scaled(GoldenInt(2)) for e in _BASIS], 2)
+
+
+def negation_op():
+    return _op_from_matrix([e.scaled(GoldenInt(-2)) for e in _BASIS], 2)
+
+
+def _reduced(anum, bnum, den):
+    """The key (d, A, B) of (A + B*phi)/d with the common gcd divided out."""
+    g = gcd(den, *anum, *bnum)
+    return den // g, tuple(x // g for x in anum), tuple(x // g for x in bnum)
+
+
 def compose(a, b):
-    """a after b, as a product of exact matrices (and of vertex permutations)."""
+    """a after b: the product of the vertex permutations, whose matrix must be
+    the product of the exact matrices."""
     anum = [0] * 16
     bnum = [0] * 16
     for r in range(4):
@@ -35,9 +50,9 @@ def compose(a, b):
                 sb += x * v + y * u + yv
             anum[4 * r + c] = sa
             bnum[4 * r + c] = sb
-    return _normalized(
-        anum, bnum, a.den * b.den, a.parity * b.parity, tuple(a.perm[i] for i in b.perm)
-    )
+    op = SymOp(tuple(a.perm[i] for i in b.perm), a.parity * b.parity)
+    assert op.key() == _reduced(anum, bnum, a.den * b.den)
+    return op
 
 
 def test_reflection_basics(cell):
@@ -134,6 +149,55 @@ def test_kernel_and_pentad_behaviour(group):
         op = group.ops[k]
         img = {group.ten_perms[k][i] for i in rows}
         assert img == (rows if op.parity == 1 else set(range(5, 10)))
+
+
+def _pentads_by_parity(group):
+    """The per-element pentad loop: True when every rotation keeps the five rows
+    and every reflection sends them to the five columns."""
+    rows, cols = set(range(5)), set(range(5, 10))
+    for k, op in enumerate(group.ops):
+        tp = group.ten_perms[k]
+        img = {tp[i] for i in rows}
+        if op.parity == 1 and img != rows:
+            return False
+        if op.parity == -1 and img != cols:
+            return False
+    return True
+
+
+def test_factor_table_queries_match_the_composed_permutations(group):
+    """Stabilizers of all 25 24-cells, the kernel on the ten partitions and the
+    row images, read off the factor tables, against the 14,400 composed
+    permutations."""
+    for c in range(25):
+        assert group.stabilizer_of_cell(c) == tuple(
+            k for k, cp in enumerate(group.cell_perms) if cp[c] == c
+        )
+    idt = tuple(range(10))
+    assert group.ten_kernel == tuple(k for k, tp in enumerate(group.ten_perms) if tp == idt)
+    assert group.row_images == tuple(sum(1 << tp[i] for i in range(5)) for tp in group.ten_perms)
+    rows, cols = 0b11111, 0b11111 << 5
+    verdict = all(img == (rows if op.parity == 1 else cols) for op, img in zip(group.ops, group.row_images))
+    assert verdict is _pentads_by_parity(group) is True
+    assert group.cell_perms_of(range(0, 14400, 7)) == group.cell_perms[::7]
+
+
+def test_a_corrupted_right_table_misleads_query_and_oracle_alike(group):
+    """Two entries of one right cell table swapped: stabilizer_of_cell and the
+    composed cell_perms both leave the truth, and in the same way."""
+    left, right, conj = group._cell_tables
+    r = group.cell.pairs[0][0]
+    c, d = 0, next(x for x in range(1, 25) if right[r][x] != right[r][0])
+    bad = list(right[r])
+    bad[c], bad[d] = bad[d], bad[c]
+    broken = copy.copy(group)
+    broken.__dict__.pop("cell_perms", None)
+    broken._cell_tables = (left, right[:r] + [tuple(bad)] + right[r + 1:], conj)
+    for x in (c, d):
+        truth = group.stabilizer_of_cell(x)
+        query = broken.stabilizer_of_cell(x)
+        assert query == tuple(k for k, cp in enumerate(broken.cell_perms) if cp[x] == x)
+        assert query != truth
 
 
 def test_every_op_permutes_all_subpolytope_families(cell, group):
@@ -239,10 +303,10 @@ def _matrix_closure(generators):
 
 
 def test_permutation_closure_matches_matrix_closure(group):
-    """Same key, parity and vertex permutation for all 14,400 elements, in the same order."""
+    """Same key, parity and vertex permutation for all 14,400 elements, both sides sorted by key."""
     oracle = _matrix_closure(group.generators)
     assert len(oracle) == 14400
-    assert [(op.key(), op.parity, op.perm) for op in group.ops] == [
+    assert sorted((op.key(), op.parity, op.perm) for op in group.ops) == [
         (op.key(), op.parity, op.perm) for op in oracle
     ]
 
@@ -272,17 +336,15 @@ def _breadth_first_closure(group):
         cols = [cell.flats[perm[b]] for b in basis]
         anum = [col[2 * r] for r in range(4) for col in cols]
         bnum = [col[2 * r + 1] for r in range(4) for col in cols]
-        ops.append(_normalized(anum, bnum, 2, parity, perm))
-    return sorted(ops, key=SymOp.key)
+        ops.append((_reduced(anum, bnum, 2), parity, perm))
+    return sorted(ops)
 
 
 def test_listing_matches_the_breadth_first_closure(group):
-    """Same key, parity and vertex permutation for all 14,400 elements, in the same order."""
+    """Same key, parity and vertex permutation for all 14,400 elements, both sides sorted by key."""
     oracle = _breadth_first_closure(group)
     assert len(oracle) == 14400
-    assert [(op.key(), op.parity, op.perm) for op in group.ops] == [
-        (op.key(), op.parity, op.perm) for op in oracle
-    ]
+    assert sorted((op.key(), op.parity, op.perm) for op in group.ops) == oracle
 
 
 def test_cell_and_ten_perms_match_set_images_on_all_elements(cell, group):
@@ -309,7 +371,7 @@ def test_listing_certificates_raise_on_a_wrong_triple_or_a_foreign_generator(cel
     swap[0], swap[1] = 1, 0  # not an isometry
     g = group.generators[0]
     broken = copy.copy(group)
-    broken.generators = (SymOp(g.anum, g.bnum, g.den, g.parity, tuple(swap)),) + group.generators[1:]
+    broken.generators = (SymOp(tuple(swap), g.parity),) + group.generators[1:]
     with pytest.raises(ValueError, match="generator 0 is not in the listing"):
         broken._certify(group.ops, ls, rs, es, at_basis)
 
