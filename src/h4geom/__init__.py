@@ -3,14 +3,11 @@ induced F4 structure on E8/2E8."""
 
 from .golden import (
     GoldenInt,
-    GoldenRational,
     PHI,
     PHI_INV,
     ReductionMap,
     golden_sign,
     phi_pow,
-    reduce_scalar,
-    split_coordinate,
 )
 from .icosian import (
     ICOSIAN_ONE,
@@ -28,14 +25,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GoldenInt",
-    "GoldenRational",
     "PHI",
     "PHI_INV",
     "ReductionMap",
     "golden_sign",
     "phi_pow",
-    "reduce_scalar",
-    "split_coordinate",
     "ICOSIAN_ONE",
     "IcosianVec",
     "element_order",

@@ -330,8 +330,8 @@ def _s6_example1():
     c = e8.cell
     conj_rel = True
     for v in c.vertices:
-        lhs = e8p.embed(v.flat)
-        rhs = e8.embed(IcosianVec(*(x.conj() for x in v.c)).flat)
+        lhs = e8p.rmap.split_vector(v.flat)
+        rhs = e8.rmap.split_vector(IcosianVec(*(x.conj() for x in v.c)).flat)
         flipped = tuple(
             x if k % 2 == 0 else -x for k, x in enumerate(rhs)
         )

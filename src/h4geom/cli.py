@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fnmatch import fnmatch
+from fractions import Fraction
 
 from . import checks, embed, mod2
 from .polytopes import duad_str, label_str, the_600cell
@@ -165,7 +166,7 @@ def _dump_lattice():
             "shells": {"2": len(e8.shell_coords[2]), "4": len(e8.shell_coords[4])},
         },
         "reduced_m0": {
-            "basis": [list(b) for b in lat.basis],
+            "basis": [[Fraction(x, 2) for x in b] for b in lat.basis],
             "gram": [list(r) for r in lat.gram],
             "determinant": lat.det,
             "census": {str(k): v for k, v in sorted(lat.census.items())},

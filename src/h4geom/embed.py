@@ -4,15 +4,16 @@ Covers the E8 embeddings of the 600-cell (m = -1 and m = +1), the m = 0
 lattice of determinant 5**4 generated by the 60 vertex pairs, and the
 partition of the 2160 norm-4 vectors of E8 into five embedded polytopes.
 
-On the E8 side (m = +-1, form multiplier 1/2) every reduced coordinate is an
-integer: a reduction map acts on the flat (a, b) coordinates of Z[phi]**4 as
-one integer 2x2 block per golden coordinate (`IntEmbedding`), lattice
-coordinates come from the integral inverse Gram matrix, and the form is half
-the integer dot product.  Each class of the norm-4 shell split is certified
-by injectivity and an 8x8 Gram identity on a Q-basis of Q(phi)**4, which by
-bilinearity fixes every pairwise inner product.  All certificates
-(evenness, unimodularity, shell counts, Gram identities) are computed in
-exact arithmetic.
+Every map is `golden.ReductionMap`: one integer 2x2 block per golden
+coordinate, acting on the flat (a, b) coordinates of Z[phi]**4.  On the E8
+side (m = +-1) the form is half the integer dot product and lattice
+coordinates come from the integral inverse Gram matrix; at m = 0 the slots
+are doubled and the form is `_quarter_form`, a quarter of the even-slot plus
+five times the odd-slot products.  Each class of the norm-4 shell split is
+certified by injectivity and an 8x8 Gram identity on a Q-basis of
+Q(phi)**4, which by bilinearity fixes every pairwise inner product.  All
+certificates (evenness, unimodularity, shell counts, Gram identities) are
+computed in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -24,21 +25,10 @@ from functools import cache, cached_property
 from math import isqrt, lcm
 from operator import mul
 
-from .golden import (
-    PHI,
-    PHI_INV,
-    GoldenInt,
-    GoldenRational,
-    ReductionMap,
-    eliminate,
-    exact_quotient,
-    phi_pow,
-    reduce_scalar,
-)
-from .icosian import Flat, IcosianVec, flat_dot
+from .golden import PHI, PHI_INV, GoldenInt, ReductionMap, eliminate, exact_quotient, phi_pow
+from .icosian import IcosianVec, flat_dot
 from .polytopes import Cell600, the_600cell
 
-Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
 
@@ -147,40 +137,6 @@ def short_vectors(gram, bound: int) -> dict[int, list[IntVec]]:
 _UNIT_FLATS = tuple(tuple(int(i == j) for j in range(8)) for i in range(8))
 
 
-@dataclass(frozen=True)
-class IntEmbedding:
-    """A reduction map on Z[phi]**4 as integer arithmetic on flat coordinates.
-
-    The golden coordinate a + b*phi goes to the slot pair a*(p, q) + b*(r, s),
-    where block = (p, q, r, s) holds the images of 1 and phi.
-    """
-
-    block: tuple[int, int, int, int]
-
-    @classmethod
-    def of(cls, rmap: ReductionMap) -> IntEmbedding:
-        """Read the block off `rmap.split_vector` and certify it on the
-        Q-basis e_i, phi*e_i.  Both maps are Q-linear, so agreeing on that
-        basis means agreeing on all of Q(phi)**4."""
-        imgs = [rmap.split_vector(IcosianVec.from_flat(u).c) for u in _UNIT_FLATS]
-        if any(x.denominator != 1 for img in imgs for x in img):
-            raise ValueError("reduction map is not integral on Z[phi]**4")
-        emb = cls((int(imgs[0][0]), int(imgs[0][1]), int(imgs[1][0]), int(imgs[1][1])))
-        if any(emb(u) != img for u, img in zip(_UNIT_FLATS, imgs)):
-            raise ValueError("integer embedding disagrees with split_vector")
-        return emb
-
-    def __call__(self, flat: Flat) -> IntVec:
-        p, q, r, s = self.block
-        a0, b0, a1, b1, a2, b2, a3, b3 = flat
-        return (
-            a0 * p + b0 * r, a0 * q + b0 * s,
-            a1 * p + b1 * r, a1 * q + b1 * s,
-            a2 * p + b2 * r, a2 * q + b2 * s,
-            a3 * p + b3 * r, a3 * q + b3 * s,
-        )
-
-
 def _half_dot(u: IntVec, v: IntVec) -> int:
     """The E8 form sum(u_k * v_k) / 2; raises if it is not an integer."""
     s = sum(map(mul, u, v))
@@ -189,10 +145,19 @@ def _half_dot(u: IntVec, v: IntVec) -> int:
     return s // 2
 
 
+def _quarter_form(u: IntVec, v: IntVec) -> int:
+    """The m = 0 form on doubled slots: (sum of even-slot products + 5 * sum
+    of odd-slot products) / 4; raises if it is not an integer."""
+    s = sum(map(mul, u[::2], v[::2])) + 5 * sum(map(mul, u[1::2], v[1::2]))
+    if s % 4:
+        raise ValueError(f"inner product {s}/4 is not an integer")
+    return s // 4
+
+
 @dataclass
 class IntLattice:
     rmap: ReductionMap
-    basis: tuple[tuple, ...]  # integers on E8, Fractions on the m = 0 lattice
+    basis: tuple[IntVec, ...]  # slots of the map: doubled on the m = 0 lattice
     gram: tuple[IntVec, ...]
     det: int
 
@@ -204,18 +169,15 @@ class E8Lattice(IntLattice):
 
     def __init__(self, cell: Cell600, rmap: ReductionMap):
         self.cell = cell
-        if reduce_scalar(PHI, rmap) == 0:
+        if rmap.reduce(PHI) == 0:
             companion = PHI
-        elif reduce_scalar(PHI_INV, rmap) == 0:
+        elif rmap.reduce(PHI_INV) == 0:
             companion = PHI_INV
         else:
             raise ValueError("map does not kill a fundamental unit; not an E8 frame")
-        if rmap.multiplier != Fraction(1, 2) or set(rmap.form_weights()) != {1}:
-            raise ValueError("the integer E8 form needs multiplier 1/2 and unit slot weights")
         self.companion_scale = companion
-        self.embed = IntEmbedding.of(rmap)
-        h_img = [self.embed(v.flat) for v in cell.vertices]
-        phi_img = [self.embed(v.scaled(companion).flat) for v in cell.vertices]
+        h_img = [rmap.split_vector(v.flat) for v in cell.vertices]
+        phi_img = [rmap.split_vector(v.scaled(companion).flat) for v in cell.vertices]
         roots = set(h_img) | set(phi_img)
         if len(roots) != 240:
             raise ValueError("H and phi*H images must give 240 distinct vectors")
@@ -281,12 +243,6 @@ class E8Lattice(IntLattice):
     bform_int = staticmethod(_half_dot)
 
 
-def _exact_int(f: Fraction) -> int:
-    if f.denominator != 1:
-        raise ValueError(f"expected an integer, got {f}")
-    return int(f)
-
-
 def _root_basis(h_img: list[IntVec]) -> tuple[IntVec, ...]:
     """Pick 8 embedded roots that form a Z-basis of the generated lattice.
 
@@ -334,8 +290,7 @@ def _root_basis(h_img: list[IntVec]) -> tuple[IntVec, ...]:
 
 @cache
 def certify_e8(m: int = -1) -> E8Lattice:
-    rmap = ReductionMap(Fraction(5), Fraction(m), multiplier=Fraction(1, 2))
-    return E8Lattice(the_600cell(), rmap)
+    return E8Lattice(the_600cell(), ReductionMap(m))
 
 
 # ---------- golden basis of the vertex module ----------
@@ -401,7 +356,7 @@ def golden_basis() -> GoldenBasis:
 
 @dataclass
 class ReducedLattice(IntLattice):
-    images: tuple[Vec, ...]
+    images: tuple[IntVec, ...]  # doubled slots, like the basis
     census: dict[int, int]
     rootless: bool  # no nonzero vector of norm <= 2
     dual_basis_identity: bool  # the scaled golden duals pair to the identity with the basis
@@ -409,27 +364,21 @@ class ReducedLattice(IntLattice):
 
 @cache
 def lattice_L() -> ReducedLattice:
-    """m = 0 image of the 600-cell with the natural (doubled) form."""
+    """m = 0 image of the 600-cell with the natural form, on doubled slots."""
     cell = the_600cell()
     gb = golden_basis()
-    rmap = ReductionMap(Fraction(5), Fraction(0), multiplier=Fraction(1))
-    phi = GoldenInt(0, 1)
+    rmap = ReductionMap(0)
 
-    images = tuple(rmap.split_vector(v.c) for v in cell.vertices)
-    basis_vecs = [rmap.split_vector(v.c) for v in gb.basis]
-    basis_vecs += [rmap.split_vector(v.scaled(phi).c) for v in gb.basis]
-    gram = tuple(
-        tuple(_exact_int(rmap.reduced_dot(b1, b2)) for b2 in basis_vecs)
-        for b1 in basis_vecs
-    )
+    images = tuple(rmap.split_vector(v.flat) for v in cell.vertices)
+    basis_vecs = [rmap.split_vector(v.flat) for v in gb.basis]
+    basis_vecs += [rmap.split_vector(v.scaled(PHI).flat) for v in gb.basis]
+    gram = tuple(tuple(_quarter_form(b1, b2) for b2 in basis_vecs) for b1 in basis_vecs)
     det = eliminate(gram).det
     if det != 625:
         raise ValueError(f"m = 0 lattice Gram determinant {det} != 625")
 
     # the 8 chosen vectors generate exactly the lattice of all 120 images
-    scaled_imgs = [tuple(int(2 * c) for c in u) for u in images]
-    scaled_basis = [tuple(int(2 * c) for c in u) for u in basis_vecs]
-    if hermite_normal_form(scaled_imgs) != hermite_normal_form(scaled_basis):
+    if hermite_normal_form(images) != hermite_normal_form(basis_vecs):
         raise ValueError("the 8 basis vectors do not generate the lattice of all 120 images")
 
     census: Counter = Counter()
@@ -439,8 +388,7 @@ def lattice_L() -> ReducedLattice:
         if cell.pair_of[i] in pair_seen:
             continue
         pair_seen.add(cell.pair_of[i])
-        val = abs(_exact_int(rmap.reduced_dot(rep, u)))
-        census[val] += 1
+        census[abs(_quarter_form(rep, u))] += 1
     if dict(census) != {4: 1, 2: 20, 1: 24, 0: 15}:
         raise ValueError(f"inner product census {dict(census)}")
 
@@ -449,7 +397,7 @@ def lattice_L() -> ReducedLattice:
         c2: Counter = Counter()
         rep2 = images[cell.pairs[j][0]]
         for pid in range(60):
-            c2[abs(_exact_int(rmap.reduced_dot(rep2, images[cell.pairs[pid][0]])))] += 1
+            c2[abs(_quarter_form(rep2, images[cell.pairs[pid][0]]))] += 1
         if dict(c2) != {4: 1, 2: 20, 1: 24, 0: 15}:
             raise ValueError(f"inner product census {dict(c2)} from pair {j}")
 
@@ -457,16 +405,16 @@ def lattice_L() -> ReducedLattice:
         raise ValueError("m = 0 lattice is not even")
     rootless = short_vectors(gram, 2) == {}
 
-    # dual basis identity: (3 - phi) w_i / 5 and (-1 + 2 phi) w_i / 5
+    # dual basis identity for (3 - phi) w_i / 5 and (-1 + 2 phi) w_i / 5: the
+    # form of the unscaled (3 - phi) w_i and (-1 + 2 phi) w_i is 5 * delta
     duals = []
     for w in gb.dual:
         for mult in (GoldenInt(3, -1), GoldenInt(-1, 2)):  # 3 - phi, -1 + 2 phi
-            coords = [GoldenRational(mult * c, 5) for c in w.c]
-            duals.append(rmap.split_vector(coords))
+            duals.append(rmap.split_vector(w.scaled(mult).flat))
     order = [0, 2, 4, 6, 1, 3, 5, 7]  # (v_i duals first block, phi v_i second)
     dual_sorted = [duals[k] for k in order]
     dual_ok = all(
-        rmap.reduced_dot(dual_sorted[a], basis_vecs[b]) == (1 if a == b else 0)
+        _quarter_form(dual_sorted[a], basis_vecs[b]) == (5 if a == b else 0)
         for a in range(8)
         for b in range(8)
     )
@@ -493,17 +441,18 @@ class ShellClass:
     isometric: bool  # injective on the source, and the Gram identity holds
 
 
-def _gram_identity(emb: IntEmbedding, rmap: ReductionMap) -> bool:
-    """<emb x, emb y> == reduce(s**2 <x, y>) / 2, s = rmap.scale, on the
-    Q-basis e_i, phi*e_i of Q(phi)**4.  Both sides are Q-bilinear, so this
-    fixes every pairwise inner product of an embedded set, not just their
+def _gram_identity(rmap: ReductionMap) -> bool:
+    """<split x, split y> == (s**2 <x, y> with sqrt5 -> m) / 2, s = phi**k,
+    on the Q-basis e_i, phi*e_i of Q(phi)**4.  Both sides are Q-bilinear, so
+    this fixes every pairwise inner product of an embedded set, not just their
     multiset."""
-    imgs = [emb(u) for u in _UNIT_FLATS]
-    scale2 = rmap.scale * rmap.scale
-    # both sides carry the form's factor 1/2, so compare the doubled values
+    imgs = [rmap.split_vector(u) for u in _UNIT_FLATS]
+    scale2 = phi_pow(2 * rmap.k)
+    # the E8 form is half the dot product and `reduce` doubles, so compare
+    # four times each side
     return all(
-        sum(map(mul, imgs[i], imgs[j]))
-        == reduce_scalar(scale2 * GoldenInt(*flat_dot(_UNIT_FLATS[i], _UNIT_FLATS[j])), rmap)
+        2 * sum(map(mul, imgs[i], imgs[j]))
+        == rmap.reduce(scale2 * GoldenInt(*flat_dot(_UNIT_FLATS[i], _UNIT_FLATS[j])))
         for i in range(8)
         for j in range(8)
     )
@@ -529,17 +478,12 @@ def decompose_norm4_shell() -> tuple[ShellClass, ...]:
     }
     classes: list[ShellClass] = []
     for k in range(-3, 4):
-        rmap_k = ReductionMap(
-            Fraction(5), Fraction(-1),
-            scale=GoldenRational(phi_pow(k)),
-            multiplier=Fraction(1, 2),
-        )
-        emb = IntEmbedding.of(rmap_k)
+        rmap = ReductionMap(-1, k)
         for name, flats in sources.items():
-            imgs = [emb(f) for f in flats]
+            imgs = [rmap.split_vector(f) for f in flats]
             if all(u in shell for u in imgs):
                 vectors = frozenset(imgs)
-                isometric = len(vectors) == len(flats) and _gram_identity(emb, rmap_k)
+                isometric = len(vectors) == len(flats) and _gram_identity(rmap)
                 classes.append(ShellClass(name, k, vectors, isometric))
     sizes = sorted(len(c.vectors) for c in classes)
     if sizes != [120, 120, 600, 600, 720]:

@@ -1,18 +1,18 @@
-"""Exact arithmetic in Z[phi] and Q(sqrt5), rational norm-reduction maps, and
-the package's one exact elimination routine.
+"""Exact arithmetic in Z[phi], the integer norm-reduction map of Z[phi]**4,
+and the package's one exact elimination routine.
 
 phi = (1 + sqrt5)/2 satisfies phi**2 = phi + 1.  Elements are stored in the
 (1, phi) integer basis, which keeps every polytope coordinate in this package
-an integer pair; the sqrt5-form x + y*sqrt5 is derived only inside the
-reduction maps.  Ranks, determinants and inverses over Z and Z[phi] all come
-from `eliminate`.  No floating point is used anywhere.
+an integer pair.  `ReductionMap` sends sqrt5 to m in {-1, 0, 1} as integer
+arithmetic on those pairs (Conway & Sloane, Sphere Packings, Lattices and
+Groups, ch. 8: m = +-1 gives E8, m = 0 the lattice of determinant 5**4).
+Ranks, determinants and inverses over Z and Z[phi] all come from
+`eliminate`.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 
@@ -108,10 +108,6 @@ class GoldenInt:
         c = self.conj()
         return c if n == 1 else -c
 
-    def sqrt5_form(self) -> tuple[Fraction, Fraction]:
-        """(x, y) with a + b*phi = x + y*sqrt5 exactly."""
-        return (Fraction(2 * self.a + self.b, 2), Fraction(self.b, 2))
-
     def halved(self) -> GoldenInt:
         if self.a % 2 or self.b % 2:
             raise ValueError(f"{self!r} is not divisible by 2")
@@ -119,8 +115,6 @@ class GoldenInt:
 
 
 GOLDEN_ZERO = GoldenInt(0, 0)
-GOLDEN_ONE = GoldenInt(1, 0)
-GOLDEN_TWO = GoldenInt(2, 0)
 PHI = GoldenInt(0, 1)
 PHI_INV = GoldenInt(-1, 1)
 
@@ -144,219 +138,48 @@ def golden_sign(x: GoldenInt) -> int:
     return 1 if 5 * q * q > p * p else -1
 
 
-class GoldenRational:
-    """num/den with num in Z[phi] and den a positive integer, kept reduced."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int | GoldenInt, den: int = 1) -> None:
-        if isinstance(num, int):
-            num = GoldenInt(num, 0)
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(gcd(abs(num.a), abs(num.b)), den)
-        if g > 1:
-            num = GoldenInt(num.a // g, num.b // g)
-            den //= g
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_fraction(cls, f: Fraction | int) -> GoldenRational:
-        f = Fraction(f)
-        return cls(GoldenInt(f.numerator, 0), f.denominator)
-
-    def __repr__(self) -> str:
-        return f"GoldenRational({self.num!r}, {self.den})"
-
-    def __str__(self) -> str:
-        return f"({self.num})/{self.den}" if self.den != 1 else str(self.num)
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.num.a, self.num.b, self.den)
-
-    def __eq__(self, other: object) -> bool:
-        other = _lift_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num.a, self.num.b, self.den))
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __neg__(self) -> GoldenRational:
-        return GoldenRational(-self.num, self.den)
-
-    def __add__(self, other) -> GoldenRational:
-        other = _lift_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GoldenRational(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> GoldenRational:
-        other = _lift_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> GoldenRational:
-        return (-self) + other
-
-    def __mul__(self, other) -> GoldenRational:
-        other = _lift_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GoldenRational(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> GoldenRational:
-        n = self.num.field_norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return GoldenRational(self.num.conj() * self.den * (1 if n > 0 else -1), abs(n))
-
-    def __truediv__(self, other) -> GoldenRational:
-        other = _lift_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other) -> GoldenRational:
-        return self.inverse() * other
-
-    def conj(self) -> GoldenRational:
-        return GoldenRational(self.num.conj(), self.den)
-
-    def sqrt5_form(self) -> tuple[Fraction, Fraction]:
-        x, y = self.num.sqrt5_form()
-        return (x / self.den, y / self.den)
-
-
-def _lift_rational(x) -> GoldenRational:
-    if isinstance(x, GoldenRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GoldenRational.from_fraction(x)
-    if isinstance(x, GoldenInt):
-        return GoldenRational(x, 1)
-    return NotImplemented
-
-
-GoldenScalar = Union[GoldenInt, GoldenRational]
-
-Sqrt5Pair = tuple[Fraction, Fraction]
-
-
-def _as_sqrt5_pair(x) -> Sqrt5Pair:
-    if isinstance(x, (GoldenInt, GoldenRational)):
-        return x.sqrt5_form()
-    a, b = x
-    return (Fraction(a), Fraction(b))
-
-
-def _rational_sqrt(f: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    p, q = f.numerator, f.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
-    return None
-
-
 @dataclass(frozen=True)
 class ReductionMap:
-    """Linear map of Q(sqrt n) to Q sending sqrt(n) to m, legal iff m**2 < n.
+    """The integer map of Z[phi]**4 to Z**8 that splits phi**k * x coordinate
+    by coordinate under sqrt5 -> m, for m in {-1, 0, 1}.
 
-    `scale` is a golden prefactor applied to vectors before they are split and
-    `multiplier` rescales the reduced quadratic form.  Both default to 1;
-    integrality of an embedded lattice is certified per embedding, never
-    assumed from a convention.
+    Write a + b*phi = (p + q*sqrt5)/2 with p = 2a + b and q = b.  For m = +-1
+    the slot pair is ((p + m*q)/2, q): sqrt(5 - m**2) = 2 is folded into the
+    second slot, and the reduced form is half the dot product of the slots.
+    For m = 0, 5 - 0**2 is not a square, so the slots are doubled to (p, q) and
+    the form is (sum of even-slot products + 5 * sum of odd-slot products) / 4.
+    `block` holds the slot pairs of phi**k and phi**(k+1), the images of the
+    flat coordinates a and b.
     """
 
-    n: Fraction
-    m: Fraction
-    scale: GoldenRational | None = None
-    multiplier: Fraction = Fraction(1)
+    m: int
+    k: int = 0
+    block: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", Fraction(self.n))
-        object.__setattr__(self, "m", Fraction(self.m))
-        object.__setattr__(self, "multiplier", Fraction(self.multiplier))
-        if self.scale is None:
-            object.__setattr__(self, "scale", GoldenRational(1))
-        if self.n <= 0:
-            raise ValueError("n must be a positive rational")
-        if self.multiplier <= 0:
-            raise ValueError("form multiplier must be positive")
-        if self.m * self.m >= self.n:
-            # The reduced form of x**2 on (x, y) = (-m, 1) would be n - m**2 <= 0,
-            # so the reduction cannot stay positive definite.
-            raise ValueError(f"|m| < sqrt(n) required, got m={self.m}, n={self.n}")
+        if self.m not in (-1, 0, 1):
+            raise ValueError(f"m must be -1, 0 or 1, got {self.m}")
+        object.__setattr__(self, "block", self._slots(phi_pow(self.k)) + self._slots(phi_pow(self.k + 1)))
 
-    @property
-    def weight(self) -> Fraction:
-        return self.n - self.m * self.m
+    def _slots(self, x: GoldenInt) -> tuple[int, int]:
+        p, q = 2 * x.a + x.b, x.b
+        return (p, q) if self.m == 0 else ((p + self.m * q) // 2, q)
 
-    @property
-    def weight_root(self) -> Fraction | None:
-        return _rational_sqrt(self.weight)
+    def reduce(self, x: GoldenInt) -> int:
+        """Twice x with sqrt5 -> m: (p + q*sqrt5)/2 goes to p + m*q."""
+        return 2 * x.a + (1 + self.m) * x.b
 
-    def slot_weights(self) -> tuple[Fraction, Fraction]:
-        """Diagonal form weights of one split coordinate pair (before multiplier)."""
-        if self.weight_root is not None:
-            return (Fraction(1), Fraction(1))
-        return (Fraction(1), self.weight)
-
-    def split_pair(self, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
-        s = self.weight_root
-        return (x + self.m * y, s * y if s is not None else y)
-
-    def split_vector(self, coords: Sequence[GoldenScalar]) -> tuple[Fraction, ...]:
-        out: list[Fraction] = []
-        for c in coords:
-            sc = self.scale * c if isinstance(c, GoldenRational) else self.scale * GoldenRational(c)
-            out.extend(self.split_pair(*sc.sqrt5_form()))
-        return tuple(out)
-
-    def form_weights(self, ncoords: int = 4) -> tuple[Fraction, ...]:
-        w1, w2 = self.slot_weights()
-        return (w1, w2) * ncoords
-
-    def reduced_dot(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        acc = Fraction(0)
-        for uk, vk, wk in zip(u, v, self.form_weights(len(u) // 2)):
-            acc += wk * uk * vk
-        return self.multiplier * acc
-
-    def reduced_norm(self, u: Sequence[Fraction]) -> Fraction:
-        return self.reduced_dot(u, u)
-
-
-def reduce_scalar(value, rmap: ReductionMap) -> Fraction:
-    """Send x + y*sqrt(n) to x + y*m.  `value` is a sqrt5-form pair or golden."""
-    x, y = _as_sqrt5_pair(value)
-    return x + y * rmap.m
-
-
-def split_coordinate(value, rmap: ReductionMap) -> tuple[Fraction, Fraction]:
-    """Split x + y*sqrt(n) into the two reduced coordinates of the map.
-
-    When n - m**2 is a rational square its root is folded into the second
-    slot and the form is diagonal (1, 1); otherwise the second slot carries
-    symbolic weight n - m**2 (see `slot_weights`).
-    """
-    x, y = _as_sqrt5_pair(value)
-    return rmap.split_pair(x, y)
+    def split_vector(self, flat: Sequence[int]) -> tuple[int, ...]:
+        """The slots of a flat vector (a0, b0, ..., a3, b3): a*(p, q) + b*(r, s)
+        per coordinate, where block = (p, q, r, s)."""
+        p, q, r, s = self.block
+        a0, b0, a1, b1, a2, b2, a3, b3 = flat
+        return (
+            a0 * p + b0 * r, a0 * q + b0 * s,
+            a1 * p + b1 * r, a1 * q + b1 * s,
+            a2 * p + b2 * r, a2 * q + b2 * s,
+            a3 * p + b3 * r, a3 * q + b3 * s,
+        )
 
 
 # ---------- exact elimination over Z and Z[phi] ----------

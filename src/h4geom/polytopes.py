@@ -13,14 +13,13 @@ tuple (row, col) with row in 1..5 and col in 6..10 (10 is printed as X).
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from operator import mul
 
-from .golden import GoldenInt, PHI_INV, eliminate, golden_sign
+from .golden import GoldenInt, PHI_INV, eliminate
 from .icosian import (
     ICOSIAN_ONE,
     Flat,
@@ -84,10 +83,6 @@ class Cell600:
                 row.append(_PP_KEYS[(a // 2, b // 2)])
             rows.append(tuple(row))
         return tuple(rows)
-
-    def paper_inner_product(self, i: int, j: int) -> GoldenInt:
-        a, b = flat_dot(self.flats[i], self.flats[j])
-        return GoldenInt(a // 2, b // 2)
 
     # ---------- antipodal pairs ----------
 
@@ -461,20 +456,6 @@ class Cell600:
             raise ValueError("a decagon does not hold 10 edges")
         return {e: d for d, es in pair_edges.items() for e in es}
 
-    def pentagon_of_decagon(self, d: frozenset[int]) -> tuple[int, ...]:
-        """The representative pentagon containing the least vertex of the decagon."""
-        verts = sorted(v for p in d for v in self.pairs[p])
-        v0 = verts[0]
-        pent = [v0]
-        for p in sorted(d):
-            if p == self.pair_of[v0]:
-                continue
-            w, wneg = self.pairs[p]
-            pent.append(w if self.pp[v0][w] in ("phi-inv", "-phi") else wneg)
-        if not all(self.pp[a][b] in ("phi-inv", "-phi") for a, b in combinations(pent, 2)):
-            raise ValueError("a pentagon has a pair not at product phi-inv or -phi")
-        return tuple(sorted(pent))
-
     # ---------- prime arrays ----------
 
     def prime_array(self, p: int) -> "PrimeArray":
@@ -555,17 +536,6 @@ class Cell600:
         if len(verts) != 720:
             raise ValueError(f"{len(verts)} rectified vertices, not 720")
         return verts
-
-    def rectified_shape_census(self) -> Counter:
-        census: Counter = Counter()
-        for w in self.rectified:
-            key = tuple(sorted(_golden_abs(c).key() for c in w.c))
-            census[key] += 1
-        return census
-
-
-def _golden_abs(x: GoldenInt) -> GoldenInt:
-    return x if golden_sign(x) >= 0 else -x
 
 
 @dataclass(frozen=True)

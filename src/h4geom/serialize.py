@@ -9,15 +9,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .golden import GoldenInt, GoldenRational
+from .golden import GoldenInt
 from .icosian import IcosianVec
 
 
 def jsonable(obj):
     if isinstance(obj, GoldenInt):
         return [obj.a, obj.b]
-    if isinstance(obj, GoldenRational):
-        return str(obj)
     if isinstance(obj, Fraction):
         return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, IcosianVec):

@@ -19,8 +19,9 @@ from __future__ import annotations
 from functools import cache, cached_property
 from math import gcd
 from operator import itemgetter
+from typing import Callable
 
-from .golden import GoldenInt, GoldenRational, eliminate
+from .golden import GoldenInt, eliminate
 from .icosian import (
     ICOSIAN_ONE, Flat, IcosianVec, generate_vertices, inverse_index, mult_table, mulclose_indices,
     quat_mul, vertex_index,
@@ -107,17 +108,6 @@ class SymOp:
     def __repr__(self) -> str:
         return f"SymOp(den={self.den}, parity={self.parity:+d})"
 
-    def matrix(self) -> tuple[tuple[GoldenRational, ...], ...]:
-        den, anum, bnum = self.key()
-        return tuple(
-            tuple(GoldenRational(GoldenInt(anum[4 * r + c], bnum[4 * r + c]), den) for c in range(4))
-            for r in range(4)
-        )
-
-    def apply_vec(self, v: IcosianVec) -> IcosianVec:
-        den, anum, bnum = self.key()
-        return IcosianVec.from_flat(_apply(anum, bnum, den, v.flat))
-
 
 def _op_from_matrix(cols: list[IcosianVec], den: int) -> SymOp:
     anum = tuple(col.c[r].a for r in range(4) for col in cols)
@@ -130,14 +120,18 @@ def _op_from_matrix(cols: list[IcosianVec], den: int) -> SymOp:
     ).det
     unit = den**4
     if det not in (unit, -unit):
-        raise ValueError(f"determinant {GoldenRational(det, unit)} is not a sign")
+        raise ValueError(f"determinant ({det})/{unit} is not a sign")
     return SymOp(perm, 1 if det == unit else -1)
 
 
-def _set_images(perm: tuple[int, ...], sets: tuple[frozenset[int], ...]) -> tuple[int, ...]:
-    """The index in sets of each set's image under perm; KeyError if an image is not in sets."""
+_Action = Callable[[tuple[int, ...]], tuple[int, ...]]
+
+
+def _set_action(sets: tuple[frozenset[int], ...]) -> _Action:
+    """The map of a permutation to the index in sets of each set's image,
+    with sets indexed once; it raises KeyError if an image is not in sets."""
     index = {s: k for k, s in enumerate(sets)}
-    return tuple(index[frozenset([perm[x] for x in s])] for s in sets)
+    return lambda perm: tuple(index[frozenset([perm[x] for x in s])] for s in sets)
 
 
 def left_mul(v: IcosianVec) -> SymOp:
@@ -242,18 +236,18 @@ class SymmetryGroup:
     def pair_perm(self, op: SymOp) -> tuple[int, ...]:
         return self._pair_action(op.perm)
 
+    @cached_property
+    def _on_cells(self) -> _Action:
+        """A permutation of the 60 pairs to the one it induces on the 25 24-cells."""
+        return _set_action(self.cell.cells24)
+
     def _cell_action(self, perm: tuple[int, ...]) -> tuple[int, ...]:
         """The permutation of the 25 24-cells induced by a vertex permutation;
         raises KeyError if an image is not a 24-cell."""
-        return _set_images(self._pair_action(perm), self.cell.cells24)
+        return self._on_cells(self._pair_action(perm))
 
     def cell_perm(self, op: SymOp) -> tuple[int, ...]:
         return self._cell_action(op.perm)
-
-    def ten_perm(self, op: SymOp) -> tuple[int, ...]:
-        """The permutation of the ten partitions (symbols 1..5, 6..X) induced
-        by op; raises KeyError if an image is not a partition."""
-        return _set_images(self.cell_perm(op), self.cell.partitions)
 
     @cached_property
     def _cell_tables(self) -> tuple[list, list, tuple[int, ...]]:
@@ -265,9 +259,8 @@ class SymmetryGroup:
     def _ten_tables(self) -> tuple[list, list, tuple[int, ...]]:
         """The cell tables projected onto the ten partitions."""
         left, right, conj = self._cell_tables
-        parts = self.cell.partitions
-        return [_set_images(p, parts) for p in left], [_set_images(p, parts) for p in right], \
-            _set_images(conj, parts)
+        act = _set_action(self.cell.partitions)
+        return [act(p) for p in left], [act(p) for p in right], act(conj)
 
     def _compose(self, tables: tuple[list, list, tuple[int, ...]], ks) -> tuple[tuple[int, ...], ...]:
         """The action of each element k in ks as left[l] o right[r], then o conj

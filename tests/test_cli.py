@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
-from h4geom import checks, embed
+from pathlib import Path
+
+from h4geom import checks, embed, golden
 from h4geom.cli import _DUMPERS, main
 from h4geom.serialize import dumps, jsonable
-from h4geom.golden import PHI, GoldenInt, GoldenRational
+from h4geom.golden import GoldenInt
 from fractions import Fraction
 
 
@@ -14,7 +17,6 @@ def test_jsonable_encodings():
     assert jsonable(GoldenInt(3, -2)) == [3, -2]
     assert jsonable(Fraction(1, 2)) == "1/2"
     assert jsonable(Fraction(4, 2)) == 2
-    assert jsonable(GoldenRational(GoldenInt(1, 1), 2)) == "(1+1φ)/2"
     assert jsonable({2: {1, 3}}) == {"2": [1, 3]}
 
 
@@ -175,21 +177,22 @@ def test_example2_reports_its_stored_certificates(monkeypatch, lat_l):
 
 def test_example3_fails_on_a_corrupted_shell_image(monkeypatch, e8):
     """The shell split's map for phi**1 is swapped for a non-isometric one."""
-    real_of = embed.IntEmbedding.of.__func__
+    real_post_init = golden.ReductionMap.__post_init__
 
-    def corrupted_of(cls, rmap):
-        emb = real_of(cls, rmap)
-        if rmap.scale == GoldenRational(PHI):
-            p, q, r, s = emb.block
-            return cls((p + r, q + s, r, s))
-        return emb
+    def corrupted_post_init(self):
+        real_post_init(self)
+        if self.k == 1:
+            p, q, r, s = self.block
+            object.__setattr__(self, "block", (p + r, q + s, r, s))
 
-    monkeypatch.setattr(embed.IntEmbedding, "of", classmethod(corrupted_of))
+    monkeypatch.setattr(golden.ReductionMap, "__post_init__", corrupted_post_init)
     embed.decompose_norm4_shell.cache_clear()
     try:
-        assert checks.run_check("s6/example3").status == "fail"
+        result = checks.run_check("s6/example3")
     finally:
         embed.decompose_norm4_shell.cache_clear()
+    assert result.status == "fail"
+    assert result.observed == {"error": "ValueError: shell class sizes [120, 120, 600, 720]"}
 
 
 def test_example3_reports_the_gram_certificate(monkeypatch, shell_classes):
@@ -241,21 +244,19 @@ def test_phi_reports_its_stored_certificates(monkeypatch, geo):
 
 _CORRUPT_PHI1_SHELL_MAP = """
 import json
-from h4geom import checks, embed
-from h4geom.golden import PHI, GoldenRational
+from h4geom import checks, golden
 
-real_of = embed.IntEmbedding.of.__func__
-
-
-def corrupted_of(cls, rmap):
-    emb = real_of(cls, rmap)
-    if rmap.scale == GoldenRational(PHI):
-        p, q, r, s = emb.block
-        return cls((p + r, q + s, r, s))
-    return emb
+real_post_init = golden.ReductionMap.__post_init__
 
 
-embed.IntEmbedding.of = classmethod(corrupted_of)
+def corrupted_post_init(self):
+    real_post_init(self)
+    if self.k == 1:
+        p, q, r, s = self.block
+        object.__setattr__(self, "block", (p + r, q + s, r, s))
+
+
+golden.ReductionMap.__post_init__ = corrupted_post_init
 result = checks.run_check("s6/example3")
 print(json.dumps([result.status, result.observed]))
 """
@@ -457,3 +458,21 @@ def test_group_without_a_generating_pair_names_the_cause_under_python_O():
     status, observed = json.loads(out.stdout.splitlines()[-1])
     assert status == "fail"
     assert observed == {"error": "ValueError: no icosian generates 2I with g"}
+
+
+def test_traced_verify_counts_each_shell_split_call(tmp_path):
+    """The benchmark's traced op wraps `golden.ReductionMap.split_vector` by
+    name; the shell split calls it once per source vector and scaling
+    (1,440 x 7), so a rename would show here, not as failed traced ops."""
+    repo = Path(__file__).resolve().parents[1]
+    report = tmp_path / "r.json"
+    out = subprocess.run(
+        [sys.executable, "perfbench/stages.py", "0", "all", "--", "verify", "--report", str(report)],
+        cwd=repo,
+        env=dict(os.environ, PYTHONPATH=str(repo / "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    counts = json.loads(out.stdout.splitlines()[-1])["counts"]["0"]
+    assert counts["golden.split_vector_calls"] >= 7 * 1440

@@ -7,19 +7,23 @@ from hypothesis import given, settings, strategies as st
 
 from h4geom.golden import (
     GoldenInt,
-    GoldenRational,
     PHI,
+    PHI_INV,
     ReductionMap,
     eliminate,
     exact_quotient,
     phi_pow,
 )
 from h4geom.embed import (
-    IntEmbedding,
+    E8Lattice,
     _gram_identity,
+    _quarter_form,
     hermite_normal_form,
     short_vectors,
 )
+from h4geom.icosian import IcosianVec
+
+from golden_oracle import FractionMap, GoldenRational
 
 
 def test_hnf_is_canonical_and_detects_lattice_equality():
@@ -133,13 +137,13 @@ def test_short_vectors_on_known_forms():
 
 
 def test_split_vector_is_injective_on_the_vertices(cell):
-    rmap = ReductionMap(F(5), F(-1), multiplier=F(1, 2))
-    vecs = [rmap.split_vector(v.c) for v in cell.vertices]
+    rmap = ReductionMap(-1)
+    vecs = [rmap.split_vector(v.flat) for v in cell.vertices]
     assert len(set(vecs)) == len(vecs) == 120
 
 
 def test_rectified_embeds_at_m_minus_2_with_norm_4(cell):
-    rmap = ReductionMap(F(5), F(-2))
+    rmap = FractionMap(F(5), F(-2))
     vecs = [rmap.split_vector(v.c) for v in cell.rectified]
     assert len(set(vecs)) == len(vecs) == 720
     for v in vecs:
@@ -228,9 +232,8 @@ def test_both_signs_certify_and_are_conjugate(e8, e8_plus):
     assert e8_plus.det == 1 and len(e8_plus.roots) == 240
     cell = e8.cell
     for v in cell.vertices[::17]:
-        lhs = e8_plus.rmap.split_vector(v.c)
-        conj = [c.conj() for c in v.c]
-        rhs = e8.rmap.split_vector(conj)
+        lhs = e8_plus.rmap.split_vector(v.flat)
+        rhs = e8.rmap.split_vector(IcosianVec(*(c.conj() for c in v.c)).flat)
         assert tuple(lhs) == tuple(x if k % 2 == 0 else -x for k, x in enumerate(rhs))
 
 
@@ -281,7 +284,7 @@ def test_shell_class_norms(shell_classes, e8):
 
 
 def test_scaled_reduction_map_fields():
-    rmap = ReductionMap(
+    rmap = FractionMap(
         F(5), F(-1), scale=GoldenRational(PHI), multiplier=F(1, 2)
     )
     assert rmap.scale == GoldenRational(GoldenInt(0, 1))
@@ -289,31 +292,69 @@ def test_scaled_reduction_map_fields():
     assert rmap.weight == 4 and rmap.weight_root == 2
 
 
-def _rmap(m, k=0):
-    return ReductionMap(F(5), F(m), scale=GoldenRational(phi_pow(k)), multiplier=F(1, 2))
+def _fraction_map(m, k=0):
+    return FractionMap(F(5), F(m), scale=GoldenRational(phi_pow(k)), multiplier=F(1, 2))
 
 
-def test_integer_embedding_matches_split_vector(cell):
+def _with_block(rmap, block):
+    """rmap with its slot block replaced, as a corrupted map would have it."""
+    object.__setattr__(rmap, "block", block)
+    return rmap
+
+
+def test_integer_map_matches_the_fraction_oracle(cell):
     """Whole domain of the shell split: all 1,440 source vectors at every
     scaling it tries, and the 600-cell with its companion at m = +1."""
     sources = (*cell.vertices, *cell.cell120.vertices, *cell.rectified)
     assert len(sources) == 1440
     for k in range(-3, 4):
-        rmap = _rmap(-1, k)
-        emb = IntEmbedding.of(rmap)
+        rmap, oracle = ReductionMap(-1, k), _fraction_map(-1, k)
         for v in sources:
-            assert emb(v.flat) == rmap.split_vector(v.c)
-    rmap = _rmap(1)
-    emb = IntEmbedding.of(rmap)
-    assert emb.block == (1, 0, 1, 1)
+            assert rmap.split_vector(v.flat) == oracle.split_vector(v.c)
+    rmap, oracle = ReductionMap(1), _fraction_map(1)
+    assert rmap.block == (1, 0, 1, 1)
     for v in cell.vertices:
-        for w in (v, v.scaled(GoldenInt(-1, 1))):
-            assert emb(w.flat) == rmap.split_vector(w.c)
+        for w in (v, v.scaled(PHI_INV)):
+            assert rmap.split_vector(w.flat) == oracle.split_vector(w.c)
 
 
-def test_integer_embedding_rejects_a_non_integral_map():
-    with pytest.raises(ValueError):
-        IntEmbedding.of(ReductionMap(F(5), F(0)))
+def test_m0_map_is_twice_the_fraction_oracle(cell, gb):
+    """The doubled m = 0 slots on the 120 vertices, the golden basis and its
+    phi multiple, and both scaled duals (3 - phi) w / 5 and (-1 + 2 phi) w / 5,
+    whose unscaled images are ten times the oracle's."""
+    rmap, oracle = ReductionMap(0), FractionMap(F(5), F(0))
+    assert rmap.block == (2, 0, 1, 1)
+    vectors = (*cell.vertices, *gb.basis, *(v.scaled(PHI) for v in gb.basis))
+    for v in vectors:
+        assert rmap.split_vector(v.flat) == tuple(2 * x for x in oracle.split_vector(v.c))
+    for w in gb.dual:
+        for mult in (GoldenInt(3, -1), GoldenInt(-1, 2)):
+            scaled = oracle.split_vector([GoldenRational(mult * c, 5) for c in w.c])
+            assert rmap.split_vector(w.scaled(mult).flat) == tuple(10 * x for x in scaled)
+
+
+def test_quarter_form_matches_reduced_dot_on_all_pair_representatives(cell):
+    rmap, oracle = ReductionMap(0), FractionMap(F(5), F(0))
+    reps = [cell.vertices[i] for i, _ in cell.pairs]
+    assert len(reps) == 60
+    ints = [rmap.split_vector(v.flat) for v in reps]
+    fracs = [oracle.split_vector(v.c) for v in reps]
+    for u, fu in zip(ints, fracs):
+        for w, fw in zip(ints, fracs):
+            assert _quarter_form(u, w) == oracle.reduced_dot(fu, fw)
+    with pytest.raises(ValueError, match="not an integer"):
+        _quarter_form((1, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0))
+
+
+def test_reduction_map_rejects_m_outside_minus_one_to_one():
+    for m in (2, -2, 3):
+        with pytest.raises(ValueError, match="m must be -1, 0 or 1"):
+            ReductionMap(m)
+
+
+def test_e8_lattice_rejects_a_map_that_kills_no_unit(cell):
+    with pytest.raises(ValueError, match="does not kill a fundamental unit"):
+        E8Lattice(cell, ReductionMap(0))
 
 
 def test_integer_coords_match_fraction_inverse(e8):
@@ -330,11 +371,12 @@ def test_integer_coords_match_fraction_inverse(e8):
 
 
 def test_bform_int_matches_reduced_dot_on_all_root_pairs(e8):
+    oracle = _fraction_map(-1)
     roots = sorted(e8.roots)
     fr = [tuple(F(c) for c in u) for u in roots]
     for u, fu in zip(roots, fr):
         for v, fv in zip(roots, fr):
-            assert e8.bform_int(u, v) == e8.rmap.reduced_dot(fu, fv)
+            assert e8.bform_int(u, v) == oracle.reduced_dot(fu, fv)
     with pytest.raises(ValueError):
         e8.bform_int((1, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0))
 
@@ -345,11 +387,12 @@ def test_shell_classes_are_certified_isometric(shell_classes):
 
 def test_gram_identity_rejects_wrong_scale_and_non_isometric_map():
     for k in range(-3, 4):
-        emb = IntEmbedding.of(_rmap(-1, k))
-        assert _gram_identity(emb, _rmap(-1, k))
-        assert not _gram_identity(emb, _rmap(-1, k + 1))
+        block = ReductionMap(-1, k).block
+        assert _gram_identity(ReductionMap(-1, k))
+        assert not _gram_identity(_with_block(ReductionMap(-1, k + 1), block))
+        assert not _gram_identity(_with_block(ReductionMap(-1, k - 1), block))
     # the m = +1 block is not an isometry for the m = -1 reduction
-    assert not _gram_identity(IntEmbedding.of(_rmap(1)), _rmap(-1))
+    assert not _gram_identity(_with_block(ReductionMap(-1), ReductionMap(1).block))
 
 
 def test_elimination_certificates_keep_their_values(gb, e8, e8_plus, group):

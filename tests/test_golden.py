@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from h4geom.golden import (
     GoldenInt,
-    GoldenRational,
     PHI,
     PHI_INV,
     ReductionMap,
@@ -14,10 +13,16 @@ from h4geom.golden import (
     exact_quotient,
     golden_sign,
     phi_pow,
-    reduce_scalar,
-    split_coordinate,
 )
 from h4geom.polytopes import the_600cell
+
+from golden_oracle import (
+    FractionMap,
+    GoldenRational,
+    reduce_scalar,
+    split_coordinate,
+    sqrt5_form,
+)
 
 coeff = st.integers(-40, 40)
 golden = st.builds(GoldenInt, coeff, coeff)
@@ -58,9 +63,9 @@ def test_field_norm_multiplicative(x):
 
 @given(golden, golden)
 def test_sqrt5_form_round_trip(x, y):
-    xa, xb = x.sqrt5_form()
-    ya, yb = y.sqrt5_form()
-    pa, pb = (x * y).sqrt5_form()
+    xa, xb = sqrt5_form(x)
+    ya, yb = sqrt5_form(y)
+    pa, pb = sqrt5_form(x * y)
     # (xa + xb s)(ya + yb s) with s**2 = 5
     assert pa == xa * ya + 5 * xb * yb
     assert pb == xa * yb + xb * ya
@@ -75,7 +80,7 @@ def test_sign_is_consistent(x):
     else:
         assert golden_sign(x * x) == 1
         # bracket with rational bounds 2236/1000 < sqrt5 < 2237/1000
-        xa, xb = x.sqrt5_form()
+        xa, xb = sqrt5_form(x)
         lo = xa + xb * (F(2236, 1000) if xb >= 0 else F(2237, 1000))
         hi = xa + xb * (F(2237, 1000) if xb >= 0 else F(2236, 1000))
         if lo > 0:
@@ -102,29 +107,29 @@ def test_unit_inverse_and_powers():
 
 
 def test_reduce_scalar_examples():
-    m_minus1 = ReductionMap(F(5), F(-1))
+    m_minus1 = FractionMap(F(5), F(-1))
     assert reduce_scalar((F(6), F(2)), m_minus1) == 4
     assert reduce_scalar((F(17), F(0)), m_minus1) == 17
-    m_minus2 = ReductionMap(F(5), F(-2))
+    m_minus2 = FractionMap(F(5), F(-2))
     assert reduce_scalar((F(20), F(8)), m_minus2) == 4
 
 
 def test_split_coordinate_examples():
     x, y = F(3), F(2)
-    assert split_coordinate((x, y), ReductionMap(F(5), F(-1))) == (x - y, 2 * y)
-    assert split_coordinate((x, y), ReductionMap(F(5), F(0))) == (x, y)
-    assert ReductionMap(F(5), F(0)).slot_weights() == (1, 5)
-    assert split_coordinate((x, y), ReductionMap(F(5), F(2))) == (x + 2 * y, y)
-    assert split_coordinate((x, y), ReductionMap(F(5), F(1))) == (x + y, 2 * y)
+    assert split_coordinate((x, y), FractionMap(F(5), F(-1))) == (x - y, 2 * y)
+    assert split_coordinate((x, y), FractionMap(F(5), F(0))) == (x, y)
+    assert FractionMap(F(5), F(0)).slot_weights() == (1, 5)
+    assert split_coordinate((x, y), FractionMap(F(5), F(2))) == (x + 2 * y, y)
+    assert split_coordinate((x, y), FractionMap(F(5), F(1))) == (x + y, 2 * y)
 
 
 def test_map_rejects_out_of_range_m():
     for bad in (F(3), F(-3), F(2237, 1000)):  # all have m**2 >= 5
         with pytest.raises(ValueError):
-            ReductionMap(F(5), bad)
+            FractionMap(F(5), bad)
     with pytest.raises(ValueError):
-        ReductionMap(F(4), F(2))  # equality on the boundary
-    ReductionMap(F(5), F(2236, 1000))  # just inside is fine
+        FractionMap(F(4), F(2))  # equality on the boundary
+    FractionMap(F(5), F(2236, 1000))  # just inside is fine
 
 
 @given(st.fractions(min_value=-10, max_value=10), st.fractions(min_value=F(1, 4), max_value=12))
@@ -132,18 +137,18 @@ def test_positivity_exactly_below_boundary(m, n):
     """The witness scalar -m + sqrt(n) has reduced square norm n - m**2."""
     witness_sq = (F(m * m + n), F(-2 * m))  # (x + y sqrt n)**2 at (x, y) = (-m, 1)
     if m * m < n:
-        rmap = ReductionMap(n, m)
+        rmap = FractionMap(n, m)
         assert reduce_scalar(witness_sq, rmap) == n - m * m > 0
     else:
         assert F(witness_sq[0]) + F(witness_sq[1]) * m <= 0
         with pytest.raises(ValueError):
-            ReductionMap(n, m)
+            FractionMap(n, m)
 
 
 @pytest.mark.parametrize("m", [0, 1, -1, 2, -2])
 def test_split_norm_matches_reduced_norm_on_all_vertices(m):
     cell = the_600cell()
-    rmap = ReductionMap(F(5), F(m))
+    rmap = FractionMap(F(5), F(m))
     for v in cell.vertices:
         split = rmap.split_vector(v.c)
         natural = v.dot(v)
@@ -152,7 +157,7 @@ def test_split_norm_matches_reduced_norm_on_all_vertices(m):
 
 def test_scaled_map_norm_compatibility():
     cell = the_600cell()
-    rmap = ReductionMap(F(5), F(-1), scale=GoldenRational(PHI), multiplier=F(1, 2))
+    rmap = FractionMap(F(5), F(-1), scale=GoldenRational(PHI), multiplier=F(1, 2))
     for v in cell.vertices[:24]:
         split = rmap.split_vector(v.c)
         scaled_norm = v.scaled(PHI).dot(v.scaled(PHI))
@@ -234,3 +239,8 @@ def test_exact_quotient_divides_exactly_or_reports_none(x, d, n, m):
     if m > 1:
         assert exact_quotient(n * m + 1, m) is None
     assert exact_quotient(GoldenInt(1, 1), GoldenInt(2, 0)) is None
+
+
+@given(golden, st.sampled_from([-1, 0, 1]), st.integers(-3, 3))
+def test_integer_reduce_is_twice_the_fraction_reduction(x, m, k):
+    assert ReductionMap(m, k).reduce(x) == 2 * reduce_scalar(x, FractionMap(F(5), F(m)))

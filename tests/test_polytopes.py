@@ -2,16 +2,43 @@ from collections import Counter
 from itertools import combinations
 
 from h4geom import checks
-from h4geom.golden import GoldenInt
+from h4geom.golden import GoldenInt, golden_sign
 from h4geom.icosian import ICOSIAN_ONE, flat_dot
 from h4geom.polytopes import Cell120, label_str, perm_parity
 
 PHI_KEY = (0, 1)
 
 
+def paper_inner_product(cell, i, j):
+    a, b = flat_dot(cell.flats[i], cell.flats[j])
+    return GoldenInt(a // 2, b // 2)
+
+
+def pentagon_of_decagon(cell, d):
+    """The representative pentagon containing the least vertex of the decagon."""
+    verts = sorted(v for p in d for v in cell.pairs[p])
+    v0 = verts[0]
+    pent = [v0]
+    for p in sorted(d):
+        if p == cell.pair_of[v0]:
+            continue
+        w, wneg = cell.pairs[p]
+        pent.append(w if cell.pp[v0][w] in ("phi-inv", "-phi") else wneg)
+    assert all(cell.pp[a][b] in ("phi-inv", "-phi") for a, b in combinations(pent, 2))
+    return tuple(sorted(pent))
+
+
+def rectified_shape_census(cell):
+    """How many rectified vertices have each multiset of absolute coordinates."""
+    census = Counter()
+    for w in cell.rectified:
+        census[tuple(sorted((c if golden_sign(c) >= 0 else -c).key() for c in w.c))] += 1
+    return census
+
+
 def test_inner_product_values_and_distribution(cell):
     i0 = cell.index[ICOSIAN_ONE.flat]
-    assert cell.paper_inner_product(i0, i0) == GoldenInt(2, 0)
+    assert paper_inner_product(cell, i0, i0) == GoldenInt(2, 0)
     dist = Counter(cell.pp[i0][j] for j in range(cell.n) if j != i0)
     assert dist == {
         "phi": 12, "-phi": 12, "phi-inv": 12, "-phi-inv": 12,
@@ -19,7 +46,7 @@ def test_inner_product_values_and_distribution(cell):
     }
     a = cell.index[(2, 0, 0, 0, 0, 0, 0, 0)]
     b = cell.index[(0, 0, 2, 0, 0, 0, 0, 0)]
-    assert cell.paper_inner_product(a, b) == GoldenInt(0, 0)
+    assert paper_inner_product(cell, a, b) == GoldenInt(0, 0)
 
 
 def test_every_distinct_product_is_in_the_allowed_set(cell):
@@ -146,7 +173,7 @@ def test_decagons_and_pentagons(cell):
     assert len(decs) == 72
     assert all(len(d) == 5 for d in decs)
     assert len(cell.decagon_of_edge) == 720
-    pents = [cell.pentagon_of_decagon(d) for d in decs]
+    pents = [pentagon_of_decagon(cell, d) for d in decs]
     assert len(pents) == 72
     assert all(len(p) == 5 for p in pents)
     all_duads = {(r, c) for r in range(1, 6) for c in range(6, 11)}
@@ -223,7 +250,7 @@ def test_120cell_rows_and_columns_are_600cells(cell):
     d = cell.cell120
     spectrum_h = Counter()
     for i, j in combinations(range(cell.n), 2):
-        spectrum_h[cell.paper_inner_product(i, j).key()] += 1
+        spectrum_h[paper_inner_product(cell, i, j).key()] += 1
     col = d.col_vertices(0)
     assert len(col) == 120
     spec = Counter()
@@ -275,7 +302,7 @@ def test_rectified_600cell(cell):
     assert len(r) == 720
     for w in r[:50]:
         assert w.dot(w) == GoldenInt(12, 16)  # 20 + 8*sqrt(5)
-    census = cell.rectified_shape_census()
+    census = rectified_shape_census(cell)
     expected_shapes = {
         ((0, 0), (0, 0), (0, 2), (2, 2)),  # (0, 0, 2phi, 2phi^2)
         ((1, 0), (1, 0), (1, 2), (1, 2)),  # (1, 1, phi^3, phi^3)
