@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import embed, mod2, symmetry
-from .golden import GoldenInt
+from .golden import PHI
 from .icosian import (
     ICOSIAN_ONE,
-    IcosianVec,
     element_order_index,
     generate_vertices,
     mult_table,
@@ -155,7 +154,8 @@ def _fact8():
     has_inverses = all(any(table[i][j] == one for j in range(n)) for i in range(n))
     shapes = Counter()
     for v in verts:
-        nz = sorted((abs(x.a), abs(x.b)) for x in v.c)
+        f = v.flat
+        nz = sorted((abs(f[k]), abs(f[k + 1])) for k in (0, 2, 4, 6))
         if nz == [(0, 0), (0, 0), (0, 0), (2, 0)]:
             shapes["axis"] += 1
         elif nz == [(1, 0)] * 4:
@@ -326,12 +326,13 @@ def _s5_pentads():
 def _s6_example1():
     e8 = embed.certify_e8(-1)
     e8p = embed.certify_e8(1)
-    phi = GoldenInt(0, 1)
     c = e8.cell
     conj_rel = True
     for v in c.vertices:
-        lhs = e8p.rmap.split_vector(v.flat)
-        rhs = e8.rmap.split_vector(IcosianVec(*(x.conj() for x in v.c)).flat)
+        f = v.flat
+        lhs = e8p.rmap.split_vector(f)
+        # the Galois conjugate (a, b) -> (a + b, -b) of each coordinate
+        rhs = e8.rmap.split_vector(tuple(x for k in (0, 2, 4, 6) for x in (f[k] + f[k + 1], -f[k + 1])))
         flipped = tuple(
             x if k % 2 == 0 else -x for k, x in enumerate(rhs)
         )
@@ -345,7 +346,7 @@ def _s6_example1():
         "root_pair_inner_products": sorted(root_products),
         "h_norms": sorted({e8.bform_int(u, u) for u in e8.h_img}),
         "phi_h_scaled_norm_6_plus_2sqrt5_reduces_to_4": all(
-            (v.scaled(phi).dot(v.scaled(phi))).key() == (4, 4) for v in c.vertices[:5]
+            (v.scaled(PHI).dot(v.scaled(PHI))).key() == (4, 4) for v in c.vertices
         ),
     }
 

@@ -160,7 +160,7 @@ def _dump_lattice():
     lat = embed.lattice_L()
     return {
         "e8": {
-            "basis": [list(b) for b in e8.basis_int],
+            "basis": [list(b) for b in e8.basis],
             "gram": [list(r) for r in e8.gram],
             "determinant": e8.det,
             "shells": {"2": len(e8.shell_coords[2]), "4": len(e8.shell_coords[4])},

@@ -175,7 +175,6 @@ class E8Lattice(IntLattice):
             companion = PHI_INV
         else:
             raise ValueError("map does not kill a fundamental unit; not an E8 frame")
-        self.companion_scale = companion
         h_img = [rmap.split_vector(v.flat) for v in cell.vertices]
         phi_img = [rmap.split_vector(v.scaled(companion).flat) for v in cell.vertices]
         roots = set(h_img) | set(phi_img)
@@ -193,7 +192,6 @@ class E8Lattice(IntLattice):
             raise ValueError("lattice is not even")
 
         super().__init__(rmap=rmap, basis=basis, gram=gram, det=elim.det)
-        self.basis_int = basis
         self.gram_inv = elim.adj  # the inverse, since det G = 1
         self.h_img = tuple(h_img)
         self.phi_img = tuple(phi_img)
@@ -217,7 +215,7 @@ class E8Lattice(IntLattice):
     def coords_of(self, amb: IntVec) -> IntVec:
         """x with amb = x * basis.  p = basis * amb equals 2 * G x, so amb is
         in the lattice iff every p_i is even, and then x = (p / 2) G^-1."""
-        p = [sum(map(mul, b, amb)) for b in self.basis_int]
+        p = [sum(map(mul, b, amb)) for b in self.basis]
         if any(pi % 2 for pi in p):
             raise ValueError(f"{amb} is not a lattice vector")
         return tuple(
@@ -226,15 +224,8 @@ class E8Lattice(IntLattice):
 
     def from_coords(self, coords: IntVec) -> IntVec:
         return tuple(
-            sum(coords[k] * self.basis_int[k][j] for k in range(8)) for j in range(8)
+            sum(coords[k] * self.basis[k][j] for k in range(8)) for j in range(8)
         )
-
-    def contains(self, amb: IntVec) -> bool:
-        try:
-            self.coords_of(amb)
-            return True
-        except ValueError:
-            return False
 
     @cached_property
     def norm4_shell(self) -> frozenset[IntVec]:
@@ -307,23 +298,23 @@ class GoldenBasis:
 def golden_basis() -> GoldenBasis:
     """First 4 vertices (in the deterministic order) whose Z[phi]-span
     contains all 120 vertices; the dual basis certifies self-duality."""
-    cell = the_600cell()
-    verts = cell.vertices
+    verts = the_600cell().vertices
+    coords = [v.c for v in verts]  # GoldenInt coordinates for eliminate, read once
 
     def coords_all_integral(idxs: list[int]) -> bool:
         # coordinates w * B^-1 = w * adj B / det B
-        inv = eliminate([verts[i].c for i in idxs])
+        inv = eliminate([coords[i] for i in idxs])
         return all(
-            exact_quotient(sum(w.c[k] * inv.adj[k][j] for k in range(4)), inv.det) is not None
-            for w in verts
+            exact_quotient(sum(w[k] * inv.adj[k][j] for k in range(4)), inv.det) is not None
+            for w in coords
             for j in range(4)
         )
 
     def search(start: int, chosen: list[int]):
         if len(chosen) == 4:
             return tuple(chosen) if coords_all_integral(chosen) else None
-        for i in range(start, len(verts)):
-            if eliminate([verts[j].c for j in chosen + [i]]).rank == len(chosen) + 1:
+        for i in range(start, len(coords)):
+            if eliminate([coords[j] for j in chosen + [i]]).rank == len(chosen) + 1:
                 got = search(i + 1, chosen + [i])
                 if got:
                     return got
@@ -339,13 +330,13 @@ def golden_basis() -> GoldenBasis:
         raise ValueError(f"golden Gram determinant {gram.det} is not a unit")
     dual = []
     for j in range(4):
-        coords = [
-            exact_quotient(sum(gram.adj[j][k] * basis[k].c[c] for k in range(4)), gram.det)
+        dual_coords = [
+            exact_quotient(sum(gram.adj[j][k] * coords[idxs[k]][c] for k in range(4)), gram.det)
             for c in range(4)
         ]
-        if None in coords:
+        if None in dual_coords:
             raise ValueError("dual basis leaves Z[phi]: lattice not self-dual")
-        dual.append(IcosianVec(*coords))
+        dual.append(IcosianVec(x for g in dual_coords for x in g.key()))
     dual = tuple(dual)
     if any(basis[i].paper_dot(dual[j]) != (1 if i == j else 0) for i in range(4) for j in range(4)):
         raise ValueError("dual basis does not pair to the identity with the basis")

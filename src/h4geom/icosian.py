@@ -1,17 +1,20 @@
 """The 120 unit icosians as a quaternion group over Z[phi].
 
-Vertices are kept at "standard scale" (twice the unit-quaternion scale), so
-every coordinate is a GoldenInt and the natural norm of a vertex is 4.  The
-group product rescales by 1/2 so the 120-element set is closed under it.
+A golden 4-vector is held as its flat integer 8-tuple (a0, b0, ..., a3, b3),
+coordinate r being a_r + b_r*phi.  Vertices are kept at "standard scale"
+(twice the unit-quaternion scale), so every coordinate is an integer pair and
+the natural norm of a vertex is 4.  The group product rescales by 1/2 so the
+120-element set is closed under it.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import permutations, product as iproduct
+from operator import add, neg, sub
 from typing import Iterable
 
-from .golden import GOLDEN_ZERO, GoldenInt, PHI, PHI_INV
+from .golden import GoldenInt
 
 Flat = tuple[int, ...]  # (a0, b0, a1, b1, a2, b2, a3, b3)
 
@@ -19,29 +22,23 @@ Flat = tuple[int, ...]  # (a0, b0, a1, b1, a2, b2, a3, b3)
 class IcosianVec:
     """Golden 4-vector; coordinates are quaternion scalars for (1, i, j, k)."""
 
-    __slots__ = ("c",)
+    __slots__ = ("flat",)
 
-    def __init__(self, c0: GoldenInt, c1: GoldenInt, c2: GoldenInt, c3: GoldenInt):
-        self.c = (c0, c1, c2, c3)
-
-    @classmethod
-    def from_flat(cls, flat: Flat) -> IcosianVec:
-        a0, b0, a1, b1, a2, b2, a3, b3 = flat
-        return cls(GoldenInt(a0, b0), GoldenInt(a1, b1), GoldenInt(a2, b2), GoldenInt(a3, b3))
+    def __init__(self, flat: Flat):
+        self.flat = tuple(flat)
 
     @property
-    def flat(self) -> Flat:
-        c = self.c
-        return (c[0].a, c[0].b, c[1].a, c[1].b, c[2].a, c[2].b, c[3].a, c[3].b)
+    def c(self) -> tuple[GoldenInt, ...]:
+        """The four coordinates as GoldenInts, built on each read: for elimination
+        over Z[phi], so read it once per vector, outside any loop."""
+        f = self.flat
+        return (GoldenInt(f[0], f[1]), GoldenInt(f[2], f[3]), GoldenInt(f[4], f[5]), GoldenInt(f[6], f[7]))
 
     def __repr__(self) -> str:
-        return f"IcosianVec{self.c}"
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(x) for x in self.c) + ")"
+        return f"IcosianVec({self.flat})"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IcosianVec) and self.c == other.c
+        return isinstance(other, IcosianVec) and self.flat == other.flat
 
     def __hash__(self) -> int:
         return hash(self.flat)
@@ -50,31 +47,35 @@ class IcosianVec:
         return self.flat < other.flat
 
     def __neg__(self) -> IcosianVec:
-        return IcosianVec(*(-x for x in self.c))
+        return IcosianVec(map(neg, self.flat))
 
     def __add__(self, other: IcosianVec) -> IcosianVec:
-        return IcosianVec(*(x + y for x, y in zip(self.c, other.c)))
+        return IcosianVec(map(add, self.flat, other.flat))
 
     def __sub__(self, other: IcosianVec) -> IcosianVec:
-        return IcosianVec(*(x - y for x, y in zip(self.c, other.c)))
+        return IcosianVec(map(sub, self.flat, other.flat))
 
     def scaled(self, s: GoldenInt) -> IcosianVec:
-        return IcosianVec(*(s * x for x in self.c))
+        """s times each coordinate: (p + q*phi)(a + b*phi) = (pa + qb) + (pb + qa + qb)*phi."""
+        p, q = s.a, s.b
+        f = self.flat
+        out = []
+        for k in (0, 2, 4, 6):
+            a, b = f[k], f[k + 1]
+            out += (p * a + q * b, p * b + q * a + q * b)
+        return IcosianVec(out)
 
     def dot(self, other: IcosianVec) -> GoldenInt:
         """Natural inner product (norm 4 on vertices at standard scale)."""
-        acc = GOLDEN_ZERO
-        for x, y in zip(self.c, other.c):
-            acc = acc + x * y
-        return acc
+        return GoldenInt(*flat_dot(self.flat, other.flat))
 
     def paper_dot(self, other: IcosianVec) -> GoldenInt:
         """Natural inner product divided by 2 (value 2 on a vertex with itself)."""
         return self.dot(other).halved()
 
     def quat_conj(self) -> IcosianVec:
-        c = self.c
-        return IcosianVec(c[0], -c[1], -c[2], -c[3])
+        a0, b0, a1, b1, a2, b2, a3, b3 = self.flat
+        return IcosianVec((a0, b0, -a1, -b1, -a2, -b2, -a3, -b3))
 
 
 def flat_dot(u: Flat, v: Flat) -> tuple[int, int]:
@@ -118,7 +119,7 @@ def _halved(raw: Flat) -> Flat:
 
 def quat_mul(u: IcosianVec, v: IcosianVec) -> IcosianVec:
     """Plain quaternion product (no rescale)."""
-    return IcosianVec.from_flat(_flat_quat_mul(u.flat, v.flat))
+    return IcosianVec(_flat_quat_mul(u.flat, v.flat))
 
 
 def icosian_mul(u: IcosianVec, v: IcosianVec) -> IcosianVec:
@@ -127,10 +128,10 @@ def icosian_mul(u: IcosianVec, v: IcosianVec) -> IcosianVec:
     Exact only when every coordinate of the raw product is divisible by 2,
     which holds whenever both factors are norm-4 icosians.
     """
-    return IcosianVec.from_flat(_halved(_flat_quat_mul(u.flat, v.flat)))
+    return IcosianVec(_halved(_flat_quat_mul(u.flat, v.flat)))
 
 
-ICOSIAN_ONE = IcosianVec(GoldenInt(2), GOLDEN_ZERO, GOLDEN_ZERO, GOLDEN_ZERO)
+ICOSIAN_ONE = IcosianVec((2, 0, 0, 0, 0, 0, 0, 0))
 
 
 def perm_parity(seq) -> int:
@@ -150,24 +151,23 @@ def generate_vertices() -> tuple[IcosianVec, ...]:
     permutations, 16 of (±1,±1,±1,±1), and 96 of (0,±1,±phi,±1/phi) under
     even permutations.
     """
-    two, one = GoldenInt(2), GoldenInt(1)
     verts: set[IcosianVec] = set()
     for pos in range(4):
-        for s in (1, -1):
-            c = [GOLDEN_ZERO] * 4
-            c[pos] = two * s
-            verts.add(IcosianVec(*c))
+        for s in (2, -2):
+            f = [0] * 8
+            f[2 * pos] = s
+            verts.add(IcosianVec(f))
     for signs in iproduct((1, -1), repeat=4):
-        verts.add(IcosianVec(*(one * s for s in signs)))
-    base = (GOLDEN_ZERO, one, PHI, PHI_INV)
+        verts.add(IcosianVec(x for s in signs for x in (s, 0)))
+    base = ((0, 0), (1, 0), (0, 1), (-1, 1))  # 0, 1, phi, 1/phi as (a, b)
     for perm in _EVEN_PERMS4:
         placed = [base[perm.index(i)] for i in range(4)]
-        nz = [i for i in range(4) if placed[i]]
+        nz = [i for i in range(4) if placed[i] != (0, 0)]
         for signs in iproduct((1, -1), repeat=3):
             c = list(placed)
             for i, s in zip(nz, signs):
-                c[i] = c[i] * s
-            verts.add(IcosianVec(*c))
+                c[i] = (s * c[i][0], s * c[i][1])
+            verts.add(IcosianVec(x for pair in c for x in pair))
     out = tuple(sorted(verts))
     if len(out) != 120:
         raise ValueError(f"{len(out)} vertices, not 120")
@@ -230,7 +230,7 @@ def cell24_base_indices() -> frozenset[int]:
     """Indices of the 24 vertices of shapes (±2,0,0,0) and (±1,±1,±1,±1)."""
     out = []
     for i, v in enumerate(generate_vertices()):
-        if all(x.b == 0 for x in v.c):
+        if not any(v.flat[1::2]):
             out.append(i)
     if len(out) != 24:
         raise ValueError(f"{len(out)} base 24-cell vertices, not 24")

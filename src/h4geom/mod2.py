@@ -117,7 +117,7 @@ class F4Geometry:
         self.root_coords = tuple(e8.coords_of(u) for u in e8.h_img)
         self.phi_coords = tuple(e8.coords_of(u) for u in e8.phi_img)
         vid_of_root = {u: i for i, u in enumerate(e8.h_img)}
-        self._basis_vids = tuple(vid_of_root[b] for b in e8.basis_int)
+        self._basis_vids = tuple(vid_of_root[b] for b in e8.basis)
         self.phi = self._build_phi()
         self.class_of_h = tuple(map(self._class_of, self.root_coords))
         self.class_of_phi_h = tuple(map(self._class_of, self.phi_coords))

@@ -19,7 +19,8 @@ def jsonable(obj):
     if isinstance(obj, Fraction):
         return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, IcosianVec):
-        return [[c.a, c.b] for c in obj.c]
+        f = obj.flat
+        return [[f[k], f[k + 1]] for k in (0, 2, 4, 6)]
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):

@@ -5,9 +5,9 @@ l, r, and (l, r), (-l, -r) give the same map (Conway & Smith, On Quaternions and
 Octonions, ch. 4): the group is 2I x 2I / {+-(1, 1)} extended by conjugation,
 listed straight from the Cayley table as 14,400 vertex permutations with their
 parity (+1 rotation, -1 reflection) and their triples (l, r, e), in listing
-order, and certified against five generators.  An element's exact matrix is
-read on demand off its images of the vertices 2e_0..2e_3: an integer matrix
-pair (A, B) with common denominator d, meaning (A + B*phi)/d.  Its actions on
+order, and certified against five generators.  An isometry is fixed by its
+images of the vertices 2e_0..2e_3, so no element carries a matrix: only the
+five generators are built from exact matrices (A + B*phi)/d.  The actions on
 the 25 24-cells and the ten partitions are composed from those of x -> l*x,
 x -> x*r and x -> conj(x); stabilizers, the kernel on the partitions and the
 images of the five rows are read off those 120-entry tables without composing
@@ -17,7 +17,6 @@ every element's permutation.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from math import gcd
 from operator import itemgetter
 from typing import Callable
 
@@ -28,9 +27,7 @@ from .icosian import (
 )
 from .polytopes import Cell600, the_600cell
 
-_BASIS = tuple(
-    IcosianVec(*(GoldenInt(1 if k == r else 0) for r in range(4))) for k in range(4)
-)
+_BASIS = tuple(IcosianVec(int(j == 2 * k) for j in range(8)) for k in range(4))
 
 
 @cache
@@ -38,19 +35,6 @@ def _basis_images() -> itemgetter:
     """A vertex permutation's images of the vertices 2e_0..2e_3."""
     idx = vertex_index()
     return itemgetter(*(idx[e.scaled(GoldenInt(2)).flat] for e in _BASIS))
-
-
-def _read_key(perm: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(d, A, B) of the isometry permuting the vertices by perm: column c of
-    A + B*phi is the image of 2e_c over d = 2, then reduced by the common gcd."""
-    verts = generate_vertices()
-    cols = [verts[i].c for i in _basis_images()(perm)]
-    anum = tuple(col[r].a for r in range(4) for col in cols)
-    bnum = tuple(col[r].b for r in range(4) for col in cols)
-    g = gcd(2, *anum, *bnum)
-    if g > 1:
-        return 2 // g, tuple(x // g for x in anum), tuple(x // g for x in bnum)
-    return 2, anum, bnum
 
 
 def _apply(anum: tuple[int, ...], bnum: tuple[int, ...], den: int, flat: Flat) -> Flat:
@@ -72,32 +56,13 @@ def _apply(anum: tuple[int, ...], bnum: tuple[int, ...], den: int, flat: Flat) -
 
 class SymOp:
     """An exact isometry of the 600-cell: a vertex permutation, which fixes
-    the isometry, and its parity.  The matrix is read off perm when first asked for."""
+    the isometry, and its parity (+1 rotation, -1 reflection)."""
 
-    __slots__ = ("parity", "perm", "_key")
+    __slots__ = ("parity", "perm")
 
     def __init__(self, perm: tuple[int, ...], parity: int):
         self.perm = perm
         self.parity = parity
-        self._key = None
-
-    def key(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(d, A, B) of the matrix (A + B*phi)/d."""
-        if self._key is None:
-            self._key = _read_key(self.perm)
-        return self._key
-
-    @property
-    def den(self) -> int:
-        return self.key()[0]
-
-    @property
-    def anum(self) -> tuple[int, ...]:
-        return self.key()[1]
-
-    @property
-    def bnum(self) -> tuple[int, ...]:
-        return self.key()[2]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SymOp) and self.perm == other.perm
@@ -106,12 +71,12 @@ class SymOp:
         return hash(self.perm)
 
     def __repr__(self) -> str:
-        return f"SymOp(den={self.den}, parity={self.parity:+d})"
+        return f"SymOp(parity={self.parity:+d})"
 
 
 def _op_from_matrix(cols: list[IcosianVec], den: int) -> SymOp:
-    anum = tuple(col.c[r].a for r in range(4) for col in cols)
-    bnum = tuple(col.c[r].b for r in range(4) for col in cols)
+    anum = tuple(col.flat[2 * r] for r in range(4) for col in cols)
+    bnum = tuple(col.flat[2 * r + 1] for r in range(4) for col in cols)
     idx = vertex_index()
     perm = tuple(idx[_apply(anum, bnum, den, v.flat)] for v in generate_vertices())
     # det((A + B*phi)/d) = +-1 exactly when det(A + B*phi) = +-d**4
@@ -245,9 +210,6 @@ class SymmetryGroup:
         """The permutation of the 25 24-cells induced by a vertex permutation;
         raises KeyError if an image is not a 24-cell."""
         return self._on_cells(self._pair_action(perm))
-
-    def cell_perm(self, op: SymOp) -> tuple[int, ...]:
-        return self._cell_action(op.perm)
 
     @cached_property
     def _cell_tables(self) -> tuple[list, list, tuple[int, ...]]:

@@ -1,19 +1,24 @@
-"""The Fraction reduction layer that `h4geom.golden.ReductionMap` replaced:
-the oracle the integer map is tested against.
+"""The Fraction reduction layer that `h4geom.golden.ReductionMap` replaced,
+and the four-GoldenInt golden vector that the flat `h4geom.icosian.IcosianVec`
+replaced: the oracles the integer code is tested against.
 
 `GoldenRational` is Q(phi) as num/den with num in Z[phi].  `FractionMap`
 sends sqrt(n) to any rational m with m**2 < n on the sqrt5-form x + y*sqrt5
 of each coordinate, with a golden prefactor `scale` and a form `multiplier`.
+`GoldenVec` holds four GoldenInt coordinates and does all its arithmetic,
+the quaternion product included, in GoldenInt; `oracle_vertices` builds the
+120 icosians with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product as iproduct
 from math import gcd, isqrt
 from typing import Sequence, Union
 
-from h4geom.golden import GoldenInt
+from h4geom.golden import GOLDEN_ZERO, PHI, PHI_INV, GoldenInt
 
 
 class GoldenRational:
@@ -219,3 +224,97 @@ def split_coordinate(value, rmap: FractionMap) -> tuple[Fraction, Fraction]:
     """
     x, y = _as_sqrt5_pair(value)
     return rmap.split_pair(x, y)
+
+
+# ---------- golden 4-vectors as four GoldenInts ----------
+
+
+class GoldenVec:
+    """Golden 4-vector with GoldenInt coordinates for the quaternion units (1, i, j, k)."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c0: GoldenInt, c1: GoldenInt, c2: GoldenInt, c3: GoldenInt):
+        self.c = (c0, c1, c2, c3)
+
+    @classmethod
+    def of(cls, v) -> GoldenVec:
+        """The oracle copy of an `IcosianVec`, read off its flat integers."""
+        f = v.flat
+        return cls(*(GoldenInt(f[k], f[k + 1]) for k in (0, 2, 4, 6)))
+
+    @property
+    def flat(self) -> tuple[int, ...]:
+        return tuple(x for g in self.c for x in (g.a, g.b))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GoldenVec) and self.c == other.c
+
+    def __hash__(self) -> int:
+        return hash(self.flat)
+
+    def __lt__(self, other: GoldenVec) -> bool:
+        return self.flat < other.flat
+
+    def __neg__(self) -> GoldenVec:
+        return GoldenVec(*(-x for x in self.c))
+
+    def __add__(self, other: GoldenVec) -> GoldenVec:
+        return GoldenVec(*(x + y for x, y in zip(self.c, other.c)))
+
+    def __sub__(self, other: GoldenVec) -> GoldenVec:
+        return GoldenVec(*(x - y for x, y in zip(self.c, other.c)))
+
+    def scaled(self, s: GoldenInt) -> GoldenVec:
+        return GoldenVec(*(s * x for x in self.c))
+
+    def dot(self, other: GoldenVec) -> GoldenInt:
+        acc = GOLDEN_ZERO
+        for x, y in zip(self.c, other.c):
+            acc = acc + x * y
+        return acc
+
+    def quat_conj(self) -> GoldenVec:
+        c = self.c
+        return GoldenVec(c[0], -c[1], -c[2], -c[3])
+
+    def quat_mul(self, other: GoldenVec) -> GoldenVec:
+        """The Hamilton product (no rescale)."""
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = other.c
+        return GoldenVec(
+            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+        )
+
+    def icosian_mul(self, other: GoldenVec) -> GoldenVec:
+        """The product at standard scale: the Hamilton product halved."""
+        return GoldenVec(*(x.halved() for x in self.quat_mul(other).c))
+
+
+def oracle_vertices() -> tuple[GoldenVec, ...]:
+    """The 120 icosians at standard scale, sorted by their flat coordinates:
+    (+-2,0,0,0) under all coordinate permutations, (+-1,+-1,+-1,+-1), and
+    (0,+-1,+-phi,+-1/phi) under even permutations."""
+    two, one = GoldenInt(2), GoldenInt(1)
+    verts: set[GoldenVec] = set()
+    for pos in range(4):
+        for s in (1, -1):
+            c = [GOLDEN_ZERO] * 4
+            c[pos] = two * s
+            verts.add(GoldenVec(*c))
+    for signs in iproduct((1, -1), repeat=4):
+        verts.add(GoldenVec(*(one * s for s in signs)))
+    base = (GOLDEN_ZERO, one, PHI, PHI_INV)
+    even = [p for p in permutations(range(4)) if sum(a > b for i, a in enumerate(p) for b in p[i + 1:]) % 2 == 0]
+    for perm in even:
+        placed = [base[perm.index(i)] for i in range(4)]
+        nz = [i for i in range(4) if placed[i]]
+        for signs in iproduct((1, -1), repeat=3):
+            c = list(placed)
+            for i, s in zip(nz, signs):
+                c[i] = c[i] * s
+            verts.add(GoldenVec(*c))
+    return tuple(sorted(verts))

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -280,7 +281,7 @@ import json
 from h4geom import checks, embed
 
 e8 = embed.certify_e8(-1)
-basis = set(e8.basis_int)
+basis = set(e8.basis)
 i = next(k for k, u in enumerate(e8.h_img) if u not in basis)
 images = list(e8.phi_img)
 images[i] = tuple(-x for x in images[i])  # still a lattice vector, and the same class mod 2
@@ -476,3 +477,65 @@ def test_traced_verify_counts_each_shell_split_call(tmp_path):
     assert out.returncode == 0, out.stderr
     counts = json.loads(out.stdout.splitlines()[-1])["counts"]["0"]
     assert counts["golden.split_vector_calls"] >= 7 * 1440
+
+
+_DOUBLED_VERTEX = """
+import json
+from h4geom import checks
+from h4geom.golden import GoldenInt
+from h4geom.polytopes import the_600cell
+
+before = checks.run_check("s6/example1")  # caches certify_e8(-1) and certify_e8(+1)
+cell = the_600cell()
+cell.vertices = cell.vertices[:100] + (cell.vertices[100].scaled(GoldenInt(2)),) + cell.vertices[101:]
+after = checks.run_check("s6/example1")
+print(json.dumps([before.status, before.observed, after.status, after.observed]))
+"""
+
+
+def test_s6_example1_checks_the_phi_norm_on_every_vertex():
+    """Vertex 100 doubled after both E8 certificates are cached: the phi-norm
+    field alone turns False.  The m = +-1 conjugate relation is linear, so it
+    still holds on the doubled vertex."""
+    out = subprocess.run(
+        [sys.executable, "-c", _DOUBLED_VERTEX],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    before_status, before, after_status, after = json.loads(out.stdout.splitlines()[-1])
+    field = "phi_h_scaled_norm_6_plus_2sqrt5_reduces_to_4"
+    assert before_status == "pass" and before[field] is True
+    assert after_status == "fail"
+    assert {k for k in before if before[k] != after[k]} == {field}
+    assert after[field] is False
+
+
+def _perfbench_checker():
+    """perfbench/checker.py, loaded by path and only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_and_dumps_match_the_frozen_digests(tmp_path):
+    """The full report (less elapsed_ms) and all six dumps, each from a fresh
+    `python -m h4geom.cli` process, byte for byte against perfbench/digests.json."""
+    checker = _perfbench_checker()
+    digests = checker.load_digests()
+    assert set(digests["dumps"]) == set(_DUMPERS)
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+
+    def cli(*argv):
+        subprocess.run([sys.executable, "-m", "h4geom.cli", *argv], env=env, capture_output=True, check=True)
+
+    report = tmp_path / "report.json"
+    cli("verify", "--report", str(report))
+    assert checker.report_problems(report.read_text(), digests) == []
+    for obj in sorted(digests["dumps"]):
+        out = tmp_path / f"{obj}.json"
+        cli("dump", obj, "--out", str(out))
+        assert checker.dump_problems(obj, out.read_bytes(), digests) == []

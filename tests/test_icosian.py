@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from h4geom import icosian
-from h4geom.golden import GoldenInt
+from h4geom.golden import GoldenInt, phi_pow
 from h4geom.icosian import (
     ICOSIAN_ONE,
     IcosianVec,
@@ -20,6 +20,8 @@ from h4geom.icosian import (
     quat_mul,
     vertex_index,
 )
+
+from golden_oracle import GoldenVec, oracle_vertices
 
 VERTS = generate_vertices()
 TABLE = mult_table()
@@ -75,7 +77,7 @@ def test_table_is_the_icosian_product_on_every_pair():
 
 def test_mult_table_rejects_a_product_off_the_standard_scale(monkeypatch):
     verts = list(VERTS)
-    verts[0] = IcosianVec(GoldenInt(1), GoldenInt(0), GoldenInt(0), GoldenInt(0))
+    verts[0] = IcosianVec((1, 0, 0, 0, 0, 0, 0, 0))
     monkeypatch.setattr(icosian, "generate_vertices", lambda: tuple(verts))
     with pytest.raises(ValueError, match="not at standard scale"):
         mult_table.__wrapped__()
@@ -174,18 +176,55 @@ def test_base_24cell_is_a_subgroup():
 
 
 def test_icosian_mul_rejects_non_icosians():
-    w = IcosianVec(GoldenInt(1), GoldenInt(0), GoldenInt(0), GoldenInt(0))
+    w = IcosianVec((1, 0, 0, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         icosian_mul(w, w)  # unit-scale input is not standard scale
 
 
 def test_quat_mul_matches_hand_values():
-    i_vec = IcosianVec(GoldenInt(0), GoldenInt(2), GoldenInt(0), GoldenInt(0))
-    j_vec = IcosianVec(GoldenInt(0), GoldenInt(0), GoldenInt(2), GoldenInt(0))
-    k_vec = IcosianVec(GoldenInt(0), GoldenInt(0), GoldenInt(0), GoldenInt(2))
+    i_vec = IcosianVec((0, 0, 2, 0, 0, 0, 0, 0))
+    j_vec = IcosianVec((0, 0, 0, 0, 2, 0, 0, 0))
+    k_vec = IcosianVec((0, 0, 0, 0, 0, 0, 2, 0))
     assert icosian_mul(i_vec, j_vec) == k_vec
     assert icosian_mul(j_vec, i_vec) == -k_vec
     assert icosian_mul(i_vec, i_vec) == -ICOSIAN_ONE
-    assert quat_mul(ICOSIAN_ONE, ICOSIAN_ONE) == IcosianVec(
-        GoldenInt(4), GoldenInt(0), GoldenInt(0), GoldenInt(0)
-    )
+    assert quat_mul(ICOSIAN_ONE, ICOSIAN_ONE) == IcosianVec((4, 0, 0, 0, 0, 0, 0, 0))
+
+
+def test_generate_vertices_equals_the_golden_construction_in_order():
+    oracle = oracle_vertices()
+    assert len(oracle) == 120
+    assert [v.flat for v in VERTS] == [w.flat for w in oracle]
+    assert [v.c for v in VERTS] == [w.c for w in oracle]
+
+
+def test_unary_arithmetic_matches_the_golden_oracle_on_every_vertex():
+    for v in VERTS:
+        w = GoldenVec.of(v)
+        assert v.c == w.c
+        assert (-v).flat == (-w).flat
+        assert v.quat_conj().flat == w.quat_conj().flat
+
+
+def test_binary_arithmetic_matches_the_golden_oracle_on_every_vertex_pair():
+    """add, sub, dot, quat_mul and icosian_mul on all 14,400 ordered pairs."""
+    oracle = [GoldenVec.of(v) for v in VERTS]
+    for u, ou in zip(VERTS, oracle):
+        for v, ov in zip(VERTS, oracle):
+            assert (u + v).flat == (ou + ov).flat
+            assert (u - v).flat == (ou - ov).flat
+            assert u.dot(v) == ou.dot(ov)
+            assert quat_mul(u, v).flat == ou.quat_mul(ov).flat
+            assert icosian_mul(u, v).flat == ou.icosian_mul(ov).flat
+
+
+def test_scaled_matches_the_golden_oracle_on_the_three_polytopes(cell):
+    """phi**k (k = -3..3), 2, 3 - phi and -1 + 2*phi times every vertex of the
+    600-cell, the 120-cell and the rectified 600-cell."""
+    scalars = [phi_pow(k) for k in range(-3, 4)] + [GoldenInt(2), GoldenInt(3, -1), GoldenInt(-1, 2)]
+    verts = cell.vertices + cell.cell120.vertices + cell.rectified
+    assert len(verts) == 120 + 600 + 720
+    for v in verts:
+        w = GoldenVec.of(v)
+        for s in scalars:
+            assert v.scaled(s).flat == w.scaled(s).flat

@@ -38,9 +38,9 @@ def test_q_well_defined_on_classes(geo):
         lift = [0] * 8
         for i in range(8):
             if x >> i & 1:
-                lift = [a + b for a, b in zip(lift, e8.basis_int[i])]
+                lift = [a + b for a, b in zip(lift, e8.basis[i])]
         q1 = (e8.bform_int(tuple(lift), tuple(lift)) // 2) & 1
-        for shift in (e8.basis_int[0], e8.basis_int[5]):
+        for shift in (e8.basis[0], e8.basis[5]):
             moved = tuple(a + 2 * b for a, b in zip(lift, shift))
             q2 = (e8.bform_int(moved, moved) // 2) & 1
             assert q2 == q1 == geo.q[x]

@@ -3,17 +3,19 @@ import json
 import random
 import subprocess
 import sys
+from functools import cache
 from math import gcd
 from operator import itemgetter
 
 import pytest
 
 from h4geom.golden import GoldenInt
-from h4geom.icosian import ICOSIAN_ONE, IcosianVec
+from h4geom.icosian import ICOSIAN_ONE, IcosianVec, generate_vertices
 from h4geom.symmetry import (
     _BASIS,
     SymOp,
     _apply,
+    _basis_images,
     _op_from_matrix,
     _set_action,
     left_mul,
@@ -32,9 +34,21 @@ def negation_op():
     return _op_from_matrix([e.scaled(GoldenInt(-2)) for e in _BASIS], 2)
 
 
+@cache
+def _read_key(perm):
+    """(d, A, B) of the isometry permuting the vertices by perm: column c of
+    A + B*phi is the image of 2e_c over d = 2, then reduced by the common gcd.
+    The matrix oracle for the permutation group."""
+    verts = generate_vertices()
+    cols = [verts[i].flat for i in _basis_images()(perm)]
+    anum = tuple(col[2 * r] for r in range(4) for col in cols)
+    bnum = tuple(col[2 * r + 1] for r in range(4) for col in cols)
+    return _reduced(anum, bnum, 2)
+
+
 def matrix(op):
     """The exact matrix of op, entries (A + B*phi)/d."""
-    den, anum, bnum = op.key()
+    den, anum, bnum = _read_key(op.perm)
     return tuple(
         tuple(GoldenRational(GoldenInt(anum[4 * r + c], bnum[4 * r + c]), den) for c in range(4))
         for r in range(4)
@@ -42,14 +56,14 @@ def matrix(op):
 
 
 def apply_vec(op, v):
-    den, anum, bnum = op.key()
-    return IcosianVec.from_flat(_apply(anum, bnum, den, v.flat))
+    den, anum, bnum = _read_key(op.perm)
+    return IcosianVec(_apply(anum, bnum, den, v.flat))
 
 
 def ten_perm(group, op):
     """The permutation of the ten partitions (symbols 1..5, 6..X) induced by
     op; raises KeyError if an image is not a partition."""
-    return _set_action(group.cell.partitions)(group.cell_perm(op))
+    return _set_action(group.cell.partitions)(group._cell_action(op.perm))
 
 
 def _reduced(anum, bnum, den):
@@ -61,21 +75,23 @@ def _reduced(anum, bnum, den):
 def compose(a, b):
     """a after b: the product of the vertex permutations, whose matrix must be
     the product of the exact matrices."""
+    aden, aa, ab = _read_key(a.perm)
+    bden, ba, bb = _read_key(b.perm)
     anum = [0] * 16
     bnum = [0] * 16
     for r in range(4):
         for c in range(4):
             sa = sb = 0
             for k in range(4):
-                x, y = a.anum[4 * r + k], a.bnum[4 * r + k]
-                u, v = b.anum[4 * k + c], b.bnum[4 * k + c]
+                x, y = aa[4 * r + k], ab[4 * r + k]
+                u, v = ba[4 * k + c], bb[4 * k + c]
                 yv = y * v
                 sa += x * u + yv
                 sb += x * v + y * u + yv
             anum[4 * r + c] = sa
             bnum[4 * r + c] = sb
     op = SymOp(tuple(a.perm[i] for i in b.perm), a.parity * b.parity)
-    assert op.key() == _reduced(anum, bnum, a.den * b.den)
+    assert _read_key(op.perm) == _reduced(anum, bnum, aden * bden)
     return op
 
 
@@ -303,35 +319,36 @@ def test_ten_perm_raises_on_an_image_that_is_not_a_partition(group):
     cp = list(range(25))
     cp[array[0][0]], cp[array[1][1]] = array[1][1], array[0][0]
     broken = copy.copy(group)
-    broken.cell_perm = lambda op: tuple(cp)
+    broken._cell_action = lambda perm: tuple(cp)
     with pytest.raises(KeyError):
         ten_perm(broken, identity_op())
 
 
 def _matrix_closure(generators):
-    """The closure over exact matrices, keyed on SymOp.key: the oracle for
+    """The closure over exact matrices, keyed on _read_key: the oracle for
     the permutation closure."""
-    els = {g.key(): g for g in generators}
+    els = {_read_key(g.perm): g for g in generators}
     frontier = list(els.values())
     while frontier:
         new = []
         for x in frontier:
             for g in generators:
                 y = compose(g, x)
-                if y.key() not in els:
-                    els[y.key()] = y
+                key = _read_key(y.perm)
+                if key not in els:
+                    els[key] = y
                     new.append(y)
                     assert len(els) <= 14400
         frontier = new
-    return sorted(els.values(), key=SymOp.key)
+    return sorted(els.values(), key=lambda op: _read_key(op.perm))
 
 
 def test_permutation_closure_matches_matrix_closure(group):
     """Same key, parity and vertex permutation for all 14,400 elements, both sides sorted by key."""
     oracle = _matrix_closure(group.generators)
     assert len(oracle) == 14400
-    assert sorted((op.key(), op.parity, op.perm) for op in group.ops) == [
-        (op.key(), op.parity, op.perm) for op in oracle
+    assert sorted((_read_key(op.perm), op.parity, op.perm) for op in group.ops) == [
+        (_read_key(op.perm), op.parity, op.perm) for op in oracle
     ]
 
 
@@ -368,7 +385,7 @@ def test_listing_matches_the_breadth_first_closure(group):
     """Same key, parity and vertex permutation for all 14,400 elements, both sides sorted by key."""
     oracle = _breadth_first_closure(group)
     assert len(oracle) == 14400
-    assert sorted((op.key(), op.parity, op.perm) for op in group.ops) == oracle
+    assert sorted((_read_key(op.perm), op.parity, op.perm) for op in group.ops) == oracle
 
 
 def test_cell_and_ten_perms_match_set_images_on_all_elements(cell, group):
