@@ -11,6 +11,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from . import embed, mod2, symmetry
 from .golden import PHI
@@ -117,9 +118,7 @@ def _fact6():
         negation = tuple(grp.cell.neg)
         kernel_is_pm1 = perms == {ident, negation}
     rows, cols = 0b11111, 0b11111 << 5  # partitions 0..4 and 5..9 as masks
-    pentads_ok = all(
-        img == (rows if op.parity == 1 else cols) for op, img in zip(grp.ops, grp.row_images)
-    )
+    pentads_ok = all(img == (cols if e else rows) for e, img in zip(grp.factors[2], grp.row_images))
     return {
         "kernel_size": len(kernel),
         "kernel_is_plus_minus_identity": kernel_is_pm1,
@@ -339,11 +338,13 @@ def _s6_example1():
         if lhs != flipped:
             conj_rel = False
             break
-    root_products = {e8.bform_int(u, v) for u, v in combinations(sorted(e8.roots), 2)}
+    root_sums = {sum(map(mul, u, v)) for u, v in combinations(e8.roots, 2)}  # twice each inner product
+    if any(s % 2 for s in root_sums):
+        raise ValueError("a root pair's inner product is not an integer")
     return {
         "both_embeddings_certify_E8": e8.det == 1 and e8p.det == 1,
         "m_plus_1_equals_conjugated_m_minus_1_up_to_slot_signs": conj_rel,
-        "root_pair_inner_products": sorted(root_products),
+        "root_pair_inner_products": sorted(s // 2 for s in root_sums),
         "h_norms": sorted({e8.bform_int(u, u) for u in e8.h_img}),
         "phi_h_scaled_norm_6_plus_2sqrt5_reduces_to_4": all(
             (v.scaled(PHI).dot(v.scaled(PHI))).key() == (4, 4) for v in c.vertices

@@ -218,14 +218,15 @@ class E8Lattice(IntLattice):
         p = [sum(map(mul, b, amb)) for b in self.basis]
         if any(pi % 2 for pi in p):
             raise ValueError(f"{amb} is not a lattice vector")
-        return tuple(
-            sum(p[k] // 2 * self.gram_inv[k][j] for k in range(8)) for j in range(8)
-        )
+        return tuple(sum(map(mul, p, col)) // 2 for col in self._columns[1])
 
     def from_coords(self, coords: IntVec) -> IntVec:
-        return tuple(
-            sum(coords[k] * self.basis[k][j] for k in range(8)) for j in range(8)
-        )
+        return tuple(sum(map(mul, coords, col)) for col in self._columns[0])
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+        """The columns of the basis and of G^-1, for from_coords and coords_of."""
+        return tuple(zip(*self.basis)), tuple(zip(*self.gram_inv))
 
     @cached_property
     def norm4_shell(self) -> frozenset[IntVec]:

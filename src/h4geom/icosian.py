@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import permutations, product as iproduct
-from operator import add, neg, sub
+from operator import add, itemgetter, neg, sub
 from typing import Iterable
 
 from .golden import GoldenInt
@@ -179,12 +179,29 @@ def vertex_index() -> dict[Flat, int]:
     return {v.flat: i for i, v in enumerate(generate_vertices())}
 
 
+# (1 + i + j + k)/2 and (phi + i/phi + k)/2, which generate 2I, at standard scale
+_GENERATORS = ((1, 0, 1, 0, 1, 0, 1, 0), (0, 1, -1, 1, 0, 0, 1, 0))
+
+
 @cache
 def mult_table() -> tuple[tuple[int, ...], ...]:
-    """Cayley table on vertex indices: table[i][j] = index of v_i * v_j."""
+    """Cayley table on vertex indices: table[i][j] = index of v_i * v_j.  The
+    rows of the two generators are quaternion products; every other row comes
+    from a walk over the generators, row[x*g][b] = row[x][row[g][b]], since
+    (x*g)*b = x*(g*b).  Raises unless the walk reaches all 120 rows."""
     idx = vertex_index()
     flats = [v.flat for v in generate_vertices()]
-    return tuple(tuple(idx[_halved(_flat_quat_mul(u, v))] for v in flats) for u in flats)
+    rows = {idx[g]: tuple(idx[_halved(_flat_quat_mul(g, v))] for v in flats) for g in _GENERATORS}
+    gens, frontier = tuple(rows), list(rows)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            if (y := rows[x][g]) not in rows:
+                rows[y] = itemgetter(*rows[g])(rows[x])
+                frontier.append(y)
+    if len(rows) != len(flats):
+        raise ValueError(f"the generators reach {len(rows)} of {len(flats)} rows")
+    return tuple(rows[i] for i in range(len(flats)))
 
 
 @cache

@@ -3,19 +3,20 @@
 Every rotation is x -> l*x*r and every reflection x -> l*conj(x)*r for icosians
 l, r, and (l, r), (-l, -r) give the same map (Conway & Smith, On Quaternions and
 Octonions, ch. 4): the group is 2I x 2I / {+-(1, 1)} extended by conjugation,
-listed straight from the Cayley table as 14,400 vertex permutations with their
-parity (+1 rotation, -1 reflection) and their triples (l, r, e), in listing
-order, and certified against five generators.  An isometry is fixed by its
-images of the vertices 2e_0..2e_3, so no element carries a matrix: only the
-five generators are built from exact matrices (A + B*phi)/d.  The actions on
-the 25 24-cells and the ten partitions are composed from those of x -> l*x,
-x -> x*r and x -> conj(x); stabilizers, the kernel on the partitions and the
-images of the five rows are read off those 120-entry tables without composing
-every element's permutation.
+held as its 14,400 triples (l, r, e) in listing order and certified against
+five generators.  An isometry is fixed by its images of the vertices
+2e_0..2e_3, so no element carries a matrix: only the five generators are built
+from exact matrices (A + B*phi)/d.  The actions on the vertices, the 25
+24-cells and the ten partitions are composed from those of x -> l*x, x -> x*r
+and x -> conj(x), read off the Cayley table; stabilizers, the centre, the
+kernel on the partitions and the images of the five rows are read off those
+tables, and an element's vertex permutation and parity (+1 rotation, -1
+reflection) are composed only when ops[k] is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cache, cached_property
 from operator import itemgetter
 from typing import Callable
@@ -31,10 +32,10 @@ _BASIS = tuple(IcosianVec(int(j == 2 * k) for j in range(8)) for k in range(4))
 
 
 @cache
-def _basis_images() -> itemgetter:
-    """A vertex permutation's images of the vertices 2e_0..2e_3."""
+def _basis_indices() -> tuple[int, ...]:
+    """The vertex indices of 2e_0..2e_3, whose images fix an isometry."""
     idx = vertex_index()
-    return itemgetter(*(idx[e.scaled(GoldenInt(2)).flat] for e in _BASIS))
+    return tuple(idx[e.scaled(GoldenInt(2)).flat] for e in _BASIS)
 
 
 def _apply(anum: tuple[int, ...], bnum: tuple[int, ...], den: int, flat: Flat) -> Flat:
@@ -92,6 +93,12 @@ def _op_from_matrix(cols: list[IcosianVec], den: int) -> SymOp:
 _Action = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
+def _project(tables: tuple, act: _Action) -> tuple[list, list, tuple[int, ...]]:
+    """A (left, right, conj) table triple acted on by act, entry by entry."""
+    left, right, conj = tables
+    return [act(p) for p in left], [act(p) for p in right], act(conj)
+
+
 def _set_action(sets: tuple[frozenset[int], ...]) -> _Action:
     """The map of a permutation to the index in sets of each set's image,
     with sets indexed once; it raises KeyError if an image is not in sets."""
@@ -119,11 +126,29 @@ def reflection(v: IcosianVec) -> SymOp:
     return _op_from_matrix(cols, 2)
 
 
+class _Ops(Sequence):
+    """The group's elements in listing order, each SymOp composed on read."""
+
+    def __init__(self, group: SymmetryGroup) -> None:
+        self._group = group
+
+    def __len__(self) -> int:
+        return len(self._group.factors[2])
+
+    def __getitem__(self, k: int) -> SymOp:
+        k = range(len(self))[k]  # negative k counts from the end; IndexError past it
+        (perm,) = self._group._compose(self._group._vertex_tables, (k,))
+        return SymOp(perm, 1 - 2 * self._group.factors[2][k])
+
+
 class SymmetryGroup:
     def __init__(self, cell: Cell600) -> None:
         self.cell = cell
         self.generators = self._make_generators()
-        self.ops, self._factors = self._list()
+        self.factors = self._list()
+        self.ops = _Ops(self)
+        images = tuple(self._images_of(self._vertex_tables, b) for b in _basis_indices())
+        self._certify(images, *self.factors)
 
     def _make_generators(self) -> tuple[SymOp, ...]:
         cell = self.cell
@@ -135,46 +160,36 @@ class SymmetryGroup:
         a, b = verts[a_idx], verts[b_idx]
         return (left_mul(a), left_mul(b), right_mul(a), right_mul(b), reflection(ICOSIAN_ONE))
 
-    def _list(self) -> tuple[tuple[SymOp, ...], tuple[tuple[int, ...], ...]]:
+    def _list(self) -> tuple[tuple[int, ...], ...]:
         """Every element as a triple (l, r, e): x -> l*x*r, or x -> l*conj(x)*r
-        when e = 1, products read off the Cayley table; r runs over one icosian
-        of each +-pair, since (l, r) and (-l, -r) give the same map.  Returns
-        the ops in listing order (l, then r, then e) and their l, r and e."""
-        table, conj = mult_table(), itemgetter(*inverse_index())
-        columns = tuple(zip(*table))  # columns[r][y] = index of y*r
-        reps = tuple(r for r, _ in self.cell.pairs)
-        ops = []
-        for row in table:
-            left = itemgetter(*row)
-            for r in reps:
-                rot = left(columns[r])
-                ops += (SymOp(rot, 1), SymOp(conj(rot), -1))
-        ops = tuple(ops)
-        ls = tuple(l for l in range(len(table)) for _ in range(2 * len(reps)))
-        rs = tuple(r for r in reps for _ in range(2)) * len(table)
-        es = (0, 1) * (len(table) * len(reps))
-        self._certify(ops, ls, rs, es, _basis_images())
-        return ops, (ls, rs, es)
+        when e = 1; r runs over one icosian of each +-pair, since (l, r) and
+        (-l, -r) give the same map.  Returns the l, r and e of each element in
+        listing order (l, then r, then e)."""
+        n, reps = self.cell.n, tuple(r for r, _ in self.cell.pairs)
+        ls = tuple(l for l in range(n) for _ in range(2 * len(reps)))
+        rs = tuple(r for r in reps for _ in range(2)) * n
+        es = (0, 1) * (n * len(reps))
+        return ls, rs, es
 
-    def _certify(self, ops, ls, rs, es, at_basis) -> None:
+    def _certify(self, images, ls, rs, es) -> None:
         """Raises unless the listed elements are distinct, contain the five
-        generators and are closed under them.  An isometry is fixed by its images
-        of 2e_0..2e_3, so distinct images mean distinct permutations.  Closure is
-        checked on the triples: a rotation g = (gl, gr, 0) sends (l, r, e) to
-        (gl*l, r*gr, e), and a reflection g = (gl, gr, 1) to (gl*conj(r),
-        conj(l)*gr, 1 - e).  That must be the triple of the listed element with
-        g's images of element k's images of 2e_0..2e_3, compared as
-        (pair of l, l*r, e), which fixes a triple up to its (-l, -r) twin."""
+        generators and are closed under them.  images holds the four columns of
+        each element's images of 2e_0..2e_3, which fix an isometry, so distinct
+        images mean distinct elements.  Closure is checked on the triples: a
+        rotation g = (gl, gr, 0) sends (l, r, e) to (gl*l, r*gr, e), and a
+        reflection g = (gl, gr, 1) to (gl*conj(r), conj(l)*gr, 1 - e).  That must
+        be the triple of the listed element with g's images of element k's images
+        of 2e_0..2e_3, compared as (pair of l, l*r, e), which fixes a triple up to
+        its (-l, -r) twin."""
         table, conj = mult_table(), itemgetter(*inverse_index())
-        index = {at_basis(op.perm): k for k, op in enumerate(ops)}
-        if len(index) != len(ops):
-            raise ValueError(f"only {len(index)} of the {len(ops)} listed elements are distinct")
-        basis_images = tuple(zip(*index))
+        index = {key: k for k, key in enumerate(zip(*images))}
+        if len(index) != len(es):
+            raise ValueError(f"only {len(index)} of the {len(es)} listed elements are distinct")
         products = tuple(table[l][r] for l, r in zip(ls, rs))
         classes = (itemgetter(*ls)(self.cell.pair_of), products, es)
         for m, g in enumerate(self.generators):
-            k = index.get(at_basis(g.perm))
-            if k is None or ops[k].perm != g.perm or ops[k].parity != g.parity:
+            k = index.get(tuple(g.perm[b] for b in _basis_indices()))
+            if k is None or (op := self.ops[k]).perm != g.perm or op.parity != g.parity:
                 raise ValueError(f"generator {m} is not in the listing")
             # gl*l*r*gr for a rotation, gl*conj(l*r)*gr for a reflection
             left = conj(table[ls[k]]) if es[k] else table[ls[k]]
@@ -184,13 +199,13 @@ class SymmetryGroup:
                 itemgetter(*itemgetter(*products)(left))(right),
                 tuple(1 - e for e in es) if es[k] else es,
             )
-            named = list(map(index.get, zip(*(itemgetter(*column)(g.perm) for column in basis_images))))
+            named = list(map(index.get, zip(*(itemgetter(*column)(g.perm) for column in images))))
             if None in named or expected != tuple(itemgetter(*named)(c) for c in classes):
                 raise ValueError(f"the listing is not closed under generator {m}")
 
     @cached_property
     def rotation_count(self) -> int:
-        return sum(1 for op in self.ops if op.parity == 1)
+        return self.factors[2].count(0)
 
     # ---------- induced permutations ----------
 
@@ -212,24 +227,28 @@ class SymmetryGroup:
         return self._on_cells(self._pair_action(perm))
 
     @cached_property
+    def _vertex_tables(self) -> tuple[tuple, tuple, tuple[int, ...]]:
+        """Vertex permutations of x -> l*x and x -> x*r for each icosian, and of x -> conj(x)."""
+        table = mult_table()
+        return table, tuple(zip(*table)), inverse_index()
+
+    @cached_property
     def _cell_tables(self) -> tuple[list, list, tuple[int, ...]]:
-        """Cell permutations of x -> l*x and x -> x*r for each icosian, and of x -> conj(x)."""
-        table, act = mult_table(), self._cell_action
-        return [act(row) for row in table], [act(col) for col in zip(*table)], act(inverse_index())
+        """The vertex tables projected onto the 25 24-cells."""
+        return _project(self._vertex_tables, self._cell_action)
 
     @cached_property
     def _ten_tables(self) -> tuple[list, list, tuple[int, ...]]:
         """The cell tables projected onto the ten partitions."""
-        left, right, conj = self._cell_tables
-        act = _set_action(self.cell.partitions)
-        return [act(p) for p in left], [act(p) for p in right], act(conj)
+        return _project(self._cell_tables, _set_action(self.cell.partitions))
 
     def _compose(self, tables: tuple[list, list, tuple[int, ...]], ks) -> tuple[tuple[int, ...], ...]:
         """The action of each element k in ks as left[l] o right[r], then o conj
         for a reflection, since an action is a homomorphism."""
         left, right, conj = tables
-        after_right, after_conj = [itemgetter(*p) for p in right], itemgetter(*conj)
-        ls, rs, es = self._factors
+        ls, rs, es = self.factors
+        after_right = {r: itemgetter(*right[r]) for r in {rs[k] for k in ks}}
+        after_conj = itemgetter(*conj)
         return tuple(
             after_conj(after_right[rs[k]](left[ls[k]])) if es[k] else after_right[rs[k]](left[ls[k]])
             for k in ks
@@ -240,7 +259,7 @@ class SymmetryGroup:
         left[l][right[r][x]], with conj[x] in place of x when e = 1."""
         left, right, conj = tables
         xs = (x, conj[x])
-        return [left[l][right[r][xs[e]]] for l, r, e in zip(*self._factors)]
+        return [left[l][right[r][xs[e]]] for l, r, e in zip(*self.factors)]
 
     @cached_property
     def cell_perms(self) -> tuple[tuple[int, ...], ...]:
@@ -272,7 +291,7 @@ class SymmetryGroup:
         inner = [[sum(1 << perm[i] for i in s) for s in starts] for perm in right]
         images: dict[tuple[int, int], int] = {}
         out = []
-        for l, r, e in zip(*self._factors):
+        for l, r, e in zip(*self.factors):
             m = inner[r][e]
             y = images.get((l, m))
             if y is None:
@@ -283,7 +302,7 @@ class SymmetryGroup:
     # ---------- stabilizers ----------
 
     def stabilizer_of_vertex(self, i: int) -> tuple[int, ...]:
-        return tuple(k for k, op in enumerate(self.ops) if op.perm[i] == i)
+        return tuple(k for k, y in enumerate(self._images_of(self._vertex_tables, i)) if y == i)
 
     def stabilizer_of_cell(self, c: int) -> tuple[int, ...]:
         return tuple(k for k, y in enumerate(self._images_of(self._cell_tables, c)) if y == c)
@@ -311,12 +330,14 @@ class SymmetryGroup:
     def center(self) -> tuple[int, ...]:
         """Elements commuting with every generator, after a first cut to the
         elements x with x(g(0)) = g(x(0)) for each generator g."""
-        gens = [g.perm for g in self.generators]
-        perms = [op.perm for op in self.ops]
-        ks = range(len(perms))
+        gens, tables = [g.perm for g in self.generators], self._vertex_tables
+        at0 = self._images_of(tables, 0)
+        ks = range(len(at0))
         for g in gens:
-            ks = [k for k in ks if perms[k][g[0]] == g[perms[k][0]]]
-        return tuple(k for k in ks if all(perms[k][g[i]] == g[perms[k][i]] for g in gens for i in range(120)))
+            at = self._images_of(tables, g[0])
+            ks = [k for k in ks if at[k] == g[at0[k]]]
+        survivors = zip(ks, self._compose(tables, ks))
+        return tuple(k for k, p in survivors if all(p[g[i]] == g[p[i]] for g in gens for i in range(120)))
 
 
 @cache

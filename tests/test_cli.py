@@ -464,7 +464,9 @@ def test_group_without_a_generating_pair_names_the_cause_under_python_O():
 def test_traced_verify_counts_each_shell_split_call(tmp_path):
     """The benchmark's traced op wraps `golden.ReductionMap.split_vector` by
     name; the shell split calls it once per source vector and scaling
-    (1,440 x 7), so a rename would show here, not as failed traced ops."""
+    (1,440 x 7), so a rename would show here, not as failed traced ops.  It
+    also counts `len(generate_group().ops)` as `symmetry.order`, which must
+    stay the group's 14,400 elements."""
     repo = Path(__file__).resolve().parents[1]
     report = tmp_path / "r.json"
     out = subprocess.run(
@@ -477,6 +479,7 @@ def test_traced_verify_counts_each_shell_split_call(tmp_path):
     assert out.returncode == 0, out.stderr
     counts = json.loads(out.stdout.splitlines()[-1])["counts"]["0"]
     assert counts["golden.split_vector_calls"] >= 7 * 1440
+    assert counts["symmetry.order"] == 14400
 
 
 _DOUBLED_VERTEX = """

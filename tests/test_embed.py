@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction as F
 from itertools import product as iproduct
 from math import isqrt
@@ -5,6 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from h4geom import checks, embed
 from h4geom.golden import (
     GoldenInt,
     PHI,
@@ -230,6 +232,19 @@ def test_root_pair_inner_products(e8):
             if i != j:
                 vals.add(e8.bform_int(roots[i], roots[j]))
     assert vals <= {-2, -1, 0, 1, 2}
+
+
+def test_s6_example1_raises_on_a_root_pair_with_an_odd_inner_product_sum(monkeypatch, e8):
+    """s6/example1 halves twice-inner-products only after checking them even:
+    a vector whose products with the roots are odd makes the check fail by
+    name rather than report a truncated value."""
+    fake = copy.copy(e8)
+    fake.roots = e8.roots | {(1, 0, 0, 0, 0, 0, 0, 0)}
+    real = embed.certify_e8
+    monkeypatch.setattr(embed, "certify_e8", lambda m=-1: fake if m == -1 else real(m))
+    result = checks.run_check("s6/example1")
+    assert result.status == "fail"
+    assert result.observed == {"error": "ValueError: a root pair's inner product is not an integer"}
 
 
 def test_counterpart_orthogonality(e8):

@@ -75,6 +75,25 @@ def test_table_is_the_icosian_product_on_every_pair():
             assert TABLE[i][j] == IDX[icosian_mul(u, v).flat]
 
 
+def _product_table():
+    """One quaternion product per entry: the oracle for the composed table."""
+    flats = [v.flat for v in VERTS]
+    return tuple(tuple(IDX[icosian._halved(icosian._flat_quat_mul(u, v))] for v in flats) for u in flats)
+
+
+def test_composed_table_equals_the_product_table_on_all_entries():
+    assert mult_table.__wrapped__() == TABLE == _product_table()
+
+
+def test_mult_table_raises_when_the_generators_span_a_proper_subgroup(monkeypatch):
+    """i and j generate the quaternion group of order 8, so the walk stops
+    after 8 of the 120 rows."""
+    i_flat, j_flat = (0, 0, 2, 0, 0, 0, 0, 0), (0, 0, 0, 0, 2, 0, 0, 0)
+    monkeypatch.setattr(icosian, "_GENERATORS", (i_flat, j_flat))
+    with pytest.raises(ValueError, match="the generators reach 8 of 120 rows"):
+        mult_table.__wrapped__()
+
+
 def test_mult_table_rejects_a_product_off_the_standard_scale(monkeypatch):
     verts = list(VERTS)
     verts[0] = IcosianVec((1, 0, 0, 0, 0, 0, 0, 0))

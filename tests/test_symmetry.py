@@ -9,13 +9,15 @@ from operator import itemgetter
 
 import pytest
 
+from h4geom import checks, symmetry
 from h4geom.golden import GoldenInt
-from h4geom.icosian import ICOSIAN_ONE, IcosianVec, generate_vertices
+from h4geom.icosian import ICOSIAN_ONE, IcosianVec, generate_vertices, inverse_index, mult_table
 from h4geom.symmetry import (
     _BASIS,
+    SymmetryGroup,
     SymOp,
     _apply,
-    _basis_images,
+    _basis_indices,
     _op_from_matrix,
     _set_action,
     left_mul,
@@ -40,7 +42,7 @@ def _read_key(perm):
     A + B*phi is the image of 2e_c over d = 2, then reduced by the common gcd.
     The matrix oracle for the permutation group."""
     verts = generate_vertices()
-    cols = [verts[i].flat for i in _basis_images()(perm)]
+    cols = [verts[perm[b]].flat for b in _basis_indices()]
     anum = tuple(col[2 * r] for r in range(4) for col in cols)
     bnum = tuple(col[2 * r + 1] for r in range(4) for col in cols)
     return _reduced(anum, bnum, 2)
@@ -402,19 +404,88 @@ def test_cell_and_ten_perms_match_set_images_on_all_elements(cell, group):
 
 
 def test_listing_certificates_raise_on_a_wrong_triple_or_a_foreign_generator(cell, group):
-    at_basis = itemgetter(*(cell.index[tuple(2 if k == 2 * c else 0 for k in range(8))] for c in range(4)))
-    ls, rs, es = (tuple(f) for f in group._factors)
-    group._certify(group.ops, ls, rs, es, at_basis)
+    basis = [cell.index[tuple(2 if k == 2 * c else 0 for k in range(8))] for c in range(4)]
+    images = tuple(zip(*(itemgetter(*basis)(op.perm) for op in _eager_listing(group))))
+    ls, rs, es = group.factors
+    group._certify(images, ls, rs, es)
     wrong = (cell.neg[ls[0]],) + ls[1:]  # names -x -> l*x*r in place of x -> l*x*r
     with pytest.raises(ValueError, match="not closed under generator"):
-        group._certify(group.ops, wrong, rs, es, at_basis)
+        group._certify(images, wrong, rs, es)
     swap = list(range(120))
     swap[0], swap[1] = 1, 0  # not an isometry
     g = group.generators[0]
     broken = copy.copy(group)
     broken.generators = (SymOp(tuple(swap), g.parity),) + group.generators[1:]
     with pytest.raises(ValueError, match="generator 0 is not in the listing"):
-        broken._certify(group.ops, ls, rs, es, at_basis)
+        broken._certify(images, ls, rs, es)
+
+
+@cache
+def _eager_listing(group):
+    """Every element's whole vertex permutation and parity, composed from the
+    Cayley table in listing order (l, then r, then e): the oracle for the
+    permutations that ops composes on read."""
+    table, conj = mult_table(), itemgetter(*inverse_index())
+    columns = tuple(zip(*table))  # columns[r][y] = index of y*r
+    reps = tuple(r for r, _ in group.cell.pairs)
+    ops = []
+    for row in table:
+        left = itemgetter(*row)
+        for r in reps:
+            rot = left(columns[r])
+            ops += (SymOp(rot, 1), SymOp(conj(rot), -1))
+    return tuple(ops)
+
+
+def test_ops_match_the_eager_listing_on_all_elements(group):
+    """Permutation and parity of ops[k] for all 14,400 k, read one by one and
+    by iteration, against the eager listing."""
+    eager = _eager_listing(group)
+    assert len(group.ops) == len(eager) == 14400
+    for k, op in enumerate(eager):
+        got = group.ops[k]
+        assert (got.perm, got.parity) == (op.perm, op.parity)
+    assert [(op.perm, op.parity) for op in group.ops] == [(op.perm, op.parity) for op in eager]
+    assert group.ops[-1].perm == eager[-1].perm
+    with pytest.raises(IndexError):
+        group.ops[14400]
+
+
+def test_vertex_stabilizers_match_the_eager_scan_on_all_vertices(group):
+    eager = _eager_listing(group)
+    for i in range(120):
+        assert group.stabilizer_of_vertex(i) == tuple(k for k, op in enumerate(eager) if op.perm[i] == i)
+
+
+def test_rotation_count_and_centre_match_the_eager_listing(group):
+    eager = _eager_listing(group)
+    assert group.rotation_count == sum(op.parity == 1 for op in eager)
+    gens = [g.perm for g in group.generators]
+    assert group.center == tuple(
+        k for k, op in enumerate(eager)
+        if all(op.perm[g[i]] == g[op.perm[i]] for g in gens for i in range(120))
+    )
+
+
+def test_verify_composes_few_whole_permutations(monkeypatch, cell):
+    """All 26 checks on a freshly built group read at most 1,000 elements'
+    whole permutations: the 120 + 576 stabilizer elements of facts/fact4, the
+    kernel and the generators, not the 14,400 of the whole group."""
+    reads = 0
+    getitem = symmetry._Ops.__getitem__
+
+    def counting(self, k):
+        nonlocal reads
+        reads += 1
+        return getitem(self, k)
+
+    monkeypatch.setattr(symmetry._Ops, "__getitem__", counting)
+    fresh = SymmetryGroup(cell)
+    monkeypatch.setattr(symmetry, "generate_group", lambda: fresh)
+    results = [checks.run_check(c) for c in checks.CHECK_ORDER]
+    assert len(results) == 26
+    assert [r.check_id for r in results if r.status != "pass"] == []
+    assert 696 <= reads <= 1000
 
 
 _IDENTITY_CONJUGATION = """
