@@ -1,49 +1,45 @@
 """Exact-arithmetic geometry of the 600-cell, its E8 embeddings, and the
-induced F4 structure on E8/2E8."""
+induced F4 structure on E8/2E8.
 
-from .golden import (
-    GoldenInt,
-    PHI,
-    PHI_INV,
-    ReductionMap,
-    golden_sign,
-    phi_pow,
-)
-from .icosian import (
-    ICOSIAN_ONE,
-    IcosianVec,
-    element_order,
-    find_order5,
-    generate_vertices,
-    icosian_mul,
-    quat_mul,
-)
-from .polytopes import Cell120, Cell600, the_600cell
-from .symmetry import SymOp, generate_group, left_mul, reflection, right_mul
+The exports below are resolved on first use (PEP 562), so `import h4geom`
+loads none of the submodules until one of their names is read."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GoldenInt",
-    "PHI",
-    "PHI_INV",
-    "ReductionMap",
-    "golden_sign",
-    "phi_pow",
-    "ICOSIAN_ONE",
-    "IcosianVec",
-    "element_order",
-    "find_order5",
-    "generate_vertices",
-    "icosian_mul",
-    "quat_mul",
-    "Cell120",
-    "Cell600",
-    "the_600cell",
-    "SymOp",
-    "generate_group",
-    "left_mul",
-    "reflection",
-    "right_mul",
-    "__version__",
-]
+# Each export and the submodule that defines it.
+_EXPORTS = {
+    "GoldenInt": "golden",
+    "PHI": "golden",
+    "PHI_INV": "golden",
+    "ReductionMap": "golden",
+    "golden_sign": "golden",
+    "phi_pow": "golden",
+    "ICOSIAN_ONE": "icosian",
+    "IcosianVec": "icosian",
+    "element_order": "icosian",
+    "find_order5": "icosian",
+    "generate_vertices": "icosian",
+    "icosian_mul": "icosian",
+    "quat_mul": "icosian",
+    "Cell120": "polytopes",
+    "Cell600": "polytopes",
+    "the_600cell": "polytopes",
+    "SymOp": "symmetry",
+    "generate_group": "symmetry",
+    "left_mul": "symmetry",
+    "reflection": "symmetry",
+    "right_mul": "symmetry",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -74,7 +74,7 @@ def _fact4():
     cell_idx = c.array[0][0]
     stab_v = grp.stabilizer_of_vertex(v)
     stab_c = grp.stabilizer_of_cell(cell_idx)
-    vperms = [grp.pair_perm(grp.ops[k]) for k in stab_v]
+    vperms = grp.pair_perms_of(stab_v)
     orbits_pairs = grp.orbits(vperms, range(60))
     pid = c.pair_of[v]
     keyed = {}
@@ -85,7 +85,7 @@ def _fact4():
         keyed.setdefault(cls.pop(), []).append(len(orb))
     cperms = grp.cell_perms_of(stab_c)
     orbits_cells = sorted(len(o) for o in grp.orbits(cperms, range(25)))
-    cpair_perms = [grp.pair_perm(grp.ops[k]) for k in stab_c]
+    cpair_perms = grp.pair_perms_of(stab_c)
     orbits_cpairs = sorted(len(o) for o in grp.orbits(cpair_perms, range(60)))
     return {
         "vertex_stabilizer": len(stab_v),

@@ -4,6 +4,9 @@
 writes a JSON report; exit code 0 iff every selected check passed, 1 on any
 failure, 2 on usage or I/O errors.  `h4geom dump OBJECT [--out PATH]` emits
 canonical JSON for the main constructed objects.
+
+Each command imports the modules it uses when it runs, so a cold `dump`
+loads neither the checks nor the constructions it does not print.
 """
 
 from __future__ import annotations
@@ -11,11 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fnmatch import fnmatch
-from fractions import Fraction
 
-from . import checks, embed, mod2
-from .polytopes import duad_str, label_str, the_600cell
 from .serialize import dumps, jsonable
 
 DUMP_OBJECTS = ("vertices", "labels", "array", "lines", "planes", "lattice")
@@ -40,6 +39,10 @@ def _why_failed(result) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    from fnmatch import fnmatch
+
+    from . import checks
+
     selected = [cid for cid in checks.CHECK_ORDER if fnmatch(cid, args.only)]
     if not selected:
         print(f"error: no checks match {args.only!r}", file=sys.stderr)
@@ -79,6 +82,8 @@ def cmd_verify(args) -> int:
 
 
 def _dump_vertices():
+    from .polytopes import the_600cell
+
     cell = the_600cell()
     return {
         "count": cell.n,
@@ -88,6 +93,8 @@ def _dump_vertices():
 
 
 def _dump_labels():
+    from .polytopes import duad_str, label_str, the_600cell
+
     cell = the_600cell()
     return {
         "cells": {
@@ -105,6 +112,8 @@ def _dump_labels():
 
 
 def _dump_array():
+    from .polytopes import duad_str, the_600cell
+
     cell = the_600cell()
     return {
         "rows": [
@@ -116,6 +125,8 @@ def _dump_array():
 
 
 def _dump_lines():
+    from . import mod2
+
     geo = mod2.f4_geometry()
     out = []
     for line in geo.lines:
@@ -136,6 +147,8 @@ def _dump_lines():
 
 
 def _dump_planes():
+    from . import mod2
+
     geo = mod2.f4_geometry()
     value_names = {0: "0", 1: "1", 2: "w", 3: "w+1"}
     points = []
@@ -156,6 +169,10 @@ def _dump_planes():
 
 
 def _dump_lattice():
+    from fractions import Fraction
+
+    from . import embed
+
     e8 = embed.certify_e8(-1)
     lat = embed.lattice_L()
     return {

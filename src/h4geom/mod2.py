@@ -21,9 +21,12 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .embed import E8Lattice, certify_e8
-from .symmetry import SymOp
+
+if TYPE_CHECKING:  # annotations only: the lines and planes dumps never load symmetry
+    from .symmetry import SymOp
 
 # F4 as {0, 1, w, w+1} encoded 0..3; addition is xor.
 F4_MUL = (

@@ -17,7 +17,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
-from operator import mul
+from operator import itemgetter, mul
 
 from .golden import GoldenInt, PHI_INV, eliminate
 from .icosian import (
@@ -74,15 +74,13 @@ class Cell600:
 
     @cached_property
     def pp(self) -> tuple[tuple[str, ...], ...]:
-        """Paper inner product names for every ordered vertex pair."""
-        rows = []
-        for u in self.flats:
-            row = []
-            for v in self.flats:
-                a, b = flat_dot(u, v)
-                row.append(_PP_KEYS[(a // 2, b // 2)])
-            rows.append(tuple(row))
-        return tuple(rows)
+        """Paper inner product names for every ordered vertex pair, read off the
+        Cayley table: <u, v> = Re(u * conj(v)), and the halved product of two
+        vertices is the vertex whose real part (flat slots 0 and 1) is the
+        paper-scale inner product."""
+        names = tuple(_PP_KEYS[f[0], f[1]] for f in self.flats)
+        by_conj = itemgetter(*inverse_index())
+        return tuple(tuple(map(names.__getitem__, by_conj(row))) for row in mult_table())
 
     # ---------- antipodal pairs ----------
 

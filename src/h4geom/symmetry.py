@@ -6,10 +6,10 @@ Octonions, ch. 4): the group is 2I x 2I / {+-(1, 1)} extended by conjugation,
 held as its 14,400 triples (l, r, e) in listing order and certified against
 five generators.  An isometry is fixed by its images of the vertices
 2e_0..2e_3, so no element carries a matrix: only the five generators are built
-from exact matrices (A + B*phi)/d.  The actions on the vertices, the 25
-24-cells and the ten partitions are composed from those of x -> l*x, x -> x*r
-and x -> conj(x), read off the Cayley table; stabilizers, the centre, the
-kernel on the partitions and the images of the five rows are read off those
+from exact matrices (A + B*phi)/d.  The actions on the vertices, the 60 pairs,
+the 25 24-cells and the ten partitions are composed from those of x -> l*x,
+x -> x*r and x -> conj(x), read off the Cayley table; stabilizers, the centre,
+the kernel on the partitions and the images of the five rows are read off those
 tables, and an element's vertex permutation and parity (+1 rotation, -1
 reflection) are composed only when ops[k] is read.
 """
@@ -218,13 +218,9 @@ class SymmetryGroup:
 
     @cached_property
     def _on_cells(self) -> _Action:
-        """A permutation of the 60 pairs to the one it induces on the 25 24-cells."""
+        """A permutation of the 60 pairs to the one it induces on the 25
+        24-cells; raises KeyError if an image is not a 24-cell."""
         return _set_action(self.cell.cells24)
-
-    def _cell_action(self, perm: tuple[int, ...]) -> tuple[int, ...]:
-        """The permutation of the 25 24-cells induced by a vertex permutation;
-        raises KeyError if an image is not a 24-cell."""
-        return self._on_cells(self._pair_action(perm))
 
     @cached_property
     def _vertex_tables(self) -> tuple[tuple, tuple, tuple[int, ...]]:
@@ -233,9 +229,14 @@ class SymmetryGroup:
         return table, tuple(zip(*table)), inverse_index()
 
     @cached_property
+    def _pair_tables(self) -> tuple[list, list, tuple[int, ...]]:
+        """The vertex tables projected onto the 60 pairs."""
+        return _project(self._vertex_tables, self._pair_action)
+
+    @cached_property
     def _cell_tables(self) -> tuple[list, list, tuple[int, ...]]:
-        """The vertex tables projected onto the 25 24-cells."""
-        return _project(self._vertex_tables, self._cell_action)
+        """The pair tables projected onto the 25 24-cells."""
+        return _project(self._pair_tables, self._on_cells)
 
     @cached_property
     def _ten_tables(self) -> tuple[list, list, tuple[int, ...]]:
@@ -268,6 +269,10 @@ class SymmetryGroup:
     @cached_property
     def ten_perms(self) -> tuple[tuple[int, ...], ...]:
         return self._compose(self._ten_tables, range(len(self.ops)))
+
+    def pair_perms_of(self, ks) -> tuple[tuple[int, ...], ...]:
+        """The pair permutations of the elements ks alone."""
+        return self._compose(self._pair_tables, ks)
 
     def cell_perms_of(self, ks) -> tuple[tuple[int, ...], ...]:
         """The 24-cell permutations of the elements ks alone."""

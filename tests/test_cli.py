@@ -482,6 +482,65 @@ def test_traced_verify_counts_each_shell_split_call(tmp_path):
     assert counts["symmetry.order"] == 14400
 
 
+def test_traced_dump_wraps_the_cli_dumps(tmp_path):
+    """The benchmark's traced op replaces `cli.dumps` by assignment; the CLI
+    must look it up at call time, so a dump still opens its
+    `serialize.dumps.<object>` span and counts its bytes."""
+    repo = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "perfbench/stages.py", "0", "dump:labels", "--",
+         "dump", "labels", "--out", str(tmp_path / "labels.json")],
+        cwd=repo,
+        env=dict(os.environ, PYTHONPATH=str(repo / "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    traced = json.loads(out.stdout.splitlines()[-1])
+    assert "serialize.dumps.labels" in {span["name"] for span in traced["spans"]}
+    assert traced["counts"]["0"]["serialize.bytes.labels"] > 0
+
+
+_LOADED_MODULES = """
+import json, sys
+from h4geom import cli
+
+rc = cli.main(sys.argv[1:]) if sys.argv[1:] else None
+print(json.dumps([rc, sorted(sys.modules)]))
+"""
+
+
+def _loaded_after(*argv):
+    """The exit code and the h4geom submodules a fresh process has loaded
+    after `import h4geom.cli` and, given argv, `cli.main(argv)`."""
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    rc, modules = json.loads(out.stdout.splitlines()[-1])
+    return rc, {m.removeprefix("h4geom.") for m in modules if m.startswith("h4geom.")}
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path):
+    out = str(tmp_path / "dump.json")
+    rc, loaded = _loaded_after()
+    assert rc is None
+    assert loaded.isdisjoint({"checks", "embed", "mod2", "symmetry", "polytopes"}), loaded
+    for obj in ("vertices", "labels", "array"):
+        rc, loaded = _loaded_after("dump", obj, "--out", out)
+        assert rc == 0 and "polytopes" in loaded
+        assert loaded.isdisjoint({"checks", "embed", "mod2", "symmetry"}), (obj, loaded)
+    rc, loaded = _loaded_after("dump", "lattice", "--out", out)
+    assert rc == 0 and "embed" in loaded
+    assert loaded.isdisjoint({"checks", "mod2", "symmetry"}), loaded
+    for obj in ("lines", "planes"):
+        rc, loaded = _loaded_after("dump", obj, "--out", out)
+        assert rc == 0 and "mod2" in loaded
+        assert loaded.isdisjoint({"checks", "symmetry"}), (obj, loaded)
+
+
 _DOUBLED_VERTEX = """
 import json
 from h4geom import checks

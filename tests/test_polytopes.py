@@ -4,7 +4,7 @@ from itertools import combinations
 from h4geom import checks
 from h4geom.golden import GoldenInt, golden_sign
 from h4geom.icosian import ICOSIAN_ONE, flat_dot
-from h4geom.polytopes import Cell120, label_str, perm_parity
+from h4geom.polytopes import _PP_KEYS, Cell120, label_str, perm_parity
 
 PHI_KEY = (0, 1)
 
@@ -47,6 +47,16 @@ def test_inner_product_values_and_distribution(cell):
     a = cell.index[(2, 0, 0, 0, 0, 0, 0, 0)]
     b = cell.index[(0, 0, 2, 0, 0, 0, 0, 0)]
     assert paper_inner_product(cell, a, b) == GoldenInt(0, 0)
+
+
+def test_pp_from_the_cayley_table_matches_flat_dot_on_every_ordered_pair(cell):
+    """The oracle: each of the 14,400 ordered pairs named from its flat dot
+    product, halved to paper scale."""
+    oracle = tuple(
+        tuple(_PP_KEYS[a // 2, b // 2] for a, b in (flat_dot(u, v) for v in cell.flats))
+        for u in cell.flats
+    )
+    assert cell.pp == oracle
 
 
 def test_every_distinct_product_is_in_the_allowed_set(cell):

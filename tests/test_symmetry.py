@@ -65,7 +65,7 @@ def apply_vec(op, v):
 def ten_perm(group, op):
     """The permutation of the ten partitions (symbols 1..5, 6..X) induced by
     op; raises KeyError if an image is not a partition."""
-    return _set_action(group.cell.partitions)(group._cell_action(op.perm))
+    return _set_action(group.cell.partitions)(group._on_cells(group.pair_perm(op)))
 
 
 def _reduced(anum, bnum, den):
@@ -224,6 +224,14 @@ def test_factor_table_queries_match_the_composed_permutations(group):
     assert group.cell_perms_of(range(0, 14400, 7)) == group.cell_perms[::7]
 
 
+def test_pair_perms_from_the_pair_tables_match_every_whole_permutation(group):
+    """The pair permutations composed from the pair tables, against each of
+    the 14,400 elements' whole vertex permutation projected onto the pairs."""
+    pair_perms = group.pair_perms_of(range(14400))
+    assert len(pair_perms) == 14400
+    assert all(pp == group.pair_perm(op) for pp, op in zip(pair_perms, group.ops))
+
+
 def test_a_corrupted_right_table_misleads_query_and_oracle_alike(group):
     """Two entries of one right cell table swapped: stabilizer_of_cell and the
     composed cell_perms both leave the truth, and in the same way."""
@@ -321,7 +329,7 @@ def test_ten_perm_raises_on_an_image_that_is_not_a_partition(group):
     cp = list(range(25))
     cp[array[0][0]], cp[array[1][1]] = array[1][1], array[0][0]
     broken = copy.copy(group)
-    broken._cell_action = lambda perm: tuple(cp)
+    broken._on_cells = lambda pairs: tuple(cp)
     with pytest.raises(KeyError):
         ten_perm(broken, identity_op())
 
@@ -468,9 +476,10 @@ def test_rotation_count_and_centre_match_the_eager_listing(group):
 
 
 def test_verify_composes_few_whole_permutations(monkeypatch, cell):
-    """All 26 checks on a freshly built group read at most 1,000 elements'
-    whole permutations: the 120 + 576 stabilizer elements of facts/fact4, the
-    kernel and the generators, not the 14,400 of the whole group."""
+    """All 26 checks on a freshly built group read at most seven elements'
+    whole permutations: the two kernel elements and the five generators.
+    facts/fact4 composes its stabilizers' pair permutations from the pair
+    tables, not from the 14,400 or even the 696 stabilizer elements'."""
     reads = 0
     getitem = symmetry._Ops.__getitem__
 
@@ -485,7 +494,7 @@ def test_verify_composes_few_whole_permutations(monkeypatch, cell):
     results = [checks.run_check(c) for c in checks.CHECK_ORDER]
     assert len(results) == 26
     assert [r.check_id for r in results if r.status != "pass"] == []
-    assert 696 <= reads <= 1000
+    assert reads <= 7
 
 
 _IDENTITY_CONJUGATION = """
