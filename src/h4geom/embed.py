@@ -19,11 +19,12 @@ computed in exact integer arithmetic.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import isqrt, lcm
-from operator import mul
+from operator import mul, sub
 
 from .golden import PHI, PHI_INV, GoldenInt, ReductionMap, eliminate, exact_quotient, phi_pow
 from .icosian import IcosianVec, flat_dot
@@ -33,39 +34,6 @@ IntVec = tuple[int, ...]
 
 
 # ---------- integer lattice tools ----------
-
-def hermite_normal_form(rows) -> tuple[IntVec, ...]:
-    """Canonical row HNF of an integer matrix; returns the nonzero rows."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return ()
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, len(m)) if m[i][c]]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(m[i][c]))
-            m[r], m[piv] = m[piv], m[r]
-            if m[r][c] < 0:
-                m[r] = [-x for x in m[r]]
-            done = True
-            for i in range(r + 1, len(m)):
-                if m[i][c]:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-                    if m[i][c]:
-                        done = False
-            if done:
-                for i in range(r):
-                    q = m[i][c] // m[r][c]
-                    if q:
-                        m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-                r += 1
-                break
-    return tuple(tuple(row) for row in m[:r])
-
 
 def short_vectors(gram, bound: int) -> dict[int, list[IntVec]]:
     """All nonzero x with x G x^T <= bound, exactly (Fincke-Pohst).
@@ -257,31 +225,24 @@ def _root_basis(h_img: list[IntVec]) -> tuple[IntVec, ...]:
 
     det = abs(gram_det(chosen))
     while det > 1:
-        inv = eliminate(chosen)  # coordinates u * B^-1 = u * adj B / det B
-        improved = False
-        for u in ordered:
-            coords = [
-                Fraction(sum(u[k] * inv.adj[k][j] for k in range(8)), inv.det) for j in range(8)
-            ]
-            if all(c.denominator == 1 for c in coords):
-                continue
-            for j, q in enumerate(coords):
-                if q != 0 and abs(q) < 1:
-                    cand = list(chosen)
-                    cand[j] = u
-                    nd = abs(gram_det(cand))
-                    if 0 < nd < det:
-                        chosen, det, improved = cand, nd, True
-                        break
-            if improved:
-                break
-        if not improved:
+        # u * adj B = det B * (u's coordinates over B), so a coordinate q is
+        # fractional with 0 < |q| < 1 when its numerator n has 0 < |n| < |det B|
+        inv = eliminate(chosen)
+        swaps = (
+            chosen[:j] + [u] + chosen[j + 1:]
+            for u in ordered
+            for j, n in enumerate(inv.numerators(u))
+            if n and abs(n) < abs(inv.det)
+        )
+        cand = next((c for c in swaps if 0 < abs(gram_det(c)) < det), None)
+        if cand is None:
             raise RuntimeError("could not refine root basis to determinant 1")
+        chosen, det = cand, abs(gram_det(cand))
     return tuple(chosen)
 
 
 @cache
-def certify_e8(m: int = -1) -> E8Lattice:
+def certify_e8(m: int) -> E8Lattice:
     return E8Lattice(the_600cell(), ReductionMap(m))
 
 
@@ -305,11 +266,7 @@ def golden_basis() -> GoldenBasis:
     def coords_all_integral(idxs: list[int]) -> bool:
         # coordinates w * B^-1 = w * adj B / det B
         inv = eliminate([coords[i] for i in idxs])
-        return all(
-            exact_quotient(sum(w[k] * inv.adj[k][j] for k in range(4)), inv.det) is not None
-            for w in coords
-            for j in range(4)
-        )
+        return all(exact_quotient(n, inv.det) is not None for w in coords for n in inv.numerators(w))
 
     def search(start: int, chosen: list[int]):
         if len(chosen) == 4:
@@ -346,6 +303,23 @@ def golden_basis() -> GoldenBasis:
 
 # ---------- the determinant 5**4 lattice ----------
 
+def _same_lattice(images: Sequence[IntVec], basis: Sequence[IntVec]) -> None:
+    """Raises unless the vectors images generate the lattice with basis B,
+    proved in both directions: every image has integral coordinates over B
+    (its numerators u * adj B are divisible by det B), and every basis vector
+    is an image or the sum of two images."""
+    inv = eliminate(basis)
+    if not inv.det:
+        raise ValueError("the basis is singular")
+    for u in images:
+        if any(n % inv.det for n in inv.numerators(u)):
+            raise ValueError(f"integrality: image {u} is not an integral combination of the basis")
+    found = set(images)
+    for b in basis:
+        if b not in found and not any(tuple(map(sub, b, u)) in found for u in found):
+            raise ValueError(f"sums of images: basis vector {b} is neither an image nor the sum of two")
+
+
 @dataclass
 class ReducedLattice(IntLattice):
     images: tuple[IntVec, ...]  # doubled slots, like the basis
@@ -370,28 +344,16 @@ def lattice_L() -> ReducedLattice:
         raise ValueError(f"m = 0 lattice Gram determinant {det} != 625")
 
     # the 8 chosen vectors generate exactly the lattice of all 120 images
-    if hermite_normal_form(images) != hermite_normal_form(basis_vecs):
-        raise ValueError("the 8 basis vectors do not generate the lattice of all 120 images")
+    _same_lattice(images, basis_vecs)
 
-    census: Counter = Counter()
-    rep = images[0]
-    pair_seen = set()
-    for i, u in enumerate(images):
-        if cell.pair_of[i] in pair_seen:
-            continue
-        pair_seen.add(cell.pair_of[i])
-        census[abs(_quarter_form(rep, u))] += 1
-    if dict(census) != {4: 1, 2: 20, 1: 24, 0: 15}:
-        raise ValueError(f"inner product census {dict(census)}")
-
-    # census must be the same from every generator
-    for j in (1, 7, 30, 59):
-        c2: Counter = Counter()
-        rep2 = images[cell.pairs[j][0]]
-        for pid in range(60):
-            c2[abs(_quarter_form(rep2, images[cell.pairs[pid][0]]))] += 1
-        if dict(c2) != {4: 1, 2: 20, 1: 24, 0: 15}:
-            raise ValueError(f"inner product census {dict(c2)} from pair {j}")
+    # the census of |inner products| from pair j to all 60 pairs is the same for every j tried
+    reps = [images[i] for i, _ in cell.pairs]
+    censuses = {
+        j: dict(Counter(abs(_quarter_form(reps[j], u)) for u in reps)) for j in (0, 1, 7, 30, 59)
+    }
+    for j, counts in censuses.items():
+        if counts != {4: 1, 2: 20, 1: 24, 0: 15}:
+            raise ValueError(f"inner product census {counts} from pair {j}")
 
     if any(gram[i][i] % 2 for i in range(8)):
         raise ValueError("m = 0 lattice is not even")
@@ -417,7 +379,7 @@ def lattice_L() -> ReducedLattice:
         gram=gram,
         det=det,
         images=images,
-        census=dict(census),
+        census=censuses[0],
         rootless=rootless,
         dual_basis_identity=dual_ok,
     )

@@ -13,6 +13,7 @@ Ranks, determinants and inverses over Z and Z[phi] all come from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional, Sequence, Union
 
 
@@ -209,6 +210,10 @@ class Elimination:
     rank: int
     det: Optional[Ring]  # det A for square A (0 if singular); None otherwise
     adj: Optional[tuple[tuple[Ring, ...], ...]]  # adj A = det A * A^-1, for invertible A
+
+    def numerators(self, row: Sequence[Ring]) -> tuple[Ring, ...]:
+        """row * adj A: det A times the coordinates of row over the rows of A."""
+        return tuple(sum(map(mul, row, col)) for col in zip(*self.adj))
 
 
 def eliminate(rows: Sequence[Sequence[Ring]]) -> Elimination:

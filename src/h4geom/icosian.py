@@ -254,7 +254,7 @@ def cell24_base_indices() -> frozenset[int]:
     return frozenset(out)
 
 
-def mulclose_indices(gens: Iterable[int], maxsize: int = 200) -> frozenset[int]:
+def mulclose_indices(gens: Iterable[int]) -> frozenset[int]:
     """Subgroup of the 120-group generated by the given vertex indices."""
     table = mult_table()
     gens = list(gens)
@@ -268,7 +268,5 @@ def mulclose_indices(gens: Iterable[int], maxsize: int = 200) -> frozenset[int]:
                 if y not in els:
                     els.add(y)
                     new.append(y)
-                    if len(els) > maxsize:
-                        raise RuntimeError("closure exceeded expected size")
         frontier = new
     return frozenset(els)

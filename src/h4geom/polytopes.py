@@ -13,7 +13,7 @@ tuple (row, col) with row in 1..5 and col in 6..10 (10 is printed as X).
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
@@ -25,11 +25,14 @@ from .icosian import (
     Flat,
     IcosianVec,
     cell24_base_indices,
+    element_order_index,
     find_order5,
     flat_dot,
     generate_vertices,
+    icosian_mul,
     inverse_index,
     mult_table,
+    mulclose_indices,
     perm_parity,
     vertex_index,
 )
@@ -58,6 +61,29 @@ def duad_str(d: Duad) -> str:
 
 def label_str(label: tuple[Duad, ...]) -> str:
     return "".join(duad_str(d) for d in label)
+
+
+def _is_transversal(duads: Iterable[Duad]) -> bool:
+    """Whether the duads use each row 1..5 and each column 6..10 once."""
+    rows, cols = zip(*duads)
+    return sorted(rows) == [1, 2, 3, 4, 5] and sorted(cols) == [6, 7, 8, 9, 10]
+
+
+def _masks(n: int, related: Callable[[int, int], bool]) -> tuple[int, ...]:
+    """Per a in range(n), the bitmask of the b with related(a, b)."""
+    return tuple(sum(1 << b for b in range(n) if related(a, b)) for a in range(n))
+
+
+def _coset_grid(reps: Sequence[int], base: Collection[int]) -> tuple[tuple[frozenset[int], ...], ...]:
+    """The vertex sets g_i * base * g_j^-1 for g_i, g_j in reps, off the Cayley
+    table; raises unless they are len(reps)**2 distinct sets."""
+    table, inv = mult_table(), inverse_index()
+    grid = tuple(
+        tuple(frozenset(table[table[gi][s]][inv[gj]] for s in base) for gj in reps) for gi in reps
+    )
+    if len({e for row in grid for e in row}) != len(reps) ** 2:
+        raise ValueError(f"the {len(reps)}x{len(reps)} grid g_i * B * g_j^-1 repeats an entry")
+    return grid
 
 
 class Cell600:
@@ -108,14 +134,7 @@ class Cell600:
     @cached_property
     def adj(self) -> tuple[int, ...]:
         """Bitmask of phi-neighbours (the 720 edges) per vertex."""
-        masks = []
-        for i in range(self.n):
-            m = 0
-            for j in range(self.n):
-                if self.pp[i][j] == "phi":
-                    m |= 1 << j
-            masks.append(m)
-        return tuple(masks)
+        return tuple(sum(1 << j for j, x in enumerate(row) if x == "phi") for row in self.pp)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -164,14 +183,8 @@ class Cell600:
 
     @cached_property
     def pair_orth(self) -> tuple[int, ...]:
-        masks = []
-        for a in range(60):
-            m = 0
-            for b in range(60):
-                if a != b and self.pair_class[a][b] == "0":
-                    m |= 1 << b
-            masks.append(m)
-        return tuple(masks)
+        """Bitmask of the pairs orthogonal to each pair."""
+        return _masks(60, lambda a, b: self.pair_class[a][b] == "0")
 
     @cached_property
     def cells16(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -278,27 +291,18 @@ class Cell600:
     def array(self) -> tuple[tuple[int, ...], ...]:
         """array[i][j] = index of the 24-cell g^i * B * g^-j, B the base cell."""
         table = mult_table()
-        inv = inverse_index()
         gi = self.index[self.g.flat]
         gpow = [self.index[ICOSIAN_ONE.flat]]
         for _ in range(4):
             gpow.append(table[gpow[-1]][gi])
-        base = sorted(cell24_base_indices())
         cellset_to_idx = {
             frozenset(self.pairs[p][0] for p in cell) | frozenset(self.pairs[p][1] for p in cell): k
             for k, cell in enumerate(self.cells24)
         }
-        grid = []
-        for i in range(5):
-            row = []
-            for j in range(5):
-                verts = frozenset(table[table[gpow[i]][a]][inv[gpow[j]]] for a in base)
-                row.append(cellset_to_idx[verts])
-            grid.append(tuple(row))
-        flat = [c for row in grid for c in row]
-        if len(set(flat)) != 25:
-            raise ValueError(f"the 5x5 array holds {len(set(flat))} distinct 24-cells, not 25")
-        return tuple(grid)
+        return tuple(
+            tuple(map(cellset_to_idx.__getitem__, row))
+            for row in _coset_grid(gpow, sorted(cell24_base_indices()))
+        )
 
     @cached_property
     def duad_of_cell(self) -> tuple[Duad, ...]:
@@ -322,14 +326,8 @@ class Cell600:
 
     @cached_property
     def disjointness_mask(self) -> tuple[int, ...]:
-        masks = []
-        for a in range(25):
-            m = 0
-            for b in range(25):
-                if a != b and not (self.cells24[a] & self.cells24[b]):
-                    m |= 1 << b
-            masks.append(m)
-        return tuple(masks)
+        """Bitmask of the 24-cells disjoint from each 24-cell."""
+        return _masks(25, lambda a, b: not self.cells24[a] & self.cells24[b])
 
     def find_all_partitions(self) -> tuple[frozenset[int], ...]:
         """Exhaustive 5-clique search over the disjointness graph."""
@@ -357,9 +355,7 @@ class Cell600:
         out = []
         for pid in range(60):
             duads = sorted(self.duad_of_cell[c] for c in self.cell_of_pair[pid])
-            rows = [d[0] for d in duads]
-            cols = [d[1] for d in duads]
-            if rows != [1, 2, 3, 4, 5] or sorted(cols) != [6, 7, 8, 9, 10]:
+            if not _is_transversal(duads):
                 raise ValueError(f"pair {pid}: its duads do not use each row and column once")
             out.append(tuple(duads))
         if len(set(out)) != 60:
@@ -395,8 +391,8 @@ class Cell600:
     def hexagon_list(self) -> tuple[frozenset[int], ...]:
         return tuple(sorted(self.hexagons.values(), key=lambda s: tuple(sorted(s))))
 
-    def hexagons_orthogonal(self, h1: frozenset[int], h2: frozenset[int]) -> bool:
-        return all(self.pair_class[p][q] == "0" for p in h1 for q in h2)
+    def pair_sets_orthogonal(self, s1: frozenset[int], s2: frozenset[int]) -> bool:
+        return all(self.pair_class[p][q] == "0" for p in s1 for q in s2)
 
     @cached_property
     def hexagon_orthogonal_pairs(self) -> tuple[frozenset[frozenset[int]], ...]:
@@ -410,7 +406,7 @@ class Cell600:
                 (c for c in range(25) if self.duad_of_cell[c] in ((ra, cb), (rb, ca)))
             )
             mate = self.hexagons[crossed]
-            if not self.hexagons_orthogonal(hexagon, mate):
+            if not self.pair_sets_orthogonal(hexagon, mate):
                 raise ValueError(f"the crossed hexagon of cells {a}, {b} is not orthogonal")
             pairs.add(frozenset((hexagon, mate)))
         if len(pairs) != 100:
@@ -463,9 +459,7 @@ class Cell600:
         inv = inverse_index()
         one = self.index[ICOSIAN_ONE.flat]
         neg_one = self.neg[one]
-        orders = [self._order(i) for i in range(self.n)]
-        from .icosian import mulclose_indices
-
+        orders = [element_order_index(i) for i in range(self.n)]
         if p == 2:
             x = next(i for i in range(self.n) if orders[i] == 4)
             y = next(
@@ -485,37 +479,19 @@ class Cell600:
         if len(normalizer) != expected_n:
             raise ValueError(f"p = {p}: normalizer of order {len(normalizer)}, not {expected_n}")
         q1 = self.n // len(normalizer)  # q + 1 of the array
-        reps: list[int] = []
-        cosets = set()
+        first: dict[frozenset[int], int] = {}  # each left coset and its first element
         for h in range(self.n):
-            cs = frozenset(table[h][s] for s in normalizer)
-            if cs not in cosets:
-                cosets.add(cs)
-                reps.append(h)
+            first.setdefault(frozenset(table[h][s] for s in normalizer), h)
+        reps = list(first.values())
         if len(reps) != q1:
             raise ValueError(f"p = {p}: {len(reps)} cosets, not {q1}")
-        entries = []
-        for gi in reps:
-            row = []
-            for gj in reps:
-                vs = frozenset(table[table[gi][s]][inv[gj]] for s in normalizer)
-                row.append(vs)
-            entries.append(tuple(row))
-        flat = [e for row in entries for e in row]
-        if len(set(flat)) != q1 * q1:
-            raise ValueError(f"p = {p}: the array entries are not {q1 * q1} distinct sets")
+        entries = _coset_grid(reps, normalizer)
         for k in range(q1):
             row_union = set().union(*(entries[k][j] for j in range(q1)))
             col_union = set().union(*(entries[i][k] for i in range(q1)))
             if len(row_union) != self.n or len(col_union) != self.n:
                 raise ValueError(f"p = {p}: row or column {k} does not cover the vertices")
-        return PrimeArray(p, q1, tuple(entries), self)
-
-    @cache
-    def _order(self, i: int) -> int:
-        from .icosian import element_order_index
-
-        return element_order_index(i)
+        return PrimeArray(p, q1, entries, self)
 
     # ---------- derived polytopes ----------
 
@@ -568,10 +544,6 @@ class Cell120:
         self.n = 600
 
     @cached_property
-    def neg(self) -> tuple[int, ...]:
-        return tuple(self.index[(-v).flat] for v in self.vertices)
-
-    @cached_property
     def cells(self) -> tuple[frozenset[int], ...]:
         """25 disjoint 24-cells g^i * C * g^-j covering the 600 vertices."""
         parent = self.parent
@@ -579,8 +551,6 @@ class Cell120:
         ginv = g.quat_conj()
         gpow = [ICOSIAN_ONE]
         ginvpow = [ICOSIAN_ONE]
-        from .icosian import icosian_mul
-
         for _ in range(4):
             gpow.append(icosian_mul(gpow[-1], g))
             ginvpow.append(icosian_mul(ginvpow[-1], ginv))
@@ -649,10 +619,7 @@ class Cell120:
         for v in range(self.n):
             home = self.duad_of_cell[self.home_cell[v]]
             nbrs = tuple(sorted(self.duad_of_cell[self.home_cell[w]] for w in self.neighbors[v]))
-            five = sorted((home,) + nbrs)
-            rows = [d[0] for d in five]
-            cols = sorted(d[1] for d in five)
-            if rows != [1, 2, 3, 4, 5] or cols != [6, 7, 8, 9, 10]:
+            if not _is_transversal((home,) + nbrs):
                 raise ValueError(f"120-cell vertex {v}: its duads do not use each row and column")
             out.append((home, nbrs))
         return tuple(out)

@@ -135,10 +135,15 @@ class _Ops(Sequence):
     def __len__(self) -> int:
         return len(self._group.factors[2])
 
-    def __getitem__(self, k: int) -> SymOp:
-        k = range(len(self))[k]  # negative k counts from the end; IndexError past it
-        (perm,) = self._group._compose(self._group._vertex_tables, (k,))
-        return SymOp(perm, 1 - 2 * self._group.factors[2][k])
+    def __getitem__(self, k: int | slice) -> SymOp | tuple[SymOp, ...]:
+        """ops[k], or the tuple of a slice's elements composed in one call."""
+        ks = range(len(self))[k]  # negative k counts from the end; IndexError past it
+        one = not isinstance(k, slice)
+        ks = (ks,) if one else ks
+        group = self._group
+        perms = group._compose(group._vertex_tables, ks)
+        ops = tuple(SymOp(perm, 1 - 2 * group.factors[2][j]) for perm, j in zip(perms, ks))
+        return ops[0] if one else ops
 
 
 class SymmetryGroup:

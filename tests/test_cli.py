@@ -52,8 +52,8 @@ def test_dump_unknown_object_is_usage_error():
 
 def test_failed_check_gives_exit_1_and_writes_report(tmp_path, monkeypatch):
     bad = dict(checks.CHECKS)
-    prov, _, fn = bad["facts/fact1"]
-    bad["facts/fact1"] = (prov, {"vertices": 121}, fn)
+    _, fn = bad["facts/fact1"]
+    bad["facts/fact1"] = ({"vertices": 121}, fn)
     monkeypatch.setattr(checks, "CHECKS", bad)
     report = tmp_path / "r.json"
     rc = main(["verify", "--only", "facts/fact1", "--report", str(report)])
@@ -67,10 +67,10 @@ def test_failed_check_names_the_differing_fields_on_stderr(tmp_path, monkeypatch
         raise KeyError("missing table")
 
     bad = dict(checks.CHECKS)
-    prov, expected, fn = bad["facts/fact1"]
-    bad["facts/fact1"] = (prov, {**expected, "vertices": 121, "faces": 3}, fn)
-    prov, expected, _ = bad["facts/fact2"]
-    bad["facts/fact2"] = (prov, expected, boom)
+    expected, fn = bad["facts/fact1"]
+    bad["facts/fact1"] = ({**expected, "vertices": 121, "faces": 3}, fn)
+    expected, _ = bad["facts/fact2"]
+    bad["facts/fact2"] = (expected, boom)
     monkeypatch.setattr(checks, "CHECKS", bad)
     report = tmp_path / "r.json"
     assert main(["verify", "--only", "facts/fact[12]", "--report", str(report)]) == 1
@@ -141,8 +141,8 @@ def test_raising_check_is_a_failure_and_the_run_goes_on(tmp_path, monkeypatch):
         raise KeyError("missing table")
 
     bad = dict(checks.CHECKS)
-    prov, expected, _ = bad["s4/pentagons"]
-    bad["s4/pentagons"] = (prov, expected, boom)
+    expected, _ = bad["s4/pentagons"]
+    bad["s4/pentagons"] = (expected, boom)
     monkeypatch.setattr(checks, "CHECKS", bad)
     report = tmp_path / "r.json"
     assert main(["verify", "--only", "s4/*", "--report", str(report)]) == 1

@@ -20,7 +20,7 @@ from h4geom.embed import (
     E8Lattice,
     _gram_identity,
     _quarter_form,
-    hermite_normal_form,
+    _same_lattice,
     short_vectors,
 )
 from h4geom.icosian import IcosianVec
@@ -35,6 +35,40 @@ def contains(e8, amb):
         return True
     except ValueError:
         return False
+
+
+def hermite_normal_form(rows):
+    """Canonical row HNF of an integer matrix; returns the nonzero rows.  The
+    oracle for `lattice_L`'s two-way lattice equality certificate."""
+    m = [list(r) for r in rows if any(r)]
+    if not m:
+        return ()
+    ncols = len(m[0])
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, len(m)) if m[i][c]]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(m[i][c]))
+            m[r], m[piv] = m[piv], m[r]
+            if m[r][c] < 0:
+                m[r] = [-x for x in m[r]]
+            done = True
+            for i in range(r + 1, len(m)):
+                if m[i][c]:
+                    q = m[i][c] // m[r][c]
+                    m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+                    if m[i][c]:
+                        done = False
+            if done:
+                for i in range(r):
+                    q = m[i][c] // m[r][c]
+                    if q:
+                        m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+                r += 1
+                break
+    return tuple(tuple(row) for row in m[:r])
 
 
 def test_hnf_is_canonical_and_detects_lattice_equality():
@@ -241,7 +275,7 @@ def test_s6_example1_raises_on_a_root_pair_with_an_odd_inner_product_sum(monkeyp
     fake = copy.copy(e8)
     fake.roots = e8.roots | {(1, 0, 0, 0, 0, 0, 0, 0)}
     real = embed.certify_e8
-    monkeypatch.setattr(embed, "certify_e8", lambda m=-1: fake if m == -1 else real(m))
+    monkeypatch.setattr(embed, "certify_e8", lambda m: fake if m == -1 else real(m))
     result = checks.run_check("s6/example1")
     assert result.status == "fail"
     assert result.observed == {"error": "ValueError: a root pair's inner product is not an integer"}
@@ -280,6 +314,25 @@ def test_lattice_L(lat_l):
     assert lat_l.census == {4: 1, 2: 20, 1: 24, 0: 15}
     assert all(lat_l.gram[i][i] % 2 == 0 for i in range(8))
     assert short_vectors(lat_l.gram, 2) == {}
+
+
+def test_lattice_L_basis_generates_the_lattice_of_all_images(lat_l):
+    """The two-way certificate agrees with the HNF oracle."""
+    _same_lattice(lat_l.images, lat_l.basis)
+    assert hermite_normal_form(lat_l.images) == hermite_normal_form(lat_l.basis)
+
+
+def test_same_lattice_names_the_direction_that_fails():
+    # the images span only 2Z + Z, so (1, 0) is no image and no sum of two
+    with pytest.raises(ValueError, match="^sums of images: basis vector"):
+        _same_lattice({(2, 0), (0, 1)}, ((1, 0), (0, 1)))
+    # (1, 0) has coordinate 1/2 over the basis (2, 0), (0, 1)
+    with pytest.raises(ValueError, match="^integrality: image"):
+        _same_lattice({(1, 0), (0, 1)}, ((2, 0), (0, 1)))
+    with pytest.raises(ValueError, match="singular"):
+        _same_lattice({(1, 0)}, ((1, 0), (2, 0)))
+    _same_lattice({(1, 0), (1, 1), (0, -1)}, ((1, 0), (1, 1)))
+    _same_lattice({(1, 0), (0, 1)}, ((1, 1), (0, 1)))  # (1, 1) is the sum of two images
 
 
 def test_lattice_L_minimum_is_4(lat_l):

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from h4geom.golden import (
     GoldenInt,
@@ -244,3 +244,21 @@ def test_exact_quotient_divides_exactly_or_reports_none(x, d, n, m):
 @given(golden, st.sampled_from([-1, 0, 1]), st.integers(-3, 3))
 def test_integer_reduce_is_twice_the_fraction_reduction(x, m, k):
     assert ReductionMap(m, k).reduce(x) == 2 * reduce_scalar(x, FractionMap(F(5), F(m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([(small, 0), (st.builds(GoldenInt, small, small), GoldenInt(0))]))
+def test_numerators_are_the_row_times_the_adjugate(data, ring):
+    """Over Z and Z[phi]: numerators(row) sums row against each column of adj
+    A, and a row of A itself gets det A on its own slot and 0 elsewhere."""
+    entry, zero = ring
+    n = data.draw(st.integers(1, 4))
+    a = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    e = eliminate(a)
+    assume(e.det)
+    row = data.draw(st.lists(entry, min_size=n, max_size=n))
+    assert e.numerators(row) == tuple(
+        sum((row[k] * e.adj[k][j] for k in range(n)), zero) for j in range(n)
+    )
+    for i in range(n):
+        assert e.numerators(a[i]) == tuple(e.det if j == i else zero for j in range(n))

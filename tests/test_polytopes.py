@@ -1,10 +1,20 @@
 from collections import Counter
 from itertools import combinations
 
+import pytest
+
 from h4geom import checks
 from h4geom.golden import GoldenInt, golden_sign
-from h4geom.icosian import ICOSIAN_ONE, flat_dot
-from h4geom.polytopes import _PP_KEYS, Cell120, label_str, perm_parity
+from h4geom.icosian import (
+    ICOSIAN_ONE,
+    cell24_base_indices,
+    element_order_index,
+    flat_dot,
+    inverse_index,
+    mulclose_indices,
+    mult_table,
+)
+from h4geom.polytopes import _PP_KEYS, Cell120, _coset_grid, label_str, perm_parity
 
 PHI_KEY = (0, 1)
 
@@ -210,6 +220,62 @@ def test_prime_array_p2_reproduces_24cell_array(cell):
     assert rows | cols <= partition_pidsets
 
 
+def _nested_loop_prime_entries(cell, p):
+    """The normalizer, coset and entry loops `prime_array` ran before its
+    entries came from `_coset_grid`: the oracle for them."""
+    table, inv, n = mult_table(), inverse_index(), cell.n
+    orders = [element_order_index(i) for i in range(n)]
+    if p == 2:
+        x = next(i for i in range(n) if orders[i] == 4)
+        y = next(i for i in range(n) if orders[i] == 4 and len(mulclose_indices((x, i))) == 8)
+        sylow = mulclose_indices((x, y))
+    else:
+        x = next(i for i in range(n) if orders[i] == p)
+        sylow = mulclose_indices((x, cell.neg[cell.index[ICOSIAN_ONE.flat]]))
+    normalizer = frozenset(
+        h for h in range(n) if frozenset(table[table[h][s]][inv[h]] for s in sylow) == sylow
+    )
+    reps, cosets = [], set()
+    for h in range(n):
+        cs = frozenset(table[h][s] for s in normalizer)
+        if cs not in cosets:
+            cosets.add(cs)
+            reps.append(h)
+    entries = []
+    for gi in reps:
+        row = []
+        for gj in reps:
+            row.append(frozenset(table[table[gi][s]][inv[gj]] for s in normalizer))
+        entries.append(tuple(row))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_prime_array_entries_match_the_nested_loops(cell, p):
+    assert cell.prime_array(p).entries == _nested_loop_prime_entries(cell, p)
+
+
+def test_array_matches_the_per_cell_loop(cell):
+    """Every entry of `array` against the per-cell loop it replaced."""
+    table, inv = mult_table(), inverse_index()
+    gi = cell.index[cell.g.flat]
+    gpow = [cell.index[ICOSIAN_ONE.flat]]
+    for _ in range(4):
+        gpow.append(table[gpow[-1]][gi])
+    base = sorted(cell24_base_indices())
+    for i in range(5):
+        for j in range(5):
+            verts = frozenset(table[table[gpow[i]][a]][inv[gpow[j]]] for a in base)
+            pids = cell.cells24[cell.array[i][j]]
+            assert verts == {v for p in pids for v in cell.pairs[p]}
+
+
+def test_coset_grid_raises_on_a_repeated_entry(cell):
+    one = cell.index[ICOSIAN_ONE.flat]
+    with pytest.raises(ValueError, match="repeats an entry"):
+        _coset_grid([one, one], [one])
+
+
 def test_prime_array_p3_is_hexagon_pairs(cell):
     pa = cell.prime_array(3)
     assert pa.size == 10
@@ -219,7 +285,7 @@ def test_prime_array_p3_is_hexagon_pairs(cell):
             pids = pa.entry_pairs(i, j)
             hexes = [h for h in cell.hexagon_list if h <= pids]
             assert len(hexes) == 2
-            assert cell.hexagons_orthogonal(*hexes)
+            assert cell.pair_sets_orthogonal(*hexes)
             seen.add(frozenset(hexes))
     assert len(seen) == 100
     assert seen == set(cell.hexagon_orthogonal_pairs)

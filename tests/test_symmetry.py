@@ -459,6 +459,31 @@ def test_ops_match_the_eager_listing_on_all_elements(group):
         group.ops[14400]
 
 
+@pytest.mark.parametrize(
+    "s",
+    [
+        slice(0, 2), slice(None, None, -997), slice(-5, None),
+        slice(10, 0, -3), slice(5, 5), slice(14390, 20000, 4),
+    ],
+)
+def test_ops_slice_is_the_tuple_of_its_elements_composed_in_one_call(monkeypatch, group, s):
+    ops = group.ops
+    expected = tuple(ops[k] for k in range(len(ops))[s])
+    calls = 0
+    compose = group._compose
+
+    def counting(tables, ks):
+        nonlocal calls
+        calls += 1
+        return compose(tables, ks)
+
+    monkeypatch.setattr(group, "_compose", counting)
+    got = ops[s]
+    assert calls == 1
+    assert [(op.perm, op.parity) for op in got] == [(op.perm, op.parity) for op in expected]
+    assert isinstance(got, tuple)
+
+
 def test_vertex_stabilizers_match_the_eager_scan_on_all_vertices(group):
     eager = _eager_listing(group)
     for i in range(120):
