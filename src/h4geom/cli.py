@@ -17,9 +17,6 @@ import sys
 
 from .serialize import dumps, jsonable
 
-DUMP_OBJECTS = ("vertices", "labels", "array", "lines", "planes", "lattice")
-
-
 def _why_failed(result) -> list[str]:
     """The error text of a check that raised, or each top-level field whose
     expected and observed values differ."""
@@ -130,16 +127,13 @@ def _dump_lines():
     geo = mod2.f4_geometry()
     out = []
     for line in geo.lines:
+        vertex_pairs, cells = geo.line_members(line)
         out.append(
             {
                 "points": sorted(line),
                 "type": geo.line_type(line),
-                "vertex_pairs": sorted(
-                    geo.tags[p][1] for p in line if geo.tags[p][0] == "vertex"
-                ),
-                "cells": sorted(
-                    geo.tags[p][1] for p in line if geo.tags[p][0] == "cell"
-                ),
+                "vertex_pairs": vertex_pairs,
+                "cells": cells,
             }
         )
     out.sort(key=lambda d: d["points"])
@@ -199,6 +193,7 @@ _DUMPERS = {
     "planes": _dump_planes,
     "lattice": _dump_lattice,
 }
+DUMP_OBJECTS = tuple(_DUMPERS)
 
 
 def cmd_dump(args) -> int:

@@ -21,8 +21,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
+from itertools import combinations
 from math import isqrt, lcm
 from operator import mul, sub
 
@@ -39,46 +39,42 @@ def short_vectors(gram, bound: int) -> dict[int, list[IntVec]]:
     """All nonzero x with x G x^T <= bound, exactly (Fincke-Pohst).
 
     x G x^T = sum_i d_i (x_i + c_i)^2 with G = L diag(d) L^T and
-    c_i = sum_{j > i} L_ji x_j.  The LDL^T is taken once in Fractions and
-    scaled to integers: D is the common denominator of L, so c_i = C_i / D,
-    and Q that of the d_i, so w_i = Q d_i.  A level then keeps x_i = k iff
-    w_i (D k + C_i)^2 <= rem, where rem = D^2 Q * (what is left of the
-    bound), and |D k + C_i| <= isqrt(rem // w_i) is that same condition.
+    c_i = sum_{j > i} L_ji x_j.  `eliminate` of the leading blocks G_k gives
+    the minors D_k = det G_k, so d_i = D_{i+1} / D_i, and the integers
+    N_ji = D_{i+1} L_ji as the last numerator of row j over G_{i+1}.  Level i
+    adds (D_{i+1} x_i + C_i)^2 / (D_i D_{i+1}), C_i = sum_{j > i} N_ji x_j;
+    scaled by S = lcm(D_i D_{i+1}), it keeps x_i = k iff w_i (D_{i+1} k +
+    C_i)^2 <= rem, where w_i = S / (D_i D_{i+1}) and rem = S * (what is left
+    of the bound), and |D_{i+1} k + C_i| <= isqrt(rem // w_i) is the same.
 
     Returns coordinate vectors grouped by their (integer) norm, each list
     sorted.
     """
     n = len(gram)
-    g = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    low = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for i in range(n):
-        d = g[i][i] - sum(low[i][k] * low[i][k] * diag[k] for k in range(i))
-        if d <= 0:
-            raise ValueError("form is not positive definite")
-        diag[i] = d
-        low[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            low[j][i] = (g[j][i] - sum(low[j][k] * low[i][k] * diag[k] for k in range(i))) / d
-
-    den = lcm(*(low[j][i].denominator for i in range(n) for j in range(i + 1, n)))
-    q = lcm(*(d.denominator for d in diag))
-    # cols[i] = the integers D * L_ji for j > i, as (j, value) pairs
+    if not all(isinstance(x, int) for row in gram for x in row):
+        raise ValueError("a Gram entry is not an integer")
+    elims = [eliminate([row[:k] for row in gram[:k]]) for k in range(1, n + 1)]
+    minors = [1] + [e.det for e in elims]  # D_0 = 1, D_1, ..., D_n
+    if any(d <= 0 for d in minors):  # Sylvester's criterion
+        raise ValueError("form is not positive definite")
+    # cols[i] = the integers N_ji for j > i, as (j, value) pairs
     cols = [
-        [(j, int(low[j][i] * den)) for j in range(i + 1, n) if low[j][i]] for i in range(n)
+        [(j, nji) for j in range(i + 1, n) if (nji := e.numerators(gram[j][:i + 1])[i])]
+        for i, e in enumerate(elims)
     ]
-    weights = [int(d * q) for d in diag]
-    scale = den * den * q
+    dens = minors[1:]
+    scale = lcm(*map(mul, minors, dens))
+    weights = [scale // (a * b) for a, b in zip(minors, dens)]
     total = scale * bound
 
     out: dict[int, list[IntVec]] = {}
     x = [0] * n
 
     def recurse(i: int, rem: int) -> None:
-        w = weights[i]
+        w, den = weights[i], dens[i]
         c = 0
-        for j, lji in cols[i]:
-            c += lji * x[j]
+        for j, nji in cols[i]:
+            c += nji * x[j]
         s = isqrt(rem // w)
         for k in range(-((s + c) // den), (s - c) // den + 1):
             t = den * k + c
@@ -206,17 +202,13 @@ class E8Lattice(IntLattice):
 def _root_basis(h_img: list[IntVec]) -> tuple[IntVec, ...]:
     """Pick 8 embedded roots that form a Z-basis of the generated lattice.
 
-    Greedy rank extension first; if the chosen roots generate a proper
-    sublattice, swap in roots with fractional coordinates of magnitude < 1
-    until the Gram determinant reaches 1 (each swap strictly reduces it).
+    Greedy rank extension (the pivot columns of the transpose) first; if the
+    chosen roots generate a proper sublattice, swap in roots with fractional
+    coordinates of magnitude < 1 until the Gram determinant reaches 1 (each
+    swap strictly reduces it).
     """
     ordered = sorted(h_img)
-    chosen: list[IntVec] = []
-    for u in ordered:
-        if eliminate(chosen + [u]).rank == len(chosen) + 1:
-            chosen.append(u)
-            if len(chosen) == 8:
-                break
+    chosen = [ordered[c] for c in eliminate(list(zip(*ordered))).pivots]
     if len(chosen) != 8:
         raise ValueError(f"embedded roots span rank {len(chosen)}, not 8")
 
@@ -263,22 +255,14 @@ def golden_basis() -> GoldenBasis:
     verts = the_600cell().vertices
     coords = [v.c for v in verts]  # GoldenInt coordinates for eliminate, read once
 
-    def coords_all_integral(idxs: list[int]) -> bool:
-        # coordinates w * B^-1 = w * adj B / det B
+    def spans_all(idxs: tuple[int, ...]) -> bool:
+        # independent, and every w has integral coordinates w * B^-1 = w * adj B / det B
         inv = eliminate([coords[i] for i in idxs])
-        return all(exact_quotient(n, inv.det) is not None for w in coords for n in inv.numerators(w))
+        return bool(inv.det) and all(
+            exact_quotient(n, inv.det) is not None for w in coords for n in inv.numerators(w)
+        )
 
-    def search(start: int, chosen: list[int]):
-        if len(chosen) == 4:
-            return tuple(chosen) if coords_all_integral(chosen) else None
-        for i in range(start, len(coords)):
-            if eliminate([coords[j] for j in chosen + [i]]).rank == len(chosen) + 1:
-                got = search(i + 1, chosen + [i])
-                if got:
-                    return got
-        return None
-
-    idxs = search(0, [])
+    idxs = next((c for c in combinations(range(len(coords)), 4) if spans_all(c)), None)
     if idxs is None:
         raise ValueError("no golden vertex basis found")
     basis = tuple(verts[i] for i in idxs)

@@ -207,9 +207,13 @@ def exact_quotient(x: Ring, d: Ring) -> Optional[Ring]:
 
 @dataclass(frozen=True)
 class Elimination:
-    rank: int
+    pivots: tuple[int, ...]  # the columns independent of the columns before them
     det: Optional[Ring]  # det A for square A (0 if singular); None otherwise
     adj: Optional[tuple[tuple[Ring, ...], ...]]  # adj A = det A * A^-1, for invertible A
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
     def numerators(self, row: Sequence[Ring]) -> tuple[Ring, ...]:
         """row * adj A: det A times the coordinates of row over the rows of A."""
@@ -230,8 +234,9 @@ def eliminate(rows: Sequence[Sequence[Ring]]) -> Elimination:
     n = len(rows)
     m = len(rows[0]) if n else 0
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    rank, prev, sign = 0, 1, 1
+    pivots, prev, sign = [], 1, 1
     for c in range(m):
+        rank = len(pivots)
         piv = next((i for i in range(rank, n) if aug[i][c]), None)
         if piv is None:
             continue
@@ -252,10 +257,10 @@ def eliminate(rows: Sequence[Sequence[Ring]]) -> Elimination:
                 new.append(q)
             aug[i] = new
         prev = p
-        rank += 1
+        pivots.append(c)
     if n != m:
-        return Elimination(rank, None, None)
-    if rank < n:
-        return Elimination(rank, 0, None)
+        return Elimination(tuple(pivots), None, None)
+    if len(pivots) < n:
+        return Elimination(tuple(pivots), 0, None)
     adj = tuple(tuple(x if sign == 1 else -x for x in row[m:]) for row in aug)
-    return Elimination(rank, sign * prev, adj)
+    return Elimination(tuple(pivots), sign * prev, adj)

@@ -7,23 +7,26 @@ makes the 255 nonzero classes into 85 projective points, labeled by the 60
 vertex pairs and the 25 24-cells; lines, planes, the F4-valued form, and the
 270 totally singular 4-spaces are classified against the polytope oracles.
 
-Sets of classes are 256-bit masks.  perp[x], the classes B-orthogonal to x,
-comes from a fold that is linear in x's row of B; the 4-spaces grow along
-their echelon bases, each built once; phibar's B-self-adjointness and the
-biadditivity of the F4 form's polarization are checked one 256-value row at
-a time; and the pentad analyses intersect spaces as masks.
+Sets of classes are 256-bit masks.  Every linear map of the classes (B's
+rows, phibar, a symmetry's action, and the map from a row of B to the mask
+of the classes it pairs to 1, which gives perp[x]) is one table built from
+its rows (`_table`); the 4-spaces grow along their echelon bases, each built
+once; phibar's B-self-adjointness and the biadditivity of the F4 form's
+polarization are checked one 256-value row at a time; and the pentad
+analyses intersect spaces as masks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .embed import E8Lattice, certify_e8
+from .embed import E8Lattice, IntVec, certify_e8
+from .polytopes import bits
 
 if TYPE_CHECKING:  # annotations only: the lines and planes dumps never load symmetry
     from .symmetry import SymOp
@@ -46,16 +49,22 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _mask(vectors) -> int:
     return sum(1 << x for x in vectors)
+
+
+def _bitrows(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Each row of an integer matrix mod 2, as a bitmask (entry j is bit j)."""
+    return tuple(sum((x & 1) << j for j, x in enumerate(row)) for row in matrix)
+
+
+def _table(bitrows: Sequence[int]) -> tuple[int, ...]:
+    """The linear map x -> xor of bitrows[i] over the set bits i of x, as a
+    table over all 2**len(bitrows) classes, built by doubling."""
+    out = [0]
+    for r in bitrows:
+        out += [y ^ r for y in out]
+    return tuple(out)
 
 
 @cache
@@ -109,11 +118,7 @@ class F4Geometry:
         self.e8 = e8
         self.cell = e8.cell
 
-        gram = e8.gram
-        self._g2_rows = tuple(
-            sum((gram[i][j] & 1) << j for j in range(8)) for i in range(8)
-        )
-        self.rowvec = tuple(self._fold_rows(self._g2_rows, x) for x in range(256))
+        self.rowvec = _table(_bitrows(e8.gram))
         self.q = tuple(self._q_of_class(x) for x in range(256))
 
         # lattice coordinates of the 120 roots and of their phi images
@@ -122,28 +127,16 @@ class F4Geometry:
         vid_of_root = {u: i for i, u in enumerate(e8.h_img)}
         self._basis_vids = tuple(vid_of_root[b] for b in e8.basis)
         self.phi = self._build_phi()
-        self.class_of_h = tuple(map(self._class_of, self.root_coords))
-        self.class_of_phi_h = tuple(map(self._class_of, self.phi_coords))
+        self.class_of_h = _bitrows(self.root_coords)
+        self.class_of_phi_h = _bitrows(self.phi_coords)
 
     # ---------- forms ----------
 
-    @staticmethod
-    def _fold_rows(rows: tuple[int, ...], x: int) -> int:
-        acc = 0
-        for i in range(8):
-            if x >> i & 1:
-                acc ^= rows[i]
-        return acc
-
-    @staticmethod
-    def _class_of(coords) -> int:
-        return sum((coords[i] & 1) << i for i in range(8))
-
     def _q_of_class(self, x: int) -> int:
-        bits = [i for i in range(8) if x >> i & 1]
+        ones = list(bits(x))
         s = 0
-        for i in bits:
-            for j in bits:
+        for i in ones:
+            for j in ones:
                 s += self.e8.gram[i][j]
         return (s // 2) & 1
 
@@ -155,13 +148,9 @@ class F4Geometry:
         """perp[x]: the 256-bit mask of the classes y with B(x, y) = 0.
 
         B(x, y) is the parity of r & y for r = rowvec[x], and the mask odd[r]
-        of the y that make it odd is linear in r: odd[r] = odd[r ^ low] ^
-        has_bit[low] for the lowest bit `low` of r."""
-        has_bit = _has_bit()
-        odd = [0] * 256
-        for r in range(1, 256):
-            low = r & -r
-            odd[r] = odd[r ^ low] ^ has_bit[low.bit_length() - 1]
+        of the y that make it odd is linear in r, the xor of has_bit[i] over
+        the set bits i of r."""
+        odd = _table(_has_bit())
         return tuple(_FULL ^ odd[r] for r in self.rowvec)
 
     def self_adjoint(self, t: tuple[int, ...]) -> bool:
@@ -173,9 +162,9 @@ class F4Geometry:
         rowvec[t[x]] == tT(rowvec[x]) for all 256 x.  (Since B is
         nondegenerate, agreement on all pairs also forces t to be linear.)
         """
-        if any(t[x] != t[x & x - 1] ^ t[x & -x] for x in range(1, 256)):
-            return False
         images = [t[1 << i] for i in range(8)]
+        if tuple(t) != _table(images):  # t is not linear
+            return False
 
         def transpose(r: int) -> int:
             return sum(_parity(r & images[i]) << i for i in range(8))
@@ -183,14 +172,19 @@ class F4Geometry:
         rowvec = self.rowvec
         return all(rowvec[t[x]] == transpose(rowvec[x]) for x in range(256))
 
-    def _build_phi(self) -> PhiMap:
-        # rows: the coordinates of the phi images of the basis roots
-        rows = tuple(self.phi_coords[vid] for vid in self._basis_vids)
-        # defining property on all 120 roots (well-definedness of the extension)
+    def _induced(self, images: Sequence[IntVec], what: str) -> tuple[IntVec, ...]:
+        """The integer matrix whose rows are the images of the basis roots,
+        from the lattice coordinates of the images of all 120 roots; raises
+        unless it maps every root to its image."""
+        rows = tuple(images[vid] for vid in self._basis_vids)
         cols = tuple(zip(*rows))
         for i, x in enumerate(self.root_coords):
-            if tuple(sum(map(mul, x, col)) for col in cols) != self.phi_coords[i]:
-                raise ValueError(f"phi matrix does not map root {i} to its phi image")
+            if tuple(sum(map(mul, x, col)) for col in cols) != images[i]:
+                raise ValueError(f"{what} matrix does not map root {i} to its image")
+        return rows
+
+    def _build_phi(self) -> PhiMap:
+        rows = self._induced(self.phi_coords, "phi")
         sq = tuple(
             tuple(sum(rows[i][k] * rows[k][j] for k in range(8)) for j in range(8))
             for i in range(8)
@@ -198,8 +192,8 @@ class F4Geometry:
         expect = tuple(
             tuple(rows[i][j] + (1 if i == j else 0) for j in range(8)) for i in range(8)
         )
-        mod2_rows = tuple(sum((rows[i][j] & 1) << j for j in range(8)) for i in range(8))
-        table = tuple(self._fold_rows(mod2_rows, x) for x in range(256))
+        mod2_rows = _bitrows(rows)
+        table = _table(mod2_rows)
         cube = tuple(table[table[table[x]]] for x in range(256))
         return PhiMap(rows, mod2_rows, table, sq == expect, cube == tuple(range(256)))
 
@@ -250,16 +244,14 @@ class F4Geometry:
                 raise ValueError(f"untagged point {k} is not singular")
         # a line with four vertex points carries a 16-cell; its fifth point
         # is tagged by the ambient 24-cell
-        sixteens = {c: cell.cell16_ambient[c] for c in cell.cells16}
         proposals: dict[int, set[int]] = {}
         for line in self.lines:
-            vs = sorted(tags[p][1] for p in line if p in tags)
-            if len(vs) != 4:
+            key = tuple(sorted(tags[p][1] for p in line if p in tags))
+            if len(key) != 4:
                 continue
             rest = [p for p in line if p not in tags]
-            key = tuple(vs)
-            if key in sixteens and len(rest) == 1:
-                proposals.setdefault(rest[0], set()).add(sixteens[key])
+            if key in cell.cell16_ambient and len(rest) == 1:
+                proposals.setdefault(rest[0], set()).add(cell.cell16_ambient[key])
         if len(proposals) != 25:
             raise ValueError(f"{len(proposals)} points carry a 24-cell tag, not 25")
         for pt, cells in proposals.items():
@@ -310,8 +302,16 @@ class F4Geometry:
             raise ValueError(f"{len(out)} lines, not 357")
         return out
 
+    def line_members(self, line: frozenset[int]) -> tuple[list[int], list[int]]:
+        """The sorted vertex-pair ids and 24-cell ids that tag a line's points."""
+        tags = [self.tags[p] for p in line]
+        return (
+            sorted(ref for kind, ref in tags if kind == "vertex"),
+            sorted(ref for kind, ref in tags if kind == "cell"),
+        )
+
     def line_type(self, line: frozenset[int]) -> str:
-        nv = sum(1 for p in line if self.tags[p][0] == "vertex")
+        nv = len(self.line_members(line)[0])
         return {5: "pentagon", 4: "cell16", 3: "triangle", 0: "partition"}[nv]
 
     @cached_property
@@ -329,8 +329,7 @@ class F4Geometry:
         partition_sets = set(cell.partitions)
         ok: dict[str, int] = {"partition": 0, "pentagon": 0, "cell16": 0, "triangle": 0}
         for line in self.lines:
-            vs = sorted(self.tags[p][1] for p in line if self.tags[p][0] == "vertex")
-            cs = sorted(self.tags[p][1] for p in line if self.tags[p][0] == "cell")
+            vs, cs = self.line_members(line)
             kind = self.line_type(line)
             if kind == "partition":
                 if frozenset(cs) in partition_sets:
@@ -371,7 +370,7 @@ class F4Geometry:
         for p in self.points:
             a, b = sorted(p)[:2]
             perp = self.perp[a] & self.perp[b] & ~1
-            pts = frozenset(self.point_of[y] for y in _bits(perp))
+            pts = frozenset(self.point_of[y] for y in bits(perp))
             if perp.bit_count() != 63 or len(pts) != 21:
                 raise ValueError(f"the complement of point {sorted(p)} is not a plane of 21 points")
             out.append(pts)
@@ -386,20 +385,12 @@ class F4Geometry:
         for k, plane in enumerate(self.planes):
             kind, ref = self.tags[k]
             if kind == "vertex":
-                orth = {
-                    q for q in range(60)
-                    if q != ref and cell.pair_class[ref][q] == "0"
-                }
                 expect = {self.point_of_pair[ref]}
-                expect |= {self.point_of_pair[q] for q in orth}
+                expect |= {self.point_of_pair[q] for q in bits(cell.pair_orth[ref])}
                 expect |= {self.point_of_cell[c] for c in cell.cell_of_pair[ref]}
             else:
-                disj = [
-                    c for c in range(25)
-                    if c != ref and not (cell.cells24[c] & cell.cells24[ref])
-                ]
                 expect = {self.point_of_cell[ref]}
-                expect |= {self.point_of_cell[c] for c in disj}
+                expect |= {self.point_of_cell[c] for c in bits(cell.disjointness_mask[ref])}
                 expect |= {self.point_of_pair[q] for q in cell.cells24[ref]}
             if plane != frozenset(expect):
                 raise ValueError(f"plane {k} ({kind} {ref}) differs from its incidence oracle")
@@ -443,12 +434,7 @@ class F4Geometry:
 
     def action_mod2(self, op: SymOp) -> tuple[int, ...]:
         """Table of the induced map on the 256 classes; checks exactness."""
-        coords = self.root_coords
-        rows = [coords[op.perm[vid]] for vid in self._basis_vids]
-        cols = tuple(zip(*rows))
-        for i, x in enumerate(coords):
-            if tuple(sum(map(mul, x, col)) for col in cols) != coords[op.perm[i]]:
-                raise ValueError(f"induced matrix does not map root {i} to its image")
+        rows = self._induced([self.root_coords[j] for j in op.perm], "induced")
         gram = self.e8.gram
         for i in range(8):
             for j in range(8):
@@ -459,8 +445,7 @@ class F4Geometry:
                 )
                 if s != gram[i][j]:
                     raise ValueError("action does not preserve the Gram matrix")
-        m2 = tuple(sum((rows[i][j] & 1) << j for j in range(8)) for i in range(8))
-        return tuple(self._fold_rows(m2, x) for x in range(256))
+        return _table(_bitrows(rows))
 
     def commutes_with_phi(self, op: SymOp) -> bool:
         a = self.action_mod2(op)
@@ -491,7 +476,7 @@ class F4Geometry:
         for _ in range(4):
             nxt = []
             for span, cand in level:
-                for x in _bits(cand):
+                for x in bits(cand):
                     grown = span + tuple(s ^ x for s in span)
                     nxt.append((grown, cand & perp[x] & keep[x.bit_length() - 1]))
             level = nxt
@@ -563,8 +548,8 @@ class F4Geometry:
             if not p and not x:
                 cliques.append(r)
                 return
-            pivot = max(_bits(p | x), key=lambda u: (adj[u] & p).bit_count())
-            for u in _bits(p & ~adj[pivot]):
+            pivot = max(bits(p | x), key=lambda u: (adj[u] & p).bit_count())
+            for u in bits(p & ~adj[pivot]):
                 bron(r | 1 << u, p & adj[u], x & adj[u])
                 p &= ~(1 << u)
                 x |= 1 << u
@@ -589,7 +574,7 @@ class F4Geometry:
             "completion_sizes": sizes,
             "duad_graph": duad_graph_ok,
             "stars": sorted(
-                ({common[i] for i in _bits(c)} for c in stars),
+                ({common[i] for i in bits(c)} for c in stars),
                 key=lambda star: sorted(tuple(sorted(u)) for u in star),
             ),
         }

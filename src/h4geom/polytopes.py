@@ -74,6 +74,14 @@ def _masks(n: int, related: Callable[[int, int], bool]) -> tuple[int, ...]:
     return tuple(sum(1 << b for b in range(n) if related(a, b)) for a in range(n))
 
 
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _coset_grid(reps: Sequence[int], base: Collection[int]) -> tuple[tuple[frozenset[int], ...], ...]:
     """The vertex sets g_i * base * g_j^-1 for g_i, g_j in reps, off the Cayley
     table; raises unless they are len(reps)**2 distinct sets."""
@@ -150,25 +158,14 @@ class Cell600:
         out = []
         for i, j in self.edges:
             common = self.adj[i] & self.adj[j]
-            k = common >> (j + 1) << (j + 1)  # only k > j
-            while k:
-                low = k & -k
-                out.append((i, j, low.bit_length() - 1))
-                k ^= low
+            out.extend((i, j, k) for k in bits(common >> (j + 1) << (j + 1)))  # only k > j
         return tuple(out)
 
     @cached_property
     def tetra_cells(self) -> tuple[tuple[int, int, int, int], ...]:
         out = set()
         for i, j in self.edges:
-            common = self.adj[i] & self.adj[j]
-            members = []
-            m = common
-            while m:
-                low = m & -m
-                members.append(low.bit_length() - 1)
-                m ^= low
-            for k, l in combinations(members, 2):
+            for k, l in combinations(bits(self.adj[i] & self.adj[j]), 2):
                 if self.adj[k] >> l & 1:
                     out.add(tuple(sorted((i, j, k, l))))
         cells = tuple(sorted(out))
@@ -337,11 +334,7 @@ class Cell600:
             if len(stack) == 5:
                 cliques.append(frozenset(stack))
                 return
-            m = cand
-            while m:
-                low = m & -m
-                b = low.bit_length() - 1
-                m ^= low
+            for b in bits(cand):
                 extend(stack + [b], cand & self.disjointness_mask[b] & ~((1 << (b + 1)) - 1))
 
         for a in range(25):
@@ -439,16 +432,23 @@ class Cell600:
 
     @cached_property
     def decagon_of_edge(self) -> dict[tuple[int, int], frozenset[int]]:
-        """Every edge lies on exactly one decagon."""
-        pair_edges: dict[frozenset[int], list[tuple[int, int]]] = {d: [] for d in self.decagons}
+        """Every edge lies on exactly one decagon: through[p] masks the decagons
+        that hold pair p, and an edge's pairs share one bit of their masks."""
+        through = [0] * 60
+        for k, d in enumerate(self.decagons):
+            for p in d:
+                through[p] |= 1 << k
+        out, held = {}, [0] * len(self.decagons)
         for i, j in self.edges:
-            holders = [d for d in self.decagons if self.pair_of[i] in d and self.pair_of[j] in d]
-            if len(holders) != 1:
-                raise ValueError(f"edge ({i}, {j}) lies on {len(holders)} decagons, not 1")
-            pair_edges[holders[0]].append((i, j))
-        if any(len(es) != 10 for es in pair_edges.values()):
+            holders = through[self.pair_of[i]] & through[self.pair_of[j]]
+            if holders.bit_count() != 1:
+                raise ValueError(f"edge ({i}, {j}) lies on {holders.bit_count()} decagons, not 1")
+            k = holders.bit_length() - 1
+            held[k] += 1
+            out[i, j] = self.decagons[k]
+        if any(n != 10 for n in held):
             raise ValueError("a decagon does not hold 10 edges")
-        return {e: d for d, es in pair_edges.items() for e in es}
+        return out
 
     # ---------- prime arrays ----------
 

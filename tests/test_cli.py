@@ -302,7 +302,7 @@ def test_s7_phi_names_a_corrupted_phi_image_under_python_O():
     )
     i, status, observed = json.loads(out.stdout.splitlines()[-1])
     assert status == "fail"
-    assert observed == {"error": f"ValueError: phi matrix does not map root {i} to its phi image"}
+    assert observed == {"error": f"ValueError: phi matrix does not map root {i} to its image"}
 
 
 _DROP_ONE_NORM4_VECTOR = """

@@ -295,6 +295,68 @@ def test_both_signs_certify_and_are_conjugate(e8, e8_plus):
         assert tuple(lhs) == tuple(x if k % 2 == 0 else -x for k, x in enumerate(rhs))
 
 
+def _dfs_golden_basis(coords):
+    """The depth-first search that `golden_basis` replaced: it extends a
+    chosen list only by a vertex that raises its rank, and accepts the first
+    4 whose coordinates give every vertex integral coordinates."""
+
+    def coords_all_integral(idxs):
+        inv = eliminate([coords[i] for i in idxs])
+        return all(exact_quotient(n, inv.det) is not None for w in coords for n in inv.numerators(w))
+
+    def search(start, chosen):
+        if len(chosen) == 4:
+            return tuple(chosen) if coords_all_integral(chosen) else None
+        for i in range(start, len(coords)):
+            if eliminate([coords[j] for j in chosen + [i]]).rank == len(chosen) + 1:
+                got = search(i + 1, chosen + [i])
+                if got:
+                    return got
+        return None
+
+    return search(0, [])
+
+
+def test_golden_basis_matches_the_depth_first_search(cell, gb):
+    assert gb.indices == _dfs_golden_basis([v.c for v in cell.vertices]) == (0, 1, 2, 6)
+
+
+def _greedy_roots(h_img):
+    """The per-root rank loop that `_root_basis` replaced by one elimination
+    of the transpose: a root is kept iff it raises the rank of the kept ones."""
+    chosen = []
+    for u in sorted(h_img):
+        if eliminate(chosen + [u]).rank == len(chosen) + 1:
+            chosen.append(u)
+    return chosen
+
+
+def test_root_pivots_match_the_per_root_rank_loop(e8, e8_plus):
+    for lattice, want in ((e8, (0, 1, 2, 3, 5, 6, 7, 21)), (e8_plus, tuple(range(8)))):
+        ordered = sorted(lattice.h_img)
+        pivots = eliminate(list(zip(*ordered))).pivots
+        assert pivots == want
+        assert [ordered[c] for c in pivots] == _greedy_roots(lattice.h_img)
+
+
+def test_basis_searches_run_at_most_12_eliminations(monkeypatch, e8, e8_plus):
+    """`_root_basis` at m = -1 and +1 and a cold `golden_basis` take 12
+    eliminations: one picks each greedy root basis, and each golden
+    candidate takes one, where per-candidate rank loops took 47."""
+    calls = []
+    real = embed.eliminate
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(embed, "eliminate", counting)
+    for lattice in (e8, e8_plus):
+        assert embed._root_basis(list(lattice.h_img)) == lattice.basis
+    assert embed.golden_basis.__wrapped__().indices == (0, 1, 2, 6)
+    assert len(calls) <= 12
+
+
 def test_golden_basis_certificates(cell, gb):
     assert len(gb.basis) == 4
     assert gb.gram_det.is_unit()

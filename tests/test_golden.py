@@ -194,6 +194,16 @@ def _largest_nonzero_minor(a):
     return 0
 
 
+def _rank_loop_pivots(a):
+    """The per-column rank loop that `Elimination.pivots` replaced: a column
+    is kept iff it raises the rank (by Leibniz minors) of the kept columns."""
+    cols, kept = list(zip(*a)), []
+    for c in range(len(cols)):
+        if _largest_nonzero_minor([cols[k] for k in kept + [c]]) == len(kept) + 1:
+            kept.append(c)
+    return tuple(kept)
+
+
 @st.composite
 def _matrices(draw, entry, zero):
     """Up to 5x5, mostly square; half of them products of r x k and k x c
@@ -218,6 +228,7 @@ small = st.integers(-2, 2)
 def test_eliminate_matches_leibniz_minors_and_adjugate(a):
     e = eliminate(a)
     assert e.rank == _largest_nonzero_minor(a)
+    assert e.pivots == _rank_loop_pivots(a)
     n = len(a)
     if n != len(a[0]):
         assert e.det is None and e.adj is None

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from h4geom import checks
+from h4geom import checks, mod2
 from h4geom.mod2 import F4_MUL, F4_TRACE, OMEGA, OMEGA_BAR, biadditive
 from h4geom.symmetry import SymOp
 
@@ -82,7 +82,7 @@ def test_self_adjoint_matches_the_pair_oracle(geo):
     for i, j in ((0, 1), (3, 3), (7, 2)):
         rows = list(geo.phi.mod2_rows)
         rows[i] ^= 1 << j
-        bad = tuple(geo._fold_rows(tuple(rows), x) for x in range(256))
+        bad = mod2._table(rows)
         assert geo.self_adjoint(bad) is _self_adjoint_by_pairs(geo, bad) is False
     swapped = list(t)
     swapped[3], swapped[5] = swapped[5], swapped[3]
@@ -92,7 +92,7 @@ def test_self_adjoint_matches_the_pair_oracle(geo):
 def test_phi_fails_on_a_table_that_is_not_self_adjoint(monkeypatch, geo):
     rows = list(geo.phi.mod2_rows)
     rows[0] ^= 1 << 1
-    bad = tuple(geo._fold_rows(tuple(rows), x) for x in range(256))
+    bad = mod2._table(rows)
     monkeypatch.setattr(geo, "phi", dataclasses.replace(geo.phi, table=bad))
     result = checks.run_check("s7/phi")
     assert result.status == "fail"
@@ -220,6 +220,41 @@ def test_action_mod2_checks_every_root(geo, group):
     bad = SymOp(tuple(perm), g.parity)
     with pytest.raises(ValueError, match=f"induced matrix does not map root {i} to its image"):
         geo.action_mod2(bad)
+
+
+def _fold_table(matrix):
+    """The per-class fold that `_table(_bitrows(matrix))` replaced: for each
+    of the 256 classes x, the xor of the rows of matrix mod 2 over the set
+    bits of x."""
+    rows = [sum((matrix[i][j] & 1) << j for j in range(8)) for i in range(8)]
+    out = []
+    for x in range(256):
+        acc = 0
+        for i in range(8):
+            if x >> i & 1:
+                acc ^= rows[i]
+        out.append(acc)
+    return tuple(out)
+
+
+def test_table_matches_the_per_class_fold(geo, group):
+    """On all 256 classes, for the Gram matrix, phi and one generator's action;
+    and the class of each root, one row of its coordinates."""
+    g = group.generators[0]
+    action_rows = geo._induced([geo.root_coords[j] for j in g.perm], "induced")
+    for matrix, table in ((geo.e8.gram, geo.rowvec), (geo.phi.rows, geo.phi.table),
+                          (action_rows, geo.action_mod2(g))):
+        assert mod2._table(mod2._bitrows(matrix)) == table == _fold_table(matrix)
+    for coords, classes in ((geo.root_coords, geo.class_of_h), (geo.phi_coords, geo.class_of_phi_h)):
+        assert classes == tuple(sum((c[i] & 1) << i for i in range(8)) for c in coords)
+
+
+def test_line_members_match_the_tag_comprehensions(geo):
+    assert len(geo.lines) == 357
+    for line in geo.lines:
+        vs = sorted(geo.tags[p][1] for p in line if geo.tags[p][0] == "vertex")
+        cs = sorted(geo.tags[p][1] for p in line if geo.tags[p][0] == "cell")
+        assert geo.line_members(line) == (vs, cs)
 
 
 def test_isotropic_4spaces_count(geo):

@@ -1,3 +1,4 @@
+import copy
 from collections import Counter
 from itertools import combinations
 
@@ -202,6 +203,29 @@ def test_decagons_and_pentagons(cell):
             d for v in pent for d in cell.labels[cell.pair_of[v]]
         }
         assert duads == all_duads
+
+
+def _decagon_scan(cell):
+    """The scan of all 72 decagons per edge that `decagon_of_edge` replaced."""
+    out = {}
+    for i, j in cell.edges:
+        holders = [d for d in cell.decagons if cell.pair_of[i] in d and cell.pair_of[j] in d]
+        assert len(holders) == 1
+        out[i, j] = holders[0]
+    return out
+
+
+def test_decagon_of_edge_matches_the_decagon_scan(cell):
+    assert cell.decagon_of_edge == _decagon_scan(cell)
+    assert len(cell.decagon_of_edge) == 720
+
+
+def test_decagon_of_edge_rejects_a_decagon_listed_twice(cell):
+    bad = copy.copy(cell)
+    bad.__dict__.pop("decagon_of_edge", None)
+    bad.decagons = cell.decagons + cell.decagons[:1]
+    with pytest.raises(ValueError, match="lies on 2 decagons"):
+        bad.decagon_of_edge
 
 
 def test_prime_array_p2_reproduces_24cell_array(cell):
