@@ -209,7 +209,7 @@ def _s2_labels120():
     return {
         "vertices": d.n,
         "cells": len(d.cells),
-        "mutually_disjoint": sum(len(x) for x in d.cells) == 600,
+        "mutually_disjoint": len(frozenset().union(*d.cells)) == sum(map(len, d.cells)),
         "pair_labels_distinct": len(labs),
         "labels_odd_permutations": d.labels_odd_permutations,
         "example_label_present": example in labs,

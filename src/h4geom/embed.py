@@ -226,10 +226,11 @@ def _root_basis(h_img: list[IntVec]) -> tuple[IntVec, ...]:
             for j, n in enumerate(inv.numerators(u))
             if n and abs(n) < abs(inv.det)
         )
-        cand = next((c for c in swaps if 0 < abs(gram_det(c)) < det), None)
-        if cand is None:
+        dets = ((c, abs(gram_det(c))) for c in swaps)
+        found = next(((c, d) for c, d in dets if 0 < d < det), None)
+        if found is None:
             raise RuntimeError("could not refine root basis to determinant 1")
-        chosen, det = cand, abs(gram_det(cand))
+        chosen, det = found
     return tuple(chosen)
 
 

@@ -17,23 +17,22 @@ from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
-from operator import itemgetter, mul
+from operator import itemgetter
 
-from .golden import GoldenInt, PHI_INV, eliminate
+from .golden import GoldenInt, PHI_INV
 from .icosian import (
     ICOSIAN_ONE,
-    Flat,
     IcosianVec,
     cell24_base_indices,
     element_order_index,
     find_order5,
-    flat_dot,
     generate_vertices,
     icosian_mul,
     inverse_index,
     mult_table,
     mulclose_indices,
     perm_parity,
+    quat_mul,
     vertex_index,
 )
 
@@ -643,81 +642,29 @@ class Cell120:
     def col_vertices(self, j: int) -> tuple[int, ...]:
         return tuple(sorted(set().union(*(self.cells[5 * i + j] for i in range(5)))))
 
-    @cached_property
-    def _frame(self) -> tuple[tuple, tuple[Flat, ...], tuple[Flat, ...]]:
-        """A frame of the 600-cell for `is_600cell_image`: its first tetrahedral
-        cell f0..f3, four independent vertices.  Returns twice its natural
-        Gram (entries as (a, b) pairs for a + b*phi), and for every 600-cell
-        vertex v the numerator n of its coordinates v B^-1 in the frame basis
-        (B the frame as rows) over one integer N: v B^-1 = v adj(B) / det B =
-        n / N with n = v adj(B) conj(det B) and N = det B conj(det B).  Last,
-        the flats of this polytope's vertices times N."""
-        parent = self.parent
-        frame = [parent.flats[i] for i in parent.tetra_cells[0]]
-        gram2 = tuple(
-            tuple(tuple(2 * x for x in flat_dot(f, g)) for g in frame) for f in frame
-        )
-        elim = eliminate([list(parent.vertices[i].c) for i in parent.tetra_cells[0]])
-        if elim.adj is None or not elim.det:
-            raise ValueError("the first tetrahedral cell is not a frame")
-        scale = elim.det.conj()
-        cols = _right_mul_columns(
-            [tuple(x for g in row for x in (g * scale).key()) for row in elim.adj]
-        )
-        numerators = tuple(tuple(sum(map(mul, v, col)) for col in cols) for v in parent.flats)
-        norm = elim.det.field_norm()
-        scaled = tuple(tuple(norm * x for x in v.flat) for v in self.vertices)
-        return gram2, numerators, scaled
-
     def is_600cell_image(self, verts: Sequence[int]) -> bool:
-        """Whether the vertices `verts` of this polytope are the image of the
-        600-cell's 120 vertices under a similarity: a linear map M that
-        doubles every natural inner product.
+        """Whether the vertices `verts` of this polytope are q*H or H*q, for H
+        the 600-cell's 120 vertices and a quaternion q with |q|^2 = 2: left or
+        right multiplication by q doubles every natural inner product.
 
-        M is read off a frame f0..f3 of the 600-cell (`_frame`) and images
-        w0..w3 in verts: w0 is the first vertex of verts, and w1..w3 are
-        searched for so that the natural Gram of w0..w3 is twice that of
-        f0..f3.  Since the frame spans, M then doubles every inner product.
-        M sends v to (v B^-1) W = n W / N, W the images as rows; verts is
-        accepted once n W is N times a member of verts for all 120 vertices
-        (an exact division), and the next frame is tried at the first miss.
-        M is injective, so 120 distinct vertices in verts are all of them.
+        q is read off w0, the first vertex of verts, and f, vertex 0 of H:
+        4q = w0 * conj(f) for q*H, or conj(f) * w0 for H*q, of natural norm
+        32.  A form is accepted once 4q*v (or v*4q) is 4 times a member of
+        verts for all 120 vertices v of H, and left at the first miss.
+        x -> q*x is injective, so 120 distinct images in verts are all of
+        them.  A set that is only a two-sided image a*H*b reads False.
         """
-        flats = [self.vertices[i].flat for i in verts]
-        if len(flats) != 120 or len(set(flats)) != 120:
+        times4 = {tuple(4 * x for x in self.vertices[i].flat) for i in verts}
+        if len(verts) != 120 or len(times4) != 120:
             return False
-        gram2, numerators, scaled_flats = self._frame
-        scaled = {scaled_flats[i] for i in verts}
-
-        def frames(chosen: list[Flat]) -> Iterator[list[Flat]]:
-            k = len(chosen)
-            if k == 4:
-                yield chosen
-                return
-            for w in flats:
-                if all(flat_dot(u, w) == gram2[i][k] for i, u in enumerate(chosen)) and (
-                    flat_dot(w, w) == gram2[k][k]
-                ):
-                    yield from frames(chosen + [w])
-
-        if flat_dot(flats[0], flats[0]) != gram2[0][0]:
+        w0, fc = self.vertices[verts[0]], self.parent.vertices[0].quat_conj()
+        left, right = quat_mul(w0, fc), quat_mul(fc, w0)
+        if left.dot(left) != GoldenInt(32, 0):
             return False
-        for w in frames([flats[0]]):
-            cols = _right_mul_columns(w)
-            if all(tuple(sum(map(mul, n, col)) for col in cols) in scaled for n in numerators):
-                return True
-        return False
-
-
-def _right_mul_columns(rows: Sequence[Flat]) -> tuple[tuple[int, ...], ...]:
-    """Columns of the 8x8 integer matrix of x -> x R on flats, for the 4x4
-    Z[phi] matrix R whose rows are given as flats: row 2i of the integer
-    matrix is row i of R, and row 2i + 1 is phi times it."""
-    out = []
-    for f in rows:
-        out.append(f)
-        out.append(tuple(x for k in range(0, 8, 2) for x in (f[k + 1], f[k] + f[k + 1])))
-    return tuple(zip(*out))
+        h = self.parent.vertices
+        return all(quat_mul(left, v).flat in times4 for v in h) or all(
+            quat_mul(v, right).flat in times4 for v in h
+        )
 
 
 _V1_FLAT = (2, 0, 2, 0, 0, 0, 0, 0)

@@ -1,11 +1,13 @@
 import copy
 from collections import Counter
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
+from operator import mul
 
 import pytest
 
 from h4geom import checks
-from h4geom.golden import GoldenInt, golden_sign
+from h4geom.golden import GoldenInt, eliminate, golden_sign
 from h4geom.icosian import (
     ICOSIAN_ONE,
     cell24_base_indices,
@@ -14,6 +16,7 @@ from h4geom.icosian import (
     inverse_index,
     mulclose_indices,
     mult_table,
+    quat_mul,
 )
 from h4geom.polytopes import _PP_KEYS, Cell120, _coset_grid, label_str, perm_parity
 
@@ -359,42 +362,181 @@ def test_120cell_rows_and_columns_are_600cells(cell):
     assert spec == spectrum_h
 
 
+@cache
+def _doubled_spectrum(cell):
+    dots = (flat_dot(u, v) for u, v in combinations(cell.flats, 2))
+    return Counter((2 * a, 2 * b) for a, b in dots)
+
+
 def _spectra_match(cell, verts):
     """The spectra oracle for `Cell120.is_600cell_image`: the natural inner
     products over the pairs of the 120-cell vertices `verts` are, as a
     multiset, twice those over the pairs of the 600-cell's vertices."""
-    dots = (flat_dot(u, v) for u, v in combinations(cell.flats, 2))
-    doubled = Counter((2 * a, 2 * b) for a, b in dots)
     flats = [cell.cell120.vertices[i].flat for i in verts]
-    return Counter(flat_dot(u, v) for u, v in combinations(flats, 2)) == doubled
+    return Counter(flat_dot(u, v) for u, v in combinations(flats, 2)) == _doubled_spectrum(cell)
+
+
+@cache
+def _frame(d):
+    """A frame of the 600-cell for `_frame_search`: its first tetrahedral
+    cell f0..f3, four independent vertices.  Returns twice its natural
+    Gram (entries as (a, b) pairs for a + b*phi), and for every 600-cell
+    vertex v the numerator n of its coordinates v B^-1 in the frame basis
+    (B the frame as rows) over one integer N: v B^-1 = v adj(B) / det B =
+    n / N with n = v adj(B) conj(det B) and N = det B conj(det B).  Last,
+    the flats of the 120-cell's vertices times N."""
+    parent = d.parent
+    frame = [parent.flats[i] for i in parent.tetra_cells[0]]
+    gram2 = tuple(
+        tuple(tuple(2 * x for x in flat_dot(f, g)) for g in frame) for f in frame
+    )
+    elim = eliminate([list(parent.vertices[i].c) for i in parent.tetra_cells[0]])
+    if elim.adj is None or not elim.det:
+        raise ValueError("the first tetrahedral cell is not a frame")
+    scale = elim.det.conj()
+    cols = _right_mul_columns(
+        [tuple(x for g in row for x in (g * scale).key()) for row in elim.adj]
+    )
+    numerators = tuple(tuple(sum(map(mul, v, col)) for col in cols) for v in parent.flats)
+    norm = elim.det.field_norm()
+    scaled = tuple(tuple(norm * x for x in v.flat) for v in d.vertices)
+    return gram2, numerators, scaled
+
+
+def _frame_search(d, verts):
+    """The frame-search oracle for `Cell120.is_600cell_image`: whether the
+    vertices `verts` of the 120-cell d are the image of the 600-cell's 120
+    vertices under a linear map M that doubles every natural inner product.
+
+    M is read off a frame f0..f3 of the 600-cell (`_frame`) and images
+    w0..w3 in verts: w0 is the first vertex of verts, and w1..w3 are
+    searched for so that the natural Gram of w0..w3 is twice that of
+    f0..f3.  Since the frame spans, M then doubles every inner product.
+    M sends v to (v B^-1) W = n W / N, W the images as rows; verts is
+    accepted once n W is N times a member of verts for all 120 vertices
+    (an exact division), and the next frame is tried at the first miss.
+    M is injective, so 120 distinct vertices in verts are all of them.
+    Unlike the quaternion certificate, it accepts two-sided images a*H*b.
+    """
+    flats = [d.vertices[i].flat for i in verts]
+    if len(flats) != 120 or len(set(flats)) != 120:
+        return False
+    gram2, numerators, scaled_flats = _frame(d)
+    scaled = {scaled_flats[i] for i in verts}
+
+    def frames(chosen):
+        k = len(chosen)
+        if k == 4:
+            yield chosen
+            return
+        for w in flats:
+            if all(flat_dot(u, w) == gram2[i][k] for i, u in enumerate(chosen)) and (
+                flat_dot(w, w) == gram2[k][k]
+            ):
+                yield from frames(chosen + [w])
+
+    if flat_dot(flats[0], flats[0]) != gram2[0][0]:
+        return False
+    for w in frames([flats[0]]):
+        cols = _right_mul_columns(w)
+        if all(tuple(sum(map(mul, n, col)) for col in cols) in scaled for n in numerators):
+            return True
+    return False
+
+
+def _right_mul_columns(rows):
+    """Columns of the 8x8 integer matrix of x -> x R on flats, for the 4x4
+    Z[phi] matrix R whose rows are given as flats: row 2i of the integer
+    matrix is row i of R, and row 2i + 1 is phi times it."""
+    out = []
+    for f in rows:
+        out.append(f)
+        out.append(tuple(x for k in range(0, 8, 2) for x in (f[k + 1], f[k] + f[k + 1])))
+    return tuple(zip(*out))
 
 
 def test_similarity_certificate_matches_the_spectra_oracle(cell):
-    """All ten row and column sets, and each with one vertex (the first or
-    the last) swapped for the least 120-cell vertex outside it."""
+    """The quaternion certificate, the frame search and the spectra agree:
+    True on all ten row and column sets; False on each with one vertex (the
+    first or the last) swapped for the least 120-cell vertex outside it, and
+    on the 120 transversals, the unions of one cell from each row and each
+    column of the array."""
     d = cell.cell120
     for verts in [f(k) for k in range(5) for f in (d.row_vertices, d.col_vertices)]:
-        assert d.is_600cell_image(verts) is _spectra_match(cell, verts) is True
+        assert d.is_600cell_image(verts) is _frame_search(d, verts) is True
+        assert _spectra_match(cell, verts) is True
         outsider = min(set(range(d.n)) - set(verts))
         for at in (0, len(verts) - 1):
             swapped = list(verts)
             swapped[at] = outsider
-            assert d.is_600cell_image(swapped) is _spectra_match(cell, swapped) is False
+            assert d.is_600cell_image(swapped) is _frame_search(d, swapped) is False
+            assert _spectra_match(cell, swapped) is False
+    for perm in permutations(range(5)):
+        verts = sorted(set().union(*(d.cells[5 * i + j] for i, j in enumerate(perm))))
+        assert len(verts) == 120
+        assert d.is_600cell_image(verts) is _frame_search(d, verts) is False
+        assert _spectra_match(cell, verts) is False
 
 
-def test_labels120_fails_on_a_row_with_a_foreign_vertex(monkeypatch, cell):
-    real = Cell120.row_vertices
+def _one_sided(d, verts, left):
+    """Whether verts is q*H (left) or H*q, as whole sets, for the q =
+    w0 * conj(f) / 4 (or conj(f) * w0 / 4) of `Cell120.is_600cell_image`."""
+    w0, fc = d.vertices[verts[0]], d.parent.vertices[0].quat_conj()
+    p = quat_mul(w0, fc) if left else quat_mul(fc, w0)
+    images = {(quat_mul(p, v) if left else quat_mul(v, p)).flat for v in d.parent.vertices}
+    return images == {tuple(4 * x for x in d.vertices[i].flat) for i in verts}
 
-    def row_vertices(self, i):
+
+def test_rows_are_left_and_columns_right_multiples_of_the_600cell(cell):
+    """Each row is q*H and not H*q, and each column H*q and not q*H; since
+    `is_600cell_image` accepts all ten, it reaches both of its forms."""
+    d = cell.cell120
+    for k in range(5):
+        row, col = d.row_vertices(k), d.col_vertices(k)
+        assert _one_sided(d, row, left=True) and not _one_sided(d, row, left=False)
+        assert _one_sided(d, col, left=False) and not _one_sided(d, col, left=True)
+        assert d.is_600cell_image(row) and d.is_600cell_image(col)
+
+
+def _labels120_with_a_foreign_vertex(monkeypatch, name, k):
+    """Run s2/labels120 with the last vertex of `Cell120.<name>(k)` swapped
+    for the least 120-cell vertex outside it."""
+    real = getattr(Cell120, name)
+
+    def corrupted(self, i):
         verts = real(self, i)
-        if i != 3:
+        if i != k:
             return verts
         return verts[:-1] + (min(set(range(self.n)) - set(verts)),)
 
-    monkeypatch.setattr(Cell120, "row_vertices", row_vertices)
-    result = checks.run_check("s2/labels120")
+    monkeypatch.setattr(Cell120, name, corrupted)
+    return checks.run_check("s2/labels120")
+
+
+def test_labels120_fails_on_a_row_with_a_foreign_vertex(monkeypatch, cell):
+    result = _labels120_with_a_foreign_vertex(monkeypatch, "row_vertices", 3)
     assert result.status == "fail"
     assert result.observed["rows_and_columns_are_600cells"] is False
+
+
+def test_labels120_fails_on_a_column_with_a_foreign_vertex(monkeypatch, cell):
+    """Columns are H*q, so this miss is met on the right-handed form."""
+    result = _labels120_with_a_foreign_vertex(monkeypatch, "col_vertices", 2)
+    assert result.status == "fail"
+    assert result.observed["rows_and_columns_are_600cells"] is False
+
+
+def test_labels120_fails_on_a_vertex_in_two_cells(monkeypatch, cell):
+    """A vertex of cell 5 also put into cell 0, past the checks of the
+    `Cell120.cells` builder: `mutually_disjoint` reads False."""
+    assert checks.run_check("s2/labels120").status == "pass"  # builds every table it reads
+    d = cell.cell120
+    cells = list(d.cells)
+    cells[0] = cells[0] | {min(cells[5])}
+    monkeypatch.setitem(d.__dict__, "cells", tuple(cells))
+    result = checks.run_check("s2/labels120")
+    assert result.status == "fail"
+    assert result.observed["mutually_disjoint"] is False
 
 
 def test_rectified_600cell(cell):
