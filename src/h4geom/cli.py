@@ -163,8 +163,6 @@ def _dump_planes():
 
 
 def _dump_lattice():
-    from fractions import Fraction
-
     from . import embed
 
     e8 = embed.certify_e8(-1)
@@ -177,7 +175,7 @@ def _dump_lattice():
             "shells": {"2": len(e8.shell_coords[2]), "4": len(e8.shell_coords[4])},
         },
         "reduced_m0": {
-            "basis": [[Fraction(x, 2) for x in b] for b in lat.basis],
+            "basis": [[x // 2 if x % 2 == 0 else f"{x}/2" for x in b] for b in lat.basis],
             "gram": [list(r) for r in lat.gram],
             "determinant": lat.det,
             "census": {str(k): v for k, v in sorted(lat.census.items())},

@@ -18,9 +18,8 @@ computed in exact integer arithmetic.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from math import isqrt, lcm
@@ -118,12 +117,15 @@ def _quarter_form(u: IntVec, v: IntVec) -> int:
     return s // 4
 
 
-@dataclass
 class IntLattice:
-    rmap: ReductionMap
-    basis: tuple[IntVec, ...]  # slots of the map: doubled on the m = 0 lattice
-    gram: tuple[IntVec, ...]
-    det: int
+    """A lattice with its basis on the slots of rmap (doubled on the m = 0
+    lattice), the Gram matrix of that basis and its determinant."""
+
+    def __init__(self, rmap: ReductionMap, basis: tuple[IntVec, ...], gram: tuple[IntVec, ...], det: int) -> None:
+        self.rmap = rmap
+        self.basis = basis
+        self.gram = gram
+        self.det = det
 
 
 class E8Lattice(IntLattice):
@@ -241,12 +243,9 @@ def certify_e8(m: int) -> E8Lattice:
 
 # ---------- golden basis of the vertex module ----------
 
-@dataclass(frozen=True)
-class GoldenBasis:
-    indices: tuple[int, int, int, int]
-    basis: tuple[IcosianVec, ...]
-    dual: tuple[IcosianVec, ...]
-    gram_det: GoldenInt  # a unit of Z[phi]
+# The vertex indices of the basis, the basis and its dual, and the Gram
+# determinant, a unit of Z[phi].
+GoldenBasis = namedtuple("GoldenBasis", "indices basis dual gram_det")
 
 
 @cache
@@ -305,12 +304,28 @@ def _same_lattice(images: Sequence[IntVec], basis: Sequence[IntVec]) -> None:
             raise ValueError(f"sums of images: basis vector {b} is neither an image nor the sum of two")
 
 
-@dataclass
 class ReducedLattice(IntLattice):
-    images: tuple[IntVec, ...]  # doubled slots, like the basis
-    census: dict[int, int]
-    rootless: bool  # no nonzero vector of norm <= 2
-    dual_basis_identity: bool  # the scaled golden duals pair to the identity with the basis
+    """The m = 0 lattice with its stored certificates: the 120 images
+    (doubled slots, like the basis), the inner-product census from one pair,
+    whether no nonzero vector has norm <= 2 (rootless), and whether the scaled
+    golden duals pair to the identity with the basis."""
+
+    def __init__(
+        self,
+        rmap: ReductionMap,
+        basis: tuple[IntVec, ...],
+        gram: tuple[IntVec, ...],
+        det: int,
+        images: tuple[IntVec, ...],
+        census: dict[int, int],
+        rootless: bool,
+        dual_basis_identity: bool,
+    ) -> None:
+        super().__init__(rmap, basis, gram, det)
+        self.images = images
+        self.census = census
+        self.rootless = rootless
+        self.dual_basis_identity = dual_basis_identity
 
 
 @cache
@@ -372,12 +387,9 @@ def lattice_L() -> ReducedLattice:
 
 # ---------- decomposition of the norm-4 shell ----------
 
-@dataclass(frozen=True)
-class ShellClass:
-    source: str
-    phi_power: int
-    vectors: frozenset[IntVec]
-    isometric: bool  # injective on the source, and the Gram identity holds
+# The source polytope, the scale phi**phi_power, the image vectors, and
+# whether the map is injective on the source with the Gram identity holding.
+ShellClass = namedtuple("ShellClass", "source phi_power vectors isometric")
 
 
 def _gram_identity(rmap: ReductionMap) -> bool:

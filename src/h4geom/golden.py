@@ -12,9 +12,9 @@ Ranks, determinants and inverses over Z and Z[phi] all come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from operator import mul
-from typing import Optional, Sequence, Union
 
 
 class GoldenInt:
@@ -139,7 +139,6 @@ def golden_sign(x: GoldenInt) -> int:
     return 1 if 5 * q * q > p * p else -1
 
 
-@dataclass(frozen=True)
 class ReductionMap:
     """The integer map of Z[phi]**4 to Z**8 that splits phi**k * x coordinate
     by coordinate under sqrt5 -> m, for m in {-1, 0, 1}.
@@ -150,17 +149,28 @@ class ReductionMap:
     For m = 0, 5 - 0**2 is not a square, so the slots are doubled to (p, q) and
     the form is (sum of even-slot products + 5 * sum of odd-slot products) / 4.
     `block` holds the slot pairs of phi**k and phi**(k+1), the images of the
-    flat coordinates a and b.
+    flat coordinates a and b.  Two maps are equal when their (m, k) are.
     """
 
-    m: int
-    k: int = 0
-    block: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("m", "k", "block")
 
-    def __post_init__(self) -> None:
-        if self.m not in (-1, 0, 1):
-            raise ValueError(f"m must be -1, 0 or 1, got {self.m}")
-        object.__setattr__(self, "block", self._slots(phi_pow(self.k)) + self._slots(phi_pow(self.k + 1)))
+    def __init__(self, m: int, k: int = 0) -> None:
+        if m not in (-1, 0, 1):
+            raise ValueError(f"m must be -1, 0 or 1, got {m}")
+        self.m = m
+        self.k = k
+        self.block = self._slots(phi_pow(k)) + self._slots(phi_pow(k + 1))
+
+    def __repr__(self) -> str:
+        return f"ReductionMap(m={self.m}, k={self.k})"
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ReductionMap):
+            return (self.m, self.k) == (other.m, other.k)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.k))
 
     def _slots(self, x: GoldenInt) -> tuple[int, int]:
         p, q = 2 * x.a + x.b, x.b
@@ -185,10 +195,10 @@ class ReductionMap:
 
 # ---------- exact elimination over Z and Z[phi] ----------
 
-Ring = Union[int, GoldenInt]
+Ring = int | GoldenInt
 
 
-def exact_quotient(x: Ring, d: Ring) -> Optional[Ring]:
+def exact_quotient(x: Ring, d: Ring) -> Ring | None:
     """x / d if d divides x in Z (both int) or in Z[phi], else None.
 
     In Z[phi], x / d = x * conj(d) / N(d) with the integer norm N(d) = d * conj(d).
@@ -205,11 +215,12 @@ def exact_quotient(x: Ring, d: Ring) -> Optional[Ring]:
     return GoldenInt(y.a // n, y.b // n)
 
 
-@dataclass(frozen=True)
-class Elimination:
-    pivots: tuple[int, ...]  # the columns independent of the columns before them
-    det: Optional[Ring]  # det A for square A (0 if singular); None otherwise
-    adj: Optional[tuple[tuple[Ring, ...], ...]]  # adj A = det A * A^-1, for invertible A
+class Elimination(namedtuple("Elimination", "pivots det adj")):
+    """pivots: the columns independent of the columns before them.
+    det: det A for square A (0 if singular); None otherwise.
+    adj: adj A = det A * A^-1, for invertible A; None otherwise."""
+
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

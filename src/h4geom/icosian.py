@@ -9,10 +9,10 @@ the natural norm of a vertex is 4.  The group product rescales by 1/2 so the
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cache
 from itertools import permutations, product as iproduct
 from operator import add, itemgetter, neg, sub
-from typing import Iterable
 
 from .golden import GoldenInt
 

@@ -18,18 +18,17 @@ analyses intersect spaces as masks.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .embed import E8Lattice, IntVec, certify_e8
 from .polytopes import bits
 
-if TYPE_CHECKING:  # annotations only: the lines and planes dumps never load symmetry
-    from .symmetry import SymOp
+# `SymOp` in annotations is `symmetry.SymOp`, left unimported so that the
+# lines and planes dumps never load symmetry.
 
 # F4 as {0, 1, w, w+1} encoded 0..3; addition is xor.
 F4_MUL = (
@@ -104,13 +103,11 @@ def biadditive(values: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PhiMap:
-    rows: tuple[tuple[int, ...], ...]  # integer matrix on the lattice basis
-    mod2_rows: tuple[int, ...]  # row bitmasks
-    table: tuple[int, ...]  # induced map on the 256 classes
-    squares_to_phi_plus_one: bool  # rows**2 == rows + 1 in integers
-    cube_is_identity: bool  # table applied three times is the identity
+# rows: the integer matrix on the lattice basis; mod2_rows: its row bitmasks;
+# table: the induced map on the 256 classes; squares_to_phi_plus_one:
+# rows**2 == rows + 1 in integers; cube_is_identity: table applied three
+# times is the identity.
+PhiMap = namedtuple("PhiMap", "rows mod2_rows table squares_to_phi_plus_one cube_is_identity")
 
 
 class F4Geometry:

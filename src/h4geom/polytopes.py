@@ -13,8 +13,8 @@ tuple (row, col) with row in 1..5 and col in 6..10 (10 is printed as X).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from operator import itemgetter
@@ -511,12 +511,11 @@ class Cell600:
         return verts
 
 
-@dataclass(frozen=True)
-class PrimeArray:
-    p: int
-    size: int
-    entries: tuple[tuple[frozenset[int], ...], ...]  # vertex-index sets
-    cell: Cell600
+class PrimeArray(namedtuple("PrimeArray", "p size entries cell")):
+    """The (q + 1) x (q + 1) array of `Cell600.prime_array(p)`; each entry is
+    a set of vertex indices of `cell`."""
+
+    __slots__ = ()
 
     def entry_pairs(self, i: int, j: int) -> frozenset[int]:
         return frozenset(self.cell.pair_of[v] for v in self.entries[i][j])

@@ -7,7 +7,7 @@ Golden integers appear as [a, b] pairs in the (1, phi) basis, rationals as
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from numbers import Rational
 
 from .golden import GoldenInt
 from .icosian import IcosianVec
@@ -16,8 +16,6 @@ from .icosian import IcosianVec
 def jsonable(obj):
     if isinstance(obj, GoldenInt):
         return [obj.a, obj.b]
-    if isinstance(obj, Fraction):
-        return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, IcosianVec):
         f = obj.flat
         return [[f[k], f[k + 1]] for k in (0, 2, 4, 6)]
@@ -29,6 +27,8 @@ def jsonable(obj):
         return [jsonable(x) for x in obj]
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
+    if isinstance(obj, Rational):
+        return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

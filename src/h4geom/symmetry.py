@@ -16,10 +16,9 @@ reflection) are composed only when ops[k] is read.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import cache, cached_property
 from operator import itemgetter
-from typing import Callable
 
 from .golden import GoldenInt, eliminate
 from .icosian import (

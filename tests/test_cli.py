@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import importlib.util
 import json
 import os
@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 from pathlib import Path
+
+import pytest
 
 from h4geom import checks, embed, golden
 from h4geom.cli import _DUMPERS, main
@@ -19,6 +21,24 @@ def test_jsonable_encodings():
     assert jsonable(Fraction(1, 2)) == "1/2"
     assert jsonable(Fraction(4, 2)) == 2
     assert jsonable({2: {1, 3}}) == {"2": [1, 3]}
+
+
+def test_frozen_records_refuse_assignment(cell, gb, shell_classes, geo):
+    records = {
+        "Elimination": golden.eliminate([[2, 1], [1, 1]]),
+        "GoldenBasis": gb,
+        "ShellClass": shell_classes[0],
+        "PhiMap": geo.phi,
+        "PrimeArray": cell.prime_array(2),
+    }
+    for name, record in records.items():
+        assert type(record).__name__ == name
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        assert record._replace(**{field: None}) != record
 
 
 def test_verify_single_check(capsys, tmp_path):
@@ -169,7 +189,8 @@ def test_builder_error_in_warm_up_is_reported_by_its_checks(tmp_path, monkeypatc
 def test_example2_reports_its_stored_certificates(monkeypatch, lat_l):
     assert checks.run_check("s6/example2").status == "pass"
     for field in ("rootless", "dual_basis_identity"):
-        corrupted = dataclasses.replace(lat_l, **{field: False})
+        corrupted = copy.copy(lat_l)
+        setattr(corrupted, field, False)
         monkeypatch.setattr(embed, "lattice_L", lambda: corrupted)
         result = checks.run_check("s6/example2")
         assert result.status == "fail"
@@ -178,15 +199,15 @@ def test_example2_reports_its_stored_certificates(monkeypatch, lat_l):
 
 def test_example3_fails_on_a_corrupted_shell_image(monkeypatch, e8):
     """The shell split's map for phi**1 is swapped for a non-isometric one."""
-    real_post_init = golden.ReductionMap.__post_init__
+    real_init = golden.ReductionMap.__init__
 
-    def corrupted_post_init(self):
-        real_post_init(self)
+    def corrupted_init(self, m, k=0):
+        real_init(self, m, k)
         if self.k == 1:
             p, q, r, s = self.block
             object.__setattr__(self, "block", (p + r, q + s, r, s))
 
-    monkeypatch.setattr(golden.ReductionMap, "__post_init__", corrupted_post_init)
+    monkeypatch.setattr(golden.ReductionMap, "__init__", corrupted_init)
     embed.decompose_norm4_shell.cache_clear()
     try:
         result = checks.run_check("s6/example3")
@@ -197,7 +218,7 @@ def test_example3_fails_on_a_corrupted_shell_image(monkeypatch, e8):
 
 
 def test_example3_reports_the_gram_certificate(monkeypatch, shell_classes):
-    corrupted = tuple(dataclasses.replace(c, isometric=c.phi_power != 0) for c in shell_classes)
+    corrupted = tuple(c._replace(isometric=c.phi_power != 0) for c in shell_classes)
     monkeypatch.setattr(embed, "decompose_norm4_shell", lambda: corrupted)
     result = checks.run_check("s6/example3")
     assert result.status == "fail"
@@ -222,6 +243,23 @@ def test_report_is_the_same_under_python_O(tmp_path):
     assert a == b
 
 
+def test_fact2_fails_when_a_16cell_is_not_in_exactly_one_24cell(monkeypatch, cell):
+    """A 16-cell moved out of its 24-cell, or copied into a second one."""
+    assert checks.run_check("facts/fact2").status == "pass"
+    small = cell.cells16[0]
+    k = next(i for i, big in enumerate(cell.cells24) if big.issuperset(small))
+    outsider = next(p for p in range(60) if p not in cell.cells24[k])
+    in_none = list(cell.cells24)
+    in_none[k] = in_none[k] - {small[0]} | {outsider}
+    in_two = list(cell.cells24)
+    in_two[(k + 1) % 25] = in_two[(k + 1) % 25] | frozenset(small)
+    for cells24 in (in_none, in_two):
+        monkeypatch.setattr(cell, "cells24", tuple(cells24))
+        result = checks.run_check("facts/fact2")
+        assert result.status == "fail"
+        assert result.observed["each_16cell_in_one_24cell"] is False
+
+
 def test_labels120_reports_its_stored_parity(monkeypatch, cell):
     assert checks.run_check("s2/labels120").status == "pass"
     monkeypatch.setattr(cell.cell120, "labels_odd_permutations", False)
@@ -237,7 +275,7 @@ def test_phi_reports_its_stored_certificates(monkeypatch, geo):
         ("squares_to_phi_plus_one", "phi_squared_is_phi_plus_one"),
         ("cube_is_identity", "phibar_cubed_is_identity"),
     ):
-        monkeypatch.setattr(geo, "phi", dataclasses.replace(phi, **{field: False}))
+        monkeypatch.setattr(geo, "phi", phi._replace(**{field: False}))
         result = checks.run_check("s7/phi")
         assert result.status == "fail"
         assert result.observed[reported] is False
@@ -247,17 +285,17 @@ _CORRUPT_PHI1_SHELL_MAP = """
 import json
 from h4geom import checks, golden
 
-real_post_init = golden.ReductionMap.__post_init__
+real_init = golden.ReductionMap.__init__
 
 
-def corrupted_post_init(self):
-    real_post_init(self)
+def corrupted_init(self, m, k=0):
+    real_init(self, m, k)
     if self.k == 1:
         p, q, r, s = self.block
         object.__setattr__(self, "block", (p + r, q + s, r, s))
 
 
-golden.ReductionMap.__post_init__ = corrupted_post_init
+golden.ReductionMap.__init__ = corrupted_init
 result = checks.run_check("s6/example3")
 print(json.dumps([result.status, result.observed]))
 """
@@ -502,42 +540,59 @@ def test_traced_dump_wraps_the_cli_dumps(tmp_path):
 
 
 _LOADED_MODULES = """
-import json, sys
+import sys
+
+before = set(sys.modules)
 from h4geom import cli
 
 rc = cli.main(sys.argv[1:]) if sys.argv[1:] else None
-print(json.dumps([rc, sorted(sys.modules)]))
+after = set(sys.modules)
+import json
+
+print(json.dumps([rc, sorted(before), sorted(after)]))
 """
+
+# No command may load these: `dataclasses` pulls in `inspect`, `ast`, `dis`
+# and `tokenize`, and `fractions` pulls in `decimal`.
+_UNWANTED_MODULES = {"dataclasses", "inspect", "fractions", "decimal", "typing"}
 
 
 def _loaded_after(*argv):
-    """The exit code and the h4geom submodules a fresh process has loaded
-    after `import h4geom.cli` and, given argv, `cli.main(argv)`."""
+    """The exit code, the h4geom submodules and the unwanted modules a fresh
+    `python -S` process has loaded after `import h4geom.cli` and, given argv,
+    `cli.main(argv)`.  With site off no `.pth` file runs, so nothing loads an
+    unwanted module before the import."""
+    src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
-        [sys.executable, "-c", _LOADED_MODULES, *argv],
+        [sys.executable, "-S", "-c", _LOADED_MODULES, *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
         check=True,
     )
-    rc, modules = json.loads(out.stdout.splitlines()[-1])
-    return rc, {m.removeprefix("h4geom.") for m in modules if m.startswith("h4geom.")}
+    rc, before, after = json.loads(out.stdout.splitlines()[-1])
+    assert _UNWANTED_MODULES.isdisjoint(before), before
+    loaded = {m.removeprefix("h4geom.") for m in after if m.startswith("h4geom.")}
+    return rc, loaded, _UNWANTED_MODULES.intersection(after)
 
 
 def test_each_command_loads_only_its_own_modules(tmp_path):
     out = str(tmp_path / "dump.json")
-    rc, loaded = _loaded_after()
-    assert rc is None
+    rc, loaded, unwanted = _loaded_after()
+    assert rc is None and not unwanted, unwanted
     assert loaded.isdisjoint({"checks", "embed", "mod2", "symmetry", "polytopes"}), loaded
+    rc, loaded, unwanted = _loaded_after("verify", "--report", out)
+    assert rc == 0 and "checks" in loaded and not unwanted, unwanted
     for obj in ("vertices", "labels", "array"):
-        rc, loaded = _loaded_after("dump", obj, "--out", out)
-        assert rc == 0 and "polytopes" in loaded
+        rc, loaded, unwanted = _loaded_after("dump", obj, "--out", out)
+        assert rc == 0 and "polytopes" in loaded and not unwanted, (obj, unwanted)
         assert loaded.isdisjoint({"checks", "embed", "mod2", "symmetry"}), (obj, loaded)
-    rc, loaded = _loaded_after("dump", "lattice", "--out", out)
-    assert rc == 0 and "embed" in loaded
+    rc, loaded, unwanted = _loaded_after("dump", "lattice", "--out", out)
+    assert rc == 0 and "embed" in loaded and not unwanted, unwanted
     assert loaded.isdisjoint({"checks", "mod2", "symmetry"}), loaded
     for obj in ("lines", "planes"):
-        rc, loaded = _loaded_after("dump", obj, "--out", out)
-        assert rc == 0 and "mod2" in loaded
+        rc, loaded, unwanted = _loaded_after("dump", obj, "--out", out)
+        assert rc == 0 and "mod2" in loaded and not unwanted, (obj, unwanted)
         assert loaded.isdisjoint({"checks", "symmetry"}), (obj, loaded)
 
 

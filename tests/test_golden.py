@@ -252,6 +252,18 @@ def test_exact_quotient_divides_exactly_or_reports_none(x, d, n, m):
     assert exact_quotient(GoldenInt(1, 1), GoldenInt(2, 0)) is None
 
 
+def test_reduction_maps_compare_and_hash_on_m_and_k():
+    maps = [ReductionMap(m, k) for m in (-1, 0, 1) for k in range(-3, 4)]
+    again = [ReductionMap(m, k) for m in (-1, 0, 1) for k in range(-3, 4)]
+    assert maps == again and len(set(maps + again)) == len(maps) == 21
+    assert ReductionMap(-1) == ReductionMap(-1, 0) and hash(ReductionMap(0)) == hash(ReductionMap(0, 0))
+    assert ReductionMap(-1, 1) != ReductionMap(1, 1) and ReductionMap(0, 1) != ReductionMap(0, 2)
+    assert ReductionMap(1, 2).block == ReductionMap(1, 2).block
+    for bad in (-2, 2, 5):
+        with pytest.raises(ValueError, match=f"m must be -1, 0 or 1, got {bad}"):
+            ReductionMap(bad)
+
+
 @given(golden, st.sampled_from([-1, 0, 1]), st.integers(-3, 3))
 def test_integer_reduce_is_twice_the_fraction_reduction(x, m, k):
     assert ReductionMap(m, k).reduce(x) == 2 * reduce_scalar(x, FractionMap(F(5), F(m)))

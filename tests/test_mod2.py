@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from itertools import combinations
 
@@ -93,7 +92,7 @@ def test_phi_fails_on_a_table_that_is_not_self_adjoint(monkeypatch, geo):
     rows = list(geo.phi.mod2_rows)
     rows[0] ^= 1 << 1
     bad = mod2._table(rows)
-    monkeypatch.setattr(geo, "phi", dataclasses.replace(geo.phi, table=bad))
+    monkeypatch.setattr(geo, "phi", geo.phi._replace(table=bad))
     result = checks.run_check("s7/phi")
     assert result.status == "fail"
     assert result.observed["phibar_self_adjoint_for_B"] is False
