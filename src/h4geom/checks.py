@@ -8,7 +8,7 @@ as facts/fact1..fact10 plus per-topic groups (s2/, s4/, s5/, s6/, s7/).
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable
 from itertools import combinations
 from operator import mul
@@ -26,18 +26,8 @@ from .polytopes import label_str, perm_parity, the_600cell
 from .serialize import jsonable
 
 
-class CheckResult:
-    """One check's outcome; status is "pass" or "fail"."""
-
-    def __init__(
-        self, check_id: str, status: str, expected: object, observed: object, provenance: str, elapsed_ms: int
-    ) -> None:
-        self.check_id = check_id
-        self.status = status
-        self.expected = expected
-        self.observed = observed
-        self.provenance = provenance
-        self.elapsed_ms = elapsed_ms
+# One check's outcome; status is "pass" or "fail".
+CheckResult = namedtuple("CheckResult", "check_id status expected observed provenance elapsed_ms")
 
 
 def _fact1():

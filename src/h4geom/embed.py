@@ -117,21 +117,11 @@ def _quarter_form(u: IntVec, v: IntVec) -> int:
     return s // 4
 
 
-class IntLattice:
-    """A lattice with its basis on the slots of rmap (doubled on the m = 0
-    lattice), the Gram matrix of that basis and its determinant."""
-
-    def __init__(self, rmap: ReductionMap, basis: tuple[IntVec, ...], gram: tuple[IntVec, ...], det: int) -> None:
-        self.rmap = rmap
-        self.basis = basis
-        self.gram = gram
-        self.det = det
-
-
-class E8Lattice(IntLattice):
+class E8Lattice:
     """A certified copy of E8 containing an embedded 600-cell H together
     with its companion scaled copy (phi*H when m = -1, H/phi when m = +1;
-    in general the unit scale that the map sends to zero)."""
+    in general the unit scale that the map sends to zero): its basis on the
+    slots of rmap, the Gram matrix of that basis and its determinant."""
 
     def __init__(self, cell: Cell600, rmap: ReductionMap):
         self.cell = cell
@@ -157,7 +147,7 @@ class E8Lattice(IntLattice):
         if any(gram[i][i] % 2 for i in range(8)):
             raise ValueError("lattice is not even")
 
-        super().__init__(rmap=rmap, basis=basis, gram=gram, det=elim.det)
+        self.rmap, self.basis, self.gram, self.det = rmap, basis, gram, elim.det
         self.gram_inv = elim.adj  # the inverse, since det G = 1
         self.h_img = tuple(h_img)
         self.phi_img = tuple(phi_img)
@@ -304,28 +294,14 @@ def _same_lattice(images: Sequence[IntVec], basis: Sequence[IntVec]) -> None:
             raise ValueError(f"sums of images: basis vector {b} is neither an image nor the sum of two")
 
 
-class ReducedLattice(IntLattice):
-    """The m = 0 lattice with its stored certificates: the 120 images
-    (doubled slots, like the basis), the inner-product census from one pair,
-    whether no nonzero vector has norm <= 2 (rootless), and whether the scaled
-    golden duals pair to the identity with the basis."""
-
-    def __init__(
-        self,
-        rmap: ReductionMap,
-        basis: tuple[IntVec, ...],
-        gram: tuple[IntVec, ...],
-        det: int,
-        images: tuple[IntVec, ...],
-        census: dict[int, int],
-        rootless: bool,
-        dual_basis_identity: bool,
-    ) -> None:
-        super().__init__(rmap, basis, gram, det)
-        self.images = images
-        self.census = census
-        self.rootless = rootless
-        self.dual_basis_identity = dual_basis_identity
+# The m = 0 lattice: its basis on doubled slots, the Gram matrix of that
+# basis and its determinant, with its stored certificates: the 120 images
+# (doubled slots, like the basis), the inner-product census from one pair,
+# whether no nonzero vector has norm <= 2 (rootless), and whether the scaled
+# golden duals pair to the identity with the basis.
+ReducedLattice = namedtuple(
+    "ReducedLattice", "rmap basis gram det images census rootless dual_basis_identity"
+)
 
 
 @cache

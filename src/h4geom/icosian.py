@@ -179,8 +179,9 @@ def vertex_index() -> dict[Flat, int]:
     return {v.flat: i for i, v in enumerate(generate_vertices())}
 
 
-# (1 + i + j + k)/2 and (phi + i/phi + k)/2, which generate 2I, at standard scale
-_GENERATORS = ((1, 0, 1, 0, 1, 0, 1, 0), (0, 1, -1, 1, 0, 0, 1, 0))
+# (1 + i + j + k)/2 and (phi + i/phi + k)/2 at standard scale: `mult_table`
+# certifies that they generate 2I, and `symmetry` builds its generators on them
+GENERATORS = ((1, 0, 1, 0, 1, 0, 1, 0), (0, 1, -1, 1, 0, 0, 1, 0))
 
 
 @cache
@@ -191,7 +192,7 @@ def mult_table() -> tuple[tuple[int, ...], ...]:
     (x*g)*b = x*(g*b).  Raises unless the walk reaches all 120 rows."""
     idx = vertex_index()
     flats = [v.flat for v in generate_vertices()]
-    rows = {idx[g]: tuple(idx[_halved(_flat_quat_mul(g, v))] for v in flats) for g in _GENERATORS}
+    rows = {idx[g]: tuple(idx[_halved(_flat_quat_mul(g, v))] for v in flats) for g in GENERATORS}
     gens, frontier = tuple(rows), list(rows)
     while frontier:
         x = frontier.pop()

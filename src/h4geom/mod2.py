@@ -498,21 +498,15 @@ class F4Geometry:
         return tuple(self._partition_space(k) for k in range(5, 10))
 
     def _partition_space(self, part_idx: int) -> frozenset[int]:
-        vectors: set[int] = set()
+        """The vectors of the points of the five 24-cells of a partition;
+        raises unless they are one of the 270 totally singular 4-spaces, which
+        makes them 15 vectors closed under addition."""
+        mask = 0
         for c in self.cell.partitions[part_idx]:
-            pt = self.point_of_cell[c]
-            vectors |= self.points[pt]
-        space = frozenset(vectors)
-        if len(space) != 15:
-            raise ValueError(f"partition {part_idx} gives {len(space)} vectors, not 15")
-        span = {0}
-        for v in space:
-            span |= {v ^ s for s in span}
-        if span - {0} != space:
-            raise ValueError("partition vectors do not close into a 4-space")
-        if space not in set(self.isotropic4):
-            raise ValueError(f"partition {part_idx} space is not totally singular")
-        return space
+            mask |= _mask(self.points[self.point_of_cell[c]])
+        if mask not in self.isotropic4_masks:
+            raise ValueError(f"partition {part_idx} does not give a totally singular 4-space")
+        return frozenset(bits(mask))
 
     def figure1_check(self) -> bool:
         for i in range(5):
@@ -576,11 +570,10 @@ class F4Geometry:
             ),
         }
 
-    def orbit_class_analysis(self, completions: dict | None = None) -> dict:
+    def orbit_class_analysis(self, completions: dict) -> dict:
         """Local (intersection-parity) version of the two 135-orbit structure.
 
-        `completions` is pentad_completions(pentad_rows[0], pentad_rows[1]),
-        computed here when not given."""
+        `completions` is pentad_completions(pentad_rows[0], pentad_rows[1])."""
         spaces = self.isotropic4_masks
         v1 = _mask(self.pentad_rows[0])
         class_a = [u for u in spaces if (u & v1).bit_count() in (0, 3, 15)]
@@ -591,8 +584,6 @@ class F4Geometry:
         ) and all((u & w).bit_count() in (0, 3) for u, w in combinations(class_b, 2))
         ok_across = all((u & w).bit_count() in (1, 7) for u in class_a for w in class_b)
 
-        if completions is None:
-            completions = self.pentad_completions(self.pentad_rows[0], self.pentad_rows[1])
         star = next(iter(completions["stars"]))
         nine = [_mask(self.pentad_rows[0]), _mask(self.pentad_rows[1])] + [
             _mask(u) for u in sorted(star, key=lambda s: tuple(sorted(s)))

@@ -200,10 +200,13 @@ class Cell600:
         return cells
 
     @cached_property
-    def cells24(self) -> tuple[frozenset[int], ...]:
-        """Each 16-cell extended by the 8 pairs at unsigned product 1 with
-        all four of its members; the extension is unique, giving 25 cells."""
-        seen = {}
+    def _cells24_16cells(self) -> dict[frozenset[int], tuple[tuple[int, ...], ...]]:
+        """Each 24-cell, in sorted order, mapped to the 16-cells whose extension
+        it is: a 16-cell extended by the 8 pairs at unsigned product 1 with all
+        four of its members.  Raises unless there are 25 and the 16-cells of
+        each partition its 12 pairs; pairs of two 16-cells of one 24-cell are
+        then at product +-1, since each lies in the other's extension."""
+        seen: dict[frozenset[int], list[tuple[int, ...]]] = {}
         for cell in self.cells16:
             extra = [
                 q for q in range(60)
@@ -212,48 +215,28 @@ class Cell600:
             ]
             if len(extra) != 8:
                 raise ValueError("16-cell completion is not 8 pairs")
-            full = frozenset(cell) | frozenset(extra)
-            seen.setdefault(full, []).append(cell)
-        cells = tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
-        if len(cells) != 25:
-            raise ValueError(f"{len(cells)} 24-cells, not 25")
-        for cell, sixteens in seen.items():
-            if len(sixteens) != 3:
-                raise ValueError(f"a 24-cell holds {len(sixteens)} 16-cells, not 3")
-        return cells
+            seen.setdefault(frozenset(cell) | frozenset(extra), []).append(cell)
+        if len(seen) != 25:
+            raise ValueError(f"{len(seen)} 24-cells, not 25")
+        for full, sixteens in seen.items():
+            if sorted(p for t in sixteens for p in t) != sorted(full):
+                raise ValueError(f"the 16-cells of 24-cell {sorted(full)} do not partition its 12 pairs")
+        return {full: tuple(seen[full]) for full in sorted(seen, key=lambda s: tuple(sorted(s)))}
+
+    @cached_property
+    def cells24(self) -> tuple[frozenset[int], ...]:
+        """The 25 24-cells, as sets of pair ids, sorted."""
+        return tuple(self._cells24_16cells)
+
+    @cached_property
+    def tetrads24(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The three 16-cells (tetrads of mutually orthogonal pairs) inside each 24-cell."""
+        return tuple(self._cells24_16cells.values())
 
     @cached_property
     def cell16_ambient(self) -> dict[tuple[int, ...], int]:
         """16-cell -> index of the unique 24-cell containing it."""
-        out = {}
-        for idx, tetrads in enumerate(self.tetrads24):
-            for tetrad in tetrads:
-                if tetrad in out:
-                    raise ValueError(f"16-cell {tetrad} lies in two 24-cells")
-                out[tetrad] = idx
-        if set(out) != set(self.cells16):
-            raise ValueError("the tetrads of the 24-cells are not the 75 16-cells")
-        return out
-
-    @cached_property
-    def tetrads24(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The three mutually orthogonal tetrads inside each 24-cell."""
-        out = []
-        for cell in self.cells24:
-            cell = sorted(cell)
-            groups = []
-            unused = set(cell)
-            while unused:
-                p = min(unused)
-                tetrad = [p] + [q for q in cell if q != p and self.pair_class[p][q] == "0"]
-                if len(tetrad) != 4:
-                    raise ValueError(f"a tetrad of {len(tetrad)} pairs, not 4")
-                groups.append(tuple(sorted(tetrad)))
-                unused -= set(tetrad)
-            if len(groups) != 3:
-                raise ValueError(f"a 24-cell splits into {len(groups)} tetrads, not 3")
-            out.append(tuple(groups))
-        return tuple(out)
+        return {t: idx for idx, tetrads in enumerate(self.tetrads24) for t in tetrads}
 
     @cached_property
     def cells8(self) -> tuple[frozenset[int], ...]:
@@ -543,30 +526,27 @@ class Cell120:
 
     @cached_property
     def cells(self) -> tuple[frozenset[int], ...]:
-        """25 disjoint 24-cells g^i * C * g^-j covering the 600 vertices."""
-        parent = self.parent
-        g = parent.g
+        """25 disjoint 24-cells g^i * C * g^-j covering the 600 vertices, C
+        the vertices of shape (+-2, +-2, 0, 0)."""
+        g = self.parent.g
         ginv = g.quat_conj()
         gpow = [ICOSIAN_ONE]
         ginvpow = [ICOSIAN_ONE]
         for _ in range(4):
             gpow.append(icosian_mul(gpow[-1], g))
             ginvpow.append(icosian_mul(ginvpow[-1], ginv))
-        base24 = [parent.vertices[i] for i in sorted(cell24_base_indices())]
-        v1 = self.vertices[self.index[_V1_FLAT]]
-        c_set = set()
-        for a in base24:
-            av = icosian_mul(a, v1)
-            for b in base24:
-                c_set.add(icosian_mul(av, b))
-        if len(c_set) != 24:
-            raise ValueError(f"the base 24-cell of the 120-cell has {len(c_set)} vertices, not 24")
+        base = [
+            v for v in self.vertices
+            if not any(v.flat[1::2]) and sorted(map(abs, v.flat[::2])) == [0, 0, 2, 2]
+        ]
+        if len(base) != 24:
+            raise ValueError(f"the base 24-cell of the 120-cell has {len(base)} vertices, not 24")
         cells = []
         for i in range(5):
             for j in range(5):
                 cell = frozenset(
                     self.index[icosian_mul(icosian_mul(gpow[i], w), ginvpow[j]).flat]
-                    for w in c_set
+                    for w in base
                 )
                 if len(cell) != 24:
                     raise ValueError(f"120-cell 24-cell ({i}, {j}) has {len(cell)} vertices")
@@ -664,9 +644,6 @@ class Cell120:
         return all(quat_mul(left, v).flat in times4 for v in h) or all(
             quat_mul(v, right).flat in times4 for v in h
         )
-
-
-_V1_FLAT = (2, 0, 2, 0, 0, 0, 0, 0)
 
 
 @cache

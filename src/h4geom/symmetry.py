@@ -22,8 +22,8 @@ from operator import itemgetter
 
 from .golden import GoldenInt, eliminate
 from .icosian import (
-    ICOSIAN_ONE, Flat, IcosianVec, generate_vertices, inverse_index, mult_table, mulclose_indices,
-    quat_mul, vertex_index,
+    GENERATORS, ICOSIAN_ONE, Flat, IcosianVec, generate_vertices, inverse_index, mult_table, quat_mul,
+    vertex_index,
 )
 from .polytopes import Cell600, the_600cell
 
@@ -155,13 +155,9 @@ class SymmetryGroup:
         self._certify(images, *self.factors)
 
     def _make_generators(self) -> tuple[SymOp, ...]:
-        cell = self.cell
-        verts = cell.vertices
-        a_idx = cell.index[cell.g.flat]
-        b_idx = next((i for i in range(cell.n) if len(mulclose_indices((a_idx, i))) == 120), None)
-        if b_idx is None:
-            raise ValueError("no icosian generates 2I with g")
-        a, b = verts[a_idx], verts[b_idx]
+        """x -> a*x, x -> b*x, x -> x*a, x -> x*b and x -> conj(x), for the
+        generators a, b of 2I that `mult_table` certifies."""
+        a, b = map(IcosianVec, GENERATORS)
         return (left_mul(a), left_mul(b), right_mul(a), right_mul(b), reflection(ICOSIAN_ONE))
 
     def _list(self) -> tuple[tuple[int, ...], ...]:

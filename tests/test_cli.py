@@ -1,4 +1,4 @@
-import copy
+import ast
 import importlib.util
 import json
 import os
@@ -23,13 +23,15 @@ def test_jsonable_encodings():
     assert jsonable({2: {1, 3}}) == {"2": [1, 3]}
 
 
-def test_frozen_records_refuse_assignment(cell, gb, shell_classes, geo):
+def test_frozen_records_refuse_assignment(cell, gb, shell_classes, geo, lat_l):
     records = {
         "Elimination": golden.eliminate([[2, 1], [1, 1]]),
         "GoldenBasis": gb,
         "ShellClass": shell_classes[0],
         "PhiMap": geo.phi,
         "PrimeArray": cell.prime_array(2),
+        "ReducedLattice": lat_l,
+        "CheckResult": checks.run_check("facts/fact1"),
     }
     for name, record in records.items():
         assert type(record).__name__ == name
@@ -189,8 +191,7 @@ def test_builder_error_in_warm_up_is_reported_by_its_checks(tmp_path, monkeypatc
 def test_example2_reports_its_stored_certificates(monkeypatch, lat_l):
     assert checks.run_check("s6/example2").status == "pass"
     for field in ("rootless", "dual_basis_identity"):
-        corrupted = copy.copy(lat_l)
-        setattr(corrupted, field, False)
+        corrupted = lat_l._replace(**{field: False})
         monkeypatch.setattr(embed, "lattice_L", lambda: corrupted)
         result = checks.run_check("s6/example2")
         assert result.status == "fail"
@@ -479,15 +480,19 @@ def test_tetrahedral_cell_count_is_checked_under_python_O(tmp_path):
 
 _NO_GENERATING_PAIR = """
 import json
-from h4geom import checks, symmetry
+from h4geom import icosian
 
-symmetry.mulclose_indices = lambda gens: tuple(gens)
+icosian.GENERATORS = ((0, 0, 2, 0, 0, 0, 0, 0), (0, 0, 0, 0, 2, 0, 0, 0))  # i and j
+from h4geom import checks
+
 result = checks.run_check("facts/fact3")
 print(json.dumps([result.status, result.observed]))
 """
 
 
 def test_group_without_a_generating_pair_names_the_cause_under_python_O():
+    """i and j generate only the quaternion group of order 8, so the Cayley
+    table that the group is read off raises, and -O cannot strip it."""
     out = subprocess.run(
         [sys.executable, "-O", "-c", _NO_GENERATING_PAIR],
         capture_output=True,
@@ -496,7 +501,7 @@ def test_group_without_a_generating_pair_names_the_cause_under_python_O():
     )
     status, observed = json.loads(out.stdout.splitlines()[-1])
     assert status == "fail"
-    assert observed == {"error": "ValueError: no icosian generates 2I with g"}
+    assert observed == {"error": "ValueError: the generators reach 8 of 120 rows"}
 
 
 def test_traced_verify_counts_each_shell_split_call(tmp_path):
@@ -656,3 +661,17 @@ def test_report_and_dumps_match_the_frozen_digests(tmp_path):
         out = tmp_path / f"{obj}.json"
         cli("dump", obj, "--out", str(out))
         assert checker.dump_problems(obj, out.read_bytes(), digests) == []
+
+
+def test_src_holds_no_assert():
+    """Every certificate is an observed value or a raise, never an `assert`,
+    which `python -O` strips."""
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "h4geom").glob("*.py"))
+    assert len(paths) >= 10
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -89,7 +89,7 @@ def test_mult_table_raises_when_the_generators_span_a_proper_subgroup(monkeypatc
     """i and j generate the quaternion group of order 8, so the walk stops
     after 8 of the 120 rows."""
     i_flat, j_flat = (0, 0, 2, 0, 0, 0, 0, 0), (0, 0, 0, 0, 2, 0, 0, 0)
-    monkeypatch.setattr(icosian, "_GENERATORS", (i_flat, j_flat))
+    monkeypatch.setattr(icosian, "GENERATORS", (i_flat, j_flat))
     with pytest.raises(ValueError, match="the generators reach 8 of 120 rows"):
         mult_table.__wrapped__()
 

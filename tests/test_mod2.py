@@ -292,6 +292,39 @@ def test_figure1(geo):
     assert geo.figure1_check()
 
 
+def _partition_space_by_span(geo, part_idx):
+    """The oracle `_partition_space` replaced: the vectors of the partition's
+    five cell points, checked to be 15 and closed under addition."""
+    space = frozenset().union(*(geo.points[geo.point_of_cell[c]] for c in geo.cell.partitions[part_idx]))
+    span = {0}
+    for v in space:
+        span |= {v ^ s for s in span}
+    assert len(space) == 15 and span - {0} == space
+    return space
+
+
+def test_partition_spaces_match_the_span_oracle(geo):
+    spaces = geo.pentad_rows + geo.pentad_cols
+    assert spaces == tuple(_partition_space_by_span(geo, k) for k in range(10))
+    assert set(spaces) <= set(geo.isotropic4)
+
+
+def test_partition_space_raises_when_a_cell_point_is_a_vertex_point(monkeypatch, geo):
+    """One 24-cell of partition 0 sent to the point of pair 0: the five
+    points no longer give a totally singular 4-space, and s5/spaces names
+    the partition."""
+    fresh = mod2.F4Geometry(geo.e8)
+    c = min(geo.cell.partitions[0])
+    fresh.point_of_cell = {**geo.point_of_cell, c: geo.point_of_pair[0]}
+    message = "partition 0 does not give a totally singular 4-space"
+    with pytest.raises(ValueError, match=message):
+        fresh._partition_space(0)
+    monkeypatch.setattr(mod2, "f4_geometry", lambda: fresh)
+    result = checks.run_check("s5/spaces")
+    assert result.status == "fail"
+    assert result.observed == {"error": f"ValueError: {message}"}
+
+
 def test_pentads(geo):
     res = geo.pentad_completions(geo.pentad_rows[0], geo.pentad_rows[1])
     assert res["common_disjoint"] == 28
@@ -300,7 +333,7 @@ def test_pentads(geo):
 
 
 def test_orbit_classes(geo):
-    cls = geo.orbit_class_analysis()
+    cls = geo.orbit_class_analysis(geo.pentad_completions(geo.pentad_rows[0], geo.pentad_rows[1]))
     assert all(cls.values()), cls
 
 

@@ -10,15 +10,17 @@ from h4geom import checks
 from h4geom.golden import GoldenInt, eliminate, golden_sign
 from h4geom.icosian import (
     ICOSIAN_ONE,
+    IcosianVec,
     cell24_base_indices,
     element_order_index,
     flat_dot,
+    icosian_mul,
     inverse_index,
     mulclose_indices,
     mult_table,
     quat_mul,
 )
-from h4geom.polytopes import _PP_KEYS, Cell120, _coset_grid, label_str, perm_parity
+from h4geom.polytopes import _PP_KEYS, Cell120, Cell600, _coset_grid, label_str, perm_parity
 
 PHI_KEY = (0, 1)
 
@@ -123,6 +125,42 @@ def test_axis_16cell_extends_by_half_integer_vertices(cell):
     for p in added:
         v = cell.vertices[cell.pairs[p][0]]
         assert all((abs(c.a), abs(c.b)) == (1, 0) for c in v.c)
+
+
+def _tetrads_by_orthogonality(cell, big):
+    """The split `tetrads24` replaced: the least unused pair of the 24-cell
+    with the pairs of the 24-cell orthogonal to it, until none is left."""
+    groups, unused = [], set(big)
+    while unused:
+        p = min(unused)
+        tetrad = tuple(sorted([p] + [q for q in big if q != p and cell.pair_class[p][q] == "0"]))
+        assert len(tetrad) == 4
+        groups.append(tetrad)
+        unused -= set(tetrad)
+    return tuple(groups)
+
+
+def test_tetrads_and_ambient_24cells_match_the_orthogonality_oracle(cell):
+    """On all 25 24-cells: the 16-cells whose extension a 24-cell is are its
+    three orthogonal tetrads, and the ambient map read off the split is
+    `cell16_ambient`, with each of the 75 16-cells in one 24-cell."""
+    split = tuple(_tetrads_by_orthogonality(cell, big) for big in cell.cells24)
+    assert split == cell.tetrads24
+    assert all(len(tetrads) == 3 for tetrads in split)
+    ambient = {}
+    for k, tetrads in enumerate(split):
+        for tetrad in tetrads:
+            assert tetrad not in ambient
+            ambient[tetrad] = k
+    assert ambient == cell.cell16_ambient
+    assert set(ambient) == set(cell.cells16)
+
+
+def test_cells24_raises_when_a_24cell_holds_a_16cell_twice(cell):
+    fresh = Cell600()
+    fresh.cells16 = cell.cells16 + cell.cells16[:1]
+    with pytest.raises(ValueError, match="do not partition its 12 pairs"):
+        fresh.cells24
 
 
 def test_array_rows_and_columns_partition(cell):
@@ -347,6 +385,17 @@ def test_120cell_structure(cell):
     labs = d.pair_labels()
     assert len(labs) == 300
     assert ((3, 8), ((1, 6), (2, 7), (4, 10), (5, 9))) in labs
+
+
+def test_120cell_base_cell_is_the_two_sided_orbit_of_one_vertex(cell):
+    """The construction `Cell120.cells` replaced: B * v1 * B, for B the
+    600-cell's base 24-cell and v1 = (2, 2, 0, 0), is cell 0, g^0 * C * g^0."""
+    d = cell.cell120
+    base = [cell.vertices[i] for i in sorted(cell24_base_indices())]
+    v1 = IcosianVec((2, 0, 2, 0, 0, 0, 0, 0))
+    orbit = {icosian_mul(icosian_mul(a, v1), b).flat for a in base for b in base}
+    assert len(orbit) == 24
+    assert frozenset(map(d.index.__getitem__, orbit)) == d.cells[0]
 
 
 def test_120cell_rows_and_columns_are_600cells(cell):

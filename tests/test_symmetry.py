@@ -11,7 +11,9 @@ import pytest
 
 from h4geom import checks, symmetry
 from h4geom.golden import GoldenInt
-from h4geom.icosian import ICOSIAN_ONE, IcosianVec, generate_vertices, inverse_index, mult_table
+from h4geom.icosian import (
+    GENERATORS, ICOSIAN_ONE, IcosianVec, generate_vertices, inverse_index, mulclose_indices, mult_table,
+)
 from h4geom.symmetry import (
     _BASIS,
     SymmetryGroup,
@@ -141,6 +143,18 @@ def test_group_orders(cell, group):
 def test_center_is_plus_minus_identity(group):
     centre = {group.ops[k] for k in group.center}
     assert centre == {identity_op(), negation_op()}
+
+
+def test_generators_are_the_multiplications_by_the_certified_pair(cell, group):
+    """The search `_make_generators` replaced asked of its pair only that it
+    generate 2I.  The pair a, b of `icosian.GENERATORS` does, by a closure of
+    its own, and the five generators are x -> a*x, x -> b*x, x -> x*a,
+    x -> x*b and x -> conj(x), with the parities of their exact determinants."""
+    a, b = map(IcosianVec, GENERATORS)
+    assert mulclose_indices((cell.index[a.flat], cell.index[b.flat])) == frozenset(range(cell.n))
+    expected = (left_mul(a), left_mul(b), right_mul(a), right_mul(b), reflection(ICOSIAN_ONE))
+    assert [(g.perm, g.parity) for g in group.generators] == [(g.perm, g.parity) for g in expected]
+    assert [g.parity for g in expected] == [1, 1, 1, 1, -1]
 
 
 def test_left_right_mul_are_rotations_fixing_products(cell):
