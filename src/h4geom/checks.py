@@ -11,7 +11,7 @@ import time
 from collections import Counter, namedtuple
 from collections.abc import Callable
 from itertools import combinations
-from operator import mul
+from operator import itemgetter, mul, neg
 
 from . import embed, mod2, symmetry
 from .golden import PHI
@@ -114,7 +114,7 @@ def _fact6():
         negation = tuple(grp.cell.neg)
         kernel_is_pm1 = perms == {ident, negation}
     rows, cols = 0b11111, 0b11111 << 5  # partitions 0..4 and 5..9 as masks
-    pentads_ok = all(img == (cols if e else rows) for e, img in zip(grp.factors[2], grp.row_images))
+    pentads_ok = grp.row_images == itemgetter(*grp.factors[2])((rows, cols))
     return {
         "kernel_size": len(kernel),
         "kernel_is_plus_minus_identity": kernel_is_pm1,
@@ -311,6 +311,14 @@ def _s5_pentads():
     }
 
 
+def _root_pair_sums(roots) -> set[int]:
+    """Twice the inner product of each pair of distinct roots, for roots closed under
+    negation, from one root of each +-pair: (u, v), (u, -v) give s, -s and (u, -u) -u.u."""
+    half = {max(u, tuple(map(neg, u))) for u in roots}
+    sums = {sum(map(mul, u, v)) for u, v in combinations(half, 2)}
+    return sums | {-s for s in sums} | {-sum(map(mul, u, u)) for u in half}
+
+
 def _s6_example1():
     e8 = embed.certify_e8(-1)
     e8p = embed.certify_e8(1)
@@ -327,9 +335,11 @@ def _s6_example1():
         if lhs != flipped:
             conj_rel = False
             break
-    root_sums = {sum(map(mul, u, v)) for u, v in combinations(e8.roots, 2)}  # twice each inner product
+    root_sums = _root_pair_sums(e8.roots)
     if any(s % 2 for s in root_sums):
         raise ValueError("a root pair's inner product is not an integer")
+    if {tuple(map(neg, u)) for u in e8.roots} != e8.roots:
+        raise ValueError("the roots are not closed under negation")
     return {
         "both_embeddings_certify_E8": e8.det == 1 and e8p.det == 1,
         "m_plus_1_equals_conjugated_m_minus_1_up_to_slot_signs": conj_rel,

@@ -153,10 +153,8 @@ class E8Lattice:
         self.phi_img = tuple(phi_img)
         self.roots = frozenset(roots)
 
-        # every root must have integral coordinates in the chosen basis
-        for u in sorted(roots):
-            self.coords_of(u)
-
+        # the enumerated roots have integral coordinates, so their equality with
+        # the embedded roots below also proves that every root lies in the lattice
         shells = short_vectors(self.gram, 4)
         self.shell_coords = shells
         if set(shells) != {2, 4}:

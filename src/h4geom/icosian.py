@@ -9,7 +9,7 @@ the natural norm of a vertex is 4.  The group product rescales by 1/2 so the
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from functools import cache
 from itertools import permutations, product as iproduct
 from operator import add, itemgetter, neg, sub
@@ -184,25 +184,33 @@ def vertex_index() -> dict[Flat, int]:
 GENERATORS = ((1, 0, 1, 0, 1, 0, 1, 0), (0, 1, -1, 1, 0, 0, 1, 0))
 
 
-@cache
-def mult_table() -> tuple[tuple[int, ...], ...]:
-    """Cayley table on vertex indices: table[i][j] = index of v_i * v_j.  The
-    rows of the two generators are quaternion products; every other row comes
-    from a walk over the generators, row[x*g][b] = row[x][row[g][b]], since
-    (x*g)*b = x*(g*b).  Raises unless the walk reaches all 120 rows."""
-    idx = vertex_index()
-    flats = [v.flat for v in generate_vertices()]
-    rows = {idx[g]: tuple(idx[_halved(_flat_quat_mul(g, v))] for v in flats) for g in GENERATORS}
+def generator_walk(rows: dict[int, tuple], product: Callable[[int, int], int]) -> tuple[tuple[int, ...], ...]:
+    """Completes rows, given at the generators' indices, to all 120 icosians: from
+    each row x reached and each generator g, rows[product(x, g)] = rows[x] o rows[g].
+    Raises unless the walk reaches all 120 rows; returns them in index order."""
+    n = len(generate_vertices())
     gens, frontier = tuple(rows), list(rows)
     while frontier:
         x = frontier.pop()
         for g in gens:
-            if (y := rows[x][g]) not in rows:
+            if (y := product(x, g)) not in rows:
                 rows[y] = itemgetter(*rows[g])(rows[x])
                 frontier.append(y)
-    if len(rows) != len(flats):
-        raise ValueError(f"the generators reach {len(rows)} of {len(flats)} rows")
-    return tuple(rows[i] for i in range(len(flats)))
+    if len(rows) != n:
+        raise ValueError(f"the generators reach {len(rows)} of {n} rows")
+    return tuple(rows[i] for i in range(n))
+
+
+@cache
+def mult_table() -> tuple[tuple[int, ...], ...]:
+    """Cayley table on vertex indices: table[i][j] = index of v_i * v_j.  The
+    rows of the two generators are quaternion products; every other row comes
+    from the generator walk, row[x*g][b] = row[x][row[g][b]], since
+    (x*g)*b = x*(g*b).  Raises unless the walk reaches all 120 rows."""
+    idx = vertex_index()
+    flats = [v.flat for v in generate_vertices()]
+    rows = {idx[g]: tuple(idx[_halved(_flat_quat_mul(g, v))] for v in flats) for g in GENERATORS}
+    return generator_walk(rows, lambda x, g: rows[x][g])
 
 
 @cache

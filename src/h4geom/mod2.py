@@ -433,15 +433,9 @@ class F4Geometry:
         """Table of the induced map on the 256 classes; checks exactness."""
         rows = self._induced([self.root_coords[j] for j in op.perm], "induced")
         gram = self.e8.gram
-        for i in range(8):
-            for j in range(8):
-                s = sum(
-                    rows[i][a] * gram[a][b] * rows[j][b]
-                    for a in range(8)
-                    for b in range(8)
-                )
-                if s != gram[i][j]:
-                    raise ValueError("action does not preserve the Gram matrix")
+        rg = [[sum(map(mul, row, col)) for col in zip(*gram)] for row in rows]  # R G
+        if tuple(tuple(sum(map(mul, a, b)) for b in rows) for a in rg) != gram:  # (R G) R^T
+            raise ValueError("action does not preserve the Gram matrix")
         return _table(_bitrows(rows))
 
     def commutes_with_phi(self, op: SymOp) -> bool:

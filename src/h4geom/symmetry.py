@@ -16,14 +16,16 @@ reflection) are composed only when ops[k] is read.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable, Sequence
 from functools import cache, cached_property
-from operator import itemgetter
+from itertools import chain, product, repeat
+from operator import add, itemgetter
 
 from .golden import GoldenInt, eliminate
 from .icosian import (
-    GENERATORS, ICOSIAN_ONE, Flat, IcosianVec, generate_vertices, inverse_index, mult_table, quat_mul,
-    vertex_index,
+    GENERATORS, ICOSIAN_ONE, Flat, IcosianVec, generate_vertices, generator_walk, inverse_index, mult_table,
+    quat_mul, vertex_index,
 )
 from .polytopes import Cell600, the_600cell
 
@@ -92,10 +94,21 @@ def _op_from_matrix(cols: list[IcosianVec], den: int) -> SymOp:
 _Action = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
+def _rows(n: int, width: int) -> tuple[int, ...]:
+    """Each of 0..n-1 repeated width times: the l of each listed element."""
+    return tuple(chain.from_iterable(map(repeat, range(n), repeat(width, n))))
+
+
 def _project(tables: tuple, act: _Action) -> tuple[list, list, tuple[int, ...]]:
-    """A (left, right, conj) table triple acted on by act, entry by entry."""
+    """A (left, right, conj) table triple acted on by act, a homomorphism: act
+    reads only the rows of the two generators and conj, and the other rows are
+    composed along the generator walk, left[x*g] = left[x] o left[g] and
+    right[g*x] = right[x] o right[g]."""
     left, right, conj = tables
-    return [act(p) for p in left], [act(p) for p in right], act(conj)
+    table, gens = mult_table(), [vertex_index()[g] for g in GENERATORS]
+    lefts = generator_walk({g: act(left[g]) for g in gens}, lambda x, g: table[x][g])
+    rights = generator_walk({g: act(right[g]) for g in gens}, lambda x, g: table[g][x])
+    return list(lefts), list(rights), act(conj)
 
 
 def _set_action(sets: tuple[frozenset[int], ...]) -> _Action:
@@ -164,43 +177,64 @@ class SymmetryGroup:
         """Every element as a triple (l, r, e): x -> l*x*r, or x -> l*conj(x)*r
         when e = 1; r runs over one icosian of each +-pair, since (l, r) and
         (-l, -r) give the same map.  Returns the l, r and e of each element in
-        listing order (l, then r, then e)."""
+        listing order: one block of the 120 pairs (r, e) for each l."""
         n, reps = self.cell.n, tuple(r for r, _ in self.cell.pairs)
-        ls = tuple(l for l in range(n) for _ in range(2 * len(reps)))
-        rs = tuple(r for r in reps for _ in range(2)) * n
-        es = (0, 1) * (n * len(reps))
-        return ls, rs, es
+        brs, bes = tuple(chain.from_iterable(zip(reps, reps))), (0, 1) * len(reps)
+        return _rows(n, len(bes)), brs * n, bes * n
+
+    @cached_property
+    def _block(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The r and e of the block of pairs (r, e) that each row l lists."""
+        width = len(self.factors[2]) // self.cell.n
+        return self.factors[1][:width], self.factors[2][:width]
 
     def _certify(self, images, ls, rs, es) -> None:
-        """Raises unless the listed elements are distinct, contain the five
-        generators and are closed under them.  images holds the four columns of
-        each element's images of 2e_0..2e_3, which fix an isometry, so distinct
-        images mean distinct elements.  Closure is checked on the triples: a
-        rotation g = (gl, gr, 0) sends (l, r, e) to (gl*l, r*gr, e), and a
-        reflection g = (gl, gr, 1) to (gl*conj(r), conj(l)*gr, 1 - e).  That must
-        be the triple of the listed element with g's images of element k's images
-        of 2e_0..2e_3, compared as (pair of l, l*r, e), which fixes a triple up to
-        its (-l, -r) twin."""
-        table, conj = mult_table(), itemgetter(*inverse_index())
-        index = {key: k for k, key in enumerate(zip(*images))}
-        if len(index) != len(es):
-            raise ValueError(f"only {len(index)} of the {len(es)} listed elements are distinct")
-        products = tuple(table[l][r] for l, r in zip(ls, rs))
-        classes = (itemgetter(*ls)(self.cell.pair_of), products, es)
+        """Raises unless the listing is one block of the pairs (r, e), r the first
+        icosian of each +-pair, for each l in turn, and the listed elements are
+        distinct, contain the five generators and are closed under them.  images
+        holds the four columns of each element's images of 2e_0..2e_3, which fix
+        an isometry; they are packed into one 4-byte key per element (indices
+        below 256), on which g acts by translating bytes.  A rotation
+        g = (gl, gr, 0) sends (l, r, e) to (gl*l, r*gr, e), and a reflection
+        g = (gl, gr, 1) to (gl*conj(r), conj(l)*gr, 1 - e): that triple, or its
+        (-l, -r) twin, names a listed position, one row l at a time, whose
+        element must have g's images of element k's images."""
+        cell, table, inv = self.cell, mult_table(), inverse_index()
+        n, size, neg = cell.n, len(es), cell.neg
+        width = size // n
+        brs, bes = rs[:width], es[:width]
+        firsts = [r for r, _ in cell.pairs]
+        shaped = (ls, rs, es) == (_rows(n, width), brs * n, bes * n)
+        if not shaped or sorted(zip(brs, bes)) != sorted(product(firsts, (0, 1))):
+            raise ValueError("the listing is not one block of pairs (r, e) for each l")
+        packed = bytearray(4 * size)
+        for c, column in enumerate(images):
+            packed[c::4] = bytes(column)
+        keys = tuple(memoryview(packed).cast("I"))
+        blocks = [keys[x * width:x * width + width] for x in range(n)]  # the keys of row x
+        index = dict(zip(keys, range(size)))
+        if len(index) != size:
+            raise ValueError(f"only {len(index)} of the {size} listed elements are distinct")
+        twins = itemgetter(*cell.pair_of)(firsts)  # the listed r of each icosian's pair
+        slot = {re: j for j, re in enumerate(zip(brs, bes))}
+        at = [[slot[t, e] for t in twins] for e in (0, 1)]  # block position of (twin of y, e)
+        flip = [int(t != y) for y, t in enumerate(twins)]  # 1 when y is -(twin of y)
         for m, g in enumerate(self.generators):
-            k = index.get(tuple(g.perm[b] for b in _basis_indices()))
+            k = index.get(memoryview(bytes(g.perm[b] for b in _basis_indices())).cast("I")[0])
             if k is None or (op := self.ops[k]).perm != g.perm or op.parity != g.parity:
                 raise ValueError(f"generator {m} is not in the listing")
-            # gl*l*r*gr for a rotation, gl*conj(l*r)*gr for a reflection
-            left = conj(table[ls[k]]) if es[k] else table[ls[k]]
-            right = tuple(row[rs[k]] for row in table)
-            expected = (
-                itemgetter(*(rs if es[k] else ls))(itemgetter(*left)(self.cell.pair_of)),
-                itemgetter(*itemgetter(*products)(left))(right),
-                tuple(1 - e for e in es) if es[k] else es,
-            )
-            named = list(map(index.get, zip(*(itemgetter(*column)(g.perm) for column in images))))
-            if None in named or expected != tuple(itemgetter(*named)(c) for c in classes):
+            gl, gr = ls[k], rs[k]
+            if es[k]:  # row l: R = conj(l)*gr is fixed, and L = gl*conj(r) runs with r
+                heads = [table[gl][inv[r]] for r in brs]
+                starts = [x * width for x in heads], [neg[x] * width for x in heads]
+                other, ys = itemgetter(*bes), (table[x][gr] for x in inv)  # other: at[1 - e][y] for each e
+                rows = (itemgetter(*map(add, starts[flip[y]], other((at[1][y], at[0][y]))))(keys) for y in ys)
+            else:  # row l: L = gl*l is fixed, and R = r*gr runs with r
+                tails = [table[r][gr] for r in brs]
+                pick = itemgetter(*(flip[y] * width + at[e][y] for y, e in zip(tails, bes)))
+                rows = (pick(blocks[x] + blocks[neg[x]]) for x in table[gl])
+            named = array("I", chain.from_iterable(rows))  # the keys at the named positions
+            if named.tobytes() != packed.translate(bytes(g.perm).ljust(256, b"\0")):
                 raise ValueError(f"the listing is not closed under generator {m}")
 
     @cached_property
@@ -255,12 +289,14 @@ class SymmetryGroup:
             for k in ks
         )
 
-    def _images_of(self, tables: tuple[list, list, tuple[int, ...]], x: int) -> list[int]:
-        """Each element's image of the point x, composed as in _compose:
-        left[l][right[r][x]], with conj[x] in place of x when e = 1."""
+    def _images_of(self, tables: tuple[list, list, tuple[int, ...]], x: int) -> tuple[int, ...]:
+        """Each element's image of the point x, composed as in _compose, one row
+        l at a time: left[l] of the block's inner images right[r][x], with
+        conj[x] in place of x when e = 1."""
         left, right, conj = tables
         xs = (x, conj[x])
-        return [left[l][right[r][xs[e]]] for l, r, e in zip(*self.factors)]
+        inner = itemgetter(*[right[r][xs[e]] for r, e in zip(*self._block)])
+        return tuple(chain.from_iterable(map(inner, left)))
 
     @cached_property
     def cell_perms(self) -> tuple[tuple[int, ...], ...]:
@@ -289,20 +325,16 @@ class SymmetryGroup:
     @cached_property
     def row_images(self) -> tuple[int, ...]:
         """Each element's image of the five rows (partitions 0..4) as a 10-bit
-        mask, composed as in _compose: right[r] of the rows (of their conj images
-        when e = 1) as a mask, then left[l] of that mask, once per l and mask."""
+        mask, composed as in _compose, one row l at a time: right[r] of the rows
+        (of their conj images when e = 1) as a mask for each pair (r, e) of the
+        block, then left[l] of each distinct mask."""
         left, right, conj = self._ten_tables
         starts = (range(5), [conj[i] for i in range(5)])
-        inner = [[sum(1 << perm[i] for i in s) for s in starts] for perm in right]
-        images: dict[tuple[int, int], int] = {}
-        out = []
-        for l, r, e in zip(*self.factors):
-            m = inner[r][e]
-            y = images.get((l, m))
-            if y is None:
-                y = images[l, m] = sum(1 << left[l][i] for i in range(10) if m >> i & 1)
-            out.append(y)
-        return tuple(out)
+        inner = [sum(1 << right[r][i] for i in starts[e]) for r, e in zip(*self._block)]
+        masks, pick = set(inner), itemgetter(*inner)
+        return tuple(chain.from_iterable(
+            pick({m: sum(1 << perm[i] for i in range(10) if m >> i & 1) for m in masks}) for perm in left
+        ))
 
     # ---------- stabilizers ----------
 

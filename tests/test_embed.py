@@ -1,7 +1,8 @@
 import copy
 from fractions import Fraction as F
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from math import isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,6 +280,42 @@ def test_s6_example1_raises_on_a_root_pair_with_an_odd_inner_product_sum(monkeyp
     result = checks.run_check("s6/example1")
     assert result.status == "fail"
     assert result.observed == {"error": "ValueError: a root pair's inner product is not an integer"}
+
+
+def test_root_pair_sums_match_all_28680_pairs(e8):
+    """The sums read off one root of each +-pair, against the sums over all
+    28,680 pairs of distinct roots."""
+    pairs = list(combinations(e8.roots, 2))
+    assert len(pairs) == 28680
+    assert checks._root_pair_sums(e8.roots) == {sum(map(mul, u, v)) for u, v in pairs}
+
+
+def test_s6_example1_fails_on_roots_not_closed_under_negation(monkeypatch, e8):
+    """One root of a +-pair dropped: the products of the remaining pairs stay
+    even, and the negation check names the fault."""
+    fake = copy.copy(e8)
+    fake.roots = e8.roots - {max(e8.roots)}
+    real = embed.certify_e8
+    monkeypatch.setattr(embed, "certify_e8", lambda m: fake if m == -1 else real(m))
+    result = checks.run_check("s6/example1")
+    assert result.status == "fail"
+    assert result.observed == {"error": "ValueError: the roots are not closed under negation"}
+
+
+def test_e8_raises_when_an_enumerated_root_is_not_embedded(monkeypatch, cell):
+    """One norm-2 coordinate vector replaced by a norm-4 one: the shell sizes
+    still read 240 and 2160, and the comparison with the embedded roots, which
+    also proves that every root has integral coordinates, raises."""
+    real = embed.short_vectors
+
+    def corrupted(gram, bound):
+        shells = real(gram, bound)
+        shells[2] = [shells[4][0]] + list(shells[2][1:])
+        return shells
+
+    monkeypatch.setattr(embed, "short_vectors", corrupted)
+    with pytest.raises(ValueError, match="the enumerated roots are not the embedded ones"):
+        E8Lattice(cell, ReductionMap(-1))
 
 
 def test_counterpart_orthogonality(e8):

@@ -221,6 +221,14 @@ def test_action_mod2_checks_every_root(geo, group):
         geo.action_mod2(bad)
 
 
+def test_action_mod2_raises_on_a_matrix_that_does_not_preserve_the_gram_matrix(monkeypatch, geo, group):
+    """(R G) R^T with R = 2 I is 4 G, not G."""
+    double = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
+    monkeypatch.setattr(geo, "_induced", lambda images, what: double)
+    with pytest.raises(ValueError, match="action does not preserve the Gram matrix"):
+        geo.action_mod2(group.generators[0])
+
+
 def _fold_table(matrix):
     """The per-class fold that `_table(_bitrows(matrix))` replaced: for each
     of the 256 classes x, the xor of the rows of matrix mod 2 over the set

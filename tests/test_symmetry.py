@@ -9,7 +9,7 @@ from operator import itemgetter
 
 import pytest
 
-from h4geom import checks, symmetry
+from h4geom import checks, icosian, symmetry
 from h4geom.golden import GoldenInt
 from h4geom.icosian import (
     GENERATORS, ICOSIAN_ONE, IcosianVec, generate_vertices, inverse_index, mulclose_indices, mult_table,
@@ -425,13 +425,18 @@ def test_cell_and_ten_perms_match_set_images_on_all_elements(cell, group):
         assert tp == tuple(part_index[frozenset(cp[c] for c in part)] for part in cell.partitions)
 
 
-def test_listing_certificates_raise_on_a_wrong_triple_or_a_foreign_generator(cell, group):
+def _eager_images(cell, group):
+    """The four columns of every element's images of 2e_0..2e_3, read off the eager listing."""
     basis = [cell.index[tuple(2 if k == 2 * c else 0 for k in range(8))] for c in range(4)]
-    images = tuple(zip(*(itemgetter(*basis)(op.perm) for op in _eager_listing(group))))
+    return tuple(zip(*(itemgetter(*basis)(op.perm) for op in _eager_listing(group))))
+
+
+def test_listing_certificates_raise_on_a_wrong_triple_or_a_foreign_generator(cell, group):
+    images = _eager_images(cell, group)
     ls, rs, es = group.factors
     group._certify(images, ls, rs, es)
     wrong = (cell.neg[ls[0]],) + ls[1:]  # names -x -> l*x*r in place of x -> l*x*r
-    with pytest.raises(ValueError, match="not closed under generator"):
+    with pytest.raises(ValueError, match="the listing is not one block of pairs"):
         group._certify(images, wrong, rs, es)
     swap = list(range(120))
     swap[0], swap[1] = 1, 0  # not an isometry
@@ -440,6 +445,123 @@ def test_listing_certificates_raise_on_a_wrong_triple_or_a_foreign_generator(cel
     broken.generators = (SymOp(tuple(swap), g.parity),) + group.generators[1:]
     with pytest.raises(ValueError, match="generator 0 is not in the listing"):
         broken._certify(images, ls, rs, es)
+
+
+def _per_element_images_of(group, tables, x):
+    """The per-element loop that the row-at-a-time `_images_of` replaced."""
+    left, right, conj = tables
+    xs = (x, conj[x])
+    return [left[l][right[r][xs[e]]] for l, r, e in zip(*group.factors)]
+
+
+def _entry_by_entry_project(tables, act):
+    """The projection that the generator walk replaced: act on every row."""
+    left, right, conj = tables
+    return [act(p) for p in left], [act(p) for p in right], act(conj)
+
+
+def _dict_lookup_certify(group, images, ls, rs, es):
+    """The certificate that the row-at-a-time `_certify` replaced: each
+    generator's images of every element named by a dict lookup, and the named
+    element's triple compared as (pair of l, l*r, e) with the triple formulas."""
+    table, conj = mult_table(), itemgetter(*inverse_index())
+    index = {key: k for k, key in enumerate(zip(*images))}
+    if len(index) != len(es):
+        raise ValueError(f"only {len(index)} of the {len(es)} listed elements are distinct")
+    products = tuple(table[l][r] for l, r in zip(ls, rs))
+    classes = (itemgetter(*ls)(group.cell.pair_of), products, es)
+    for m, g in enumerate(group.generators):
+        k = index.get(tuple(g.perm[b] for b in _basis_indices()))
+        if k is None or (op := group.ops[k]).perm != g.perm or op.parity != g.parity:
+            raise ValueError(f"generator {m} is not in the listing")
+        left = conj(table[ls[k]]) if es[k] else table[ls[k]]
+        right = tuple(row[rs[k]] for row in table)
+        expected = (
+            itemgetter(*(rs if es[k] else ls))(itemgetter(*left)(group.cell.pair_of)),
+            itemgetter(*itemgetter(*products)(left))(right),
+            tuple(1 - e for e in es) if es[k] else es,
+        )
+        named = list(map(index.get, zip(*(itemgetter(*column)(g.perm) for column in images))))
+        if None in named or expected != tuple(itemgetter(*named)(c) for c in classes):
+            raise ValueError(f"the listing is not closed under generator {m}")
+
+
+def test_walked_projections_match_the_entry_by_entry_oracle(group):
+    """All 241 rows (120 left, 120 right and conj) of the pair, 24-cell and
+    partition tables, each projected from the oracle's own parent tables."""
+    pair = _entry_by_entry_project(group._vertex_tables, group._pair_action)
+    cell = _entry_by_entry_project(pair, group._on_cells)
+    ten = _entry_by_entry_project(cell, _set_action(group.cell.partitions))
+    for oracle, got in ((pair, group._pair_tables), (cell, group._cell_tables), (ten, group._ten_tables)):
+        assert len(oracle[0]) + len(oracle[1]) + 1 == 241
+        assert oracle == got
+
+
+def test_the_projections_and_the_cayley_table_share_one_walk(monkeypatch, cell):
+    """A fresh group builds its pair, 24-cell and partition tables with six
+    calls of `icosian.generator_walk`, and `mult_table` with one more."""
+    calls = 0
+    walk = icosian.generator_walk
+
+    def counting(rows, product):
+        nonlocal calls
+        calls += 1
+        return walk(rows, product)
+
+    monkeypatch.setattr(symmetry, "generator_walk", counting)
+    monkeypatch.setattr(icosian, "generator_walk", counting)
+    fresh = SymmetryGroup(cell)
+    fresh._ten_tables
+    assert calls == 6
+    assert mult_table.__wrapped__() == mult_table()
+    assert calls == 7
+
+
+@pytest.mark.parametrize("kind", ["_vertex_tables", "_pair_tables", "_cell_tables", "_ten_tables"])
+def test_row_images_match_the_per_element_oracle_on_every_point(group, kind):
+    tables = getattr(group, kind)
+    for x in range(len(tables[2])):
+        assert list(group._images_of(tables, x)) == _per_element_images_of(group, tables, x)
+
+
+def _faulty_listings(cell, group):
+    """Three faults in (images, ls, rs, es): two elements' images swapped, a
+    listing with the rotations and reflections of each block exchanged (a
+    wrong triple of every element that keeps the block shape), and row 0
+    naming -l in place of l (a wrong triple that breaks it)."""
+    images = _eager_images(cell, group)
+    ls, rs, es = group.factors
+    gens = {_eager_listing(group).index(g) for g in group.generators}
+    i, j = [k for k in range(len(es)) if k not in gens][:2]
+    swapped = []
+    for column in images:
+        column = list(column)
+        column[i], column[j] = column[j], column[i]
+        swapped.append(tuple(column))
+    return {
+        "swapped images": ((tuple(swapped), ls, rs, es), "not closed under generator"),
+        "exchanged e": ((images, ls, rs, tuple(1 - e for e in es)), "not closed under generator"),
+        "negated l": ((images, (cell.neg[ls[0]],) + ls[1:], rs, es), None),
+    }
+
+
+@pytest.mark.parametrize("certify", ["rows", "dict lookup"])
+def test_both_certificates_accept_the_listing_and_reject_three_faults(cell, group, certify):
+    run = group._certify if certify == "rows" else lambda *args: _dict_lookup_certify(group, *args)
+    run(_eager_images(cell, group), *group.factors)
+    for args, message in _faulty_listings(cell, group).values():
+        if message is None:  # the block shape check comes first in the row certificate
+            message = "not one block of pairs" if certify == "rows" else "not closed under generator"
+        with pytest.raises(ValueError, match=message):
+            run(*args)
+    swap = list(range(120))
+    swap[0], swap[1] = 1, 0
+    g = group.generators[0]
+    broken = copy.copy(group)
+    broken.generators = (SymOp(tuple(swap), g.parity),) + group.generators[1:]
+    run = broken._certify if certify == "rows" else lambda *args: _dict_lookup_certify(broken, *args)
+    with pytest.raises(ValueError, match="generator 0 is not in the listing"):
+        run(_eager_images(cell, group), *group.factors)
 
 
 @cache
