@@ -368,7 +368,7 @@ def _s6_example3():
     classes = embed.decompose_norm4_shell()
     e8 = embed.certify_e8(-1)
     return {
-        "norm4_shell": len(e8.norm4_shell),
+        "norm4_shell": e8.shell_sizes[4],
         "class_sizes": sorted(len(c.vectors) for c in classes),
         "sources": sorted({c.source for c in classes}),
         "spectra_match": all(c.isometric for c in classes),

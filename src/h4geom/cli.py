@@ -172,7 +172,7 @@ def _dump_lattice():
             "basis": [list(b) for b in e8.basis],
             "gram": [list(r) for r in e8.gram],
             "determinant": e8.det,
-            "shells": {"2": len(e8.shell_coords[2]), "4": len(e8.shell_coords[4])},
+            "shells": {str(norm): size for norm, size in e8.shell_sizes.items()},
         },
         "reduced_m0": {
             "basis": [[x // 2 if x % 2 == 0 else f"{x}/2" for x in b] for b in lat.basis],

@@ -9,19 +9,32 @@ coordinate, acting on the flat (a, b) coordinates of Z[phi]**4.  On the E8
 side (m = +-1) the form is half the integer dot product and lattice
 coordinates come from the integral inverse Gram matrix; at m = 0 the slots
 are doubled and the form is `_quarter_form`, a quarter of the even-slot plus
-five times the odd-slot products.  Each class of the norm-4 shell split is
-certified by injectivity and an 8x8 Gram identity on a Q-basis of
-Q(phi)**4, which by bilinearity fixes every pairwise inner product.  All
-certificates (evenness, unimodularity, shell counts, Gram identities) are
-computed in exact integer arithmetic.
+five times the odd-slot products.
+
+Each E8 lattice is certified as Construction A of the extended Hamming
+[8, 4, 4] code (Conway & Sloane, SPLAG ch. 5 and 8): the parity words of the
+240 roots must span 16 words of weights 0, 4 and 8, so the integer vectors
+whose parity word is a code word form an even lattice of determinant 1
+containing the roots; the root basis, whose Gram determinant is also 1, then
+spans it.  Its norm-2 and norm-4 shells are listed by shape over the code
+(`shape_shell`), with no search, and compared with the embedded roots and
+the counts 240 and 2160.  The Fincke-Pohst search `short_vectors` is used
+only for the rootless certificate of the m = 0 lattice, which is not of
+that kind.
+
+Each class of the norm-4 shell split is certified by injectivity and an 8x8
+Gram identity on a Q-basis of Q(phi)**4, which by bilinearity fixes every
+pairwise inner product.  All certificates (the code, evenness,
+unimodularity, shell counts, Gram identities) are computed in exact integer
+arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt, lcm
 from operator import mul, sub
 
@@ -47,7 +60,8 @@ def short_vectors(gram, bound: int) -> dict[int, list[IntVec]]:
     of the bound), and |D_{i+1} k + C_i| <= isqrt(rem // w_i) is the same.
 
     Returns coordinate vectors grouped by their (integer) norm, each list
-    sorted.
+    sorted.  Only the rootless certificate of the m = 0 lattice runs it; the
+    E8 shells are listed by shape (`shape_shell`).
     """
     n = len(gram)
     if not all(isinstance(x, int) for row in gram for x in row):
@@ -121,7 +135,13 @@ class E8Lattice:
     """A certified copy of E8 containing an embedded 600-cell H together
     with its companion scaled copy (phi*H when m = -1, H/phi when m = +1;
     in general the unit scale that the map sends to zero): its basis on the
-    slots of rmap, the Gram matrix of that basis and its determinant."""
+    slots of rmap, the Gram matrix of that basis and its determinant, the
+    code C of its parity words and the sizes of its norm-2 and norm-4
+    shells.  It is certified as Construction A of C: the integer vectors
+    whose parity word lies in C, even with determinant
+    2**(2 * (8 - 4)) / 2**8 = 1 under the half-dot form, which holds the
+    roots and so the root basis; the two determinants are equal, so the
+    basis spans it.  Neither shell is kept."""
 
     def __init__(self, cell: Cell600, rmap: ReductionMap):
         self.cell = cell
@@ -152,19 +172,15 @@ class E8Lattice:
         self.h_img = tuple(h_img)
         self.phi_img = tuple(phi_img)
         self.roots = frozenset(roots)
+        self.code = parity_code(self.roots)
 
-        # the enumerated roots have integral coordinates, so their equality with
-        # the embedded roots below also proves that every root lies in the lattice
-        shells = short_vectors(self.gram, 4)
-        self.shell_coords = shells
-        if set(shells) != {2, 4}:
-            raise ValueError(f"E8 has vectors of norms {sorted(shells)} up to 4, not 2 and 4")
-        if len(shells[2]) != 240 or len(shells[4]) != 2160:
-            raise ValueError(
-                f"E8 shell sizes {len(shells[2])}, {len(shells[4])} are not 240, 2160"
-            )
-        if {self.from_coords(c) for c in shells[2]} != self.roots:
+        listed = set(shape_shell(self.code, 2))
+        sizes = len(listed), sum(1 for _ in shape_shell(self.code, 4))
+        if sizes != (240, 2160):
+            raise ValueError(f"E8 shell sizes {sizes[0]}, {sizes[1]} are not 240, 2160")
+        if listed != self.roots:
             raise ValueError("the enumerated roots are not the embedded ones")
+        self.shell_sizes = dict(zip((2, 4), sizes))
 
     def coords_of(self, amb: IntVec) -> IntVec:
         """x with amb = x * basis.  p = basis * amb equals 2 * G x, so amb is
@@ -172,19 +188,17 @@ class E8Lattice:
         p = [sum(map(mul, b, amb)) for b in self.basis]
         if any(pi % 2 for pi in p):
             raise ValueError(f"{amb} is not a lattice vector")
-        return tuple(sum(map(mul, p, col)) // 2 for col in self._columns[1])
-
-    def from_coords(self, coords: IntVec) -> IntVec:
-        return tuple(sum(map(mul, coords, col)) for col in self._columns[0])
+        return tuple(sum(map(mul, p, col)) // 2 for col in self._columns)
 
     @cached_property
-    def _columns(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-        """The columns of the basis and of G^-1, for from_coords and coords_of."""
-        return tuple(zip(*self.basis)), tuple(zip(*self.gram_inv))
+    def _columns(self) -> tuple[IntVec, ...]:
+        """The columns of G^-1, for coords_of."""
+        return tuple(zip(*self.gram_inv))
 
-    @cached_property
+    @property
     def norm4_shell(self) -> frozenset[IntVec]:
-        return frozenset(self.from_coords(c) for c in self.shell_coords[4])
+        """The 2160 vectors of norm 4, listed afresh on each read."""
+        return frozenset(shape_shell(self.code, 4))
 
     bform_int = staticmethod(_half_dot)
 
@@ -222,6 +236,44 @@ def _root_basis(h_img: list[IntVec]) -> tuple[IntVec, ...]:
             raise RuntimeError("could not refine root basis to determinant 1")
         chosen, det = found
     return tuple(chosen)
+
+
+def parity_code(roots) -> tuple[int, ...]:
+    """The binary code spanned by the roots' parity words (bit i set when
+    entry i is odd), sorted; raises unless it is a doubly-even [8, 4] code:
+    16 words, each of weight 0, 4 or 8."""
+    words = {sum(1 << i for i, x in enumerate(u) if x % 2) for u in roots}
+    span = {0}
+    for w in words:
+        if w not in span:
+            span |= {w ^ c for c in span}
+    if len(span) != 16:
+        raise ValueError(f"the roots' parity words span {len(span)} words, not 16")
+    code = tuple(sorted(span))
+    for w in code:
+        if w.bit_count() % 4:
+            support = tuple(i for i in range(8) if w >> i & 1)
+            raise ValueError(f"the parity word on {support} has weight {w.bit_count()}, not 0, 4 or 8")
+    return code
+
+
+def shape_shell(code: Sequence[int], norm: int) -> Iterator[IntVec]:
+    """Every vector of half-dot norm 2 or 4 whose parity word lies in code.
+
+    Such a vector has x.x <= 8, so its entries are 0, +-1 or +-2: +-1 on
+    the support of its word and +-2 on (2 * norm - weight) / 4 of the other
+    places.  Each word, choice of places and choice of entries gives one
+    vector, and each vector arises once.
+    """
+    if norm not in (2, 4):
+        raise ValueError(f"shapes are listed for norms 2 and 4, not {norm}")
+    for w in code:
+        twos, rest = divmod(2 * norm - w.bit_count(), 4)
+        if twos < 0 or rest:
+            continue
+        for places in combinations([i for i in range(8) if not w >> i & 1], twos):
+            entries = [(1, -1) if w >> i & 1 else (2, -2) if i in places else (0,) for i in range(8)]
+            yield from product(*entries)
 
 
 @cache
@@ -388,10 +440,12 @@ def decompose_norm4_shell() -> tuple[ShellClass, ...]:
     """Partition of the 2160 norm-4 vectors of E8 into two 600-cells, two
     120-cells and a rectified 600-cell, each a scaled embedded image.
 
-    The scalings are found by searching unit multiples phi**k.  Each class
-    records whether its map is an isometry onto it: injective on the source,
-    and an exact 8x8 Gram identity on a Q-basis of Q(phi)**4 (see
-    `_gram_identity`), which is stronger than equal inner-product spectra.
+    The scalings are found by searching unit multiples phi**k: a source is
+    mapped whole at a scale only when the image of its first vector lies in
+    the shell.  Each class records whether its map is an isometry onto it:
+    injective on the source, and an exact 8x8 Gram identity on a Q-basis of
+    Q(phi)**4 (see `_gram_identity`), which is stronger than equal
+    inner-product spectra.
     """
     e8 = certify_e8(-1)
     cell = e8.cell
@@ -405,6 +459,9 @@ def decompose_norm4_shell() -> tuple[ShellClass, ...]:
     for k in range(-3, 4):
         rmap = ReductionMap(-1, k)
         for name, flats in sources.items():
+            # a source whose first image misses the shell cannot lie in it
+            if rmap.split_vector(flats[0]) not in shell:
+                continue
             imgs = [rmap.split_vector(f) for f in flats]
             if all(u in shell for u in imgs):
                 vectors = frozenset(imgs)

@@ -366,13 +366,19 @@ class SymmetryGroup:
     @cached_property
     def center(self) -> tuple[int, ...]:
         """Elements commuting with every generator, after a first cut to the
-        elements x with x(g(0)) = g(x(0)) for each generator g."""
+        elements x with x(g(0)) = g(x(0)) for each generator g.  The first
+        generator's cut reads whole rows; each later one reads only the
+        survivors' images left[l][right[r][y]], y = g(0) or conj(g(0))."""
         gens, tables = [g.perm for g in self.generators], self._vertex_tables
+        left, right, conj = tables
+        ls, rs, es = self.factors
         at0 = self._images_of(tables, 0)
-        ks = range(len(at0))
-        for g in gens:
-            at = self._images_of(tables, g[0])
-            ks = [k for k in ks if at[k] == g[at0[k]]]
+        first, *rest = gens
+        at = self._images_of(tables, first[0])
+        ks = [k for k, (y, x) in enumerate(zip(at, at0)) if y == first[x]]
+        for g in rest:
+            ys = (g[0], conj[g[0]])
+            ks = [k for k in ks if left[ls[k]][right[rs[k]][ys[es[k]]]] == g[at0[k]]]
         survivors = zip(ks, self._compose(tables, ks))
         return tuple(k for k, p in survivors if all(p[g[i]] == g[p[i]] for g in gens for i in range(120)))
 

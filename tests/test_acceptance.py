@@ -112,7 +112,7 @@ def test_criterion_07_e8_embeddings(e8, e8_plus):
     for lat in (e8, e8_plus):
         assert lat.det == 1
         assert all(lat.gram[i][i] % 2 == 0 for i in range(8))
-        assert len(lat.shell_coords[2]) == 240
+        assert lat.shell_sizes == {2: 240, 4: 2160}
     for i in range(120):
         assert e8.bform_int(e8.h_img[i], e8.phi_img[i]) == 0
         assert e8_plus.bform_int(e8_plus.h_img[i], e8_plus.phi_img[i]) == 0

@@ -349,17 +349,17 @@ import json, sys
 from h4geom import embed
 from h4geom.cli import main
 
-real_short_vectors = embed.short_vectors
+real_shape_shell = embed.shape_shell
 
 
-def short_vectors(gram, bound):
-    out = real_short_vectors(gram, bound)
-    if 4 in out:
-        out[4].pop()
-    return out
+def shape_shell(code, norm):
+    listed = real_shape_shell(code, norm)
+    if norm == 4:
+        next(listed)
+    return listed
 
 
-embed.short_vectors = short_vectors
+embed.shape_shell = shape_shell
 codes = [main(["verify", "--only", only, "--report", path])
          for only, path in zip(("facts/fact9", "s6/*"), sys.argv[1:])]
 print(json.dumps(codes))
@@ -367,7 +367,7 @@ print(json.dumps(codes))
 
 
 def test_e8_shell_count_is_checked_under_python_O(tmp_path):
-    """A norm-4 vector missing from the enumeration fails every check that
+    """A norm-4 vector missing from the shape listing fails every check that
     builds E8, with the cause, even though -O strips asserts."""
     fact9, s6 = tmp_path / "fact9.json", tmp_path / "s6.json"
     out = subprocess.run(
@@ -506,8 +506,10 @@ def test_group_without_a_generating_pair_names_the_cause_under_python_O():
 
 def test_traced_verify_counts_each_shell_split_call(tmp_path):
     """The benchmark's traced op wraps `golden.ReductionMap.split_vector` by
-    name; the shell split calls it once per source vector and scaling
-    (1,440 x 7), so a rename would show here, not as failed traced ops.  It
+    name; the shell split calls it 2,221 times: one probe per source and
+    scaling (3 x 7), the 2,160 images of the five sources whose probe hits,
+    and 8 per class in the Gram identity (5 x 8).  A rename would read 0
+    here, not show as failed traced ops.  It
     also counts `len(generate_group().ops)` as `symmetry.order`, which must
     stay the group's 14,400 elements."""
     repo = Path(__file__).resolve().parents[1]
@@ -521,7 +523,7 @@ def test_traced_verify_counts_each_shell_split_call(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     counts = json.loads(out.stdout.splitlines()[-1])["counts"]["0"]
-    assert counts["golden.split_vector_calls"] >= 7 * 1440
+    assert counts["golden.split_vector_calls"] == 2221
     assert counts["symmetry.order"] == 14400
 
 
@@ -644,23 +646,25 @@ def _perfbench_checker():
 
 def test_report_and_dumps_match_the_frozen_digests(tmp_path):
     """The full report (less elapsed_ms) and all six dumps, each from a fresh
-    `python -m h4geom.cli` process, byte for byte against perfbench/digests.json."""
+    `python -m h4geom.cli` process, byte for byte against perfbench/digests.json,
+    under two hash seeds: no set's iteration order may reach an output."""
     checker = _perfbench_checker()
     digests = checker.load_digests()
     assert set(digests["dumps"]) == set(_DUMPERS)
     repo = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
 
-    def cli(*argv):
+    def cli(seed, *argv):
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONHASHSEED=seed)
         subprocess.run([sys.executable, "-m", "h4geom.cli", *argv], env=env, capture_output=True, check=True)
 
-    report = tmp_path / "report.json"
-    cli("verify", "--report", str(report))
-    assert checker.report_problems(report.read_text(), digests) == []
-    for obj in sorted(digests["dumps"]):
-        out = tmp_path / f"{obj}.json"
-        cli("dump", obj, "--out", str(out))
-        assert checker.dump_problems(obj, out.read_bytes(), digests) == []
+    for seed in ("0", "12345"):
+        report = tmp_path / f"report-{seed}.json"
+        cli(seed, "verify", "--report", str(report))
+        assert checker.report_problems(report.read_text(), digests) == [], seed
+        for obj in sorted(digests["dumps"]):
+            out = tmp_path / f"{obj}-{seed}.json"
+            cli(seed, "dump", obj, "--out", str(out))
+            assert checker.dump_problems(obj, out.read_bytes(), digests) == [], (seed, obj)
 
 
 def test_src_holds_no_assert():

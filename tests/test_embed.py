@@ -200,8 +200,7 @@ def test_e8_certificate(e8):
     assert e8.det == 1
     assert all(e8.gram[i][i] % 2 == 0 for i in range(8))
     assert len(e8.roots) == 240
-    assert len(e8.shell_coords[2]) == 240
-    assert len(e8.shell_coords[4]) == 2160
+    assert e8.shell_sizes == {2: 240, 4: 2160}
 
 
 def test_e8_shells_against_ambient_enumeration_oracle(e8):
@@ -303,19 +302,80 @@ def test_s6_example1_fails_on_roots_not_closed_under_negation(monkeypatch, e8):
 
 
 def test_e8_raises_when_an_enumerated_root_is_not_embedded(monkeypatch, cell):
-    """One norm-2 coordinate vector replaced by a norm-4 one: the shell sizes
-    still read 240 and 2160, and the comparison with the embedded roots, which
-    also proves that every root has integral coordinates, raises."""
-    real = embed.short_vectors
+    """One listed root replaced by a norm-4 vector: the shell sizes still
+    read 240 and 2160, and the comparison with the embedded roots raises."""
+    real = embed.shape_shell
 
-    def corrupted(gram, bound):
-        shells = real(gram, bound)
-        shells[2] = [shells[4][0]] + list(shells[2][1:])
-        return shells
+    def corrupted(code, norm):
+        listed = real(code, norm)
+        if norm == 2:
+            next(listed)
+            yield next(real(code, 4))
+        yield from listed
 
-    monkeypatch.setattr(embed, "short_vectors", corrupted)
+    monkeypatch.setattr(embed, "shape_shell", corrupted)
     with pytest.raises(ValueError, match="the enumerated roots are not the embedded ones"):
         E8Lattice(cell, ReductionMap(-1))
+
+
+def _combination(coords, basis):
+    """coords * basis, the lattice vector with those coordinates."""
+    return tuple(sum(map(mul, coords, col)) for col in zip(*basis))
+
+
+def test_shape_listing_matches_fincke_pohst_at_both_signs(e8, e8_plus):
+    """Whole domain: at m = -1 and m = +1 the listed norm-2 and norm-4
+    shells equal the Fincke-Pohst shells of the Gram matrix, mapped through
+    the basis, all 2,400 vectors of each lattice."""
+    for lattice in (e8, e8_plus):
+        searched = short_vectors(lattice.gram, 4)
+        assert sorted(searched) == [2, 4]
+        for norm, size in ((2, 240), (4, 2160)):
+            listed = list(embed.shape_shell(lattice.code, norm))
+            assert len(listed) == len(set(listed)) == size
+            assert set(listed) == {_combination(c, lattice.basis) for c in searched[norm]}
+        assert set(embed.shape_shell(lattice.code, 2)) == lattice.roots
+        assert lattice.norm4_shell == set(embed.shape_shell(lattice.code, 4))
+
+
+def test_e8_lattice_runs_no_search_and_keeps_no_norm4_shell(monkeypatch, cell):
+    """At m = -1 and +1 the certificate reads no Fincke-Pohst search, and the
+    lattice holds only the shell sizes, no collection of the 2160 vectors,
+    even after norm4_shell is read."""
+
+    def searched(gram, bound):
+        raise AssertionError("short_vectors ran on an E8 Gram matrix")
+
+    monkeypatch.setattr(embed, "short_vectors", searched)
+    for m in (-1, 1):
+        lattice = E8Lattice(cell, ReductionMap(m))
+        assert len(lattice.norm4_shell) == 2160
+        assert lattice.shell_sizes == {2: 240, 4: 2160}
+        assert all(len(v) != 2160 for v in vars(lattice).values() if hasattr(v, "__len__"))
+
+
+def test_parity_code_is_the_extended_hamming_code(e8, e8_plus):
+    for lattice in (e8, e8_plus):
+        assert len(lattice.code) == 16
+        assert sorted(w.bit_count() for w in lattice.code) == [0] + [4] * 14 + [8]
+        assert all(a ^ b in lattice.code for a in lattice.code for b in lattice.code)
+
+
+def test_parity_code_raises_on_a_span_of_32_words(e8):
+    with pytest.raises(ValueError, match=r"^the roots' parity words span 32 words, not 16$"):
+        embed.parity_code(e8.roots | {(1, 1, 0, 0, 0, 0, 0, 0)})
+
+
+def test_parity_code_raises_on_a_word_of_weight_2():
+    # four disjoint pairs span 16 words, but of weights 0, 2, 4, 6 and 8
+    roots = [tuple(int(i // 2 == j) for i in range(8)) for j in range(4)]
+    with pytest.raises(ValueError, match=r"^the parity word on \(0, 1\) has weight 2, not 0, 4 or 8$"):
+        embed.parity_code(roots)
+
+
+def test_shape_shell_lists_only_norms_2_and_4(e8):
+    with pytest.raises(ValueError, match="not 6"):
+        next(embed.shape_shell(e8.code, 6))
 
 
 def test_counterpart_orthogonality(e8):
@@ -541,7 +601,7 @@ def test_integer_coords_match_fraction_inverse(e8):
     for u in vectors:
         coords = tuple(F(sum(u[k] * inv.adj[k][j] for k in range(8)), inv.det) for j in range(8))
         assert e8.coords_of(u) == coords
-        assert e8.from_coords(coords) == u
+        assert _combination(coords, e8.basis) == u
     with pytest.raises(ValueError):
         e8.coords_of((1, 0, 0, 0, 0, 0, 0, 0))
     assert not contains(e8, (1, 1, 0, 0, 0, 0, 0, 0))

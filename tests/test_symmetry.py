@@ -636,6 +636,32 @@ def test_rotation_count_and_centre_match_the_eager_listing(group):
     )
 
 
+def _full_pass_center(group):
+    """The centre that the survivor-only cuts replaced: one 14,400-element
+    pass of `_images_of` per generator, each cut read at every element."""
+    gens, tables = [g.perm for g in group.generators], group._vertex_tables
+    at0 = group._images_of(tables, 0)
+    ks = range(len(at0))
+    for g in gens:
+        at = group._images_of(tables, g[0])
+        ks = [k for k in ks if at[k] == g[at0[k]]]
+    survivors = zip(ks, group._compose(tables, ks))
+    return tuple(k for k, p in survivors if all(p[g[i]] == g[p[i]] for g in gens for i in range(120)))
+
+
+def test_center_matches_the_full_pass_oracle(group):
+    """The group's own generators, and subsets of them whose centralizers are
+    larger (the 120 right or left multiplications, and what commutes with
+    conjugation), so the later cuts keep many survivors."""
+    assert group.center == _full_pass_center(group) == (0, 14280)
+    for gens in (group.generators[:2], group.generators[2:4], group.generators[4:]):
+        fewer = copy.copy(group)
+        fewer.__dict__.pop("center", None)
+        fewer.generators = gens
+        assert fewer.center == _full_pass_center(fewer)
+        assert len(fewer.center) > 2
+
+
 def test_verify_composes_few_whole_permutations(monkeypatch, cell):
     """All 26 checks on a freshly built group read at most seven elements'
     whole permutations: the two kernel elements and the five generators.
