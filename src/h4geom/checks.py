@@ -96,11 +96,15 @@ def _fact5():
     c = the_600cell()
     found = c.find_all_partitions()
     degree = {m.bit_count() for m in c.disjointness_mask}
+    meets = [m for s, t in combinations(c.cells24, 2) if (m := s & t)]
+    hexagonal = len(meets) == 200 and all(
+        len(m) == 3 and all(c.pair_class[p][q] == "1" for p, q in combinations(m, 2)) for m in meets
+    )
     return {
         "partitions": len(found),
         "equal_to_rows_and_columns": set(found) == set(c.partitions),
         "disjointness_degree": sorted(degree),
-        "nondisjoint_intersections_are_hexagons": len(c.hexagons) == 200,
+        "nondisjoint_intersections_are_hexagons": hexagonal,
     }
 
 
@@ -405,7 +409,7 @@ def _s7_points():
         "census": geo.census(),
         "vertex_points_two_nonisotropic_one_isotropic": comp_ok,
         "remaining_75_isotropic_in_25_2spaces": sum(
-            1 for t in geo.tags if t[0] == "cell"
+            1 for p in geo.points if not any(geo.q[x] for x in p)
         ),
     }
 

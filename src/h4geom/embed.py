@@ -18,9 +18,12 @@ whose parity word is a code word form an even lattice of determinant 1
 containing the roots; the root basis, whose Gram determinant is also 1, then
 spans it.  Its norm-2 and norm-4 shells are listed by shape over the code
 (`shape_shell`), with no search, and compared with the embedded roots and
-the counts 240 and 2160.  The Fincke-Pohst search `short_vectors` is used
-only for the rootless certificate of the m = 0 lattice, which is not of
-that kind.
+the counts 240 and 2160.
+
+The m = 0 lattice is certified rootless by shape too: its basis, and so
+every vector of it, has p = q (mod 2) in each slot pair (p, q), so its
+nonzero vectors of norm at most 2 are among the 48 of `short_slot_vectors`,
+and none of them lies in it.
 
 Each class of the norm-4 shell split is certified by injectivity and an 8x8
 Gram identity on a Q-basis of Q(phi)**4, which by bilinearity fixes every
@@ -35,77 +38,13 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator, Sequence
 from functools import cache, cached_property
 from itertools import combinations, product
-from math import isqrt, lcm
 from operator import mul, sub
 
-from .golden import PHI, PHI_INV, GoldenInt, ReductionMap, eliminate, exact_quotient, phi_pow
+from .golden import PHI, PHI_INV, Elimination, GoldenInt, ReductionMap, eliminate, exact_quotient, phi_pow
 from .icosian import IcosianVec, flat_dot
 from .polytopes import Cell600, the_600cell
 
 IntVec = tuple[int, ...]
-
-
-# ---------- integer lattice tools ----------
-
-def short_vectors(gram, bound: int) -> dict[int, list[IntVec]]:
-    """All nonzero x with x G x^T <= bound, exactly (Fincke-Pohst).
-
-    x G x^T = sum_i d_i (x_i + c_i)^2 with G = L diag(d) L^T and
-    c_i = sum_{j > i} L_ji x_j.  `eliminate` of the leading blocks G_k gives
-    the minors D_k = det G_k, so d_i = D_{i+1} / D_i, and the integers
-    N_ji = D_{i+1} L_ji as the last numerator of row j over G_{i+1}.  Level i
-    adds (D_{i+1} x_i + C_i)^2 / (D_i D_{i+1}), C_i = sum_{j > i} N_ji x_j;
-    scaled by S = lcm(D_i D_{i+1}), it keeps x_i = k iff w_i (D_{i+1} k +
-    C_i)^2 <= rem, where w_i = S / (D_i D_{i+1}) and rem = S * (what is left
-    of the bound), and |D_{i+1} k + C_i| <= isqrt(rem // w_i) is the same.
-
-    Returns coordinate vectors grouped by their (integer) norm, each list
-    sorted.  Only the rootless certificate of the m = 0 lattice runs it; the
-    E8 shells are listed by shape (`shape_shell`).
-    """
-    n = len(gram)
-    if not all(isinstance(x, int) for row in gram for x in row):
-        raise ValueError("a Gram entry is not an integer")
-    elims = [eliminate([row[:k] for row in gram[:k]]) for k in range(1, n + 1)]
-    minors = [1] + [e.det for e in elims]  # D_0 = 1, D_1, ..., D_n
-    if any(d <= 0 for d in minors):  # Sylvester's criterion
-        raise ValueError("form is not positive definite")
-    # cols[i] = the integers N_ji for j > i, as (j, value) pairs
-    cols = [
-        [(j, nji) for j in range(i + 1, n) if (nji := e.numerators(gram[j][:i + 1])[i])]
-        for i, e in enumerate(elims)
-    ]
-    dens = minors[1:]
-    scale = lcm(*map(mul, minors, dens))
-    weights = [scale // (a * b) for a, b in zip(minors, dens)]
-    total = scale * bound
-
-    out: dict[int, list[IntVec]] = {}
-    x = [0] * n
-
-    def recurse(i: int, rem: int) -> None:
-        w, den = weights[i], dens[i]
-        c = 0
-        for j, nji in cols[i]:
-            c += nji * x[j]
-        s = isqrt(rem // w)
-        for k in range(-((s + c) // den), (s - c) // den + 1):
-            t = den * k + c
-            x[i] = k
-            left = rem - w * t * t
-            if i:
-                recurse(i - 1, left)
-            elif any(x):
-                norm, frac = divmod(total - left, scale)
-                if frac:
-                    raise ValueError(f"norm of {tuple(x)} is not an integer")
-                out.setdefault(norm, []).append(tuple(x))
-        x[i] = 0
-
-    recurse(n - 1, total)
-    for v in out.values():
-        v.sort()
-    return out
 
 
 # ---------- embedded lattices ----------
@@ -327,21 +266,43 @@ def golden_basis() -> GoldenBasis:
 
 # ---------- the determinant 5**4 lattice ----------
 
-def _same_lattice(images: Sequence[IntVec], basis: Sequence[IntVec]) -> None:
+def _holds(inv: Elimination, u: IntVec) -> bool:
+    """Whether u is an integral combination of the rows B that inv
+    eliminated: its numerators u * adj B are all divisible by det B."""
+    return not any(n % inv.det for n in inv.numerators(u))
+
+
+def _same_lattice(images: Sequence[IntVec], basis: Sequence[IntVec]) -> Elimination:
     """Raises unless the vectors images generate the lattice with basis B,
     proved in both directions: every image has integral coordinates over B
-    (its numerators u * adj B are divisible by det B), and every basis vector
-    is an image or the sum of two images."""
+    (`_holds`), and every basis vector is an image or the sum of two images.
+    Returns the elimination of B, for further membership tests."""
     inv = eliminate(basis)
     if not inv.det:
         raise ValueError("the basis is singular")
     for u in images:
-        if any(n % inv.det for n in inv.numerators(u)):
+        if not _holds(inv, u):
             raise ValueError(f"integrality: image {u} is not an integral combination of the basis")
     found = set(images)
     for b in basis:
         if b not in found and not any(tuple(map(sub, b, u)) in found for u in found):
             raise ValueError(f"sums of images: basis vector {b} is neither an image nor the sum of two")
+    return inv
+
+
+def short_slot_vectors() -> Iterator[IntVec]:
+    """The 48 nonzero vectors on doubled slots with p = q (mod 2) in each
+    slot pair (p, q) and quarter norm at most 2.  A pair costs (p**2 + 5 q**2)
+    / 4: (0, 0) 0, (+-2, 0) 1, (+-1, +-1) 3/2 and any other at least 7/2, so
+    each vector is one or two pairs (+-2, 0) (8 and 24) or one (+-1, +-1) (16)."""
+    twos, ones = ((2, 0), (-2, 0)), tuple(product((1, -1), repeat=2))
+    for count, pairs in ((1, twos), (2, twos), (1, ones)):
+        for places in combinations(range(4), count):
+            for chosen in product(pairs, repeat=count):
+                v = [0] * 8
+                for k, (p, q) in zip(places, chosen):
+                    v[2 * k], v[2 * k + 1] = p, q
+                yield tuple(v)
 
 
 # The m = 0 lattice: its basis on doubled slots, the Gram matrix of that
@@ -364,13 +325,17 @@ def lattice_L() -> ReducedLattice:
     images = tuple(rmap.split_vector(v.flat) for v in cell.vertices)
     basis_vecs = [rmap.split_vector(v.flat) for v in gb.basis]
     basis_vecs += [rmap.split_vector(v.scaled(PHI).flat) for v in gb.basis]
+    for b in basis_vecs:
+        for p, q in zip(b[::2], b[1::2]):
+            if (p - q) % 2:
+                raise ValueError(f"slot parity: basis vector {b} has the slot pair ({p}, {q}) of mixed parity")
     gram = tuple(tuple(_quarter_form(b1, b2) for b2 in basis_vecs) for b1 in basis_vecs)
     det = eliminate(gram).det
     if det != 625:
         raise ValueError(f"m = 0 lattice Gram determinant {det} != 625")
 
     # the 8 chosen vectors generate exactly the lattice of all 120 images
-    _same_lattice(images, basis_vecs)
+    inv = _same_lattice(images, basis_vecs)
 
     # the census of |inner products| from pair j to all 60 pairs is the same for every j tried
     reps = [images[i] for i, _ in cell.pairs]
@@ -383,7 +348,8 @@ def lattice_L() -> ReducedLattice:
 
     if any(gram[i][i] % 2 for i in range(8)):
         raise ValueError("m = 0 lattice is not even")
-    rootless = short_vectors(gram, 2) == {}
+    # slot parity holds on the basis, so on every lattice vector
+    rootless = not any(_holds(inv, u) for u in short_slot_vectors())
 
     # dual basis identity for (3 - phi) w_i / 5 and (-1 + 2 phi) w_i / 5: the
     # form of the unscaled (3 - phi) w_i and (-1 + 2 phi) w_i is 5 * delta

@@ -7,7 +7,9 @@ sends sqrt(n) to any rational m with m**2 < n on the sqrt5-form x + y*sqrt5
 of each coordinate, with a golden prefactor `scale` and a form `multiplier`.
 `GoldenVec` holds four GoldenInt coordinates and does all its arithmetic,
 the quaternion product included, in GoldenInt; `oracle_vertices` builds the
-120 icosians with it.
+120 icosians with it.  `fraction_short_vectors` lists the short vectors of an
+integer Gram matrix by a Fraction branch and bound, for the shape listings
+of `h4geom.embed`.
 """
 
 from __future__ import annotations
@@ -318,3 +320,48 @@ def oracle_vertices() -> tuple[GoldenVec, ...]:
                 c[i] = c[i] * s
             verts.add(GoldenVec(*c))
     return tuple(sorted(verts))
+
+
+def fraction_short_vectors(gram, bound):
+    """Every nonzero x with x G x^T <= bound, by a Fraction branch and bound
+    (Fincke-Pohst) over the LDL^T form of G, grouped by norm, each list
+    sorted: the short-vector oracle for the shape listings."""
+    n = len(gram)
+    g = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    low = [[Fraction(0)] * n for _ in range(n)]
+    diag = [Fraction(0)] * n
+    for i in range(n):
+        d = g[i][i] - sum(low[i][k] * low[i][k] * diag[k] for k in range(i))
+        if d <= 0:
+            raise ValueError("form is not positive definite")
+        diag[i] = d
+        low[i][i] = Fraction(1)
+        for j in range(i + 1, n):
+            low[j][i] = (g[j][i] - sum(low[j][k] * low[i][k] * diag[k] for k in range(i))) / d
+
+    out = {}
+    x = [0] * n
+
+    def recurse(i, remaining):
+        if i < 0:
+            if any(x):
+                norm = bound - remaining
+                assert norm.denominator == 1
+                out.setdefault(int(norm), []).append(tuple(x))
+            return
+        c = sum(low[j][i] * x[j] for j in range(i + 1, n))
+        q = remaining / diag[i]
+        cn, cd = c.numerator, c.denominator
+        rhs = q * cd * cd
+        s = isqrt(rhs.numerator // rhs.denominator)
+        for k in range(-(-(-s - cn) // cd), (s - cn) // cd + 1):
+            step = diag[i] * (k + c) * (k + c)
+            if step <= remaining:
+                x[i] = k
+                recurse(i - 1, remaining - step)
+        x[i] = 0
+
+    recurse(n - 1, Fraction(bound))
+    for v in out.values():
+        v.sort()
+    return out

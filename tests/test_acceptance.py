@@ -10,10 +10,11 @@ import sys
 from collections import Counter
 
 from h4geom.cli import _DUMPERS
-from h4geom.embed import short_vectors
 from h4geom.icosian import ICOSIAN_ONE
 from h4geom.polytopes import label_str, perm_parity
 from h4geom.serialize import dumps
+
+from golden_oracle import fraction_short_vectors
 
 
 def _ok(n: int, text: str) -> None:
@@ -123,7 +124,7 @@ def test_criterion_08_reduced_lattice(lat_l):
     assert lat_l.census == {4: 1, 2: 20, 1: 24, 0: 15}
     assert lat_l.det == 625
     assert all(lat_l.gram[i][i] % 2 == 0 for i in range(8))
-    assert short_vectors(lat_l.gram, 2) == {}
+    assert fraction_short_vectors(lat_l.gram, 2) == {}
     _ok(8, "lattice census ±4:1 ±2:20 ±1:24 0:15, d=625, even, rootless")
 
 

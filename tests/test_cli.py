@@ -261,6 +261,42 @@ def test_fact2_fails_when_a_16cell_is_not_in_exactly_one_24cell(monkeypatch, cel
         assert result.observed["each_16cell_in_one_24cell"] is False
 
 
+def test_fact5_fails_when_two_24cells_do_not_meet_in_a_hexagon(monkeypatch, cell):
+    """A 24-cell with one pair swapped for an outsider meets some other
+    24-cell in 2 or 4 pairs; or two pairs of one meet are made orthogonal."""
+    assert checks.run_check("facts/fact5").status == "pass"
+    swapped = list(cell.cells24)
+    outsider = next(p for p in range(60) if p not in swapped[0])
+    swapped[0] = swapped[0] - {min(swapped[0])} | {outsider}
+    p, q, _ = sorted(next(s & t for s in cell.cells24 for t in cell.cells24 if len(s & t) == 3))
+    classes = [list(row) for row in cell.pair_class]
+    classes[p][q] = classes[q][p] = "0"
+    for name, value in (("cells24", tuple(swapped)), ("pair_class", tuple(map(tuple, classes)))):
+        with monkeypatch.context() as patch:
+            patch.setattr(cell, name, value)
+            result = checks.run_check("facts/fact5")
+        assert result.status == "fail", name
+        assert result.observed["nondisjoint_intersections_are_hexagons"] is False, name
+
+
+def test_points_counts_the_totally_isotropic_points(monkeypatch, geo):
+    """A class of a cell point made non-isotropic leaves 24 points whose
+    three classes all have Q = 0; a vertex point made totally isotropic
+    gives 26."""
+    assert checks.run_check("s7/points").status == "pass"
+    cell_point = next(p for p, t in zip(geo.points, geo.tags) if t[0] == "cell")
+    vertex_point = next(p for p, t in zip(geo.points, geo.tags) if t[0] == "vertex")
+    for changed, count in (({min(cell_point): 1}, 24), (dict.fromkeys(vertex_point, 0), 26)):
+        q = list(geo.q)
+        for x, value in changed.items():
+            q[x] = value
+        with monkeypatch.context() as patch:
+            patch.setattr(geo, "q", tuple(q))
+            result = checks.run_check("s7/points")
+        assert result.status == "fail"
+        assert result.observed["remaining_75_isotropic_in_25_2spaces"] == count
+
+
 def test_labels120_reports_its_stored_parity(monkeypatch, cell):
     assert checks.run_check("s2/labels120").status == "pass"
     monkeypatch.setattr(cell.cell120, "labels_odd_permutations", False)
@@ -679,3 +715,22 @@ def test_src_holds_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_src_imports_no_unused_name():
+    """Every name a module of src/h4geom imports is read in it, so a routine
+    deleted with its last caller leaves no import behind."""
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "h4geom").glob("*.py"))
+    assert len(paths) >= 10
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.partition(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert unused == []

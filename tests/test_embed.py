@@ -1,11 +1,10 @@
 import copy
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product as iproduct
-from math import isqrt
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from h4geom import checks, embed
 from h4geom.golden import (
@@ -22,11 +21,10 @@ from h4geom.embed import (
     _gram_identity,
     _quarter_form,
     _same_lattice,
-    short_vectors,
 )
 from h4geom.icosian import IcosianVec
 
-from golden_oracle import FractionMap, GoldenRational
+from golden_oracle import FractionMap, GoldenRational, fraction_short_vectors
 
 
 def contains(e8, amb):
@@ -84,102 +82,6 @@ def test_bareiss_det():
     assert eliminate([[2, 1], [1, 3]]).det == 5
     assert eliminate([[1, 2], [2, 4]]).det == 0
     assert eliminate([[0, 1], [1, 0]]).det == -1
-
-
-def _fraction_short_vectors(gram, bound):
-    """The Fraction branch and bound that `short_vectors` replaced: the
-    oracle for the integer enumeration."""
-    n = len(gram)
-    g = [[F(gram[i][j]) for j in range(n)] for i in range(n)]
-    low = [[F(0)] * n for _ in range(n)]
-    diag = [F(0)] * n
-    for i in range(n):
-        d = g[i][i] - sum(low[i][k] * low[i][k] * diag[k] for k in range(i))
-        if d <= 0:
-            raise ValueError("form is not positive definite")
-        diag[i] = d
-        low[i][i] = F(1)
-        for j in range(i + 1, n):
-            low[j][i] = (g[j][i] - sum(low[j][k] * low[i][k] * diag[k] for k in range(i))) / d
-
-    out = {}
-    x = [0] * n
-
-    def recurse(i, remaining):
-        if i < 0:
-            if any(x):
-                norm = bound - remaining
-                assert norm.denominator == 1
-                out.setdefault(int(norm), []).append(tuple(x))
-            return
-        c = sum(low[j][i] * x[j] for j in range(i + 1, n))
-        q = remaining / diag[i]
-        cn, cd = c.numerator, c.denominator
-        rhs = q * cd * cd
-        s = isqrt(rhs.numerator // rhs.denominator)
-        for k in range(-(-(-s - cn) // cd), (s - cn) // cd + 1):
-            step = diag[i] * (k + c) * (k + c)
-            if step <= remaining:
-                x[i] = k
-                recurse(i - 1, remaining - step)
-        x[i] = 0
-
-    recurse(n - 1, F(bound))
-    for v in out.values():
-        v.sort()
-    return out
-
-
-def _same_enumeration(gram, bound):
-    got, want = short_vectors(gram, bound), _fraction_short_vectors(gram, bound)
-    # equal norms in the same order, each with the same vectors in the same order
-    assert list(got.items()) == list(want.items())
-    return got
-
-
-@st.composite
-def _positive_definite_grams(draw):
-    """A A^T + I for a random integer A, n <= 6."""
-    n = draw(st.integers(1, 6))
-    a = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
-    return [
-        [sum(a[i][k] * a[j][k] for k in range(n)) + (i == j) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-@settings(max_examples=60, deadline=None)
-@given(_positive_definite_grams(), st.integers(0, 6))
-def test_short_vectors_matches_the_fraction_enumeration(gram, bound):
-    _same_enumeration(gram, bound)
-
-
-def test_short_vectors_matches_the_fraction_enumeration_on_the_paper_grams(e8, e8_plus, lat_l):
-    for gram in (e8.gram, e8_plus.gram, lat_l.gram):
-        for bound in (2, 4):
-            _same_enumeration(gram, bound)
-    assert len(short_vectors(e8.gram, 4)[4]) == 2160
-
-
-def test_short_vectors_rejects_a_form_that_is_not_positive_definite():
-    for gram in ([[1, 2], [2, 1]], [[0]], [[2, 1, 0], [1, 2, 0], [0, 0, -1]]):
-        with pytest.raises(ValueError, match="not positive definite"):
-            short_vectors(gram, 4)
-
-
-def test_short_vectors_rejects_a_norm_that_is_not_an_integer():
-    with pytest.raises(ValueError, match="not an integer"):
-        short_vectors([[F(1, 2)]], 2)
-
-
-def test_short_vectors_on_known_forms():
-    # square lattice: 4 vectors of norm 1, 4 of norm 2
-    out = short_vectors([[1, 0], [0, 1]], 2)
-    assert sorted(out) == [1, 2]
-    assert len(out[1]) == 4 and len(out[2]) == 4
-    # hexagonal lattice Gram [[2,1],[1,2]]: 6 minimal vectors of norm 2
-    out = short_vectors([[2, 1], [1, 2]], 2)
-    assert len(out[2]) == 6
 
 
 def test_split_vector_is_injective_on_the_vertices(cell):
@@ -328,7 +230,7 @@ def test_shape_listing_matches_fincke_pohst_at_both_signs(e8, e8_plus):
     shells equal the Fincke-Pohst shells of the Gram matrix, mapped through
     the basis, all 2,400 vectors of each lattice."""
     for lattice in (e8, e8_plus):
-        searched = short_vectors(lattice.gram, 4)
+        searched = fraction_short_vectors(lattice.gram, 4)
         assert sorted(searched) == [2, 4]
         for norm, size in ((2, 240), (4, 2160)):
             listed = list(embed.shape_shell(lattice.code, norm))
@@ -338,15 +240,10 @@ def test_shape_listing_matches_fincke_pohst_at_both_signs(e8, e8_plus):
         assert lattice.norm4_shell == set(embed.shape_shell(lattice.code, 4))
 
 
-def test_e8_lattice_runs_no_search_and_keeps_no_norm4_shell(monkeypatch, cell):
-    """At m = -1 and +1 the certificate reads no Fincke-Pohst search, and the
-    lattice holds only the shell sizes, no collection of the 2160 vectors,
-    even after norm4_shell is read."""
-
-    def searched(gram, bound):
-        raise AssertionError("short_vectors ran on an E8 Gram matrix")
-
-    monkeypatch.setattr(embed, "short_vectors", searched)
+def test_e8_lattice_runs_no_search_and_keeps_no_norm4_shell(cell):
+    """At m = -1 and +1 the shells are listed by shape, and the lattice holds
+    only their sizes, no collection of the 2160 vectors, even after
+    norm4_shell is read."""
     for m in (-1, 1):
         lattice = E8Lattice(cell, ReductionMap(m))
         assert len(lattice.norm4_shell) == 2160
@@ -473,7 +370,8 @@ def test_lattice_L(lat_l):
     assert lat_l.det == 625
     assert lat_l.census == {4: 1, 2: 20, 1: 24, 0: 15}
     assert all(lat_l.gram[i][i] % 2 == 0 for i in range(8))
-    assert short_vectors(lat_l.gram, 2) == {}
+    assert lat_l.rootless is True
+    assert fraction_short_vectors(lat_l.gram, 2) == {}
 
 
 def test_lattice_L_basis_generates_the_lattice_of_all_images(lat_l):
@@ -496,9 +394,58 @@ def test_same_lattice_names_the_direction_that_fails():
 
 
 def test_lattice_L_minimum_is_4(lat_l):
-    out = short_vectors(lat_l.gram, 4)
+    out = fraction_short_vectors(lat_l.gram, 4)
     assert sorted(out) == [4]
-    assert len(out[4]) >= 120
+    assert len(out[4]) == 120
+
+
+def test_short_slot_vectors_equal_a_scan_of_the_box():
+    """Whole domain: a slot pair of quarter cost (p**2 + 5 q**2) / 4 <= 2 has
+    |p| <= 2 and |q| <= 1, so the box [-2, 2]**4 x [-1, 1]**4 holds every
+    candidate; the 48 listed vectors are exactly its nonzero points whose
+    pairs have p = q (mod 2) and whose quarter norm is at most 2."""
+    listed = list(embed.short_slot_vectors())
+    assert len(listed) == len(set(listed)) == 48
+    scanned = set()
+    for ps in iproduct(range(-2, 3), repeat=4):
+        for qs in iproduct(range(-1, 2), repeat=4):
+            pairs = list(zip(ps, qs))
+            if all((p - q) % 2 == 0 for p, q in pairs) and 0 < sum(p * p + 5 * q * q for p, q in pairs) <= 8:
+                scanned.add(tuple(x for pair in pairs for x in pair))
+    assert set(listed) == scanned
+    # 8 vectors of norm 1, 16 of norm 3/2 and 24 of norm 2, in quarters
+    four_norms = Counter(sum(u[::2][k] ** 2 + 5 * u[1::2][k] ** 2 for k in range(4)) for u in listed)
+    assert four_norms == {4: 8, 6: 16, 8: 24}
+
+
+def test_rootless_reads_false_when_the_lattice_holds_a_norm_1_vector(monkeypatch, lat_l):
+    """The elimination that lattice_L tests membership with is swapped for
+    one of a basis holding (2, 0, 0, 0, 0, 0, 0, 0), of norm 1: rootless
+    reads False, and s6/example2 fails naming it."""
+    fake_basis = [(2, 0, 0, 0, 0, 0, 0, 0), *lat_l.basis[1:]]
+    real = embed._same_lattice
+
+    def widened(images, basis):
+        real(images, basis)
+        return eliminate(fake_basis)
+
+    assert eliminate(fake_basis).det
+    monkeypatch.setattr(embed, "_same_lattice", widened)
+    widened_lattice = embed.lattice_L.__wrapped__()
+    assert widened_lattice.rootless is False
+    monkeypatch.setattr(embed, "lattice_L", lambda: widened_lattice)
+    result = checks.run_check("s6/example2")
+    assert result.status == "fail"
+    assert {k for k, v in result.observed.items() if v != result.expected[k]} == {"rootless"}
+
+
+def test_lattice_L_raises_on_a_basis_vector_of_mixed_slot_parity(monkeypatch):
+    """At m = 0 the block (2, 0, 1, 0) sends a + b phi to (2a + b, 0): a
+    basis vector with odd b then has a slot pair of mixed parity, and the
+    listing of the 48 short vectors would not cover its lattice."""
+    monkeypatch.setattr(embed, "ReductionMap", lambda m: _with_block(ReductionMap(m), (2, 0, 1, 0)))
+    with pytest.raises(ValueError, match=r"^slot parity: basis vector \(.*\) has the slot pair \(-?\d+, 0\) of mixed parity$"):
+        embed.lattice_L.__wrapped__()
 
 
 def test_shell_decomposition(shell_classes, e8):
