@@ -137,9 +137,6 @@ class F4Geometry:
                 s += self.e8.gram[i][j]
         return (s // 2) & 1
 
-    def bform(self, x: int, y: int) -> int:
-        return _parity(self.rowvec[x] & y)
-
     @cached_property
     def perp(self) -> tuple[int, ...]:
         """perp[x]: the 256-bit mask of the classes y with B(x, y) = 0.

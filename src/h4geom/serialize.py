@@ -1,13 +1,12 @@
 """Deterministic JSON encoding: exact values only, canonical ordering.
 
-Golden integers appear as [a, b] pairs in the (1, phi) basis, rationals as
-"p/q" strings (plain ints when integral); sets are emitted sorted.
+Golden integers appear as [a, b] pairs in the (1, phi) basis and icosians as
+four such pairs; sets are emitted sorted.  Any other type raises TypeError.
 """
 
 from __future__ import annotations
 
 import json
-from numbers import Rational
 
 from .golden import GoldenInt
 from .icosian import IcosianVec
@@ -27,8 +26,6 @@ def jsonable(obj):
         return [jsonable(x) for x in obj]
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
-    if isinstance(obj, Rational):
-        return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -5,13 +5,14 @@ l, r, and (l, r), (-l, -r) give the same map (Conway & Smith, On Quaternions and
 Octonions, ch. 4): the group is 2I x 2I / {+-(1, 1)} extended by conjugation,
 held as its 14,400 triples (l, r, e) in listing order and certified against
 five generators.  An isometry is fixed by its images of the vertices
-2e_0..2e_3, so no element carries a matrix: only the five generators are built
-from exact matrices (A + B*phi)/d.  The actions on the vertices, the 60 pairs,
-the 25 24-cells and the ten partitions are composed from those of x -> l*x,
-x -> x*r and x -> conj(x), read off the Cayley table; stabilizers, the centre,
-the kernel on the partitions and the images of the five rows are read off those
-tables, and an element's vertex permutation and parity (+1 rotation, -1
-reflection) are composed only when ops[k] is read.
+2e_0..2e_3, so no element carries a matrix: the five generators' permutations
+are read off the Cayley table, each certified by the determinant of its images
+of 2e_0..2e_3, whose sign is its parity.  The actions on the vertices, the 60
+pairs, the 25 24-cells and the ten partitions are composed from those of
+x -> l*x, x -> x*r and x -> conj(x), read off the Cayley table; stabilizers,
+the centre, the kernel on the partitions and the images of the five rows are
+read off those tables, and an element's vertex permutation and parity (+1
+rotation, -1 reflection) are composed only when ops[k] is read.
 """
 
 from __future__ import annotations
@@ -22,38 +23,19 @@ from functools import cache, cached_property
 from itertools import chain, product, repeat
 from operator import add, itemgetter
 
-from .golden import GoldenInt, eliminate
+from .golden import eliminate
 from .icosian import (
-    GENERATORS, ICOSIAN_ONE, Flat, IcosianVec, generate_vertices, generator_walk, inverse_index, mult_table,
-    quat_mul, vertex_index,
+    GENERATORS, ICOSIAN_ONE, IcosianVec, generate_vertices, generator_walk, inverse_index, mult_table,
+    vertex_index,
 )
 from .polytopes import Cell600, the_600cell
-
-_BASIS = tuple(IcosianVec(int(j == 2 * k) for j in range(8)) for k in range(4))
 
 
 @cache
 def _basis_indices() -> tuple[int, ...]:
     """The vertex indices of 2e_0..2e_3, whose images fix an isometry."""
     idx = vertex_index()
-    return tuple(idx[e.scaled(GoldenInt(2)).flat] for e in _BASIS)
-
-
-def _apply(anum: tuple[int, ...], bnum: tuple[int, ...], den: int, flat: Flat) -> Flat:
-    """(A + B*phi)/d times a flat vector; raises unless the image lies in Z[phi]^4."""
-    out = []
-    for r in range(4):
-        sa = sb = 0
-        for c in range(4):
-            x, y = anum[4 * r + c], bnum[4 * r + c]
-            u, w = flat[2 * c], flat[2 * c + 1]
-            yw = y * w
-            sa += x * u + yw
-            sb += x * w + y * u + yw
-        if sa % den or sb % den:
-            raise ValueError("image is not integral in Z[phi]")
-        out += (sa // den, sb // den)
-    return tuple(out)
+    return tuple(idx[tuple(2 * (j == 2 * k) for j in range(8))] for k in range(4))
 
 
 class SymOp:
@@ -76,19 +58,16 @@ class SymOp:
         return f"SymOp(parity={self.parity:+d})"
 
 
-def _op_from_matrix(cols: list[IcosianVec], den: int) -> SymOp:
-    anum = tuple(col.flat[2 * r] for r in range(4) for col in cols)
-    bnum = tuple(col.flat[2 * r + 1] for r in range(4) for col in cols)
-    idx = vertex_index()
-    perm = tuple(idx[_apply(anum, bnum, den, v.flat)] for v in generate_vertices())
-    # det((A + B*phi)/d) = +-1 exactly when det(A + B*phi) = +-d**4
-    det = eliminate(
-        [[GoldenInt(anum[4 * r + c], bnum[4 * r + c]) for c in range(4)] for r in range(4)]
-    ).det
-    unit = den**4
-    if det not in (unit, -unit):
-        raise ValueError(f"determinant ({det})/{unit} is not a sign")
-    return SymOp(perm, 1 if det == unit else -1)
+def _op_from_perm(perm: tuple[int, ...]) -> SymOp:
+    """The isometry that permutes the vertices by perm, with its certificate:
+    the matrix whose columns are the images of 2e_0..2e_3 at standard scale is
+    twice an orthogonal one, so its determinant over Z[phi] must be +-16, and
+    the sign is the parity.  (Eliminated as rows, its transpose: same det.)"""
+    verts = generate_vertices()
+    det = eliminate([verts[perm[b]].c for b in _basis_indices()]).det
+    if det not in (16, -16):
+        raise ValueError(f"determinant {det} of the images of 2e_0..2e_3 is not +-16")
+    return SymOp(perm, 1 if det == 16 else -1)
 
 
 _Action = Callable[[tuple[int, ...]], tuple[int, ...]]
@@ -119,23 +98,22 @@ def _set_action(sets: tuple[frozenset[int], ...]) -> _Action:
 
 
 def left_mul(v: IcosianVec) -> SymOp:
-    """x -> v*x/2, a rotation."""
-    return _op_from_matrix([quat_mul(v, e) for e in _BASIS], 2)
+    """x -> v*x/2, a rotation: the Cayley table's row of v."""
+    return _op_from_perm(mult_table()[vertex_index()[v.flat]])
 
 
 def right_mul(v: IcosianVec) -> SymOp:
-    """x -> x*v/2, a rotation."""
-    return _op_from_matrix([quat_mul(e, v) for e in _BASIS], 2)
+    """x -> x*v/2, a rotation: the Cayley table's column of v."""
+    i = vertex_index()[v.flat]
+    return _op_from_perm(tuple(row[i] for row in mult_table()))
 
 
 def reflection(v: IcosianVec) -> SymOp:
-    """x -> x - 2 (x.v)/(v.v) v; negates v, fixes its orthoplane, parity odd."""
-    cols = []
-    for e in _BASIS:
-        coef = e.dot(v)  # (e.v); subtract coef * v / 2 since v.v = 4
-        col = e.scaled(GoldenInt(2)) - v.scaled(coef)
-        cols.append(col)
-    return _op_from_matrix(cols, 2)
+    """x -> x - 2 (x.v)/(v.v) v = (-v)*conj(x)*v/4; negates v, fixes its
+    orthoplane, parity odd."""
+    table, idx = mult_table(), vertex_index()
+    i, m = idx[v.flat], idx[(-v).flat]
+    return _op_from_perm(tuple(table[table[m][y]][i] for y in inverse_index()))
 
 
 class _Ops(Sequence):
@@ -168,8 +146,9 @@ class SymmetryGroup:
         self._certify(images, *self.factors)
 
     def _make_generators(self) -> tuple[SymOp, ...]:
-        """x -> a*x, x -> b*x, x -> x*a, x -> x*b and x -> conj(x), for the
-        generators a, b of 2I that `mult_table` certifies."""
+        """x -> a*x, x -> b*x, x -> x*a, x -> x*b and x -> -conj(x) (the
+        reflection that negates the real axis), for the generators a, b of 2I
+        that `mult_table` certifies."""
         a, b = map(IcosianVec, GENERATORS)
         return (left_mul(a), left_mul(b), right_mul(a), right_mul(b), reflection(ICOSIAN_ONE))
 
@@ -246,9 +225,6 @@ class SymmetryGroup:
     def _pair_action(self, perm: tuple[int, ...]) -> tuple[int, ...]:
         pair_of = self.cell.pair_of
         return tuple(pair_of[perm[a]] for a, _ in self.cell.pairs)
-
-    def pair_perm(self, op: SymOp) -> tuple[int, ...]:
-        return self._pair_action(op.perm)
 
     @cached_property
     def _on_cells(self) -> _Action:

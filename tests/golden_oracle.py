@@ -9,7 +9,10 @@ of each coordinate, with a golden prefactor `scale` and a form `multiplier`.
 the quaternion product included, in GoldenInt; `oracle_vertices` builds the
 120 icosians with it.  `fraction_short_vectors` lists the short vectors of an
 integer Gram matrix by a Fraction branch and bound, for the shape listings
-of `h4geom.embed`.
+of `h4geom.embed`.  `op_from_matrix` applies an exact matrix (A + B*phi)/d to
+all 120 vertices, and `matrix_left_mul`, `matrix_right_mul` and
+`matrix_reflection` build the symmetries that `h4geom.symmetry` reads off the
+Cayley table from their matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from itertools import permutations, product as iproduct
 from math import gcd, isqrt
 from typing import Sequence, Union
 
-from h4geom.golden import GOLDEN_ZERO, PHI, PHI_INV, GoldenInt
+from h4geom.golden import GOLDEN_ZERO, PHI, PHI_INV, GoldenInt, eliminate
+from h4geom.icosian import Flat, IcosianVec, generate_vertices, quat_mul, vertex_index
+from h4geom.symmetry import SymOp
 
 
 class GoldenRational:
@@ -365,3 +370,57 @@ def fraction_short_vectors(gram, bound):
     for v in out.values():
         v.sort()
     return out
+
+
+# ---------- the exact-matrix symmetry constructors ----------
+
+BASIS = tuple(IcosianVec(int(j == 2 * k) for j in range(8)) for k in range(4))
+
+
+def apply_matrix(anum: tuple[int, ...], bnum: tuple[int, ...], den: int, flat: Flat) -> Flat:
+    """(A + B*phi)/d times a flat vector; raises unless the image lies in Z[phi]^4."""
+    out = []
+    for r in range(4):
+        sa = sb = 0
+        for c in range(4):
+            x, y = anum[4 * r + c], bnum[4 * r + c]
+            u, w = flat[2 * c], flat[2 * c + 1]
+            yw = y * w
+            sa += x * u + yw
+            sb += x * w + y * u + yw
+        if sa % den or sb % den:
+            raise ValueError("image is not integral in Z[phi]")
+        out += (sa // den, sb // den)
+    return tuple(out)
+
+
+def op_from_matrix(cols: list[IcosianVec], den: int) -> SymOp:
+    """The isometry with matrix (A + B*phi)/d, columns cols over d, applied to
+    all 120 vertices; raises unless its determinant is a sign."""
+    anum = tuple(col.flat[2 * r] for r in range(4) for col in cols)
+    bnum = tuple(col.flat[2 * r + 1] for r in range(4) for col in cols)
+    idx = vertex_index()
+    perm = tuple(idx[apply_matrix(anum, bnum, den, v.flat)] for v in generate_vertices())
+    # det((A + B*phi)/d) = +-1 exactly when det(A + B*phi) = +-d**4
+    det = eliminate(
+        [[GoldenInt(anum[4 * r + c], bnum[4 * r + c]) for c in range(4)] for r in range(4)]
+    ).det
+    unit = den**4
+    if det not in (unit, -unit):
+        raise ValueError(f"determinant ({det})/{unit} is not a sign")
+    return SymOp(perm, 1 if det == unit else -1)
+
+
+def matrix_left_mul(v: IcosianVec) -> SymOp:
+    """x -> v*x/2 from the quaternion products v*e."""
+    return op_from_matrix([quat_mul(v, e) for e in BASIS], 2)
+
+
+def matrix_right_mul(v: IcosianVec) -> SymOp:
+    """x -> x*v/2 from the quaternion products e*v."""
+    return op_from_matrix([quat_mul(e, v) for e in BASIS], 2)
+
+
+def matrix_reflection(v: IcosianVec) -> SymOp:
+    """x -> x - 2 (x.v)/(v.v) v, column by column: 2e - (e.v) v, since v.v = 4."""
+    return op_from_matrix([e.scaled(GoldenInt(2)) - v.scaled(e.dot(v)) for e in BASIS], 2)

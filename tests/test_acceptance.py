@@ -53,7 +53,7 @@ def test_criterion_04_group_and_stabilizers(cell, group):
     pid = cell.pair_of[v]
     stab_v = group.stabilizer_of_vertex(v)
     assert len(stab_v) == 120
-    vperms = [group.pair_perm(group.ops[k]) for k in stab_v]
+    vperms = [group._pair_action(group.ops[k].perm) for k in stab_v]
     sig = {}
     for orb in group.orbits(vperms, range(60)):
         cls = {cell.pair_class[pid][q] for q in orb}
@@ -65,7 +65,7 @@ def test_criterion_04_group_and_stabilizers(cell, group):
     assert len(stab_c) == 576
     cperms = [group.cell_perms[k] for k in stab_c]
     assert sorted(len(o) for o in group.orbits(cperms, range(25))) == [1, 8, 16]
-    pperms = [group.pair_perm(group.ops[k]) for k in stab_c]
+    pperms = [group._pair_action(group.ops[k].perm) for k in stab_c]
     assert sorted(len(o) for o in group.orbits(pperms, range(60))) == [12, 48]
     _ok(4, "|Aut| 14400, rotations 7200, stabilizers 120/576 with orbit signatures")
 

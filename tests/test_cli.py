@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from h4geom import checks, embed, golden
+from h4geom import checks, embed, golden, symmetry
 from h4geom.cli import _DUMPERS, main
 from h4geom.serialize import dumps, jsonable
 from h4geom.golden import GoldenInt
@@ -18,9 +18,9 @@ from fractions import Fraction
 
 def test_jsonable_encodings():
     assert jsonable(GoldenInt(3, -2)) == [3, -2]
-    assert jsonable(Fraction(1, 2)) == "1/2"
-    assert jsonable(Fraction(4, 2)) == 2
     assert jsonable({2: {1, 3}}) == {"2": [1, 3]}
+    with pytest.raises(TypeError, match="cannot serialize Fraction"):
+        jsonable(Fraction(1, 2))
 
 
 def test_frozen_records_refuse_assignment(cell, gb, shell_classes, geo, lat_l):
@@ -297,6 +297,51 @@ def test_points_counts_the_totally_isotropic_points(monkeypatch, geo):
         assert result.observed["remaining_75_isotropic_in_25_2spaces"] == count
 
 
+def _run_on_a_corrupted_group(monkeypatch, check_id, corrupt):
+    """check_id through `run_check` on a group built afresh, certified and then
+    passed to corrupt; the cached group is cleared before and after."""
+    real_init = symmetry.SymmetryGroup.__init__
+
+    def corrupted_init(self, cell):
+        real_init(self, cell)
+        corrupt(self)
+
+    monkeypatch.setattr(symmetry.SymmetryGroup, "__init__", corrupted_init)
+    symmetry.generate_group.cache_clear()
+    try:
+        return checks.run_check(check_id)
+    finally:
+        symmetry.generate_group.cache_clear()
+
+
+def test_commuting_fails_on_a_generator_that_swaps_two_vertices(monkeypatch):
+    """A generator with two of its vertex images swapped is no isometry, and
+    `action_mod2` cannot map every root by one integer matrix."""
+    assert checks.run_check("s7/commuting").status == "pass"
+
+    def corrupt(group):
+        g, *rest = group.generators
+        perm = list(g.perm)
+        perm[0], perm[1] = perm[1], perm[0]
+        group.generators = (symmetry.SymOp(tuple(perm), g.parity), *rest)
+
+    result = _run_on_a_corrupted_group(monkeypatch, "s7/commuting", corrupt)
+    assert result.status == "fail"
+    assert result.observed["error"].startswith("ValueError: induced matrix does not map root")
+
+
+def test_fact4_fails_on_a_vertex_stabilizer_missing_one_element(monkeypatch):
+    assert checks.run_check("facts/fact4").status == "pass"
+
+    def corrupt(group):
+        whole = group.stabilizer_of_vertex
+        group.stabilizer_of_vertex = lambda i: whole(i)[1:]
+
+    result = _run_on_a_corrupted_group(monkeypatch, "facts/fact4", corrupt)
+    assert result.status == "fail"
+    assert result.observed["vertex_stabilizer"] == 119
+
+
 def test_labels120_reports_its_stored_parity(monkeypatch, cell):
     assert checks.run_check("s2/labels120").status == "pass"
     monkeypatch.setattr(cell.cell120, "labels_odd_permutations", False)
@@ -477,6 +522,16 @@ def test_vertex_count_is_checked_under_python_O(tmp_path):
     assert entry["observed"] == {"error": "ValueError: 112 vertices, not 120"}
 
 
+def test_every_export_resolves_to_its_modules_attribute():
+    """Each name of `h4geom.__all__` read through the lazy `_EXPORTS` map is
+    the attribute of the module the map names."""
+    import h4geom
+
+    assert set(h4geom.__all__) == {*h4geom._EXPORTS, "__version__"}
+    for name, module in h4geom._EXPORTS.items():
+        assert getattr(h4geom, name) is getattr(importlib.import_module(f"h4geom.{module}"), name), name
+
+
 def test_check_order_lists_every_check_once():
     assert len(checks.CHECK_ORDER) == len(set(checks.CHECK_ORDER)) == 26
     assert set(checks.CHECK_ORDER) == set(checks.CHECKS)
@@ -596,8 +651,9 @@ print(json.dumps([rc, sorted(before), sorted(after)]))
 """
 
 # No command may load these: `dataclasses` pulls in `inspect`, `ast`, `dis`
-# and `tokenize`, and `fractions` pulls in `decimal`.
-_UNWANTED_MODULES = {"dataclasses", "inspect", "fractions", "decimal", "typing"}
+# and `tokenize`, `fractions` pulls in `decimal`, and no output is a `numbers`
+# type other than int.
+_UNWANTED_MODULES = {"dataclasses", "inspect", "fractions", "decimal", "typing", "numbers"}
 
 
 def _loaded_after(*argv):

@@ -8,6 +8,11 @@ from h4geom.mod2 import F4_MUL, F4_TRACE, OMEGA, OMEGA_BAR, biadditive
 from h4geom.symmetry import SymOp
 
 
+def bform(geo, x, y):
+    """B(x, y) on classes: the parity of rowvec[x] & y."""
+    return mod2._parity(geo.rowvec[x] & y)
+
+
 def test_f4_arithmetic_tables():
     for a in range(4):
         assert F4_MUL[a][1] == a and F4_MUL[1][a] == a
@@ -25,9 +30,9 @@ def test_quotient_census(geo):
 
 def test_b_is_alternating_and_nondegenerate(geo):
     for x in range(256):
-        assert geo.bform(x, x) == 0
+        assert bform(geo, x, x) == 0
     for x in range(1, 256):
-        assert any(geo.bform(x, y) for y in range(1, 256))
+        assert any(bform(geo, x, y) for y in range(1, 256))
 
 
 def test_q_well_defined_on_classes(geo):
@@ -46,7 +51,7 @@ def test_q_well_defined_on_classes(geo):
     # polarization: Q(x + y) = Q(x) + Q(y) + B(x, y)
     for x in range(0, 256, 5):
         for y in range(0, 256, 3):
-            assert geo.q[x ^ y] == geo.q[x] ^ geo.q[y] ^ geo.bform(x, y)
+            assert geo.q[x ^ y] == geo.q[x] ^ geo.q[y] ^ bform(geo, x, y)
 
 
 def test_phi_map_properties(geo):
@@ -58,19 +63,19 @@ def test_phi_map_properties(geo):
     # self-adjoint for B (replaces the false "isometry" claim; see ledger)
     for x in range(0, 256, 3):
         for y in range(256):
-            assert geo.bform(t[x], y) == geo.bform(x, t[y])
+            assert bform(geo, t[x], y) == bform(geo, x, t[y])
 
 
 def test_perp_matches_bform_on_all_pairs(geo):
     for x in range(256):
         assert [geo.perp[x] >> y & 1 for y in range(256)] == [
-            1 - geo.bform(x, y) for y in range(256)
+            1 - bform(geo, x, y) for y in range(256)
         ]
 
 
 def _self_adjoint_by_pairs(geo, t):
     """The 65,536-pair oracle for `F4Geometry.self_adjoint`."""
-    return all(geo.bform(t[x], y) == geo.bform(x, t[y]) for x in range(256) for y in range(256))
+    return all(bform(geo, t[x], y) == bform(geo, x, t[y]) for x in range(256) for y in range(256))
 
 
 def test_self_adjoint_matches_the_pair_oracle(geo):
@@ -271,7 +276,7 @@ def test_isotropic_4spaces_count(geo):
         assert len(s) == 15
         assert all(geo.q[x] == 0 for x in s)
         for a, b in combinations(sorted(s)[:5], 2):
-            assert geo.bform(a, b) == 0
+            assert bform(geo, a, b) == 0
 
 
 def _isotropic4_by_scan(geo):
@@ -285,7 +290,7 @@ def _isotropic4_by_scan(geo):
             for x in iso:
                 if x in space:
                     continue
-                if any(geo.bform(x, s) for s in space):
+                if any(bform(geo, x, s) for s in space):
                     continue
                 nxt.add(space | {x} | {x ^ s for s in space})
         level = nxt

@@ -15,27 +15,32 @@ from h4geom.icosian import (
     GENERATORS, ICOSIAN_ONE, IcosianVec, generate_vertices, inverse_index, mulclose_indices, mult_table,
 )
 from h4geom.symmetry import (
-    _BASIS,
     SymmetryGroup,
     SymOp,
-    _apply,
     _basis_indices,
-    _op_from_matrix,
+    _op_from_perm,
     _set_action,
     left_mul,
     reflection,
     right_mul,
 )
 
-from golden_oracle import GoldenRational
+from golden_oracle import (
+    BASIS, GoldenRational, apply_matrix, matrix_left_mul, matrix_reflection, matrix_right_mul, op_from_matrix,
+)
 
 
 def identity_op():
-    return _op_from_matrix([e.scaled(GoldenInt(2)) for e in _BASIS], 2)
+    return op_from_matrix([e.scaled(GoldenInt(2)) for e in BASIS], 2)
 
 
 def negation_op():
-    return _op_from_matrix([e.scaled(GoldenInt(-2)) for e in _BASIS], 2)
+    return op_from_matrix([e.scaled(GoldenInt(-2)) for e in BASIS], 2)
+
+
+def pair_perm(group, op):
+    """The permutation of the 60 pairs induced by op's vertex permutation."""
+    return group._pair_action(op.perm)
 
 
 @cache
@@ -61,13 +66,13 @@ def matrix(op):
 
 def apply_vec(op, v):
     den, anum, bnum = _read_key(op.perm)
-    return IcosianVec(_apply(anum, bnum, den, v.flat))
+    return IcosianVec(apply_matrix(anum, bnum, den, v.flat))
 
 
 def ten_perm(group, op):
     """The permutation of the ten partitions (symbols 1..5, 6..X) induced by
     op; raises KeyError if an image is not a partition."""
-    return _set_action(group.cell.partitions)(group._on_cells(group.pair_perm(op)))
+    return _set_action(group.cell.partitions)(group._on_cells(pair_perm(group, op)))
 
 
 def _reduced(anum, bnum, den):
@@ -149,12 +154,32 @@ def test_generators_are_the_multiplications_by_the_certified_pair(cell, group):
     """The search `_make_generators` replaced asked of its pair only that it
     generate 2I.  The pair a, b of `icosian.GENERATORS` does, by a closure of
     its own, and the five generators are x -> a*x, x -> b*x, x -> x*a,
-    x -> x*b and x -> conj(x), with the parities of their exact determinants."""
+    x -> x*b and x -> -conj(x), with the parities of their exact determinants."""
     a, b = map(IcosianVec, GENERATORS)
     assert mulclose_indices((cell.index[a.flat], cell.index[b.flat])) == frozenset(range(cell.n))
     expected = (left_mul(a), left_mul(b), right_mul(a), right_mul(b), reflection(ICOSIAN_ONE))
     assert [(g.perm, g.parity) for g in group.generators] == [(g.perm, g.parity) for g in expected]
     assert [g.parity for g in expected] == [1, 1, 1, 1, -1]
+    assert group.generators[4].perm == tuple(cell.neg[x] for x in inverse_index())
+
+
+def test_constructors_match_the_matrix_oracle_on_every_vertex(cell):
+    """left_mul, right_mul and reflection, read off the Cayley table, against
+    the exact matrices applied to all 120 vertices: 360 permutations and parities."""
+    pairs = ((left_mul, matrix_left_mul), (right_mul, matrix_right_mul), (reflection, matrix_reflection))
+    for v in cell.vertices:
+        for got, oracle in pairs:
+            op, expected = got(v), oracle(v)
+            assert (op.perm, op.parity) == (expected.perm, expected.parity), (got.__name__, v)
+
+
+def test_op_from_perm_raises_unless_the_basis_images_have_determinant_16(cell):
+    """Two basis vertices sent to one image give determinant 0."""
+    b0, b1 = _basis_indices()[:2]
+    perm = list(range(cell.n))
+    perm[b1] = b0
+    with pytest.raises(ValueError, match=r"determinant 0 of the images of 2e_0..2e_3 is not \+-16"):
+        _op_from_perm(tuple(perm))
 
 
 def test_left_right_mul_are_rotations_fixing_products(cell):
@@ -243,7 +268,7 @@ def test_pair_perms_from_the_pair_tables_match_every_whole_permutation(group):
     the 14,400 elements' whole vertex permutation projected onto the pairs."""
     pair_perms = group.pair_perms_of(range(14400))
     assert len(pair_perms) == 14400
-    assert all(pp == group.pair_perm(op) for pp, op in zip(pair_perms, group.ops))
+    assert all(pp == pair_perm(group, op) for pp, op in zip(pair_perms, group.ops))
 
 
 def test_a_corrupted_right_table_misleads_query_and_oracle_alike(group):
@@ -270,7 +295,7 @@ def test_every_op_permutes_all_subpolytope_families(cell, group):
     hexagons = set(cell.hexagon_list)
     decagons = set(cell.decagons)
     for op in group.ops:
-        pp = group.pair_perm(op)
+        pp = pair_perm(group, op)
         for fam, members in (
             (cells24, cell.cells24),
             (cells16, [frozenset(c) for c in cell.cells16]),
@@ -286,7 +311,7 @@ def test_vertex_stabilizer_orbits(cell, group):
     pid = cell.pair_of[v]
     stab = group.stabilizer_of_vertex(v)
     assert len(stab) == 120
-    perms = [group.pair_perm(group.ops[k]) for k in stab]
+    perms = [pair_perm(group, group.ops[k]) for k in stab]
     orbits = group.orbits(perms, range(60))
     by_class = {}
     for orb in orbits:
@@ -314,7 +339,7 @@ def test_cell_stabilizer_orbits(cell, group):
     assert len(stab) == 576
     cperms = [group.cell_perms[k] for k in stab]
     assert sorted(len(o) for o in group.orbits(cperms, range(25))) == [1, 8, 16]
-    pperms = [group.pair_perm(group.ops[k]) for k in stab]
+    pperms = [pair_perm(group, group.ops[k]) for k in stab]
     assert sorted(len(o) for o in group.orbits(pperms, range(60))) == [12, 48]
     # transitivity on the 16 non-disjoint 24-cells is the size-16 orbit
     nondisjoint = {
