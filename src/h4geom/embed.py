@@ -16,9 +16,10 @@ Each E8 lattice is certified as Construction A of the extended Hamming
 240 roots must span 16 words of weights 0, 4 and 8, so the integer vectors
 whose parity word is a code word form an even lattice of determinant 1
 containing the roots; the root basis, whose Gram determinant is also 1, then
-spans it.  Its norm-2 and norm-4 shells are listed by shape over the code
-(`shape_shell`), with no search, and compared with the embedded roots and
-the counts 240 and 2160.
+spans it.  That basis is the images of 8 vertices picked once, in vertex
+order, for both signs (`root_pick`).  Its norm-2 and norm-4 shells are
+listed by shape over the code (`shape_shell`), with no search, and compared
+with the embedded roots and the counts 240 and 2160.
 
 The m = 0 lattice is certified rootless by shape too: its basis, and so
 every vector of it, has p = q (mod 2) in each slot pair (p, q), so its
@@ -74,7 +75,8 @@ class E8Lattice:
     """A certified copy of E8 containing an embedded 600-cell H together
     with its companion scaled copy (phi*H when m = -1, H/phi when m = +1;
     in general the unit scale that the map sends to zero): its basis on the
-    slots of rmap, the Gram matrix of that basis and its determinant, the
+    slots of rmap, the images of the vertices `root_pick` gives
+    (`basis_vids`), the Gram matrix of that basis and its determinant, the
     code C of its parity words and the sizes of its norm-2 and norm-4
     shells.  It is certified as Construction A of C: the integer vectors
     whose parity word lies in C, even with determinant
@@ -98,7 +100,8 @@ class E8Lattice:
         if any(_half_dot(u, u) != 2 for u in roots):
             raise ValueError("an embedded root does not have norm 2")
 
-        basis = _root_basis(h_img)
+        pick = root_pick(cell)
+        basis = tuple(h_img[i] for i in pick)
         gram = tuple(tuple(_half_dot(b1, b2) for b2 in basis) for b1 in basis)
         elim = eliminate(gram)
         if elim.det != 1:
@@ -107,6 +110,7 @@ class E8Lattice:
             raise ValueError("lattice is not even")
 
         self.rmap, self.basis, self.gram, self.det = rmap, basis, gram, elim.det
+        self.basis_vids = pick
         self.gram_inv = elim.adj  # the inverse, since det G = 1
         self.h_img = tuple(h_img)
         self.phi_img = tuple(phi_img)
@@ -140,41 +144,6 @@ class E8Lattice:
         return frozenset(shape_shell(self.code, 4))
 
     bform_int = staticmethod(_half_dot)
-
-
-def _root_basis(h_img: list[IntVec]) -> tuple[IntVec, ...]:
-    """Pick 8 embedded roots that form a Z-basis of the generated lattice.
-
-    Greedy rank extension (the pivot columns of the transpose) first; if the
-    chosen roots generate a proper sublattice, swap in roots with fractional
-    coordinates of magnitude < 1 until the Gram determinant reaches 1 (each
-    swap strictly reduces it).
-    """
-    ordered = sorted(h_img)
-    chosen = [ordered[c] for c in eliminate(list(zip(*ordered))).pivots]
-    if len(chosen) != 8:
-        raise ValueError(f"embedded roots span rank {len(chosen)}, not 8")
-
-    def gram_det(basis: list[IntVec]) -> int:
-        return eliminate([[_half_dot(a, b) for b in basis] for a in basis]).det
-
-    det = abs(gram_det(chosen))
-    while det > 1:
-        # u * adj B = det B * (u's coordinates over B), so a coordinate q is
-        # fractional with 0 < |q| < 1 when its numerator n has 0 < |n| < |det B|
-        inv = eliminate(chosen)
-        swaps = (
-            chosen[:j] + [u] + chosen[j + 1:]
-            for u in ordered
-            for j, n in enumerate(inv.numerators(u))
-            if n and abs(n) < abs(inv.det)
-        )
-        dets = ((c, abs(gram_det(c))) for c in swaps)
-        found = next(((c, d) for c, d in dets if 0 < d < det), None)
-        if found is None:
-            raise RuntimeError("could not refine root basis to determinant 1")
-        chosen, det = found
-    return tuple(chosen)
 
 
 def parity_code(roots) -> tuple[int, ...]:
@@ -213,6 +182,19 @@ def shape_shell(code: Sequence[int], norm: int) -> Iterator[IntVec]:
         for places in combinations([i for i in range(8) if not w >> i & 1], twos):
             entries = [(1, -1) if w >> i & 1 else (2, -2) if i in places else (0,) for i in range(8)]
             yield from product(*entries)
+
+
+@cache
+def root_pick(cell: Cell600) -> tuple[int, ...]:
+    """The first 8 vertices of cell, in vertex order, that are independent
+    over Q: the pivot columns of one elimination of their transposed flats.
+    Each ReductionMap(+-1) is Q-linear and injective on Q(phi)**4, so at
+    both signs the same 8 vertices map to independent roots spanning a
+    sublattice of the same index, and one pick serves both lattices."""
+    pick = eliminate(list(zip(*(v.flat for v in cell.vertices)))).pivots
+    if len(pick) != 8:
+        raise ValueError(f"the vertices span rank {len(pick)}, not 8")
+    return pick
 
 
 @cache

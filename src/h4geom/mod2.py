@@ -121,8 +121,6 @@ class F4Geometry:
         # lattice coordinates of the 120 roots and of their phi images
         self.root_coords = tuple(e8.coords_of(u) for u in e8.h_img)
         self.phi_coords = tuple(e8.coords_of(u) for u in e8.phi_img)
-        vid_of_root = {u: i for i, u in enumerate(e8.h_img)}
-        self._basis_vids = tuple(vid_of_root[b] for b in e8.basis)
         self.phi = self._build_phi()
         self.class_of_h = _bitrows(self.root_coords)
         self.class_of_phi_h = _bitrows(self.phi_coords)
@@ -170,7 +168,7 @@ class F4Geometry:
         """The integer matrix whose rows are the images of the basis roots,
         from the lattice coordinates of the images of all 120 roots; raises
         unless it maps every root to its image."""
-        rows = tuple(images[vid] for vid in self._basis_vids)
+        rows = tuple(images[vid] for vid in self.e8.basis_vids)
         cols = tuple(zip(*rows))
         for i, x in enumerate(self.root_coords):
             if tuple(sum(map(mul, x, col)) for col in cols) != images[i]:

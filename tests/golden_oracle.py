@@ -9,10 +9,12 @@ of each coordinate, with a golden prefactor `scale` and a form `multiplier`.
 the quaternion product included, in GoldenInt; `oracle_vertices` builds the
 120 icosians with it.  `fraction_short_vectors` lists the short vectors of an
 integer Gram matrix by a Fraction branch and bound, for the shape listings
-of `h4geom.embed`.  `op_from_matrix` applies an exact matrix (A + B*phi)/d to
-all 120 vertices, and `matrix_left_mul`, `matrix_right_mul` and
-`matrix_reflection` build the symmetries that `h4geom.symmetry` reads off the
-Cayley table from their matrices.
+of `h4geom.embed`, and `sorted_root_basis` is the sorted-image search, with
+its swap loop, that `h4geom.embed.root_pick` replaced.  `op_from_matrix`
+applies an exact matrix (A + B*phi)/d to all 120 vertices, and
+`matrix_left_mul`, `matrix_right_mul` and `matrix_reflection` build the
+symmetries that `h4geom.symmetry` reads off the Cayley table from their
+matrices.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from itertools import permutations, product as iproduct
 from math import gcd, isqrt
 from typing import Sequence, Union
 
+from h4geom.embed import _half_dot
 from h4geom.golden import GOLDEN_ZERO, PHI, PHI_INV, GoldenInt, eliminate
 from h4geom.icosian import Flat, IcosianVec, generate_vertices, quat_mul, vertex_index
 from h4geom.symmetry import SymOp
@@ -370,6 +373,38 @@ def fraction_short_vectors(gram, bound):
     for v in out.values():
         v.sort()
     return out
+
+
+def sorted_root_basis(h_img):
+    """The root-basis search that `h4geom.embed.root_pick` replaced: the
+    pivot columns of the transpose of the sorted images, then, while the
+    Gram determinant exceeds 1, swap in a root with a fractional coordinate
+    of magnitude < 1 over the chosen ones (each swap strictly reduces it)."""
+    ordered = sorted(h_img)
+    chosen = [ordered[c] for c in eliminate(list(zip(*ordered))).pivots]
+    if len(chosen) != 8:
+        raise ValueError(f"embedded roots span rank {len(chosen)}, not 8")
+
+    def gram_det(basis):
+        return eliminate([[_half_dot(a, b) for b in basis] for a in basis]).det
+
+    det = abs(gram_det(chosen))
+    while det > 1:
+        # u * adj B = det B * (u's coordinates over B), so a coordinate q is
+        # fractional with 0 < |q| < 1 when its numerator n has 0 < |n| < |det B|
+        inv = eliminate(chosen)
+        swaps = (
+            chosen[:j] + [u] + chosen[j + 1:]
+            for u in ordered
+            for j, n in enumerate(inv.numerators(u))
+            if n and abs(n) < abs(inv.det)
+        )
+        dets = ((c, abs(gram_det(c))) for c in swaps)
+        found = next(((c, d) for c, d in dets if 0 < d < det), None)
+        if found is None:
+            raise RuntimeError("could not refine root basis to determinant 1")
+        chosen, det = found
+    return tuple(chosen)
 
 
 # ---------- the exact-matrix symmetry constructors ----------

@@ -469,6 +469,38 @@ def test_e8_shell_count_is_checked_under_python_O(tmp_path):
     }
 
 
+_PICK_AN_INDEX_2_SUBLATTICE = """
+import json, sys
+from h4geom import embed
+from h4geom.cli import main
+
+# eight independent vertices whose images span a sublattice of index 2
+embed.root_pick = lambda cell: (0, 34, 33, 41, 42, 38, 37, 40)
+codes = [main(["verify", "--only", only, "--report", path])
+         for only, path in zip(("facts/fact9", "s6/example1"), sys.argv[1:])]
+print(json.dumps(codes))
+"""
+
+
+def test_root_pick_spanning_a_sublattice_fails_under_python_O(tmp_path):
+    """A pick of independent vertices that spans a proper sublattice fails
+    both E8 certificates by the basis Gram determinant, which -O keeps."""
+    fact9, s6 = tmp_path / "fact9.json", tmp_path / "s6.json"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _PICK_AN_INDEX_2_SUBLATTICE, str(fact9), str(s6)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == [1, 1]
+    report = json.loads(fact9.read_text()) + json.loads(s6.read_text())
+    error = {"error": "ValueError: basis Gram determinant 4 != 1"}
+    assert {d["check"]: (d["status"], d["observed"]) for d in report} == {
+        "facts/fact9": ("fail", error),
+        "s6/example1": ("fail", error),
+    }
+
+
 _SWAP_TWO_PLANES = """
 import json
 from h4geom import checks, mod2

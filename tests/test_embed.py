@@ -24,7 +24,7 @@ from h4geom.embed import (
 )
 from h4geom.icosian import IcosianVec
 
-from golden_oracle import FractionMap, GoldenRational, fraction_short_vectors
+from golden_oracle import FractionMap, GoldenRational, fraction_short_vectors, sorted_root_basis
 
 
 def contains(e8, amb):
@@ -315,29 +315,44 @@ def test_golden_basis_matches_the_depth_first_search(cell, gb):
     assert gb.indices == _dfs_golden_basis([v.c for v in cell.vertices]) == (0, 1, 2, 6)
 
 
-def _greedy_roots(h_img):
-    """The per-root rank loop that `_root_basis` replaced by one elimination
-    of the transpose: a root is kept iff it raises the rank of the kept ones."""
+def _greedy_vertices(flats):
+    """The per-root rank loop that one elimination of the transpose
+    replaced: a vertex is kept iff it raises the rank of the kept ones."""
     chosen = []
-    for u in sorted(h_img):
-        if eliminate(chosen + [u]).rank == len(chosen) + 1:
-            chosen.append(u)
-    return chosen
+    for i, u in enumerate(flats):
+        if eliminate([flats[j] for j in chosen] + [u]).rank == len(chosen) + 1:
+            chosen.append(i)
+    return tuple(chosen)
 
 
-def test_root_pivots_match_the_per_root_rank_loop(e8, e8_plus):
-    for lattice, want in ((e8, (0, 1, 2, 3, 5, 6, 7, 21)), (e8_plus, tuple(range(8)))):
-        ordered = sorted(lattice.h_img)
-        pivots = eliminate(list(zip(*ordered))).pivots
-        assert pivots == want
-        assert [ordered[c] for c in pivots] == _greedy_roots(lattice.h_img)
+def test_root_pivots_match_the_per_root_rank_loop(cell, e8, e8_plus):
+    """In vertex order the rank loop over H's flats, the pivots of H's flats
+    and the pivots of the images at both signs pick the same 8 vertices."""
+    pick = (0, 1, 2, 3, 5, 6, 7, 21)
+    assert embed.root_pick(cell) == _greedy_vertices([v.flat for v in cell.vertices]) == pick
+    for lattice in (e8, e8_plus):
+        assert eliminate(list(zip(*lattice.h_img))).pivots == pick
+        assert lattice.basis_vids == pick
+        assert lattice.basis == tuple(lattice.h_img[i] for i in pick)
 
 
-def test_basis_searches_run_at_most_11_eliminations(monkeypatch, e8, e8_plus):
-    """`_root_basis` at m = -1 and +1 and a cold `golden_basis` take 11
-    eliminations (2, 4 and 5): one picks each greedy root basis, each swap
-    candidate's Gram determinant is taken once, and each golden candidate
-    takes one, where per-candidate rank loops took 47."""
+def test_root_basis_matches_the_sorted_image_search(e8, e8_plus):
+    """At m = -1 the pick gives the old search's basis, root for root; at
+    m = +1, where the search needed its swap loop, both bases have Gram
+    determinant 1 and each is integral over the other."""
+    assert e8.basis == sorted_root_basis(e8.h_img)
+    old = sorted_root_basis(e8_plus.h_img)
+    assert old != e8_plus.basis
+    for a, b in ((old, e8_plus.basis), (e8_plus.basis, old)):
+        assert eliminate([[embed._half_dot(u, v) for v in a] for u in a]).det == 1
+        inv = eliminate(b)
+        assert all(n % inv.det == 0 for u in a for n in inv.numerators(u))
+
+
+def test_basis_searches_run_at_most_6_eliminations(monkeypatch, cell):
+    """The root pick, which both signs share, and a cold `golden_basis` take
+    6 eliminations (1 and 5), where the sorted-image search with its swap
+    loop and a golden basis took 11, and per-candidate rank loops took 47."""
     calls = []
     real = embed.eliminate
 
@@ -346,10 +361,10 @@ def test_basis_searches_run_at_most_11_eliminations(monkeypatch, e8, e8_plus):
         return real(rows)
 
     monkeypatch.setattr(embed, "eliminate", counting)
-    for lattice in (e8, e8_plus):
-        assert embed._root_basis(list(lattice.h_img)) == lattice.basis
+    assert embed.root_pick.__wrapped__(cell) == (0, 1, 2, 3, 5, 6, 7, 21)
+    assert calls == [8]
     assert embed.golden_basis.__wrapped__().indices == (0, 1, 2, 6)
-    assert len(calls) <= 11
+    assert len(calls) <= 6
 
 
 def test_golden_basis_certificates(cell, gb):
@@ -600,13 +615,13 @@ def test_elimination_certificates_keep_their_values(gb, e8, e8_plus, group):
         (-1, -1, -1, -2, 1, 1, 2, 2),
     )
     assert e8_plus.gram_inv == (
-        (4, -2, -2, -2, -2, -2, 5, 3),
-        (-2, 2, 1, 1, 1, 1, -3, -2),
-        (-2, 1, 2, 1, 1, 1, -3, -2),
-        (-2, 1, 1, 2, 1, 1, -3, -2),
-        (-2, 1, 1, 1, 2, 1, -3, -2),
-        (-2, 1, 1, 1, 1, 2, -3, -2),
-        (5, -3, -3, -3, -3, -3, 8, 5),
-        (3, -2, -2, -2, -2, -2, 5, 4),
+        (2, 0, 0, 0, -1, -1, -1, 0),
+        (0, 2, 0, 0, -1, 0, -1, -1),
+        (0, 0, 2, 2, -1, -1, -2, -1),
+        (0, 0, 2, 4, -1, -2, -3, -2),
+        (-1, -1, -1, -1, 2, 1, 2, 1),
+        (-1, 0, -1, -2, 1, 2, 2, 1),
+        (-1, -1, -2, -3, 2, 2, 4, 2),
+        (0, -1, -1, -2, 1, 1, 2, 2),
     )
     assert [g.parity for g in group.generators] == [1, 1, 1, 1, -1]

@@ -207,6 +207,67 @@ def test_q_omega(geo):
     assert geo.q_omega(geo.class_of_phi_h[0]) == OMEGA
 
 
+def _run_on_a_corrupted_geometry(monkeypatch, check_id, corrupt):
+    """check_id through `run_check` on an F4 geometry built afresh and then
+    passed to corrupt, the cached geometry cleared before and after; asserts
+    that the check fails and returns the fields that differ, and the result."""
+    real_init = mod2.F4Geometry.__init__
+
+    def corrupted_init(self, e8):
+        real_init(self, e8)
+        corrupt(self)
+
+    mod2.f4_geometry.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(mod2.F4Geometry, "__init__", corrupted_init)
+            result = checks.run_check(check_id)
+    finally:
+        mod2.f4_geometry.cache_clear()
+    assert result.status == "fail"
+    expected = checks.CHECKS[check_id][0]
+    return {field for field, value in expected.items() if result.observed[field] != value}, result
+
+
+def _swap_tags(geo, a, b):
+    tags = list(geo.tags)
+    tags[a], tags[b] = tags[b], tags[a]
+    geo.tags = tuple(tags)
+
+
+def test_lines_fails_on_two_swapped_vertex_tags(monkeypatch):
+    """Two vertex points' pair tags swapped: every line keeps its type, so
+    the census holds, but lines through one of the two points no longer
+    match the incidence oracle."""
+    assert checks.run_check("s7/lines").status == "pass"
+
+    def corrupt(geo):
+        _swap_tags(geo, *[k for k, (kind, _) in enumerate(geo.tags) if kind == "vertex"][:2])
+
+    differ, result = _run_on_a_corrupted_geometry(monkeypatch, "s7/lines", corrupt)
+    assert differ == {"certified"}
+    assert result.observed["certified"] == {"cell16": 65, "partition": 10, "pentagon": 60, "triangle": 182}
+
+
+def test_qomega_fails_on_a_flipped_q_value_or_a_swapped_cell_tag(monkeypatch):
+    """Q flipped on one class of a vertex point breaks the values, the trace
+    and biadditivity, while the scaling by phibar holds for any Q; a cell
+    tag swapped with a vertex tag breaks the values alone."""
+    assert checks.run_check("s7/qomega").status == "pass"
+
+    def flip_q(geo):
+        x = geo.class_of_h[0]
+        geo.q = geo.q[:x] + (1 - geo.q[x],) + geo.q[x + 1:]
+
+    def swap_cell_tag(geo):
+        kinds = [kind for kind, _ in geo.tags]
+        _swap_tags(geo, kinds.index("cell"), kinds.index("vertex"))
+
+    for corrupt, want in ((flip_q, {"values", "trace", "biadditive"}), (swap_cell_tag, {"values"})):
+        differ, _ = _run_on_a_corrupted_geometry(monkeypatch, "s7/qomega", corrupt)
+        assert differ == want, corrupt.__name__
+
+
 def test_symmetry_action_commutes_with_phibar(geo, group):
     for g in group.generators:
         assert geo.commutes_with_phi(g)
@@ -217,7 +278,7 @@ def test_action_mod2_checks_every_root(geo, group):
     sample the check once used: the induced matrix is unchanged, and the check
     on the first of the two raises."""
     g = group.generators[0]
-    basis, images = set(geo._basis_vids), {g.perm[v] for v in geo._basis_vids}
+    basis, images = set(geo.e8.basis_vids), {g.perm[v] for v in geo.e8.basis_vids}
     i, j = [k for k in range(120) if k % 7 and k not in basis and k not in images][:2]
     perm = list(g.perm)
     perm[i], perm[j] = perm[j], perm[i]
