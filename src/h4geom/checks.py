@@ -11,7 +11,7 @@ import time
 from collections import Counter, namedtuple
 from collections.abc import Callable
 from itertools import combinations
-from operator import itemgetter, mul, neg
+from operator import mul, neg
 
 from . import embed, mod2, symmetry
 from .golden import PHI
@@ -118,7 +118,8 @@ def _fact6():
         negation = tuple(grp.cell.neg)
         kernel_is_pm1 = perms == {ident, negation}
     rows, cols = 0b11111, 0b11111 << 5  # partitions 0..4 and 5..9 as masks
-    pentads_ok = grp.row_images == itemgetter(*grp.factors[2])((rows, cols))
+    block = tuple((rows, cols)[grp.triple(j)[2]] for j in range(len(grp.ops) // grp.cell.n))  # row l = 0
+    pentads_ok = grp.row_images == block * grp.cell.n  # each row l lists the same pairs (r, e)
     return {
         "kernel_size": len(kernel),
         "kernel_is_plus_minus_identity": kernel_is_pm1,

@@ -2,17 +2,18 @@
 
 Every rotation is x -> l*x*r and every reflection x -> l*conj(x)*r for icosians
 l, r, and (l, r), (-l, -r) give the same map (Conway & Smith, On Quaternions and
-Octonions, ch. 4): the group is 2I x 2I / {+-(1, 1)} extended by conjugation,
-held as its 14,400 triples (l, r, e) in listing order and certified against
-five generators.  An isometry is fixed by its images of the vertices
-2e_0..2e_3, so no element carries a matrix: the five generators' permutations
-are read off the Cayley table, each certified by the determinant of its images
-of 2e_0..2e_3, whose sign is its parity.  The actions on the vertices, the 60
-pairs, the 25 24-cells and the ten partitions are composed from those of
-x -> l*x, x -> x*r and x -> conj(x), read off the Cayley table; stabilizers,
-the centre, the kernel on the partitions and the images of the five rows are
-read off those tables, and an element's vertex permutation and parity (+1
-rotation, -1 reflection) are composed only when ops[k] is read.
+Octonions, ch. 4): the group is 2I x 2I / {+-(1, 1)} extended by conjugation.
+Element k is the triple (l, r, e) read off its index, l, j = divmod(k, 120),
+r the first icosian of +-pair j // 2 and e = j % 2, and the listing is
+certified against five generators.  An isometry is fixed by its images of the
+vertices 2e_0..2e_3, so no element carries a matrix: the five generators'
+permutations are read off the Cayley table, each certified by the determinant
+of its images of 2e_0..2e_3, whose sign is its parity.  The actions on the
+vertices, the 60 pairs, the 25 24-cells and the ten partitions are composed
+from those of x -> l*x, x -> x*r and x -> conj(x), read off the Cayley table;
+stabilizers, the centre, the kernel on the partitions and the images of the
+five rows are read off those tables, and an element's vertex permutation and
+parity (+1 rotation, -1 reflection) are composed only when ops[k] is read.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 from array import array
 from collections.abc import Callable, Sequence
 from functools import cache, cached_property
-from itertools import chain, product, repeat
-from operator import add, itemgetter
+from itertools import chain
+from operator import itemgetter
 
 from .golden import eliminate
 from .icosian import (
@@ -73,11 +74,6 @@ def _op_from_perm(perm: tuple[int, ...]) -> SymOp:
 _Action = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
-def _rows(n: int, width: int) -> tuple[int, ...]:
-    """Each of 0..n-1 repeated width times: the l of each listed element."""
-    return tuple(chain.from_iterable(map(repeat, range(n), repeat(width, n))))
-
-
 def _project(tables: tuple, act: _Action) -> tuple[list, list, tuple[int, ...]]:
     """A (left, right, conj) table triple acted on by act, a homomorphism: act
     reads only the rows of the two generators and conj, and the other rows are
@@ -123,7 +119,7 @@ class _Ops(Sequence):
         self._group = group
 
     def __len__(self) -> int:
-        return len(self._group.factors[2])
+        return self._group.cell.n * 2 * len(self._group.cell.pairs)
 
     def __getitem__(self, k: int | slice) -> SymOp | tuple[SymOp, ...]:
         """ops[k], or the tuple of a slice's elements composed in one call."""
@@ -132,7 +128,7 @@ class _Ops(Sequence):
         ks = (ks,) if one else ks
         group = self._group
         perms = group._compose(group._vertex_tables, ks)
-        ops = tuple(SymOp(perm, 1 - 2 * group.factors[2][j]) for perm, j in zip(perms, ks))
+        ops = tuple(SymOp(perm, 1 - 2 * group.triple(j)[2]) for perm, j in zip(perms, ks))
         return ops[0] if one else ops
 
 
@@ -140,10 +136,9 @@ class SymmetryGroup:
     def __init__(self, cell: Cell600) -> None:
         self.cell = cell
         self.generators = self._make_generators()
-        self.factors = self._list()
         self.ops = _Ops(self)
         images = tuple(self._images_of(self._vertex_tables, b) for b in _basis_indices())
-        self._certify(images, *self.factors)
+        self._certify(images)
 
     def _make_generators(self) -> tuple[SymOp, ...]:
         """x -> a*x, x -> b*x, x -> x*a, x -> x*b and x -> -conj(x) (the
@@ -152,65 +147,50 @@ class SymmetryGroup:
         a, b = map(IcosianVec, GENERATORS)
         return (left_mul(a), left_mul(b), right_mul(a), right_mul(b), reflection(ICOSIAN_ONE))
 
-    def _list(self) -> tuple[tuple[int, ...], ...]:
-        """Every element as a triple (l, r, e): x -> l*x*r, or x -> l*conj(x)*r
-        when e = 1; r runs over one icosian of each +-pair, since (l, r) and
-        (-l, -r) give the same map.  Returns the l, r and e of each element in
-        listing order: one block of the 120 pairs (r, e) for each l."""
-        n, reps = self.cell.n, tuple(r for r, _ in self.cell.pairs)
-        brs, bes = tuple(chain.from_iterable(zip(reps, reps))), (0, 1) * len(reps)
-        return _rows(n, len(bes)), brs * n, bes * n
+    def triple(self, k: int) -> tuple[int, int, int]:
+        """Element k = 120 l + j as (l, r, e): x -> l*x*r, or x -> l*conj(x)*r
+        when e = 1, with r = pairs[j // 2][0] and e = j % 2; r is the first of
+        its +-pair since (l, r) and (-l, -r) give the same map."""
+        pairs = self.cell.pairs
+        l, j = divmod(k, 2 * len(pairs))
+        return l, pairs[j >> 1][0], j & 1
 
-    @cached_property
-    def _block(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The r and e of the block of pairs (r, e) that each row l lists."""
-        width = len(self.factors[2]) // self.cell.n
-        return self.factors[1][:width], self.factors[2][:width]
-
-    def _certify(self, images, ls, rs, es) -> None:
-        """Raises unless the listing is one block of the pairs (r, e), r the first
-        icosian of each +-pair, for each l in turn, and the listed elements are
-        distinct, contain the five generators and are closed under them.  images
-        holds the four columns of each element's images of 2e_0..2e_3, which fix
-        an isometry; they are packed into one 4-byte key per element (indices
-        below 256), on which g acts by translating bytes.  A rotation
-        g = (gl, gr, 0) sends (l, r, e) to (gl*l, r*gr, e), and a reflection
-        g = (gl, gr, 1) to (gl*conj(r), conj(l)*gr, 1 - e): that triple, or its
-        (-l, -r) twin, names a listed position, one row l at a time, whose
-        element must have g's images of element k's images."""
+    def _certify(self, images) -> None:
+        """Raises unless the listed elements are distinct, contain the five
+        generators and are closed under them.  images holds the four columns of
+        each element's images of 2e_0..2e_3, which fix an isometry; they are
+        packed into one 4-byte key per element (indices below 256), on which g
+        acts by translating bytes.  A rotation g = (gl, gr, 0) sends (l, r, e)
+        to (gl*l, r*gr, e), and a reflection g = (gl, gr, 1) to
+        (gl*conj(r), conj(l)*gr, 1 - e): that triple (L, R, e'), or its
+        (-L, -R) twin, is listed in row L or -L at block position
+        2 * pair_of[R] + e', one row l at a time, and its element must have g's
+        images of element k's images."""
         cell, table, inv = self.cell, mult_table(), inverse_index()
-        n, size, neg = cell.n, len(es), cell.neg
-        width = size // n
-        brs, bes = rs[:width], es[:width]
-        firsts = [r for r, _ in cell.pairs]
-        shaped = (ls, rs, es) == (_rows(n, width), brs * n, bes * n)
-        if not shaped or sorted(zip(brs, bes)) != sorted(product(firsts, (0, 1))):
-            raise ValueError("the listing is not one block of pairs (r, e) for each l")
+        reps, neg, pair_of = [r for r, _ in cell.pairs], cell.neg, cell.pair_of
+        width, size = 2 * len(reps), len(self.ops)
         packed = bytearray(4 * size)
         for c, column in enumerate(images):
             packed[c::4] = bytes(column)
         keys = tuple(memoryview(packed).cast("I"))
-        blocks = [keys[x * width:x * width + width] for x in range(n)]  # the keys of row x
+        blocks = [keys[x * width:x * width + width] for x in range(cell.n)]  # the keys of row x
         index = dict(zip(keys, range(size)))
         if len(index) != size:
             raise ValueError(f"only {len(index)} of the {size} listed elements are distinct")
-        twins = itemgetter(*cell.pair_of)(firsts)  # the listed r of each icosian's pair
-        slot = {re: j for j, re in enumerate(zip(brs, bes))}
-        at = [[slot[t, e] for t in twins] for e in (0, 1)]  # block position of (twin of y, e)
-        flip = [int(t != y) for y, t in enumerate(twins)]  # 1 when y is -(twin of y)
+        flip = [int(reps[p] != y) for y, p in enumerate(pair_of)]  # 1 when y is -(listed r of its pair)
         for m, g in enumerate(self.generators):
             k = index.get(memoryview(bytes(g.perm[b] for b in _basis_indices())).cast("I")[0])
             if k is None or (op := self.ops[k]).perm != g.perm or op.parity != g.parity:
                 raise ValueError(f"generator {m} is not in the listing")
-            gl, gr = ls[k], rs[k]
-            if es[k]:  # row l: R = conj(l)*gr is fixed, and L = gl*conj(r) runs with r
-                heads = [table[gl][inv[r]] for r in brs]
-                starts = [x * width for x in heads], [neg[x] * width for x in heads]
-                other, ys = itemgetter(*bes), (table[x][gr] for x in inv)  # other: at[1 - e][y] for each e
-                rows = (itemgetter(*map(add, starts[flip[y]], other((at[1][y], at[0][y]))))(keys) for y in ys)
+            gl, gr, ge = self.triple(k)
+            if ge:  # row l: R = conj(l)*gr is fixed, and L = gl*conj(r) runs with r
+                heads = [(table[gl][inv[r]], 1 - e) for r in reps for e in (0, 1)]
+                starts = [x * width + e for x, e in heads], [neg[x] * width + e for x, e in heads]
+                ys = (table[x][gr] for x in inv)
+                rows = (itemgetter(*[s + 2 * pair_of[y] for s in starts[flip[y]]])(keys) for y in ys)
             else:  # row l: L = gl*l is fixed, and R = r*gr runs with r
-                tails = [table[r][gr] for r in brs]
-                pick = itemgetter(*(flip[y] * width + at[e][y] for y, e in zip(tails, bes)))
+                tails = [table[r][gr] for r in reps]
+                pick = itemgetter(*(flip[y] * width + 2 * pair_of[y] + e for y in tails for e in (0, 1)))
                 rows = (pick(blocks[x] + blocks[neg[x]]) for x in table[gl])
             named = array("I", chain.from_iterable(rows))  # the keys at the named positions
             if named.tobytes() != packed.translate(bytes(g.perm).ljust(256, b"\0")):
@@ -218,7 +198,7 @@ class SymmetryGroup:
 
     @cached_property
     def rotation_count(self) -> int:
-        return self.factors[2].count(0)
+        return self.cell.n * sum(1 - self.triple(j)[2] for j in range(2 * len(self.cell.pairs)))
 
     # ---------- induced permutations ----------
 
@@ -257,12 +237,11 @@ class SymmetryGroup:
         """The action of each element k in ks as left[l] o right[r], then o conj
         for a reflection, since an action is a homomorphism."""
         left, right, conj = tables
-        ls, rs, es = self.factors
-        after_right = {r: itemgetter(*right[r]) for r in {rs[k] for k in ks}}
+        triples = list(map(self.triple, ks))
+        after_right = {r: itemgetter(*right[r]) for _, r, _ in triples}
         after_conj = itemgetter(*conj)
         return tuple(
-            after_conj(after_right[rs[k]](left[ls[k]])) if es[k] else after_right[rs[k]](left[ls[k]])
-            for k in ks
+            after_conj(after_right[r](left[l])) if e else after_right[r](left[l]) for l, r, e in triples
         )
 
     def _images_of(self, tables: tuple[list, list, tuple[int, ...]], x: int) -> tuple[int, ...]:
@@ -271,7 +250,7 @@ class SymmetryGroup:
         conj[x] in place of x when e = 1."""
         left, right, conj = tables
         xs = (x, conj[x])
-        inner = itemgetter(*[right[r][xs[e]] for r, e in zip(*self._block)])
+        inner = itemgetter(*[right[r][xs[e]] for r, _ in self.cell.pairs for e in (0, 1)])
         return tuple(chain.from_iterable(map(inner, left)))
 
     @cached_property
@@ -306,7 +285,7 @@ class SymmetryGroup:
         block, then left[l] of each distinct mask."""
         left, right, conj = self._ten_tables
         starts = (range(5), [conj[i] for i in range(5)])
-        inner = [sum(1 << right[r][i] for i in starts[e]) for r, e in zip(*self._block)]
+        inner = [sum(1 << right[r][i] for i in starts[e]) for r, _ in self.cell.pairs for e in (0, 1)]
         masks, pick = set(inner), itemgetter(*inner)
         return tuple(chain.from_iterable(
             pick({m: sum(1 << perm[i] for i in range(10) if m >> i & 1) for m in masks}) for perm in left
@@ -347,14 +326,14 @@ class SymmetryGroup:
         survivors' images left[l][right[r][y]], y = g(0) or conj(g(0))."""
         gens, tables = [g.perm for g in self.generators], self._vertex_tables
         left, right, conj = tables
-        ls, rs, es = self.factors
         at0 = self._images_of(tables, 0)
         first, *rest = gens
         at = self._images_of(tables, first[0])
         ks = [k for k, (y, x) in enumerate(zip(at, at0)) if y == first[x]]
         for g in rest:
             ys = (g[0], conj[g[0]])
-            ks = [k for k in ks if left[ls[k]][right[rs[k]][ys[es[k]]]] == g[at0[k]]]
+            survivors = zip(ks, map(self.triple, ks))
+            ks = [k for k, (l, r, e) in survivors if left[l][right[r][ys[e]]] == g[at0[k]]]
         survivors = zip(ks, self._compose(tables, ks))
         return tuple(k for k, p in survivors if all(p[g[i]] == g[p[i]] for g in gens for i in range(120)))
 

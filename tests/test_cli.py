@@ -13,6 +13,7 @@ from h4geom import checks, embed, golden, symmetry
 from h4geom.cli import _DUMPERS, main
 from h4geom.serialize import dumps, jsonable
 from h4geom.golden import GoldenInt
+from h4geom.icosian import ICOSIAN_ONE
 from fractions import Fraction
 
 
@@ -340,6 +341,85 @@ def test_fact4_fails_on_a_vertex_stabilizer_missing_one_element(monkeypatch):
     result = _run_on_a_corrupted_group(monkeypatch, "facts/fact4", corrupt)
     assert result.status == "fail"
     assert result.observed["vertex_stabilizer"] == 119
+
+
+def _fields_that_differ(result):
+    """The fields of a failed check whose observed value differs from the expected one."""
+    assert result.status == "fail"
+    return {f for f, value in result.expected.items() if jsonable(result.observed.get(f)) != jsonable(value)}
+
+
+def test_fact6_fails_on_a_corrupted_row_image_or_kernel(monkeypatch):
+    """A reflection (element 1) sending the five rows to the rows, or a
+    kernel on the partitions cut to one element."""
+    assert checks.run_check("facts/fact6").status == "pass"
+
+    def rows_fixed_by_a_reflection(group):
+        images = list(group.row_images)
+        images[1] = 0b11111
+        group.row_images = tuple(images)
+
+    def one_element_kernel(group):
+        group.ten_kernel = group.ten_kernel[:1]
+
+    for corrupt, fields in (
+        (rows_fixed_by_a_reflection, {"rotations_preserve_pentads_odd_swap"}),
+        (one_element_kernel, {"kernel_size", "kernel_is_plus_minus_identity", "image_order"}),
+    ):
+        with monkeypatch.context() as patch:
+            result = _run_on_a_corrupted_group(patch, "facts/fact6", corrupt)
+        assert _fields_that_differ(result) == fields, corrupt.__name__
+
+
+def test_fact7_fails_on_an_odd_or_a_repeated_label(monkeypatch, cell):
+    """Pair 1's label with the partners of its first two duads exchanged (an
+    odd permutation, sharing three duads with another label), or the unit's
+    pair given pair 1's label."""
+    assert checks.run_check("facts/fact7").status == "pass"
+    unit = cell.pair_of[cell.index[ICOSIAN_ONE.flat]]
+    (a, b), (c, d), *rest = cell.labels[1]
+    odd, repeated = list(cell.labels), list(cell.labels)
+    odd[1] = tuple(sorted([(a, d), (c, b), *rest]))
+    repeated[unit] = cell.labels[1]
+    for labels, fields in (
+        (odd, {"all_even_permutations", "no_two_labels_share_three_duads"}),
+        (repeated, {"unit_label", "distinct_labels", "no_two_labels_share_three_duads"}),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(cell, "labels", tuple(labels))
+            result = checks.run_check("facts/fact7")
+        assert _fields_that_differ(result) == fields
+
+
+def test_fact8_fails_on_a_cayley_table_with_two_entries_swapped(monkeypatch):
+    """Two entries of row 1 swapped: each row still holds every icosian, but
+    two columns do not."""
+    assert checks.run_check("facts/fact8").status == "pass"
+    table = [list(row) for row in checks.mult_table()]
+    table[1][0], table[1][1] = table[1][1], table[1][0]
+    monkeypatch.setattr(checks, "mult_table", lambda: tuple(map(tuple, table)))
+    assert _fields_that_differ(checks.run_check("facts/fact8")) == {"cayley_table_is_latin_square"}
+
+
+def test_array_p2_fails_on_a_moved_vertex_or_a_misplaced_entry(monkeypatch, cell):
+    """Entry (0, 0) of the p = 2 array trading a vertex with entry (0, 1), so
+    neither is a 24-cell; or entries (0, 0) and (1, 1) exchanged, so rows 0
+    and 1 each hold two 24-cells that meet."""
+    assert checks.run_check("s4/array-p2").status == "pass"
+    p2 = cell.prime_array(2)
+    moved = [list(row) for row in p2.entries]
+    u, v = min(moved[0][0]), min(moved[0][1])
+    moved[0][0], moved[0][1] = moved[0][0] - {u} | {v}, moved[0][1] - {v} | {u}
+    exchanged = [list(row) for row in p2.entries]
+    exchanged[0][0], exchanged[1][1] = exchanged[1][1], exchanged[0][0]
+    for entries, fields in (
+        (moved, {"entries_are_the_25_24cells"}),
+        (exchanged, {"rows_are_partitions"}),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(type(cell), "prime_array", lambda self, p, e=entries: p2._replace(entries=e))
+            result = checks.run_check("s4/array-p2")
+        assert _fields_that_differ(result) == fields
 
 
 def test_labels120_reports_its_stored_parity(monkeypatch, cell):

@@ -456,27 +456,39 @@ def _eager_images(cell, group):
     return tuple(zip(*(itemgetter(*basis)(op.perm) for op in _eager_listing(group))))
 
 
-def test_listing_certificates_raise_on_a_wrong_triple_or_a_foreign_generator(cell, group):
-    images = _eager_images(cell, group)
-    ls, rs, es = group.factors
-    group._certify(images, ls, rs, es)
-    wrong = (cell.neg[ls[0]],) + ls[1:]  # names -x -> l*x*r in place of x -> l*x*r
-    with pytest.raises(ValueError, match="the listing is not one block of pairs"):
-        group._certify(images, wrong, rs, es)
-    swap = list(range(120))
-    swap[0], swap[1] = 1, 0  # not an isometry
-    g = group.generators[0]
-    broken = copy.copy(group)
-    broken.generators = (SymOp(tuple(swap), g.parity),) + group.generators[1:]
-    with pytest.raises(ValueError, match="generator 0 is not in the listing"):
-        broken._certify(images, ls, rs, es)
+def _factors(cell):
+    """The l, r and e of every element in listing order, one block of the 120
+    pairs (r, e) for each l, r the first icosian of each +-pair: the oracle
+    for `SymmetryGroup.triple`."""
+    block = [(r, e) for r, _ in cell.pairs for e in (0, 1)]
+    return tuple(zip(*((l, r, e) for l in range(cell.n) for r, e in block)))
+
+
+def test_triples_match_the_listing_order_on_all_elements(cell, group):
+    assert [group.triple(k) for k in range(len(group.ops))] == list(zip(*_factors(cell)))
+
+
+def _stored_lengths(value):
+    """The length of value and of every tuple or list nested in it, for a tuple or list."""
+    if isinstance(value, (tuple, list)):
+        yield len(value)
+        for item in value:
+            yield from _stored_lengths(item)
+
+
+def test_a_fresh_group_stores_no_listing(cell):
+    """Right after construction no attribute holds a 14,400-entry sequence:
+    each element's (l, r, e) is read off its index, and `ops` composes on
+    read.  (`row_images` and `cell_perms` are cached later, on purpose.)"""
+    fresh = SymmetryGroup(cell)
+    assert max(n for value in vars(fresh).values() for n in _stored_lengths(value)) < 14400
 
 
 def _per_element_images_of(group, tables, x):
     """The per-element loop that the row-at-a-time `_images_of` replaced."""
     left, right, conj = tables
     xs = (x, conj[x])
-    return [left[l][right[r][xs[e]]] for l, r, e in zip(*group.factors)]
+    return [left[l][right[r][xs[e]]] for l, r, e in zip(*_factors(group.cell))]
 
 
 def _entry_by_entry_project(tables, act):
@@ -485,11 +497,12 @@ def _entry_by_entry_project(tables, act):
     return [act(p) for p in left], [act(p) for p in right], act(conj)
 
 
-def _dict_lookup_certify(group, images, ls, rs, es):
+def _dict_lookup_certify(group, images):
     """The certificate that the row-at-a-time `_certify` replaced: each
     generator's images of every element named by a dict lookup, and the named
     element's triple compared as (pair of l, l*r, e) with the triple formulas."""
     table, conj = mult_table(), itemgetter(*inverse_index())
+    ls, rs, es = _factors(group.cell)
     index = {key: k for k, key in enumerate(zip(*images))}
     if len(index) != len(es):
         raise ValueError(f"only {len(index)} of the {len(es)} listed elements are distinct")
@@ -549,44 +562,46 @@ def test_row_images_match_the_per_element_oracle_on_every_point(group, kind):
         assert list(group._images_of(tables, x)) == _per_element_images_of(group, tables, x)
 
 
-def _faulty_listings(cell, group):
-    """Three faults in (images, ls, rs, es): two elements' images swapped, a
-    listing with the rotations and reflections of each block exchanged (a
-    wrong triple of every element that keeps the block shape), and row 0
-    naming -l in place of l (a wrong triple that breaks it)."""
+def _faulty_images(cell, group):
+    """Three faults in the images of 2e_0..2e_3, each with the message it
+    raises: two elements' images swapped; the images at block positions 2p
+    and 2p + 1 exchanged in every row, so each generator's images sit at an
+    element of the other parity; and row 0 given row -1's images."""
     images = _eager_images(cell, group)
-    ls, rs, es = group.factors
     gens = {_eager_listing(group).index(g) for g in group.generators}
-    i, j = [k for k in range(len(es)) if k not in gens][:2]
-    swapped = []
-    for column in images:
-        column = list(column)
+    i, j = [k for k in range(len(group.ops)) if k not in gens][:2]
+    swapped = [list(column) for column in images]
+    for column in swapped:
         column[i], column[j] = column[j], column[i]
-        swapped.append(tuple(column))
+    row = slice(cell.neg[0] * 120, cell.neg[0] * 120 + 120)
     return {
-        "swapped images": ((tuple(swapped), ls, rs, es), "not closed under generator"),
-        "exchanged e": ((images, ls, rs, tuple(1 - e for e in es)), "not closed under generator"),
-        "negated l": ((images, (cell.neg[ls[0]],) + ls[1:], rs, es), None),
+        "swapped images": (tuple(map(tuple, swapped)), "not closed under generator 0"),
+        "exchanged e": (
+            tuple(tuple(column[k ^ 1] for k in range(len(column))) for column in images),
+            "generator 0 is not in the listing",
+        ),
+        "negated l": (
+            tuple(column[row] + column[120:] for column in images),
+            "only 14280 of the 14400 listed elements are distinct",
+        ),
     }
 
 
 @pytest.mark.parametrize("certify", ["rows", "dict lookup"])
 def test_both_certificates_accept_the_listing_and_reject_three_faults(cell, group, certify):
-    run = group._certify if certify == "rows" else lambda *args: _dict_lookup_certify(group, *args)
-    run(_eager_images(cell, group), *group.factors)
-    for args, message in _faulty_listings(cell, group).values():
-        if message is None:  # the block shape check comes first in the row certificate
-            message = "not one block of pairs" if certify == "rows" else "not closed under generator"
+    run = group._certify if certify == "rows" else lambda images: _dict_lookup_certify(group, images)
+    run(_eager_images(cell, group))
+    for images, message in _faulty_images(cell, group).values():
         with pytest.raises(ValueError, match=message):
-            run(*args)
+            run(images)
     swap = list(range(120))
-    swap[0], swap[1] = 1, 0
+    swap[0], swap[1] = 1, 0  # not an isometry
     g = group.generators[0]
     broken = copy.copy(group)
     broken.generators = (SymOp(tuple(swap), g.parity),) + group.generators[1:]
-    run = broken._certify if certify == "rows" else lambda *args: _dict_lookup_certify(broken, *args)
+    run = broken._certify if certify == "rows" else lambda images: _dict_lookup_certify(broken, images)
     with pytest.raises(ValueError, match="generator 0 is not in the listing"):
-        run(_eager_images(cell, group), *group.factors)
+        run(_eager_images(cell, group))
 
 
 @cache
