@@ -14,11 +14,9 @@ _EXPORTS = {
     "PHI": "golden",
     "PHI_INV": "golden",
     "ReductionMap": "golden",
-    "golden_sign": "golden",
     "phi_pow": "golden",
     "ICOSIAN_ONE": "icosian",
     "IcosianVec": "icosian",
-    "element_order": "icosian",
     "find_order5": "icosian",
     "generate_vertices": "icosian",
     "icosian_mul": "icosian",

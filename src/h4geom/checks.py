@@ -364,7 +364,7 @@ def _s6_example2():
         "census_pairs": {str(k): v for k, v in sorted(lat.census.items())},
         "even": all(lat.gram[i][i] % 2 == 0 for i in range(8)),
         "rootless": lat.rootless,
-        "golden_gram_det_is_unit": gb.gram_det.is_unit(),
+        "golden_gram_det_is_unit": abs(gb.gram_det) == 1,
         "dual_basis_identity": lat.dual_basis_identity,
     }
 

@@ -41,7 +41,7 @@ from functools import cache, cached_property
 from itertools import combinations, product
 from operator import mul, sub
 
-from .golden import PHI, PHI_INV, Elimination, GoldenInt, ReductionMap, eliminate, exact_quotient, phi_pow
+from .golden import PHI, PHI_INV, Elimination, GoldenInt, ReductionMap, eliminate, phi_pow
 from .icosian import IcosianVec, flat_dot
 from .polytopes import Cell600, the_600cell
 
@@ -204,46 +204,58 @@ def certify_e8(m: int) -> E8Lattice:
 
 # ---------- golden basis of the vertex module ----------
 
-# The vertex indices of the basis, the basis and its dual, and the Gram
-# determinant, a unit of Z[phi].
+# The vertex indices of the basis, the basis and its dual, and the integer
+# N(det G), the field norm of the golden Gram determinant, which is +-1
+# exactly when det G is a unit of Z[phi].
 GoldenBasis = namedtuple("GoldenBasis", "indices basis dual gram_det")
 
 
 @cache
 def golden_basis() -> GoldenBasis:
-    """First 4 vertices (in the deterministic order) whose Z[phi]-span
-    contains all 120 vertices; the dual basis certifies self-duality."""
+    """First 4 vertices (in vertex order) whose Z[phi]-span contains all 120;
+    the dual basis certifies self-duality.  Everything is eliminated over Z.
+
+    The Z[phi]-span of b_0..b_3 is the Z-span of the 8 integer flats b_i and
+    phi*b_i, so a candidate spans all 120 when that 8 x 8 elimination holds
+    every vertex flat (`_holds`).  The golden Gram matrix G goes to its
+    regular representation R(G) over Z, each entry a + b*phi becoming the
+    block [[a, b], [b, a + b]], the action of a + b*phi on (1, phi).  R is a
+    ring map, so det R(G) = N(det G), and adj R(G) = N(det G) R(G^-1), whose
+    row 2j of block (j, k) is N(det G) times the flat pair of (G^-1)_jk."""
     verts = the_600cell().vertices
-    coords = [v.c for v in verts]  # GoldenInt coordinates for eliminate, read once
+    flats = [v.flat for v in verts]
 
     def spans_all(idxs: tuple[int, ...]) -> bool:
-        # independent, and every w has integral coordinates w * B^-1 = w * adj B / det B
-        inv = eliminate([coords[i] for i in idxs])
-        return bool(inv.det) and all(
-            exact_quotient(n, inv.det) is not None for w in coords for n in inv.numerators(w)
-        )
+        inv = eliminate([f for i in idxs for f in (flats[i], verts[i].scaled(PHI).flat)])
+        return bool(inv.det) and all(_holds(inv, w) for w in flats)
 
-    idxs = next((c for c in combinations(range(len(coords)), 4) if spans_all(c)), None)
+    idxs = next((c for c in combinations(range(len(verts)), 4) if spans_all(c)), None)
     if idxs is None:
         raise ValueError("no golden vertex basis found")
     basis = tuple(verts[i] for i in idxs)
 
-    gram = eliminate([[bi.paper_dot(bj) for bj in basis] for bi in basis])
-    if not gram.det.is_unit():
-        raise ValueError(f"golden Gram determinant {gram.det} is not a unit")
+    gram = [[bi.paper_dot(bj) for bj in basis] for bi in basis]
+    regular = []  # R(G), two integer rows per row of G
+    for row in gram:
+        regular.append([x for g in row for x in (g.a, g.b)])
+        regular.append([x for g in row for x in (g.b, g.a + g.b)])
+    reg = eliminate(regular)
+    norm = reg.det
+    if abs(norm) != 1:
+        raise ValueError(f"the golden Gram determinant has norm {norm}, not +-1: not a unit")
     dual = []
     for j in range(4):
-        dual_coords = [
-            exact_quotient(sum(gram.adj[j][k] * coords[idxs[k]][c] for k in range(4)), gram.det)
-            for c in range(4)
-        ]
-        if None in dual_coords:
+        # N(det G) times b_j* = sum_k (G^-1)_jk b_k, coordinate by coordinate
+        row = reg.adj[2 * j]
+        scaled = [basis[k].scaled(GoldenInt(row[2 * k], row[2 * k + 1])).flat for k in range(4)]
+        sums = [sum(col) for col in zip(*scaled)]
+        if any(x % norm for x in sums):
             raise ValueError("dual basis leaves Z[phi]: lattice not self-dual")
-        dual.append(IcosianVec(x for g in dual_coords for x in g.key()))
+        dual.append(IcosianVec(x // norm for x in sums))
     dual = tuple(dual)
     if any(basis[i].paper_dot(dual[j]) != (1 if i == j else 0) for i in range(4) for j in range(4)):
         raise ValueError("dual basis does not pair to the identity with the basis")
-    return GoldenBasis(idxs, basis, dual, gram.det)
+    return GoldenBasis(idxs, basis, dual, norm)
 
 
 # ---------- the determinant 5**4 lattice ----------

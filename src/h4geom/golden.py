@@ -6,15 +6,18 @@ phi = (1 + sqrt5)/2 satisfies phi**2 = phi + 1.  Elements are stored in the
 an integer pair.  `ReductionMap` sends sqrt5 to m in {-1, 0, 1} as integer
 arithmetic on those pairs (Conway & Sloane, Sphere Packings, Lattices and
 Groups, ch. 8: m = +-1 gives E8, m = 0 the lattice of determinant 5**4).
-Ranks, determinants and inverses over Z and Z[phi] all come from
-`eliminate`.  No floating point is used anywhere.
+Ranks, determinants and inverses all come from `eliminate`, over Z only: a
+question over Z[phi] is asked over Z through the basis (1, phi), where
+multiplication by a + b*phi is the integer matrix [[a, b], [b, a + b]] of
+determinant a**2 + a*b - b**2, the field norm.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import mul
+from operator import index, mul
 
 
 class GoldenInt:
@@ -99,9 +102,6 @@ class GoldenInt:
         """x * conj(x) = a**2 + a*b - b**2; a rational integer."""
         return self.a * self.a + self.a * self.b - self.b * self.b
 
-    def is_unit(self) -> bool:
-        return abs(self.field_norm()) == 1
-
     def unit_inverse(self) -> GoldenInt:
         n = self.field_norm()
         if abs(n) != 1:
@@ -123,20 +123,6 @@ PHI_INV = GoldenInt(-1, 1)
 def phi_pow(k: int) -> GoldenInt:
     """phi**k for any integer k (phi is a unit, so this stays in Z[phi])."""
     return PHI**k if k >= 0 else PHI_INV ** (-k)
-
-
-def golden_sign(x: GoldenInt) -> int:
-    """Exact sign of the real number a + b*phi."""
-    p, q = 2 * x.a + x.b, x.b  # value is (p + q*sqrt5)/2
-    if p == 0 and q == 0:
-        return 0
-    if p >= 0 and q >= 0:
-        return 1
-    if p <= 0 and q <= 0:
-        return -1
-    if p > 0:  # q < 0: sign of p - |q|*sqrt5
-        return 1 if p * p > 5 * q * q else -1
-    return 1 if 5 * q * q > p * p else -1
 
 
 class ReductionMap:
@@ -193,27 +179,7 @@ class ReductionMap:
         )
 
 
-# ---------- exact elimination over Z and Z[phi] ----------
-
-Ring = int | GoldenInt
-
-
-def exact_quotient(x: Ring, d: Ring) -> Ring | None:
-    """x / d if d divides x in Z (both int) or in Z[phi], else None.
-
-    In Z[phi], x / d = x * conj(d) / N(d) with the integer norm N(d) = d * conj(d).
-    """
-    if isinstance(d, int):
-        if isinstance(x, int):
-            q, r = divmod(x, d)
-            return None if r else q
-        d = GoldenInt(d)
-    n = d.field_norm()
-    y = d.conj() * x
-    if y.a % n or y.b % n:
-        return None
-    return GoldenInt(y.a // n, y.b // n)
-
+# ---------- exact elimination over Z ----------
 
 class Elimination(namedtuple("Elimination", "pivots det adj")):
     """pivots: the columns independent of the columns before them.
@@ -226,25 +192,26 @@ class Elimination(namedtuple("Elimination", "pivots det adj")):
     def rank(self) -> int:
         return len(self.pivots)
 
-    def numerators(self, row: Sequence[Ring]) -> tuple[Ring, ...]:
+    def numerators(self, row: Sequence[int]) -> tuple[int, ...]:
         """row * adj A: det A times the coordinates of row over the rows of A."""
         return tuple(sum(map(mul, row, col)) for col in zip(*self.adj))
 
 
-def eliminate(rows: Sequence[Sequence[Ring]]) -> Elimination:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of [A | I].
+def eliminate(rows: Sequence[Sequence[int]]) -> Elimination:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of [A | I] over Z.
 
-    Entries are int (over Z) or GoldenInt (over Z[phi]).  Each pivot step
-    replaces every other row by (p * row - f * pivot_row) / p_prev, where p is
-    the new pivot, f the row's entry in the pivot column and p_prev the
-    previous pivot; every entry stays a minor of [A | I], so the division is
-    exact, and a remainder raises.  For invertible A the left block ends as
-    p * I and the right block as p * A^-1, where p = +-det A by the parity of
-    the row swaps.
+    Entries must be integers (`operator.index`), so a GoldenInt raises
+    TypeError: a Z[phi] matrix is eliminated as its integer image in the
+    basis (1, phi).  Each pivot step replaces every other row by
+    (p * row - f * pivot_row) / p_prev, where p is the new pivot, f the row's
+    entry in the pivot column and p_prev the previous pivot; every entry stays
+    a minor of [A | I], so the division is exact, and a remainder raises.
+    For invertible A the left block ends as p * I and the right block as
+    p * A^-1, where p = +-det A by the parity of the row swaps.
     """
     n = len(rows)
     m = len(rows[0]) if n else 0
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    aug = [[*map(index, row), *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
     pivots, prev, sign = [], 1, 1
     for c in range(m):
         rank = len(pivots)
@@ -262,8 +229,8 @@ def eliminate(rows: Sequence[Sequence[Ring]]) -> Elimination:
             f = aug[i][c]
             new = []
             for x, y in zip(aug[i], prow):
-                q = exact_quotient(p * x - f * y, prev)
-                if q is None:
+                q, r = divmod(p * x - f * y, prev)
+                if r:
                     raise ValueError(f"inexact division by the pivot {prev} in elimination")
                 new.append(q)
             aug[i] = new

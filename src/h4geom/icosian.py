@@ -27,13 +27,6 @@ class IcosianVec:
     def __init__(self, flat: Flat):
         self.flat = tuple(flat)
 
-    @property
-    def c(self) -> tuple[GoldenInt, ...]:
-        """The four coordinates as GoldenInts, built on each read: for elimination
-        over Z[phi], so read it once per vector, outside any loop."""
-        f = self.flat
-        return (GoldenInt(f[0], f[1]), GoldenInt(f[2], f[3]), GoldenInt(f[4], f[5]), GoldenInt(f[6], f[7]))
-
     def __repr__(self) -> str:
         return f"IcosianVec({self.flat})"
 
@@ -223,11 +216,6 @@ def inverse_index() -> tuple[int, ...]:
     verts = generate_vertices()
     idx = vertex_index()
     return tuple(idx[v.quat_conj().flat] for v in verts)
-
-
-def element_order(v: IcosianVec) -> int:
-    i = vertex_index()[v.flat]
-    return element_order_index(i)
 
 
 def element_order_index(i: int) -> int:

@@ -7,13 +7,14 @@ Element k is the triple (l, r, e) read off its index, l, j = divmod(k, 120),
 r the first icosian of +-pair j // 2 and e = j % 2, and the listing is
 certified against five generators.  An isometry is fixed by its images of the
 vertices 2e_0..2e_3, so no element carries a matrix: the five generators'
-permutations are read off the Cayley table, each certified by the determinant
-of its images of 2e_0..2e_3, whose sign is its parity.  The actions on the
-vertices, the 60 pairs, the 25 24-cells and the ten partitions are composed
-from those of x -> l*x, x -> x*r and x -> conj(x), read off the Cayley table;
-stabilizers, the centre, the kernel on the partitions and the images of the
-five rows are read off those tables, and an element's vertex permutation and
-parity (+1 rotation, -1 reflection) are composed only when ops[k] is read.
+permutations are read off the Cayley table, each certified by the Gram matrix
+4*I of its images of 2e_0..2e_3, with the parity of its vertex permutation
+as its parity.  The actions on the vertices, the 60 pairs, the 25 24-cells
+and the ten partitions are composed from those of x -> l*x, x -> x*r and
+x -> conj(x), read off the Cayley table; stabilizers, the centre, the kernel
+on the partitions and the images of the five rows are read off those tables,
+and an element's vertex permutation and parity (+1 rotation, -1 reflection)
+are composed only when ops[k] is read.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from __future__ import annotations
 from array import array
 from collections.abc import Callable, Sequence
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from operator import itemgetter
 
-from .golden import eliminate
 from .icosian import (
-    GENERATORS, ICOSIAN_ONE, IcosianVec, generate_vertices, generator_walk, inverse_index, mult_table,
-    vertex_index,
+    GENERATORS, ICOSIAN_ONE, IcosianVec, flat_dot, generate_vertices, generator_walk, inverse_index,
+    mult_table, perm_parity, vertex_index,
 )
 from .polytopes import Cell600, the_600cell
 
@@ -61,14 +61,20 @@ class SymOp:
 
 def _op_from_perm(perm: tuple[int, ...]) -> SymOp:
     """The isometry that permutes the vertices by perm, with its certificate:
-    the matrix whose columns are the images of 2e_0..2e_3 at standard scale is
-    twice an orthogonal one, so its determinant over Z[phi] must be +-16, and
-    the sign is the parity.  (Eliminated as rows, its transpose: same det.)"""
+    its images of 2e_0..2e_3 at standard scale must have the natural Gram
+    matrix 4*I, so the map they fix is orthogonal.  Its parity is that of
+    perm: the rotations form (2I x 2I)/{+-1}, a perfect group since 2I is
+    (Conway & Smith, ch. 4), so each permutes the vertices evenly, and
+    x -> -conj(x) fixes the 30 vertices of real part 0 and swaps 45 pairs."""
     verts = generate_vertices()
-    det = eliminate([verts[perm[b]].c for b in _basis_indices()]).det
-    if det not in (16, -16):
-        raise ValueError(f"determinant {det} of the images of 2e_0..2e_3 is not +-16")
-    return SymOp(perm, 1 if det == 16 else -1)
+    images = [verts[perm[b]].flat for b in _basis_indices()]
+    for i, j in combinations_with_replacement(range(4), 2):
+        a, b = flat_dot(images[i], images[j])
+        if (a, b) != (4 * (i == j), 0):
+            raise ValueError(
+                f"the images of 2e_{i} and 2e_{j} have inner product {a}{b:+}φ, not {4 * (i == j)}"
+            )
+    return SymOp(perm, 1 - 2 * perm_parity(perm))
 
 
 _Action = Callable[[tuple[int, ...]], tuple[int, ...]]

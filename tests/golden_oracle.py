@@ -14,7 +14,11 @@ its swap loop, that `h4geom.embed.root_pick` replaced.  `op_from_matrix`
 applies an exact matrix (A + B*phi)/d to all 120 vertices, and
 `matrix_left_mul`, `matrix_right_mul` and `matrix_reflection` build the
 symmetries that `h4geom.symmetry` reads off the Cayley table from their
-matrices.
+matrices.  `golden_eliminate` is the Bareiss elimination over Z[phi], with
+its `exact_quotient`, that `h4geom.golden.eliminate` dropped when all exact
+linear algebra moved to Z; `coords` reads a vector's four GoldenInt
+coordinates, and `golden_sign`, `is_unit` and `element_order` are helpers
+only the tests read.
 """
 
 from __future__ import annotations
@@ -26,9 +30,98 @@ from math import gcd, isqrt
 from typing import Sequence, Union
 
 from h4geom.embed import _half_dot
-from h4geom.golden import GOLDEN_ZERO, PHI, PHI_INV, GoldenInt, eliminate
-from h4geom.icosian import Flat, IcosianVec, generate_vertices, quat_mul, vertex_index
+from h4geom.golden import GOLDEN_ZERO, PHI, PHI_INV, Elimination, GoldenInt, eliminate
+from h4geom.icosian import Flat, IcosianVec, element_order_index, generate_vertices, quat_mul, vertex_index
 from h4geom.symmetry import SymOp
+
+
+# ---------- scalar helpers and elimination over Z[phi] ----------
+
+Ring = Union[int, GoldenInt]
+
+
+def coords(v) -> tuple[GoldenInt, ...]:
+    """The four coordinates of a flat golden vector as GoldenInts."""
+    f = v.flat
+    return tuple(GoldenInt(f[k], f[k + 1]) for k in (0, 2, 4, 6))
+
+
+def golden_sign(x: GoldenInt) -> int:
+    """Exact sign of the real number a + b*phi."""
+    p, q = 2 * x.a + x.b, x.b  # value is (p + q*sqrt5)/2
+    if p == 0 and q == 0:
+        return 0
+    if p >= 0 and q >= 0:
+        return 1
+    if p <= 0 and q <= 0:
+        return -1
+    if p > 0:  # q < 0: sign of p - |q|*sqrt5
+        return 1 if p * p > 5 * q * q else -1
+    return 1 if 5 * q * q > p * p else -1
+
+
+def is_unit(x: GoldenInt) -> bool:
+    return abs(x.field_norm()) == 1
+
+
+def element_order(v: IcosianVec) -> int:
+    return element_order_index(vertex_index()[v.flat])
+
+
+def exact_quotient(x: Ring, d: Ring) -> Ring | None:
+    """x / d if d divides x in Z (both int) or in Z[phi], else None.
+
+    In Z[phi], x / d = x * conj(d) / N(d) with the integer norm N(d) = d * conj(d).
+    """
+    if isinstance(d, int):
+        if isinstance(x, int):
+            q, r = divmod(x, d)
+            return None if r else q
+        d = GoldenInt(d)
+    n = d.field_norm()
+    y = d.conj() * x
+    if y.a % n or y.b % n:
+        return None
+    return GoldenInt(y.a // n, y.b // n)
+
+
+def golden_eliminate(rows: Sequence[Sequence[Ring]]) -> Elimination:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of [A | I] over Z or
+    Z[phi], each division an `exact_quotient`: the step of
+    `h4geom.golden.eliminate`, with the same pivots, determinant and adjugate."""
+    n = len(rows)
+    m = len(rows[0]) if n else 0
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, prev, sign = [], 1, 1
+    for c in range(m):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, n) if aug[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            aug[rank], aug[piv] = aug[piv], aug[rank]
+            sign = -sign
+        prow = aug[rank]
+        p = prow[c]
+        for i in range(n):
+            if i == rank:
+                continue
+            f = aug[i][c]
+            new = []
+            for x, y in zip(aug[i], prow):
+                q = exact_quotient(p * x - f * y, prev)
+                if q is None:
+                    raise ValueError(f"inexact division by the pivot {prev} in elimination")
+                new.append(q)
+            aug[i] = new
+        prev = p
+        pivots.append(c)
+    if n != m:
+        return Elimination(tuple(pivots), None, None)
+    if len(pivots) < n:
+        return Elimination(tuple(pivots), 0, None)
+    adj = tuple(tuple(x if sign == 1 else -x for x in row[m:]) for row in aug)
+    return Elimination(tuple(pivots), sign * prev, adj)
 
 
 class GoldenRational:
@@ -250,8 +343,7 @@ class GoldenVec:
     @classmethod
     def of(cls, v) -> GoldenVec:
         """The oracle copy of an `IcosianVec`, read off its flat integers."""
-        f = v.flat
-        return cls(*(GoldenInt(f[k], f[k + 1]) for k in (0, 2, 4, 6)))
+        return cls(*coords(v))
 
     @property
     def flat(self) -> tuple[int, ...]:
@@ -437,7 +529,7 @@ def op_from_matrix(cols: list[IcosianVec], den: int) -> SymOp:
     idx = vertex_index()
     perm = tuple(idx[apply_matrix(anum, bnum, den, v.flat)] for v in generate_vertices())
     # det((A + B*phi)/d) = +-1 exactly when det(A + B*phi) = +-d**4
-    det = eliminate(
+    det = golden_eliminate(
         [[GoldenInt(anum[4 * r + c], bnum[4 * r + c]) for c in range(4)] for r in range(4)]
     ).det
     unit = den**4

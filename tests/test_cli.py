@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from h4geom import checks, embed, golden, symmetry
+from h4geom import checks, embed, golden, mod2, symmetry
 from h4geom.cli import _DUMPERS, main
 from h4geom.serialize import dumps, jsonable
 from h4geom.golden import GoldenInt
@@ -422,6 +422,71 @@ def test_array_p2_fails_on_a_moved_vertex_or_a_misplaced_entry(monkeypatch, cell
         assert _fields_that_differ(result) == fields
 
 
+_HEXAGON_ENTRIES = {"array_10x10_entries_are_orthogonal_hexagon_pairs", "array_covers_all_100_pairs"}
+_DECAGON_ENTRIES = {"array_6x6_entries_are_orthogonal_decagon_pairs", "orthogonal_pairs"}
+
+
+@pytest.mark.parametrize(
+    "check_id, family, count, fields",
+    [
+        ("s4/hexagons", "hexagon_list", "hexagons", _HEXAGON_ENTRIES),
+        ("s4/decagons", "decagons", "decagons", _DECAGON_ENTRIES),
+    ],
+)
+def test_planar_shape_checks_fail_on_a_swapped_or_dropped_shape(
+    monkeypatch, cell, check_id, family, count, fields
+):
+    """The cached cell's first hexagon (or decagon) swapped out for a copy of
+    the second leaves prime-array entries holding one shape or three;
+    dropping it also moves the count.  The check runs first, so every table
+    built from the family is cached before the family is patched."""
+    assert checks.run_check(check_id).status == "pass"
+    shapes = getattr(cell, family)
+    for patched, moved in (((shapes[1], *shapes[1:]), fields), (shapes[1:], fields | {count})):
+        with monkeypatch.context() as patch:
+            patch.setattr(cell, family, patched)
+            result = checks.run_check(check_id)
+        assert _fields_that_differ(result) == moved, len(patched)
+
+
+def _run_on_a_fresh_geometry(monkeypatch, check_id, corrupt):
+    """check_id through `run_check` on an F4 geometry built afresh, past the
+    cache, and passed to corrupt.  The cache is left alone: clearing it would
+    part the session's `geo` fixture from what the checks read."""
+    fresh = mod2.f4_geometry.__wrapped__()
+    corrupt(fresh)
+    monkeypatch.setattr(mod2, "f4_geometry", lambda: fresh)
+    return checks.run_check(check_id)
+
+
+def test_fact10_fails_on_a_vertex_point_retagged_as_a_cell_point(monkeypatch):
+    assert checks.run_check("facts/fact10").status == "pass"
+
+    def retag(geo):
+        tags = list(geo.tags)
+        k = next(k for k, (kind, _) in enumerate(tags) if kind == "vertex")
+        tags[k] = ("cell", tags[k][1])
+        geo.tags = tuple(tags)
+
+    result = _run_on_a_fresh_geometry(monkeypatch, "facts/fact10", retag)
+    assert _fields_that_differ(result) == {"vertex_points", "cell_points"}
+    assert result.observed == {"points": 85, "vertex_points": 59, "cell_points": 26}
+
+
+def test_pentads_fail_when_the_second_row_repeats_the_first(monkeypatch):
+    """Two equal rows are not disjoint, so the completions raise and every
+    field moves."""
+    assert checks.run_check("s5/pentads").status == "pass"
+
+    def repeat_row(geo):
+        rows = geo.pentad_rows
+        geo.pentad_rows = (rows[0], rows[0], *rows[2:])
+
+    result = _run_on_a_fresh_geometry(monkeypatch, "s5/pentads", repeat_row)
+    assert _fields_that_differ(result) == set(result.expected)
+    assert result.observed == {"error": "ValueError: pentad completions need two disjoint spaces"}
+
+
 def test_labels120_reports_its_stored_parity(monkeypatch, cell):
     assert checks.run_check("s2/labels120").status == "pass"
     monkeypatch.setattr(cell.cell120, "labels_odd_permutations", False)
@@ -474,6 +539,37 @@ def test_example3_names_the_cause_of_a_corrupted_shell_image_under_python_O():
     status, observed = json.loads(out.stdout.splitlines()[-1])
     assert status == "fail"
     assert observed == {"error": "ValueError: shell class sizes [120, 120, 600, 720]"}
+
+
+_DOUBLE_THE_600CELL = """
+import json
+from types import SimpleNamespace
+from h4geom import checks, embed
+from h4geom.golden import GoldenInt
+
+doubled = tuple(v.scaled(GoldenInt(2, 0)) for v in embed.the_600cell().vertices)
+embed.the_600cell = lambda: SimpleNamespace(vertices=doubled)
+result = checks.run_check("s6/example2")
+print(json.dumps([result.status, result.observed]))
+"""
+
+
+def test_example2_unit_field_is_enforced_by_golden_basis_under_python_O():
+    """`golden_gram_det_is_unit` can only read True: with every vertex
+    doubled the search still finds (0, 1, 2, 6), but the Gram matrix is 4
+    times the true one, its regular representation has determinant
+    N(4**4) = 4**8 = 65536, and `golden_basis` raises, so -O cannot strip it.
+    The run is a fresh process, whose `golden_basis` and `lattice_L` caches
+    start empty and end with it."""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _DOUBLE_THE_600CELL],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    status, observed = json.loads(out.stdout.splitlines()[-1])
+    assert status == "fail"
+    assert observed == {"error": "ValueError: the golden Gram determinant has norm 65536, not +-1: not a unit"}
 
 
 _CORRUPT_PHI_IMAGE_OF_ONE_ROOT = """
@@ -902,3 +998,22 @@ def test_src_imports_no_unused_name():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+def test_eliminate_is_integer_only_and_src_reads_no_golden_elimination():
+    """`eliminate` takes integer rows only; src/h4geom names no
+    `exact_quotient` or `Ring` and reads no `.c` (GoldenInt coordinates)
+    attribute, so no elimination over Z[phi] is left in it."""
+    with pytest.raises(TypeError):
+        golden.eliminate([[golden.PHI]])
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "h4geom").glob("*.py"))
+    assert len(paths) >= 10
+    banned = {"exact_quotient", "Ring"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in banned | {"c"}
+        or {getattr(node, "id", None), getattr(node, "name", None)} & banned  # a name, def or import
+    ]
+    assert found == []

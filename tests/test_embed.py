@@ -13,7 +13,6 @@ from h4geom.golden import (
     PHI_INV,
     ReductionMap,
     eliminate,
-    exact_quotient,
     phi_pow,
 )
 from h4geom.embed import (
@@ -24,7 +23,10 @@ from h4geom.embed import (
 )
 from h4geom.icosian import IcosianVec
 
-from golden_oracle import FractionMap, GoldenRational, fraction_short_vectors, sorted_root_basis
+from golden_oracle import (
+    FractionMap, GoldenRational, coords, exact_quotient, fraction_short_vectors, golden_eliminate, is_unit,
+    sorted_root_basis,
+)
 
 
 def contains(e8, amb):
@@ -92,7 +94,7 @@ def test_split_vector_is_injective_on_the_vertices(cell):
 
 def test_rectified_embeds_at_m_minus_2_with_norm_4(cell):
     rmap = FractionMap(F(5), F(-2))
-    vecs = [rmap.split_vector(v.c) for v in cell.rectified]
+    vecs = [rmap.split_vector(coords(v)) for v in cell.rectified]
     assert len(set(vecs)) == len(vecs) == 720
     for v in vecs:
         assert rmap.reduced_norm(v) == 4
@@ -285,24 +287,24 @@ def test_both_signs_certify_and_are_conjugate(e8, e8_plus):
     cell = e8.cell
     for v in cell.vertices[::17]:
         lhs = e8_plus.rmap.split_vector(v.flat)
-        rhs = e8.rmap.split_vector(IcosianVec(x for c in v.c for x in c.conj().key()).flat)
+        rhs = e8.rmap.split_vector(IcosianVec(x for c in coords(v) for x in c.conj().key()).flat)
         assert tuple(lhs) == tuple(x if k % 2 == 0 else -x for k, x in enumerate(rhs))
 
 
-def _dfs_golden_basis(coords):
-    """The depth-first search that `golden_basis` replaced: it extends a
-    chosen list only by a vertex that raises its rank, and accepts the first
-    4 whose coordinates give every vertex integral coordinates."""
+def _dfs_golden_basis(golden):
+    """The depth-first search over Z[phi] that `golden_basis` replaced: it
+    extends a chosen list only by a vertex that raises its rank, and accepts
+    the first 4 whose coordinates give every vertex integral coordinates."""
 
     def coords_all_integral(idxs):
-        inv = eliminate([coords[i] for i in idxs])
-        return all(exact_quotient(n, inv.det) is not None for w in coords for n in inv.numerators(w))
+        inv = golden_eliminate([golden[i] for i in idxs])
+        return all(exact_quotient(n, inv.det) is not None for w in golden for n in inv.numerators(w))
 
     def search(start, chosen):
         if len(chosen) == 4:
             return tuple(chosen) if coords_all_integral(chosen) else None
-        for i in range(start, len(coords)):
-            if eliminate([coords[j] for j in chosen + [i]]).rank == len(chosen) + 1:
+        for i in range(start, len(golden)):
+            if golden_eliminate([golden[j] for j in chosen + [i]]).rank == len(chosen) + 1:
                 got = search(i + 1, chosen + [i])
                 if got:
                     return got
@@ -312,7 +314,7 @@ def _dfs_golden_basis(coords):
 
 
 def test_golden_basis_matches_the_depth_first_search(cell, gb):
-    assert gb.indices == _dfs_golden_basis([v.c for v in cell.vertices]) == (0, 1, 2, 6)
+    assert gb.indices == _dfs_golden_basis([coords(v) for v in cell.vertices]) == (0, 1, 2, 6)
 
 
 def _greedy_vertices(flats):
@@ -368,17 +370,19 @@ def test_basis_searches_run_at_most_6_eliminations(monkeypatch, cell):
 
 
 def test_golden_basis_certificates(cell, gb):
+    """The integer determinant of the regular representation is the norm of
+    the Z[phi] oracle's Gram determinant, a unit; the dual pairs to the
+    identity, and every vertex is an integral golden combination of the basis
+    by the oracle's elimination over Z[phi]."""
     assert len(gb.basis) == 4
-    assert gb.gram_det.is_unit()
+    gram = golden_eliminate([[bi.paper_dot(bj) for bj in gb.basis] for bi in gb.basis])
+    assert is_unit(gram.det) and gb.gram_det == gram.det.field_norm() == 1
     for i in range(4):
         for j in range(4):
             assert gb.basis[i].paper_dot(gb.dual[j]) == (1 if i == j else 0)
-    # spot check: a few vertices really are integral golden combinations
-    inv = eliminate([b.c for b in gb.basis])
-    for w in cell.vertices[::9]:
-        for j in range(4):
-            s = sum(w.c[k] * inv.adj[k][j] for k in range(4))
-            assert exact_quotient(s, inv.det) is not None
+    inv = golden_eliminate([coords(b) for b in gb.basis])
+    for w in cell.vertices:
+        assert all(exact_quotient(n, inv.det) is not None for n in inv.numerators(coords(w)))
 
 
 def test_lattice_L(lat_l):
@@ -509,12 +513,12 @@ def test_integer_map_matches_the_fraction_oracle(cell):
     for k in range(-3, 4):
         rmap, oracle = ReductionMap(-1, k), _fraction_map(-1, k)
         for v in sources:
-            assert rmap.split_vector(v.flat) == oracle.split_vector(v.c)
+            assert rmap.split_vector(v.flat) == oracle.split_vector(coords(v))
     rmap, oracle = ReductionMap(1), _fraction_map(1)
     assert rmap.block == (1, 0, 1, 1)
     for v in cell.vertices:
         for w in (v, v.scaled(PHI_INV)):
-            assert rmap.split_vector(w.flat) == oracle.split_vector(w.c)
+            assert rmap.split_vector(w.flat) == oracle.split_vector(coords(w))
 
 
 def test_m0_map_is_twice_the_fraction_oracle(cell, gb):
@@ -525,10 +529,10 @@ def test_m0_map_is_twice_the_fraction_oracle(cell, gb):
     assert rmap.block == (2, 0, 1, 1)
     vectors = (*cell.vertices, *gb.basis, *(v.scaled(PHI) for v in gb.basis))
     for v in vectors:
-        assert rmap.split_vector(v.flat) == tuple(2 * x for x in oracle.split_vector(v.c))
+        assert rmap.split_vector(v.flat) == tuple(2 * x for x in oracle.split_vector(coords(v)))
     for w in gb.dual:
         for mult in (GoldenInt(3, -1), GoldenInt(-1, 2)):
-            scaled = oracle.split_vector([GoldenRational(mult * c, 5) for c in w.c])
+            scaled = oracle.split_vector([GoldenRational(mult * c, 5) for c in coords(w)])
             assert rmap.split_vector(w.scaled(mult).flat) == tuple(10 * x for x in scaled)
 
 
@@ -537,7 +541,7 @@ def test_quarter_form_matches_reduced_dot_on_all_pair_representatives(cell):
     reps = [cell.vertices[i] for i, _ in cell.pairs]
     assert len(reps) == 60
     ints = [rmap.split_vector(v.flat) for v in reps]
-    fracs = [oracle.split_vector(v.c) for v in reps]
+    fracs = [oracle.split_vector(coords(v)) for v in reps]
     for u, fu in zip(ints, fracs):
         for w, fw in zip(ints, fracs):
             assert _quarter_form(u, w) == oracle.reduced_dot(fu, fw)
@@ -603,7 +607,7 @@ def test_elimination_certificates_keep_their_values(gb, e8, e8_plus, group):
         (0, 0, 0, -1, -1, 1, 1, 0),
         (0, 0, -2, 0, 2, 0, 0, 0),
     ]
-    assert gb.gram_det == GoldenInt(1, 0)
+    assert type(gb.gram_det) is int and gb.gram_det == 1
     assert e8.gram_inv == (
         (2, 1, 0, 1, -1, -1, -2, -1),
         (1, 2, 0, 1, -1, -1, -2, -1),

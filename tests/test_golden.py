@@ -10,8 +10,6 @@ from h4geom.golden import (
     PHI_INV,
     ReductionMap,
     eliminate,
-    exact_quotient,
-    golden_sign,
     phi_pow,
 )
 from h4geom.polytopes import the_600cell
@@ -19,6 +17,10 @@ from h4geom.polytopes import the_600cell
 from golden_oracle import (
     FractionMap,
     GoldenRational,
+    coords,
+    exact_quotient,
+    golden_eliminate,
+    golden_sign,
     reduce_scalar,
     split_coordinate,
     sqrt5_form,
@@ -150,7 +152,7 @@ def test_split_norm_matches_reduced_norm_on_all_vertices(m):
     cell = the_600cell()
     rmap = FractionMap(F(5), F(m))
     for v in cell.vertices:
-        split = rmap.split_vector(v.c)
+        split = rmap.split_vector(coords(v))
         natural = v.dot(v)
         assert rmap.reduced_norm(split) == reduce_scalar(natural, rmap)
 
@@ -159,7 +161,7 @@ def test_scaled_map_norm_compatibility():
     cell = the_600cell()
     rmap = FractionMap(F(5), F(-1), scale=GoldenRational(PHI), multiplier=F(1, 2))
     for v in cell.vertices[:24]:
-        split = rmap.split_vector(v.c)
+        split = rmap.split_vector(coords(v))
         scaled_norm = v.scaled(PHI).dot(v.scaled(PHI))
         assert rmap.reduced_norm(split) == reduce_scalar(scaled_norm, rmap) * F(1, 2)
 
@@ -226,7 +228,13 @@ small = st.integers(-2, 2)
 @example([[0, 1], [1, 0]])  # a row swap: adj is the sign times the eliminated block
 @example([[GoldenInt(0), PHI], [PHI_INV, GoldenInt(1)]])
 def test_eliminate_matches_leibniz_minors_and_adjugate(a):
-    e = eliminate(a)
+    """Integer matrices through `eliminate`, which the Z[phi] oracle matches
+    on them; golden ones through the oracle alone."""
+    if isinstance(a[0][0], int):
+        e = eliminate(a)
+        assert golden_eliminate(a) == e
+    else:
+        e = golden_eliminate(a)
     assert e.rank == _largest_nonzero_minor(a)
     assert e.pivots == _rank_loop_pivots(a)
     n = len(a)
@@ -272,12 +280,13 @@ def test_integer_reduce_is_twice_the_fraction_reduction(x, m, k):
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.sampled_from([(small, 0), (st.builds(GoldenInt, small, small), GoldenInt(0))]))
 def test_numerators_are_the_row_times_the_adjugate(data, ring):
-    """Over Z and Z[phi]: numerators(row) sums row against each column of adj
-    A, and a row of A itself gets det A on its own slot and 0 elsewhere."""
+    """Over Z (`eliminate`) and Z[phi] (the oracle): numerators(row) sums row
+    against each column of adj A, and a row of A itself gets det A on its own
+    slot and 0 elsewhere."""
     entry, zero = ring
     n = data.draw(st.integers(1, 4))
     a = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    e = eliminate(a)
+    e = (eliminate if isinstance(zero, int) else golden_eliminate)(a)
     assume(e.det)
     row = data.draw(st.lists(entry, min_size=n, max_size=n))
     assert e.numerators(row) == tuple(

@@ -7,7 +7,7 @@ from operator import mul
 import pytest
 
 from h4geom import checks
-from h4geom.golden import GoldenInt, eliminate, golden_sign
+from h4geom.golden import GoldenInt
 from h4geom.icosian import (
     ICOSIAN_ONE,
     IcosianVec,
@@ -21,6 +21,8 @@ from h4geom.icosian import (
     quat_mul,
 )
 from h4geom.polytopes import _PP_KEYS, Cell120, Cell600, _coset_grid, label_str, perm_parity
+
+from golden_oracle import coords, golden_eliminate, golden_sign
 
 PHI_KEY = (0, 1)
 
@@ -48,7 +50,7 @@ def rectified_shape_census(cell):
     """How many rectified vertices have each multiset of absolute coordinates."""
     census = Counter()
     for w in cell.rectified:
-        census[tuple(sorted((c if golden_sign(c) >= 0 else -c).key() for c in w.c))] += 1
+        census[tuple(sorted((c if golden_sign(c) >= 0 else -c).key() for c in coords(w)))] += 1
     return census
 
 
@@ -116,7 +118,7 @@ def test_axis_16cell_extends_by_half_integer_vertices(cell):
     axis_pids = sorted(
         cell.pair_of[i]
         for i, v in enumerate(cell.vertices)
-        if sorted((abs(c.a), abs(c.b)) for c in v.c) == [(0, 0), (0, 0), (0, 0), (2, 0)]
+        if sorted((abs(c.a), abs(c.b)) for c in coords(v)) == [(0, 0), (0, 0), (0, 0), (2, 0)]
     )
     tetrad = tuple(sorted(set(axis_pids)))
     assert tetrad in cell.cells16
@@ -124,7 +126,7 @@ def test_axis_16cell_extends_by_half_integer_vertices(cell):
     added = big - set(tetrad)
     for p in added:
         v = cell.vertices[cell.pairs[p][0]]
-        assert all((abs(c.a), abs(c.b)) == (1, 0) for c in v.c)
+        assert all((abs(c.a), abs(c.b)) == (1, 0) for c in coords(v))
 
 
 def _tetrads_by_orthogonality(cell, big):
@@ -378,7 +380,7 @@ def test_120cell_structure(cell):
     assert len(d.cells) == 25
     assert sum(len(c) for c in d.cells) == 600
     base = {
-        tuple(sorted((abs(c.a), abs(c.b)) for c in d.vertices[k].c))
+        tuple(sorted((abs(c.a), abs(c.b)) for c in coords(d.vertices[k])))
         for k in d.cells[0]
     }
     assert base == {((0, 0), (0, 0), (2, 0), (2, 0))}
@@ -439,7 +441,7 @@ def _frame(d):
     gram2 = tuple(
         tuple(tuple(2 * x for x in flat_dot(f, g)) for g in frame) for f in frame
     )
-    elim = eliminate([list(parent.vertices[i].c) for i in parent.tetra_cells[0]])
+    elim = golden_eliminate([coords(parent.vertices[i]) for i in parent.tetra_cells[0]])
     if elim.adj is None or not elim.det:
         raise ValueError("the first tetrahedral cell is not a frame")
     scale = elim.det.conj()

@@ -154,7 +154,7 @@ def test_generators_are_the_multiplications_by_the_certified_pair(cell, group):
     """The search `_make_generators` replaced asked of its pair only that it
     generate 2I.  The pair a, b of `icosian.GENERATORS` does, by a closure of
     its own, and the five generators are x -> a*x, x -> b*x, x -> x*a,
-    x -> x*b and x -> -conj(x), with the parities of their exact determinants."""
+    x -> x*b and x -> -conj(x), with the parities of their vertex permutations."""
     a, b = map(IcosianVec, GENERATORS)
     assert mulclose_indices((cell.index[a.flat], cell.index[b.flat])) == frozenset(range(cell.n))
     expected = (left_mul(a), left_mul(b), right_mul(a), right_mul(b), reflection(ICOSIAN_ONE))
@@ -173,13 +173,44 @@ def test_constructors_match_the_matrix_oracle_on_every_vertex(cell):
             assert (op.perm, op.parity) == (expected.perm, expected.parity), (got.__name__, v)
 
 
-def test_op_from_perm_raises_unless_the_basis_images_have_determinant_16(cell):
-    """Two basis vertices sent to one image give determinant 0."""
+def test_op_from_perm_raises_unless_the_basis_images_have_gram_4I(cell):
+    """Two basis vertices sent to one image meet in 4, not 0; 2e_1 sent to
+    the vertex (1, 1, 1, 1) meets 2e_0 in 2."""
     b0, b1 = _basis_indices()[:2]
     perm = list(range(cell.n))
     perm[b1] = b0
-    with pytest.raises(ValueError, match=r"determinant 0 of the images of 2e_0..2e_3 is not \+-16"):
+    with pytest.raises(ValueError, match=r"^the images of 2e_0 and 2e_1 have inner product 4\+0φ, not 0$"):
         _op_from_perm(tuple(perm))
+    perm = list(range(cell.n))
+    perm[b1] = cell.index[(1, 0, 1, 0, 1, 0, 1, 0)]
+    with pytest.raises(ValueError, match=r"^the images of 2e_0 and 2e_1 have inner product 2\+0φ, not 0$"):
+        _op_from_perm(tuple(perm))
+
+
+def _cycle_parity(perm):
+    """0 for an even permutation, 1 for an odd one: n minus the number of cycles, mod 2."""
+    seen, cycles = bytearray(len(perm)), 0
+    for i in range(len(perm)):
+        if not seen[i]:
+            cycles += 1
+            while not seen[i]:
+                seen[i] = 1
+                i = perm[i]
+    return (len(perm) - cycles) % 2
+
+
+def test_vertex_permutation_parity_is_the_determinant_sign_on_all_elements(cell, group):
+    """The parity `_op_from_perm` reads off the vertex permutation: every one
+    of the 7,200 rotations permutes the 120 vertices evenly and every
+    reflection oddly, by a cycle count independent of `perm_parity`;
+    x -> -conj(x) fixes the 30 vertices of real part 0 and swaps 45 pairs."""
+    assert all(_cycle_parity(op.perm) == (op.parity == -1) for op in group.ops[:])
+    flip = group.generators[4].perm
+    fixed = [i for i in range(cell.n) if flip[i] == i]
+    assert len(fixed) == 30 and all(cell.vertices[i].flat[:2] == (0, 0) for i in fixed)
+    assert all(flip[flip[i]] == i for i in range(cell.n))
+    gens = group.generators
+    assert [g.parity for g in gens] == [1 - 2 * icosian.perm_parity(g.perm) for g in gens] == [1, 1, 1, 1, -1]
 
 
 def test_left_right_mul_are_rotations_fixing_products(cell):
