@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 # Each export and the submodule that defines it.
 _EXPORTS = {
-    "GoldenInt": "golden",
     "PHI": "golden",
     "PHI_INV": "golden",
     "ReductionMap": "golden",

@@ -351,7 +351,7 @@ def _s6_example1():
         "root_pair_inner_products": sorted(s // 2 for s in root_sums),
         "h_norms": sorted({e8.bform_int(u, u) for u in e8.h_img}),
         "phi_h_scaled_norm_6_plus_2sqrt5_reduces_to_4": all(
-            (v.scaled(PHI).dot(v.scaled(PHI))).key() == (4, 4) for v in c.vertices
+            v.scaled(PHI).dot(v.scaled(PHI)) == (4, 4) for v in c.vertices
         ),
     }
 

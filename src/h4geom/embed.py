@@ -41,7 +41,7 @@ from functools import cache, cached_property
 from itertools import combinations, product
 from operator import mul, sub
 
-from .golden import PHI, PHI_INV, Elimination, GoldenInt, ReductionMap, eliminate, phi_pow
+from .golden import PHI, PHI_INV, Elimination, ReductionMap, eliminate, mul as golden_mul, phi_pow
 from .icosian import IcosianVec, flat_dot
 from .polytopes import Cell600, the_600cell
 
@@ -237,23 +237,21 @@ def golden_basis() -> GoldenBasis:
     gram = [[bi.paper_dot(bj) for bj in basis] for bi in basis]
     regular = []  # R(G), two integer rows per row of G
     for row in gram:
-        regular.append([x for g in row for x in (g.a, g.b)])
-        regular.append([x for g in row for x in (g.b, g.a + g.b)])
+        regular.append([x for a, b in row for x in (a, b)])
+        regular.append([x for a, b in row for x in (b, a + b)])
     reg = eliminate(regular)
     norm = reg.det
     if abs(norm) != 1:
         raise ValueError(f"the golden Gram determinant has norm {norm}, not +-1: not a unit")
     dual = []
     for j in range(4):
-        # N(det G) times b_j* = sum_k (G^-1)_jk b_k, coordinate by coordinate
+        # N(det G) times b_j* = sum_k (G^-1)_jk b_k, coordinate by coordinate;
+        # 1/N = N for N = +-1
         row = reg.adj[2 * j]
-        scaled = [basis[k].scaled(GoldenInt(row[2 * k], row[2 * k + 1])).flat for k in range(4)]
-        sums = [sum(col) for col in zip(*scaled)]
-        if any(x % norm for x in sums):
-            raise ValueError("dual basis leaves Z[phi]: lattice not self-dual")
-        dual.append(IcosianVec(x // norm for x in sums))
+        scaled = [basis[k].scaled((row[2 * k], row[2 * k + 1])).flat for k in range(4)]
+        dual.append(IcosianVec(norm * sum(col) for col in zip(*scaled)))
     dual = tuple(dual)
-    if any(basis[i].paper_dot(dual[j]) != (1 if i == j else 0) for i in range(4) for j in range(4)):
+    if any(basis[i].paper_dot(dual[j]) != (int(i == j), 0) for i in range(4) for j in range(4)):
         raise ValueError("dual basis does not pair to the identity with the basis")
     return GoldenBasis(idxs, basis, dual, norm)
 
@@ -349,7 +347,7 @@ def lattice_L() -> ReducedLattice:
     # form of the unscaled (3 - phi) w_i and (-1 + 2 phi) w_i is 5 * delta
     duals = []
     for w in gb.dual:
-        for mult in (GoldenInt(3, -1), GoldenInt(-1, 2)):  # 3 - phi, -1 + 2 phi
+        for mult in ((3, -1), (-1, 2)):  # 3 - phi, -1 + 2 phi
             duals.append(rmap.split_vector(w.scaled(mult).flat))
     order = [0, 2, 4, 6, 1, 3, 5, 7]  # (v_i duals first block, phi v_i second)
     dual_sorted = [duals[k] for k in order]
@@ -389,7 +387,7 @@ def _gram_identity(rmap: ReductionMap) -> bool:
     # four times each side
     return all(
         2 * sum(map(mul, imgs[i], imgs[j]))
-        == rmap.reduce(scale2 * GoldenInt(*flat_dot(_UNIT_FLATS[i], _UNIT_FLATS[j])))
+        == rmap.reduce(golden_mul(scale2, flat_dot(_UNIT_FLATS[i], _UNIT_FLATS[j])))
         for i in range(8)
         for j in range(8)
     )

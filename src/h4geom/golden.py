@@ -1,11 +1,13 @@
 """Exact arithmetic in Z[phi], the integer norm-reduction map of Z[phi]**4,
 and the package's one exact elimination routine.
 
-phi = (1 + sqrt5)/2 satisfies phi**2 = phi + 1.  Elements are stored in the
-(1, phi) integer basis, which keeps every polytope coordinate in this package
-an integer pair.  `ReductionMap` sends sqrt5 to m in {-1, 0, 1} as integer
-arithmetic on those pairs (Conway & Sloane, Sphere Packings, Lattices and
-Groups, ch. 8: m = +-1 gives E8, m = 0 the lattice of determinant 5**4).
+phi = (1 + sqrt5)/2 satisfies phi**2 = phi + 1.  A scalar a + b*phi is held
+as the integer pair (a, b) in the basis (1, phi), its only form in this
+package: a plain tuple, so (0, 0) is truthy and never equals the int 0.
+`mul` multiplies two pairs, and every polytope coordinate is such a pair.
+`ReductionMap` sends sqrt5 to m in {-1, 0, 1} as integer arithmetic on
+those pairs (Conway & Sloane, Sphere Packings, Lattices and Groups, ch. 8:
+m = +-1 gives E8, m = 0 the lattice of determinant 5**4).
 Ranks, determinants and inverses all come from `eliminate`, over Z only: a
 question over Z[phi] is asked over Z through the basis (1, phi), where
 multiplication by a + b*phi is the integer matrix [[a, b], [b, a + b]] of
@@ -15,114 +17,30 @@ anywhere.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import index, mul
+
+Pair = tuple[int, int]  # (a, b) for a + b*phi
+
+PHI: Pair = (0, 1)
+PHI_INV: Pair = (-1, 1)  # phi - 1
 
 
-class GoldenInt:
-    """a + b*phi with integer a, b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int = 0) -> None:
-        self.a = a
-        self.b = b
-
-    def __repr__(self) -> str:
-        return f"GoldenInt({self.a}, {self.b})"
-
-    def __str__(self) -> str:
-        return f"{self.a}{self.b:+}φ"
-
-    def key(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.a == other and self.b == 0
-        if isinstance(other, GoldenInt):
-            return self.a == other.a and self.b == other.b
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __bool__(self) -> bool:
-        return bool(self.a or self.b)
-
-    def __neg__(self) -> GoldenInt:
-        return GoldenInt(-self.a, -self.b)
-
-    def __add__(self, other: int | GoldenInt) -> GoldenInt:
-        if isinstance(other, int):
-            return GoldenInt(self.a + other, self.b)
-        if isinstance(other, GoldenInt):
-            return GoldenInt(self.a + other.a, self.b + other.b)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other: int | GoldenInt) -> GoldenInt:
-        return self + (-other)
-
-    def __rsub__(self, other: int | GoldenInt) -> GoldenInt:
-        return (-self) + other
-
-    def __mul__(self, other: int | GoldenInt) -> GoldenInt:
-        if isinstance(other, int):
-            return GoldenInt(self.a * other, self.b * other)
-        if isinstance(other, GoldenInt):
-            # (a1 + b1 phi)(a2 + b2 phi) with phi^2 = phi + 1
-            return GoldenInt(
-                self.a * other.a + self.b * other.b,
-                self.a * other.b + self.b * other.a + self.b * other.b,
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> GoldenInt:
-        if k < 0:
-            return self.unit_inverse() ** (-k)
-        out = GoldenInt(1, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def conj(self) -> GoldenInt:
-        """Galois conjugate: phi -> 1 - phi (sqrt5 -> -sqrt5)."""
-        return GoldenInt(self.a + self.b, -self.b)
-
-    def field_norm(self) -> int:
-        """x * conj(x) = a**2 + a*b - b**2; a rational integer."""
-        return self.a * self.a + self.a * self.b - self.b * self.b
-
-    def unit_inverse(self) -> GoldenInt:
-        n = self.field_norm()
-        if abs(n) != 1:
-            raise ValueError(f"{self!r} is not a unit of Z[phi]")
-        c = self.conj()
-        return c if n == 1 else -c
-
-    def halved(self) -> GoldenInt:
-        if self.a % 2 or self.b % 2:
-            raise ValueError(f"{self!r} is not divisible by 2")
-        return GoldenInt(self.a // 2, self.b // 2)
+def mul(x: Pair, y: Pair) -> Pair:
+    """(a + b*phi)(c + d*phi) = (ac + bd) + (ad + bc + bd)*phi, as pairs."""
+    a, b = x
+    c, d = y
+    return (a * c + b * d, a * d + b * c + b * d)
 
 
-GOLDEN_ZERO = GoldenInt(0, 0)
-PHI = GoldenInt(0, 1)
-PHI_INV = GoldenInt(-1, 1)
-
-
-def phi_pow(k: int) -> GoldenInt:
+def phi_pow(k: int) -> Pair:
     """phi**k for any integer k (phi is a unit, so this stays in Z[phi])."""
-    return PHI**k if k >= 0 else PHI_INV ** (-k)
+    step = PHI if k >= 0 else PHI_INV
+    out = (1, 0)
+    for _ in range(abs(k)):
+        out = mul(out, step)
+    return out
 
 
 class ReductionMap:
@@ -158,13 +76,15 @@ class ReductionMap:
     def __hash__(self) -> int:
         return hash((self.m, self.k))
 
-    def _slots(self, x: GoldenInt) -> tuple[int, int]:
-        p, q = 2 * x.a + x.b, x.b
+    def _slots(self, x: Pair) -> Pair:
+        a, b = x
+        p, q = 2 * a + b, b
         return (p, q) if self.m == 0 else ((p + self.m * q) // 2, q)
 
-    def reduce(self, x: GoldenInt) -> int:
+    def reduce(self, x: Pair) -> int:
         """Twice x with sqrt5 -> m: (p + q*sqrt5)/2 goes to p + m*q."""
-        return 2 * x.a + (1 + self.m) * x.b
+        a, b = x
+        return 2 * a + (1 + self.m) * b
 
     def split_vector(self, flat: Sequence[int]) -> tuple[int, ...]:
         """The slots of a flat vector (a0, b0, ..., a3, b3): a*(p, q) + b*(r, s)
@@ -194,13 +114,13 @@ class Elimination(namedtuple("Elimination", "pivots det adj")):
 
     def numerators(self, row: Sequence[int]) -> tuple[int, ...]:
         """row * adj A: det A times the coordinates of row over the rows of A."""
-        return tuple(sum(map(mul, row, col)) for col in zip(*self.adj))
+        return tuple(sum(map(operator.mul, row, col)) for col in zip(*self.adj))
 
 
 def eliminate(rows: Sequence[Sequence[int]]) -> Elimination:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of [A | I] over Z.
 
-    Entries must be integers (`operator.index`), so a GoldenInt raises
+    Entries must be integers (`operator.index`), so a golden pair raises
     TypeError: a Z[phi] matrix is eliminated as its integer image in the
     basis (1, phi).  Each pivot step replaces every other row by
     (p * row - f * pivot_row) / p_prev, where p is the new pivot, f the row's
@@ -211,7 +131,7 @@ def eliminate(rows: Sequence[Sequence[int]]) -> Elimination:
     """
     n = len(rows)
     m = len(rows[0]) if n else 0
-    aug = [[*map(index, row), *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    aug = [[*map(operator.index, row), *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
     pivots, prev, sign = [], 1, 1
     for c in range(m):
         rank = len(pivots)

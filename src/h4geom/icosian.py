@@ -3,8 +3,9 @@
 A golden 4-vector is held as its flat integer 8-tuple (a0, b0, ..., a3, b3),
 coordinate r being a_r + b_r*phi.  Vertices are kept at "standard scale"
 (twice the unit-quaternion scale), so every coordinate is an integer pair and
-the natural norm of a vertex is 4.  The group product rescales by 1/2 so the
-120-element set is closed under it.
+the natural norm of a vertex is 4.  Scalars are the (a, b) pairs of `golden`:
+`dot` and `paper_dot` return one and `scaled` takes one.  The group product
+rescales by 1/2 so the 120-element set is closed under it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import cache
 from itertools import permutations, product as iproduct
 from operator import add, itemgetter, neg, sub
 
-from .golden import GoldenInt
+from .golden import Pair
 
 Flat = tuple[int, ...]  # (a0, b0, a1, b1, a2, b2, a3, b3)
 
@@ -48,9 +49,9 @@ class IcosianVec:
     def __sub__(self, other: IcosianVec) -> IcosianVec:
         return IcosianVec(map(sub, self.flat, other.flat))
 
-    def scaled(self, s: GoldenInt) -> IcosianVec:
+    def scaled(self, s: Pair) -> IcosianVec:
         """s times each coordinate: (p + q*phi)(a + b*phi) = (pa + qb) + (pb + qa + qb)*phi."""
-        p, q = s.a, s.b
+        p, q = s
         f = self.flat
         out = []
         for k in (0, 2, 4, 6):
@@ -58,20 +59,23 @@ class IcosianVec:
             out += (p * a + q * b, p * b + q * a + q * b)
         return IcosianVec(out)
 
-    def dot(self, other: IcosianVec) -> GoldenInt:
+    def dot(self, other: IcosianVec) -> Pair:
         """Natural inner product (norm 4 on vertices at standard scale)."""
-        return GoldenInt(*flat_dot(self.flat, other.flat))
+        return flat_dot(self.flat, other.flat)
 
-    def paper_dot(self, other: IcosianVec) -> GoldenInt:
+    def paper_dot(self, other: IcosianVec) -> Pair:
         """Natural inner product divided by 2 (value 2 on a vertex with itself)."""
-        return self.dot(other).halved()
+        a, b = flat_dot(self.flat, other.flat)
+        if a % 2 or b % 2:
+            raise ValueError(f"{(a, b)} is not divisible by 2")
+        return (a // 2, b // 2)
 
     def quat_conj(self) -> IcosianVec:
         a0, b0, a1, b1, a2, b2, a3, b3 = self.flat
         return IcosianVec((a0, b0, -a1, -b1, -a2, -b2, -a3, -b3))
 
 
-def flat_dot(u: Flat, v: Flat) -> tuple[int, int]:
+def flat_dot(u: Flat, v: Flat) -> Pair:
     """Natural inner product on flat coordinate tuples, as an (a, b) pair."""
     a = b = 0
     for k in (0, 2, 4, 6):
@@ -128,9 +132,18 @@ ICOSIAN_ONE = IcosianVec((2, 0, 0, 0, 0, 0, 0, 0))
 
 
 def perm_parity(seq) -> int:
-    """0 for even, 1 for odd."""
-    inv = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
-    return inv % 2
+    """0 for even, 1 for odd: the parity of len(seq) minus the number of
+    cycles.  The values, any distinct ones, are ranked through sorted(seq)."""
+    rank = {v: i for i, v in enumerate(sorted(seq))}
+    seen, cycles = set(), 0
+    for start in seq:
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = seq[rank[i]]
+    return (len(seq) - cycles) % 2
 
 
 _EVEN_PERMS4 = tuple(p for p in permutations(range(4)) if perm_parity(p) == 0)

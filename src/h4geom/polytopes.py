@@ -19,7 +19,7 @@ from functools import cache, cached_property
 from itertools import combinations
 from operator import itemgetter
 
-from .golden import GoldenInt, PHI_INV
+from .golden import PHI, phi_pow
 from .icosian import (
     ICOSIAN_ONE,
     IcosianVec,
@@ -486,7 +486,7 @@ class Cell600:
         """Vertices phi*(u+v) over the 720 edges (u, v); natural norm 12+16phi."""
         out = set()
         for i, j in self.edges:
-            w = (self.vertices[i] + self.vertices[j]).scaled(GoldenInt(0, 1))
+            w = (self.vertices[i] + self.vertices[j]).scaled(PHI)
             out.add(w)
         verts = tuple(sorted(out))
         if len(verts) != 720:
@@ -510,7 +510,7 @@ class Cell120:
 
     def __init__(self, parent: Cell600) -> None:
         self.parent = parent
-        scale = PHI_INV * PHI_INV  # phi^-2 = 2 - phi
+        scale = phi_pow(-2)  # 2 - phi
         centers = {}
         for tet in parent.tetra_cells:
             s = parent.vertices[tet[0]]
@@ -638,7 +638,7 @@ class Cell120:
             return False
         w0, fc = self.vertices[verts[0]], self.parent.vertices[0].quat_conj()
         left, right = quat_mul(w0, fc), quat_mul(fc, w0)
-        if left.dot(left) != GoldenInt(32, 0):
+        if left.dot(left) != (32, 0):
             return False
         h = self.parent.vertices
         return all(quat_mul(left, v).flat in times4 for v in h) or all(

@@ -1,20 +1,18 @@
 """Deterministic JSON encoding: exact values only, canonical ordering.
 
-Golden integers appear as [a, b] pairs in the (1, phi) basis and icosians as
-four such pairs; sets are emitted sorted.  Any other type raises TypeError.
+A golden scalar is already an (a, b) pair in the (1, phi) basis, so it is
+emitted as the list [a, b] like any tuple, and an icosian as four such
+pairs; sets are emitted sorted.  Any other type raises TypeError.
 """
 
 from __future__ import annotations
 
 import json
 
-from .golden import GoldenInt
 from .icosian import IcosianVec
 
 
 def jsonable(obj):
-    if isinstance(obj, GoldenInt):
-        return [obj.a, obj.b]
     if isinstance(obj, IcosianVec):
         f = obj.flat
         return [[f[k], f[k + 1]] for k in (0, 2, 4, 6)]

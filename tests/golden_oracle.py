@@ -1,12 +1,21 @@
-"""The Fraction reduction layer that `h4geom.golden.ReductionMap` replaced,
-and the four-GoldenInt golden vector that the flat `h4geom.icosian.IcosianVec`
-replaced: the oracles the integer code is tested against.
+"""The reference implementations the integer code of `h4geom` is tested
+against.
+
+`GoldenInt` is a + b*phi as a class with operators, `conj`, `field_norm`,
+`unit_inverse`, `halved` and `key`: the second form of a Z[phi] scalar that
+`h4geom` dropped when every golden scalar there became an integer pair
+(a, b).  It lives here as the reference for `h4geom.golden.mul`, `phi_pow`,
+`ReductionMap.reduce` and `IcosianVec.scaled`, and everything below is built
+on it.  `parity_by_inversions` is the pairwise inversion count that
+`h4geom.icosian.perm_parity` replaced with a cycle count.
 
 `GoldenRational` is Q(phi) as num/den with num in Z[phi].  `FractionMap`
 sends sqrt(n) to any rational m with m**2 < n on the sqrt5-form x + y*sqrt5
-of each coordinate, with a golden prefactor `scale` and a form `multiplier`.
+of each coordinate, with a golden prefactor `scale` and a form `multiplier`:
+the Fraction reduction layer that `h4geom.golden.ReductionMap` replaced.
 `GoldenVec` holds four GoldenInt coordinates and does all its arithmetic,
-the quaternion product included, in GoldenInt; `oracle_vertices` builds the
+the quaternion product included, in GoldenInt, as the flat
+`h4geom.icosian.IcosianVec` does on integers; `oracle_vertices` builds the
 120 icosians with it.  `fraction_short_vectors` lists the short vectors of an
 integer Gram matrix by a Fraction branch and bound, for the shape listings
 of `h4geom.embed`, and `sorted_root_basis` is the sorted-image search, with
@@ -30,9 +39,109 @@ from math import gcd, isqrt
 from typing import Sequence, Union
 
 from h4geom.embed import _half_dot
-from h4geom.golden import GOLDEN_ZERO, PHI, PHI_INV, Elimination, GoldenInt, eliminate
+from h4geom.golden import Elimination, eliminate
 from h4geom.icosian import Flat, IcosianVec, element_order_index, generate_vertices, quat_mul, vertex_index
 from h4geom.symmetry import SymOp
+
+
+# ---------- Z[phi] as a class ----------
+
+class GoldenInt:
+    """a + b*phi with integer a, b."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int = 0) -> None:
+        self.a = a
+        self.b = b
+
+    def __repr__(self) -> str:
+        return f"GoldenInt({self.a}, {self.b})"
+
+    def __str__(self) -> str:
+        return f"{self.a}{self.b:+}φ"
+
+    def key(self) -> tuple[int, int]:
+        return (self.a, self.b)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            return self.a == other and self.b == 0
+        if isinstance(other, GoldenInt):
+            return self.a == other.a and self.b == other.b
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+    def __neg__(self) -> GoldenInt:
+        return GoldenInt(-self.a, -self.b)
+
+    def __add__(self, other: int | GoldenInt) -> GoldenInt:
+        if isinstance(other, int):
+            return GoldenInt(self.a + other, self.b)
+        if isinstance(other, GoldenInt):
+            return GoldenInt(self.a + other.a, self.b + other.b)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other: int | GoldenInt) -> GoldenInt:
+        return self + (-other)
+
+    def __rsub__(self, other: int | GoldenInt) -> GoldenInt:
+        return (-self) + other
+
+    def __mul__(self, other: int | GoldenInt) -> GoldenInt:
+        if isinstance(other, int):
+            return GoldenInt(self.a * other, self.b * other)
+        if isinstance(other, GoldenInt):
+            # (a1 + b1 phi)(a2 + b2 phi) with phi^2 = phi + 1
+            return GoldenInt(
+                self.a * other.a + self.b * other.b,
+                self.a * other.b + self.b * other.a + self.b * other.b,
+            )
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> GoldenInt:
+        if k < 0:
+            return self.unit_inverse() ** (-k)
+        out = GoldenInt(1, 0)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def conj(self) -> GoldenInt:
+        """Galois conjugate: phi -> 1 - phi (sqrt5 -> -sqrt5)."""
+        return GoldenInt(self.a + self.b, -self.b)
+
+    def field_norm(self) -> int:
+        """x * conj(x) = a**2 + a*b - b**2; a rational integer."""
+        return self.a * self.a + self.a * self.b - self.b * self.b
+
+    def unit_inverse(self) -> GoldenInt:
+        n = self.field_norm()
+        if abs(n) != 1:
+            raise ValueError(f"{self!r} is not a unit of Z[phi]")
+        c = self.conj()
+        return c if n == 1 else -c
+
+    def halved(self) -> GoldenInt:
+        if self.a % 2 or self.b % 2:
+            raise ValueError(f"{self!r} is not divisible by 2")
+        return GoldenInt(self.a // 2, self.b // 2)
+
+
+GOLDEN_ZERO = GoldenInt(0, 0)
 
 
 # ---------- scalar helpers and elimination over Z[phi] ----------
@@ -62,6 +171,11 @@ def golden_sign(x: GoldenInt) -> int:
 
 def is_unit(x: GoldenInt) -> bool:
     return abs(x.field_norm()) == 1
+
+
+def parity_by_inversions(seq) -> int:
+    """0 for even, 1 for odd, by counting the pairs out of order."""
+    return sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:]) % 2
 
 
 def element_order(v: IcosianVec) -> int:
@@ -231,10 +345,14 @@ def sqrt5_form(x: GoldenScalar) -> Sqrt5Pair:
 
 
 def _as_sqrt5_pair(x) -> Sqrt5Pair:
+    """x as (u, v) for u + v*sqrt5.  A tuple must already be that pair, of
+    Fractions, so that a golden (a, b) pair of `h4geom` is not read as one."""
     if isinstance(x, (GoldenInt, GoldenRational)):
         return sqrt5_form(x)
     a, b = x
-    return (Fraction(a), Fraction(b))
+    if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+        raise TypeError(f"{x!r} is not a sqrt5-form pair of Fractions; wrap a golden pair in GoldenInt")
+    return (a, b)
 
 
 def _rational_sqrt(f: Fraction) -> Fraction | None:
@@ -409,8 +527,8 @@ def oracle_vertices() -> tuple[GoldenVec, ...]:
             verts.add(GoldenVec(*c))
     for signs in iproduct((1, -1), repeat=4):
         verts.add(GoldenVec(*(one * s for s in signs)))
-    base = (GOLDEN_ZERO, one, PHI, PHI_INV)
-    even = [p for p in permutations(range(4)) if sum(a > b for i, a in enumerate(p) for b in p[i + 1:]) % 2 == 0]
+    base = (GOLDEN_ZERO, one, GoldenInt(0, 1), GoldenInt(-1, 1))  # 0, 1, phi, 1/phi
+    even = [p for p in permutations(range(4)) if parity_by_inversions(p) == 0]
     for perm in even:
         placed = [base[perm.index(i)] for i in range(4)]
         nz = [i for i in range(4) if placed[i]]
@@ -550,4 +668,4 @@ def matrix_right_mul(v: IcosianVec) -> SymOp:
 
 def matrix_reflection(v: IcosianVec) -> SymOp:
     """x -> x - 2 (x.v)/(v.v) v, column by column: 2e - (e.v) v, since v.v = 4."""
-    return op_from_matrix([e.scaled(GoldenInt(2)) - v.scaled(e.dot(v)) for e in BASIS], 2)
+    return op_from_matrix([e.scaled((2, 0)) - v.scaled(e.dot(v)) for e in BASIS], 2)

@@ -9,16 +9,22 @@ from pathlib import Path
 
 import pytest
 
-from h4geom import checks, embed, golden, mod2, symmetry
+import h4geom
+from h4geom import checks, embed, golden, icosian, mod2, symmetry
 from h4geom.cli import _DUMPERS, main
 from h4geom.serialize import dumps, jsonable
-from h4geom.golden import GoldenInt
 from h4geom.icosian import ICOSIAN_ONE
 from fractions import Fraction
 
+from golden_oracle import GoldenInt
+
 
 def test_jsonable_encodings():
-    assert jsonable(GoldenInt(3, -2)) == [3, -2]
+    """A golden scalar is an (a, b) tuple and prints as [a, b]; the oracle's
+    GoldenInt class is not a form `jsonable` knows."""
+    assert jsonable((3, -2)) == [3, -2]
+    with pytest.raises(TypeError, match="cannot serialize GoldenInt"):
+        jsonable(GoldenInt(3, -2))
     assert jsonable({2: {1, 3}}) == {"2": [1, 3]}
     with pytest.raises(TypeError, match="cannot serialize Fraction"):
         jsonable(Fraction(1, 2))
@@ -545,9 +551,8 @@ _DOUBLE_THE_600CELL = """
 import json
 from types import SimpleNamespace
 from h4geom import checks, embed
-from h4geom.golden import GoldenInt
 
-doubled = tuple(v.scaled(GoldenInt(2, 0)) for v in embed.the_600cell().vertices)
+doubled = tuple(v.scaled((2, 0)) for v in embed.the_600cell().vertices)
 embed.the_600cell = lambda: SimpleNamespace(vertices=doubled)
 result = checks.run_check("s6/example2")
 print(json.dumps([result.status, result.observed]))
@@ -906,12 +911,11 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
 _DOUBLED_VERTEX = """
 import json
 from h4geom import checks
-from h4geom.golden import GoldenInt
 from h4geom.polytopes import the_600cell
 
 before = checks.run_check("s6/example1")  # caches certify_e8(-1) and certify_e8(+1)
 cell = the_600cell()
-cell.vertices = cell.vertices[:100] + (cell.vertices[100].scaled(GoldenInt(2)),) + cell.vertices[101:]
+cell.vertices = cell.vertices[:100] + (cell.vertices[100].scaled((2, 0)),) + cell.vertices[101:]
 after = checks.run_check("s6/example1")
 print(json.dumps([before.status, before.observed, after.status, after.observed]))
 """
@@ -1002,13 +1006,24 @@ def test_src_imports_no_unused_name():
 
 def test_eliminate_is_integer_only_and_src_reads_no_golden_elimination():
     """`eliminate` takes integer rows only; src/h4geom names no
-    `exact_quotient` or `Ring` and reads no `.c` (GoldenInt coordinates)
-    attribute, so no elimination over Z[phi] is left in it."""
+    `exact_quotient`, `Ring`, `GoldenInt` or `GOLDEN_ZERO` and reads no `.c`
+    (GoldenInt coordinates) attribute, so no elimination over Z[phi] and no
+    class of Z[phi] scalars is left in it: `golden` defines only its map and
+    the elimination record, its scalars are plain integer pairs, and
+    `h4geom` exports no `GoldenInt`."""
     with pytest.raises(TypeError):
         golden.eliminate([[golden.PHI]])
+    with pytest.raises(AttributeError):
+        h4geom.GoldenInt
+    v = ICOSIAN_ONE
+    for x in (golden.PHI, golden.PHI_INV, golden.phi_pow(-3), golden.mul((1, 2), (3, 4)), v.dot(v), v.paper_dot(v)):
+        assert type(x) is tuple and len(x) == 2 and all(type(t) is int for t in x), x
+    assert icosian.flat_dot(v.flat, v.flat) == v.dot(v) == (4, 0)
+    tree = ast.parse(Path(golden.__file__).read_text())
+    assert {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)} == {"ReductionMap", "Elimination"}
     paths = sorted((Path(__file__).resolve().parents[1] / "src" / "h4geom").glob("*.py"))
     assert len(paths) >= 10
-    banned = {"exact_quotient", "Ring"}
+    banned = {"exact_quotient", "Ring", "GoldenInt", "GOLDEN_ZERO"}
     found = [
         f"{path.name}:{node.lineno}"
         for path in paths

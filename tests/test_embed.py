@@ -8,7 +8,6 @@ import pytest
 
 from h4geom import checks, embed
 from h4geom.golden import (
-    GoldenInt,
     PHI,
     PHI_INV,
     ReductionMap,
@@ -24,7 +23,7 @@ from h4geom.embed import (
 from h4geom.icosian import IcosianVec
 
 from golden_oracle import (
-    FractionMap, GoldenRational, coords, exact_quotient, fraction_short_vectors, golden_eliminate, is_unit,
+    FractionMap, GoldenInt, GoldenRational, coords, exact_quotient, fraction_short_vectors, golden_eliminate, is_unit,
     sorted_root_basis,
 )
 
@@ -375,11 +374,11 @@ def test_golden_basis_certificates(cell, gb):
     identity, and every vertex is an integral golden combination of the basis
     by the oracle's elimination over Z[phi]."""
     assert len(gb.basis) == 4
-    gram = golden_eliminate([[bi.paper_dot(bj) for bj in gb.basis] for bi in gb.basis])
+    gram = golden_eliminate([[GoldenInt(*bi.paper_dot(bj)) for bj in gb.basis] for bi in gb.basis])
     assert is_unit(gram.det) and gb.gram_det == gram.det.field_norm() == 1
     for i in range(4):
         for j in range(4):
-            assert gb.basis[i].paper_dot(gb.dual[j]) == (1 if i == j else 0)
+            assert gb.basis[i].paper_dot(gb.dual[j]) == (int(i == j), 0)
     inv = golden_eliminate([coords(b) for b in gb.basis])
     for w in cell.vertices:
         assert all(exact_quotient(n, inv.det) is not None for n in inv.numerators(coords(w)))
@@ -488,7 +487,7 @@ def test_shell_class_norms(shell_classes, e8):
 
 def test_scaled_reduction_map_fields():
     rmap = FractionMap(
-        F(5), F(-1), scale=GoldenRational(PHI), multiplier=F(1, 2)
+        F(5), F(-1), scale=GoldenRational(GoldenInt(*PHI)), multiplier=F(1, 2)
     )
     assert rmap.scale == GoldenRational(GoldenInt(0, 1))
     assert rmap.multiplier == F(1, 2)
@@ -496,7 +495,7 @@ def test_scaled_reduction_map_fields():
 
 
 def _fraction_map(m, k=0):
-    return FractionMap(F(5), F(m), scale=GoldenRational(phi_pow(k)), multiplier=F(1, 2))
+    return FractionMap(F(5), F(m), scale=GoldenRational(GoldenInt(*phi_pow(k))), multiplier=F(1, 2))
 
 
 def _with_block(rmap, block):
@@ -531,8 +530,8 @@ def test_m0_map_is_twice_the_fraction_oracle(cell, gb):
     for v in vectors:
         assert rmap.split_vector(v.flat) == tuple(2 * x for x in oracle.split_vector(coords(v)))
     for w in gb.dual:
-        for mult in (GoldenInt(3, -1), GoldenInt(-1, 2)):
-            scaled = oracle.split_vector([GoldenRational(mult * c, 5) for c in coords(w)])
+        for mult in ((3, -1), (-1, 2)):
+            scaled = oracle.split_vector([GoldenRational(GoldenInt(*mult) * c, 5) for c in coords(w)])
             assert rmap.split_vector(w.scaled(mult).flat) == tuple(10 * x for x in scaled)
 
 

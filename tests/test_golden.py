@@ -5,17 +5,18 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from h4geom.golden import (
-    GoldenInt,
     PHI,
     PHI_INV,
     ReductionMap,
     eliminate,
+    mul,
     phi_pow,
 )
 from h4geom.polytopes import the_600cell
 
 from golden_oracle import (
     FractionMap,
+    GoldenInt,
     GoldenRational,
     coords,
     exact_quotient,
@@ -28,26 +29,42 @@ from golden_oracle import (
 
 coeff = st.integers(-40, 40)
 golden = st.builds(GoldenInt, coeff, coeff)
+pair = st.tuples(coeff, coeff)
+
+
+def _add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
 
 
 def test_phi_defining_relation():
-    assert PHI * PHI == GoldenInt(1, 1)
-    assert GoldenInt(1, 0) * GoldenInt(7, -3) == GoldenInt(7, -3)
-    assert PHI_INV * PHI == GoldenInt(1, 0)
+    assert mul(PHI, PHI) == (1, 1)
+    assert mul((1, 0), (7, -3)) == (7, -3)
+    assert mul(PHI_INV, PHI) == (1, 0)
+    assert (PHI, PHI_INV) == (GoldenInt(0, 1).key(), GoldenInt(0, 1).unit_inverse().key())
 
 
 def test_conjugation_examples():
-    assert PHI.conj() == GoldenInt(1, -1)
+    assert GoldenInt(0, 1).conj() == GoldenInt(1, -1)
     assert GoldenInt(1, 0).conj() == GoldenInt(1, 0)
 
 
 @given(golden, golden, golden)
 def test_ring_axioms(x, y, z):
+    """The oracle's own axioms."""
     assert x + y == y + x
     assert x * y == y * x
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
+
+
+@given(pair, pair, pair)
+def test_pair_product_is_the_oracle_product_and_a_ring_product(x, y, z):
+    assert mul(x, y) == (GoldenInt(*x) * GoldenInt(*y)).key()
+    assert mul(x, y) == mul(y, x)
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, _add(y, z)) == _add(mul(x, y), mul(x, z))
+    assert mul(x, (1, 0)) == x
 
 
 @given(golden, golden)
@@ -101,9 +118,14 @@ def test_golden_rational_field_ops(x, y):
 
 
 def test_unit_inverse_and_powers():
-    assert PHI.unit_inverse() == PHI_INV
-    assert phi_pow(-3) * phi_pow(3) == GoldenInt(1, 0)
-    assert phi_pow(2) == GoldenInt(1, 1)
+    """phi_pow(k) against the oracle's GoldenInt(0, 1) ** k, which steps
+    through unit_inverse for k < 0."""
+    phi = GoldenInt(0, 1)
+    for k in range(-20, 21):
+        assert phi_pow(k) == (phi**k).key()
+        assert mul(phi_pow(-k), phi_pow(k)) == (1, 0)
+    assert phi_pow(2) == (1, 1) and phi_pow(-2) == (2, -1)
+    assert phi.unit_inverse().key() == PHI_INV
     with pytest.raises(ValueError):
         GoldenInt(2, 0).unit_inverse()
 
@@ -153,16 +175,16 @@ def test_split_norm_matches_reduced_norm_on_all_vertices(m):
     rmap = FractionMap(F(5), F(m))
     for v in cell.vertices:
         split = rmap.split_vector(coords(v))
-        natural = v.dot(v)
+        natural = GoldenInt(*v.dot(v))
         assert rmap.reduced_norm(split) == reduce_scalar(natural, rmap)
 
 
 def test_scaled_map_norm_compatibility():
     cell = the_600cell()
-    rmap = FractionMap(F(5), F(-1), scale=GoldenRational(PHI), multiplier=F(1, 2))
+    rmap = FractionMap(F(5), F(-1), scale=GoldenRational(GoldenInt(*PHI)), multiplier=F(1, 2))
     for v in cell.vertices[:24]:
         split = rmap.split_vector(coords(v))
-        scaled_norm = v.scaled(PHI).dot(v.scaled(PHI))
+        scaled_norm = GoldenInt(*v.scaled(PHI).dot(v.scaled(PHI)))
         assert rmap.reduced_norm(split) == reduce_scalar(scaled_norm, rmap) * F(1, 2)
 
 
@@ -226,7 +248,7 @@ small = st.integers(-2, 2)
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_matrices(small, 0), _matrices(st.builds(GoldenInt, small, small), GoldenInt(0))))
 @example([[0, 1], [1, 0]])  # a row swap: adj is the sign times the eliminated block
-@example([[GoldenInt(0), PHI], [PHI_INV, GoldenInt(1)]])
+@example([[GoldenInt(0), GoldenInt(0, 1)], [GoldenInt(-1, 1), GoldenInt(1)]])
 def test_eliminate_matches_leibniz_minors_and_adjugate(a):
     """Integer matrices through `eliminate`, which the Z[phi] oracle matches
     on them; golden ones through the oracle alone."""
@@ -274,7 +296,15 @@ def test_reduction_maps_compare_and_hash_on_m_and_k():
 
 @given(golden, st.sampled_from([-1, 0, 1]), st.integers(-3, 3))
 def test_integer_reduce_is_twice_the_fraction_reduction(x, m, k):
-    assert ReductionMap(m, k).reduce(x) == 2 * reduce_scalar(x, FractionMap(F(5), F(m)))
+    assert ReductionMap(m, k).reduce(x.key()) == 2 * reduce_scalar(x, FractionMap(F(5), F(m)))
+
+
+def test_fraction_reduction_refuses_a_bare_golden_pair():
+    """A golden (a, b) pair of h4geom is not a sqrt5-form pair: the oracle
+    raises instead of reading a + b*phi as a + b*sqrt5."""
+    with pytest.raises(TypeError):
+        reduce_scalar(PHI, FractionMap(F(5), F(-1)))
+    assert reduce_scalar(GoldenInt(*PHI), FractionMap(F(5), F(-1))) == 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,11 @@
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from h4geom import icosian
-from h4geom.golden import GoldenInt, phi_pow
+from h4geom.golden import phi_pow
 from h4geom.icosian import (
     ICOSIAN_ONE,
     IcosianVec,
@@ -16,11 +17,12 @@ from h4geom.icosian import (
     inverse_index,
     mulclose_indices,
     mult_table,
+    perm_parity,
     quat_mul,
     vertex_index,
 )
 
-from golden_oracle import GoldenVec, coords, element_order, oracle_vertices
+from golden_oracle import GoldenInt, GoldenVec, coords, element_order, oracle_vertices, parity_by_inversions
 
 VERTS = generate_vertices()
 TABLE = mult_table()
@@ -44,7 +46,7 @@ def test_vertex_count_and_shapes():
 
 def test_all_norm_4_and_closed_under_negation():
     for v in VERTS:
-        assert v.dot(v) == GoldenInt(4, 0)
+        assert v.dot(v) == (4, 0)
         assert (-v).flat in IDX
 
 
@@ -224,13 +226,16 @@ def test_unary_arithmetic_matches_the_golden_oracle_on_every_vertex():
 
 
 def test_binary_arithmetic_matches_the_golden_oracle_on_every_vertex_pair():
-    """add, sub, dot, quat_mul and icosian_mul on all 14,400 ordered pairs."""
+    """add, sub, dot, paper_dot, quat_mul and icosian_mul on all 14,400
+    ordered pairs; the pairs of dot and paper_dot against the oracle's
+    GoldenInt and its `halved`."""
     oracle = [GoldenVec.of(v) for v in VERTS]
     for u, ou in zip(VERTS, oracle):
         for v, ov in zip(VERTS, oracle):
             assert (u + v).flat == (ou + ov).flat
             assert (u - v).flat == (ou - ov).flat
-            assert u.dot(v) == ou.dot(ov)
+            assert u.dot(v) == ou.dot(ov).key()
+            assert u.paper_dot(v) == ou.dot(ov).halved().key()
             assert quat_mul(u, v).flat == ou.quat_mul(ov).flat
             assert icosian_mul(u, v).flat == ou.icosian_mul(ov).flat
 
@@ -238,10 +243,29 @@ def test_binary_arithmetic_matches_the_golden_oracle_on_every_vertex_pair():
 def test_scaled_matches_the_golden_oracle_on_the_three_polytopes(cell):
     """phi**k (k = -3..3), 2, 3 - phi and -1 + 2*phi times every vertex of the
     600-cell, the 120-cell and the rectified 600-cell."""
-    scalars = [phi_pow(k) for k in range(-3, 4)] + [GoldenInt(2), GoldenInt(3, -1), GoldenInt(-1, 2)]
+    scalars = [phi_pow(k) for k in range(-3, 4)] + [(2, 0), (3, -1), (-1, 2)]
     verts = cell.vertices + cell.cell120.vertices + cell.rectified
     assert len(verts) == 120 + 600 + 720
     for v in verts:
         w = GoldenVec.of(v)
         for s in scalars:
-            assert v.scaled(s).flat == w.scaled(s).flat
+            assert v.scaled(s).flat == w.scaled(GoldenInt(*s)).flat
+
+
+def test_paper_dot_rejects_an_odd_natural_inner_product():
+    half = IcosianVec((1, 0, 1, 0, 0, 0, 0, 0))  # natural norm 2, paper norm 1
+    assert half.dot(ICOSIAN_ONE) == (2, 0) and half.paper_dot(ICOSIAN_ONE) == (1, 0)
+    with pytest.raises(ValueError, match="not divisible by 2"):
+        IcosianVec((1, 0, 0, 0, 0, 0, 0, 0)).paper_dot(half)
+
+
+def test_perm_parity_agrees_with_the_inversion_count():
+    """The cycle count against the oracle's pairwise inversions on every
+    permutation of range(4) and range(5), and of five spread-out values,
+    which it ranks first."""
+    for n in (4, 5):
+        perms = list(permutations(range(n)))
+        assert len(perms) == (24, 120)[n - 4]
+        assert [perm_parity(p) for p in perms] == [parity_by_inversions(p) for p in perms]
+    for p in permutations((6, 7, 9, 10, 13)):
+        assert perm_parity(p) == parity_by_inversions(p)

@@ -7,7 +7,6 @@ from operator import mul
 import pytest
 
 from h4geom import checks
-from h4geom.golden import GoldenInt
 from h4geom.icosian import (
     ICOSIAN_ONE,
     IcosianVec,
@@ -22,14 +21,14 @@ from h4geom.icosian import (
 )
 from h4geom.polytopes import _PP_KEYS, Cell120, Cell600, _coset_grid, label_str, perm_parity
 
-from golden_oracle import coords, golden_eliminate, golden_sign
+from golden_oracle import GoldenInt, coords, golden_eliminate, golden_sign, parity_by_inversions
 
 PHI_KEY = (0, 1)
 
 
 def paper_inner_product(cell, i, j):
     a, b = flat_dot(cell.flats[i], cell.flats[j])
-    return GoldenInt(a // 2, b // 2)
+    return (a // 2, b // 2)
 
 
 def pentagon_of_decagon(cell, d):
@@ -56,7 +55,7 @@ def rectified_shape_census(cell):
 
 def test_inner_product_values_and_distribution(cell):
     i0 = cell.index[ICOSIAN_ONE.flat]
-    assert paper_inner_product(cell, i0, i0) == GoldenInt(2, 0)
+    assert paper_inner_product(cell, i0, i0) == (2, 0)
     dist = Counter(cell.pp[i0][j] for j in range(cell.n) if j != i0)
     assert dist == {
         "phi": 12, "-phi": 12, "phi-inv": 12, "-phi-inv": 12,
@@ -64,7 +63,7 @@ def test_inner_product_values_and_distribution(cell):
     }
     a = cell.index[(2, 0, 0, 0, 0, 0, 0, 0)]
     b = cell.index[(0, 0, 2, 0, 0, 0, 0, 0)]
-    assert paper_inner_product(cell, a, b) == GoldenInt(0, 0)
+    assert paper_inner_product(cell, a, b) == (0, 0)
 
 
 def test_pp_from_the_cayley_table_matches_flat_dot_on_every_ordered_pair(cell):
@@ -201,6 +200,16 @@ def test_labels(cell):
         assert len(set(la) & set(lb)) <= 2
     # every pair lies in exactly five 24-cells
     assert all(len(cell.cell_of_pair[p]) == 5 for p in range(60))
+
+
+def test_perm_parity_agrees_with_the_inversion_count_on_every_label(cell):
+    """The column sequences that `facts/fact7` and `labels_odd_permutations`
+    pass to `perm_parity`: the 60 labels of the 600-cell and the 600 of the
+    120-cell, each against the oracle's pairwise inversions."""
+    seqs = [[d[1] for d in lab] for lab in cell.labels]
+    seqs += [[d[1] for d in sorted((home,) + nbrs)] for home, nbrs in cell.cell120.labels]
+    assert len(seqs) == 660 and {len(s) for s in seqs} == {5}
+    assert [perm_parity(s) for s in seqs] == [parity_by_inversions(s) for s in seqs]
 
 
 def test_shared_duads_determine_inner_product_class(cell):
@@ -404,12 +413,12 @@ def test_120cell_rows_and_columns_are_600cells(cell):
     d = cell.cell120
     spectrum_h = Counter()
     for i, j in combinations(range(cell.n), 2):
-        spectrum_h[paper_inner_product(cell, i, j).key()] += 1
+        spectrum_h[paper_inner_product(cell, i, j)] += 1
     col = d.col_vertices(0)
     assert len(col) == 120
     spec = Counter()
     for i, j in combinations(col, 2):
-        spec[d.vertices[i].paper_dot(d.vertices[j]).halved().key()] += 1
+        spec[GoldenInt(*d.vertices[i].paper_dot(d.vertices[j])).halved().key()] += 1
     assert spec == spectrum_h
 
 
@@ -594,7 +603,7 @@ def test_rectified_600cell(cell):
     r = cell.rectified
     assert len(r) == 720
     for w in r[:50]:
-        assert w.dot(w) == GoldenInt(12, 16)  # 20 + 8*sqrt(5)
+        assert w.dot(w) == (12, 16)  # 20 + 8*sqrt(5)
     census = rectified_shape_census(cell)
     expected_shapes = {
         ((0, 0), (0, 0), (0, 2), (2, 2)),  # (0, 0, 2phi, 2phi^2)

@@ -10,7 +10,6 @@ from operator import itemgetter
 import pytest
 
 from h4geom import checks, icosian, symmetry
-from h4geom.golden import GoldenInt
 from h4geom.icosian import (
     GENERATORS, ICOSIAN_ONE, IcosianVec, generate_vertices, inverse_index, mulclose_indices, mult_table,
 )
@@ -26,16 +25,17 @@ from h4geom.symmetry import (
 )
 
 from golden_oracle import (
-    BASIS, GoldenRational, apply_matrix, matrix_left_mul, matrix_reflection, matrix_right_mul, op_from_matrix,
+    BASIS, GoldenInt, GoldenRational, apply_matrix, matrix_left_mul, matrix_reflection, matrix_right_mul,
+    op_from_matrix, parity_by_inversions,
 )
 
 
 def identity_op():
-    return op_from_matrix([e.scaled(GoldenInt(2)) for e in BASIS], 2)
+    return op_from_matrix([e.scaled((2, 0)) for e in BASIS], 2)
 
 
 def negation_op():
-    return op_from_matrix([e.scaled(GoldenInt(-2)) for e in BASIS], 2)
+    return op_from_matrix([e.scaled((-2, 0)) for e in BASIS], 2)
 
 
 def pair_perm(group, op):
@@ -187,24 +187,17 @@ def test_op_from_perm_raises_unless_the_basis_images_have_gram_4I(cell):
         _op_from_perm(tuple(perm))
 
 
-def _cycle_parity(perm):
-    """0 for an even permutation, 1 for an odd one: n minus the number of cycles, mod 2."""
-    seen, cycles = bytearray(len(perm)), 0
-    for i in range(len(perm)):
-        if not seen[i]:
-            cycles += 1
-            while not seen[i]:
-                seen[i] = 1
-                i = perm[i]
-    return (len(perm) - cycles) % 2
-
-
 def test_vertex_permutation_parity_is_the_determinant_sign_on_all_elements(cell, group):
     """The parity `_op_from_perm` reads off the vertex permutation: every one
     of the 7,200 rotations permutes the 120 vertices evenly and every
-    reflection oddly, by a cycle count independent of `perm_parity`;
-    x -> -conj(x) fixes the 30 vertices of real part 0 and swaps 45 pairs."""
-    assert all(_cycle_parity(op.perm) == (op.parity == -1) for op in group.ops[:])
+    reflection oddly, by `perm_parity`'s cycle count and by the oracle's
+    pairwise inversions alike; x -> -conj(x) fixes the 30 vertices of real
+    part 0 and swaps 45 pairs."""
+    ops = group.ops[:]
+    assert len(ops) == 14400
+    assert all(
+        icosian.perm_parity(op.perm) == parity_by_inversions(op.perm) == (op.parity == -1) for op in ops
+    )
     flip = group.generators[4].perm
     fixed = [i for i in range(cell.n) if flip[i] == i]
     assert len(fixed) == 30 and all(cell.vertices[i].flat[:2] == (0, 0) for i in fixed)
