@@ -18,8 +18,10 @@ from .golden import PHI
 from .icosian import (
     ICOSIAN_ONE,
     element_order_index,
+    flat_dot,
     generate_vertices,
     mult_table,
+    scaled,
     vertex_index,
 )
 from .polytopes import label_str, perm_parity, the_600cell
@@ -66,7 +68,7 @@ def _fact3():
 def _fact4():
     grp = symmetry.generate_group()
     c = grp.cell
-    v = c.index[ICOSIAN_ONE.flat]
+    v = c.index[ICOSIAN_ONE]
     cell_idx = c.array[0][0]
     stab_v = grp.stabilizer_of_vertex(v)
     stab_c = grp.stabilizer_of_cell(cell_idx)
@@ -130,7 +132,7 @@ def _fact6():
 
 def _fact7():
     c = the_600cell()
-    unit_pid = c.pair_of[c.index[ICOSIAN_ONE.flat]]
+    unit_pid = c.pair_of[c.index[ICOSIAN_ONE]]
     all_even = all(perm_parity([d[1] for d in lab]) == 0 for lab in c.labels)
     share3 = any(
         len(set(a) & set(b)) >= 3 for a, b in combinations(c.labels, 2)
@@ -150,11 +152,10 @@ def _fact8():
     latin = all(len(set(row)) == n for row in table) and all(
         len({table[i][j] for i in range(n)}) == n for j in range(n)
     )
-    one = vertex_index()[ICOSIAN_ONE.flat]
+    one = vertex_index()[ICOSIAN_ONE]
     has_inverses = all(any(table[i][j] == one for j in range(n)) for i in range(n))
     shapes = Counter()
-    for v in verts:
-        f = v.flat
+    for f in verts:
         nz = sorted((abs(f[k]), abs(f[k + 1])) for k in (0, 2, 4, 6))
         if nz == [(0, 0), (0, 0), (0, 0), (2, 0)]:
             shapes["axis"] += 1
@@ -329,8 +330,7 @@ def _s6_example1():
     e8p = embed.certify_e8(1)
     c = e8.cell
     conj_rel = True
-    for v in c.vertices:
-        f = v.flat
+    for f in c.vertices:
         lhs = e8p.rmap.split_vector(f)
         # the Galois conjugate (a, b) -> (a + b, -b) of each coordinate
         rhs = e8.rmap.split_vector(tuple(x for k in (0, 2, 4, 6) for x in (f[k] + f[k + 1], -f[k + 1])))
@@ -351,7 +351,7 @@ def _s6_example1():
         "root_pair_inner_products": sorted(s // 2 for s in root_sums),
         "h_norms": sorted({e8.bform_int(u, u) for u in e8.h_img}),
         "phi_h_scaled_norm_6_plus_2sqrt5_reduces_to_4": all(
-            v.scaled(PHI).dot(v.scaled(PHI)) == (4, 4) for v in c.vertices
+            flat_dot(w, w) == (4, 4) for w in (scaled(PHI, v) for v in c.vertices)
         ),
     }
 

@@ -85,7 +85,7 @@ def _dump_vertices():
     return {
         "count": cell.n,
         "coordinates_are_golden_pairs": True,
-        "vertices": list(cell.vertices),
+        "vertices": [list(zip(f[::2], f[1::2])) for f in cell.vertices],
     }
 
 

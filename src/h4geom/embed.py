@@ -42,7 +42,7 @@ from itertools import combinations, product
 from operator import mul, sub
 
 from .golden import PHI, PHI_INV, Elimination, ReductionMap, eliminate, mul as golden_mul, phi_pow
-from .icosian import IcosianVec, flat_dot
+from .icosian import flat_dot, paper_dot, scaled
 from .polytopes import Cell600, the_600cell
 
 IntVec = tuple[int, ...]
@@ -92,8 +92,8 @@ class E8Lattice:
             companion = PHI_INV
         else:
             raise ValueError("map does not kill a fundamental unit; not an E8 frame")
-        h_img = [rmap.split_vector(v.flat) for v in cell.vertices]
-        phi_img = [rmap.split_vector(v.scaled(companion).flat) for v in cell.vertices]
+        h_img = [rmap.split_vector(v) for v in cell.vertices]
+        phi_img = [rmap.split_vector(scaled(companion, v)) for v in cell.vertices]
         roots = set(h_img) | set(phi_img)
         if len(roots) != 240:
             raise ValueError("H and phi*H images must give 240 distinct vectors")
@@ -191,7 +191,7 @@ def root_pick(cell: Cell600) -> tuple[int, ...]:
     Each ReductionMap(+-1) is Q-linear and injective on Q(phi)**4, so at
     both signs the same 8 vertices map to independent roots spanning a
     sublattice of the same index, and one pick serves both lattices."""
-    pick = eliminate(list(zip(*(v.flat for v in cell.vertices)))).pivots
+    pick = eliminate(list(zip(*cell.vertices))).pivots
     if len(pick) != 8:
         raise ValueError(f"the vertices span rank {len(pick)}, not 8")
     return pick
@@ -223,18 +223,17 @@ def golden_basis() -> GoldenBasis:
     ring map, so det R(G) = N(det G), and adj R(G) = N(det G) R(G^-1), whose
     row 2j of block (j, k) is N(det G) times the flat pair of (G^-1)_jk."""
     verts = the_600cell().vertices
-    flats = [v.flat for v in verts]
 
     def spans_all(idxs: tuple[int, ...]) -> bool:
-        inv = eliminate([f for i in idxs for f in (flats[i], verts[i].scaled(PHI).flat)])
-        return bool(inv.det) and all(_holds(inv, w) for w in flats)
+        inv = eliminate([f for i in idxs for f in (verts[i], scaled(PHI, verts[i]))])
+        return bool(inv.det) and all(_holds(inv, w) for w in verts)
 
     idxs = next((c for c in combinations(range(len(verts)), 4) if spans_all(c)), None)
     if idxs is None:
         raise ValueError("no golden vertex basis found")
     basis = tuple(verts[i] for i in idxs)
 
-    gram = [[bi.paper_dot(bj) for bj in basis] for bi in basis]
+    gram = [[paper_dot(bi, bj) for bj in basis] for bi in basis]
     regular = []  # R(G), two integer rows per row of G
     for row in gram:
         regular.append([x for a, b in row for x in (a, b)])
@@ -248,10 +247,10 @@ def golden_basis() -> GoldenBasis:
         # N(det G) times b_j* = sum_k (G^-1)_jk b_k, coordinate by coordinate;
         # 1/N = N for N = +-1
         row = reg.adj[2 * j]
-        scaled = [basis[k].scaled((row[2 * k], row[2 * k + 1])).flat for k in range(4)]
-        dual.append(IcosianVec(norm * sum(col) for col in zip(*scaled)))
+        terms = [scaled((row[2 * k], row[2 * k + 1]), basis[k]) for k in range(4)]
+        dual.append(tuple(norm * sum(col) for col in zip(*terms)))
     dual = tuple(dual)
-    if any(basis[i].paper_dot(dual[j]) != (int(i == j), 0) for i in range(4) for j in range(4)):
+    if any(paper_dot(basis[i], dual[j]) != (int(i == j), 0) for i in range(4) for j in range(4)):
         raise ValueError("dual basis does not pair to the identity with the basis")
     return GoldenBasis(idxs, basis, dual, norm)
 
@@ -314,9 +313,9 @@ def lattice_L() -> ReducedLattice:
     gb = golden_basis()
     rmap = ReductionMap(0)
 
-    images = tuple(rmap.split_vector(v.flat) for v in cell.vertices)
-    basis_vecs = [rmap.split_vector(v.flat) for v in gb.basis]
-    basis_vecs += [rmap.split_vector(v.scaled(PHI).flat) for v in gb.basis]
+    images = tuple(map(rmap.split_vector, cell.vertices))
+    basis_vecs = [rmap.split_vector(v) for v in gb.basis]
+    basis_vecs += [rmap.split_vector(scaled(PHI, v)) for v in gb.basis]
     for b in basis_vecs:
         for p, q in zip(b[::2], b[1::2]):
             if (p - q) % 2:
@@ -348,7 +347,7 @@ def lattice_L() -> ReducedLattice:
     duals = []
     for w in gb.dual:
         for mult in ((3, -1), (-1, 2)):  # 3 - phi, -1 + 2 phi
-            duals.append(rmap.split_vector(w.scaled(mult).flat))
+            duals.append(rmap.split_vector(scaled(mult, w)))
     order = [0, 2, 4, 6, 1, 3, 5, 7]  # (v_i duals first block, phi v_i second)
     dual_sorted = [duals[k] for k in order]
     dual_ok = all(
@@ -409,9 +408,9 @@ def decompose_norm4_shell() -> tuple[ShellClass, ...]:
     cell = e8.cell
     shell = e8.norm4_shell
     sources = {
-        "600cell": tuple(v.flat for v in cell.vertices),
-        "120cell": tuple(v.flat for v in cell.cell120.vertices),
-        "rectified": tuple(v.flat for v in cell.rectified),
+        "600cell": cell.vertices,
+        "120cell": cell.cell120.vertices,
+        "rectified": cell.rectified,
     }
     classes: list[ShellClass] = []
     for k in range(-3, 4):

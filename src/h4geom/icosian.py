@@ -1,11 +1,14 @@
 """The 120 unit icosians as a quaternion group over Z[phi].
 
-A golden 4-vector is held as its flat integer 8-tuple (a0, b0, ..., a3, b3),
-coordinate r being a_r + b_r*phi.  Vertices are kept at "standard scale"
-(twice the unit-quaternion scale), so every coordinate is an integer pair and
-the natural norm of a vertex is 4.  Scalars are the (a, b) pairs of `golden`:
-`dot` and `paper_dot` return one and `scaled` takes one.  The group product
-rescales by 1/2 so the 120-element set is closed under it.
+A golden 4-vector, a vertex among them, is its flat integer 8-tuple
+(a0, b0, ..., a3, b3), coordinate r being a_r + b_r*phi; there is no vector
+class.  Vertices are kept at "standard scale" (twice the unit-quaternion
+scale), so every coordinate is an integer pair and the natural norm of a
+vertex is 4.  Scalars are the (a, b) pairs of `golden`: `flat_dot` and
+`paper_dot` return one and `scaled` takes one; `neg` and `conj` negate a
+vector and conjugate a quaternion.  The group product `icosian_mul` is the
+quaternion product `quat_mul` rescaled by 1/2, so the 120-element set is
+closed under it.
 """
 
 from __future__ import annotations
@@ -13,66 +16,40 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from functools import cache
 from itertools import permutations, product as iproduct
-from operator import add, itemgetter, neg, sub
+from operator import itemgetter
 
 from .golden import Pair
 
 Flat = tuple[int, ...]  # (a0, b0, a1, b1, a2, b2, a3, b3)
 
 
-class IcosianVec:
-    """Golden 4-vector; coordinates are quaternion scalars for (1, i, j, k)."""
+def neg(u: Flat) -> Flat:
+    """-u."""
+    return tuple(-x for x in u)
 
-    __slots__ = ("flat",)
 
-    def __init__(self, flat: Flat):
-        self.flat = tuple(flat)
+def conj(u: Flat) -> Flat:
+    """Quaternion conjugate: the real part kept, the i, j, k parts negated."""
+    a0, b0, a1, b1, a2, b2, a3, b3 = u
+    return (a0, b0, -a1, -b1, -a2, -b2, -a3, -b3)
 
-    def __repr__(self) -> str:
-        return f"IcosianVec({self.flat})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IcosianVec) and self.flat == other.flat
+def scaled(s: Pair, u: Flat) -> Flat:
+    """s times each coordinate: (p + q*phi)(a + b*phi) = (pa + qb) + (pb + qa + qb)*phi."""
+    p, q = s
+    out = []
+    for k in (0, 2, 4, 6):
+        a, b = u[k], u[k + 1]
+        out += (p * a + q * b, p * b + q * a + q * b)
+    return tuple(out)
 
-    def __hash__(self) -> int:
-        return hash(self.flat)
 
-    def __lt__(self, other: IcosianVec) -> bool:
-        return self.flat < other.flat
-
-    def __neg__(self) -> IcosianVec:
-        return IcosianVec(map(neg, self.flat))
-
-    def __add__(self, other: IcosianVec) -> IcosianVec:
-        return IcosianVec(map(add, self.flat, other.flat))
-
-    def __sub__(self, other: IcosianVec) -> IcosianVec:
-        return IcosianVec(map(sub, self.flat, other.flat))
-
-    def scaled(self, s: Pair) -> IcosianVec:
-        """s times each coordinate: (p + q*phi)(a + b*phi) = (pa + qb) + (pb + qa + qb)*phi."""
-        p, q = s
-        f = self.flat
-        out = []
-        for k in (0, 2, 4, 6):
-            a, b = f[k], f[k + 1]
-            out += (p * a + q * b, p * b + q * a + q * b)
-        return IcosianVec(out)
-
-    def dot(self, other: IcosianVec) -> Pair:
-        """Natural inner product (norm 4 on vertices at standard scale)."""
-        return flat_dot(self.flat, other.flat)
-
-    def paper_dot(self, other: IcosianVec) -> Pair:
-        """Natural inner product divided by 2 (value 2 on a vertex with itself)."""
-        a, b = flat_dot(self.flat, other.flat)
-        if a % 2 or b % 2:
-            raise ValueError(f"{(a, b)} is not divisible by 2")
-        return (a // 2, b // 2)
-
-    def quat_conj(self) -> IcosianVec:
-        a0, b0, a1, b1, a2, b2, a3, b3 = self.flat
-        return IcosianVec((a0, b0, -a1, -b1, -a2, -b2, -a3, -b3))
+def paper_dot(u: Flat, v: Flat) -> Pair:
+    """Natural inner product divided by 2 (value 2 on a vertex with itself)."""
+    a, b = flat_dot(u, v)
+    if a % 2 or b % 2:
+        raise ValueError(f"{(a, b)} is not divisible by 2")
+    return (a // 2, b // 2)
 
 
 def flat_dot(u: Flat, v: Flat) -> Pair:
@@ -85,8 +62,8 @@ def flat_dot(u: Flat, v: Flat) -> Pair:
     return (a, b)
 
 
-def _flat_quat_mul(u: Flat, v: Flat) -> Flat:
-    """Quaternion product on flat tuples: 16 golden products
+def quat_mul(u: Flat, v: Flat) -> Flat:
+    """Plain quaternion product (no rescale): 16 golden products
     (a + b*phi)(c + d*phi) = (ac + bd) + (ad + bc + bd)*phi, written out."""
     a0, b0, a1, b1, a2, b2, a3, b3 = u
     c0, d0, c1, d1, c2, d2, c3, d3 = v
@@ -114,21 +91,16 @@ def _halved(raw: Flat) -> Flat:
     return (r0 >> 1, r1 >> 1, r2 >> 1, r3 >> 1, r4 >> 1, r5 >> 1, r6 >> 1, r7 >> 1)
 
 
-def quat_mul(u: IcosianVec, v: IcosianVec) -> IcosianVec:
-    """Plain quaternion product (no rescale)."""
-    return IcosianVec(_flat_quat_mul(u.flat, v.flat))
-
-
-def icosian_mul(u: IcosianVec, v: IcosianVec) -> IcosianVec:
+def icosian_mul(u: Flat, v: Flat) -> Flat:
     """Group product at standard scale: quaternion product halved.
 
     Exact only when every coordinate of the raw product is divisible by 2,
     which holds whenever both factors are norm-4 icosians.
     """
-    return IcosianVec(_halved(_flat_quat_mul(u.flat, v.flat)))
+    return _halved(quat_mul(u, v))
 
 
-ICOSIAN_ONE = IcosianVec((2, 0, 0, 0, 0, 0, 0, 0))
+ICOSIAN_ONE = (2, 0, 0, 0, 0, 0, 0, 0)
 
 
 def perm_parity(seq) -> int:
@@ -150,21 +122,21 @@ _EVEN_PERMS4 = tuple(p for p in permutations(range(4)) if perm_parity(p) == 0)
 
 
 @cache
-def generate_vertices() -> tuple[IcosianVec, ...]:
+def generate_vertices() -> tuple[Flat, ...]:
     """All 120 vertices, sorted by their flat coordinate key.
 
     Shapes at standard scale: 8 of (±2,0,0,0) under all coordinate
     permutations, 16 of (±1,±1,±1,±1), and 96 of (0,±1,±phi,±1/phi) under
     even permutations.
     """
-    verts: set[IcosianVec] = set()
+    verts: set[Flat] = set()
     for pos in range(4):
         for s in (2, -2):
             f = [0] * 8
             f[2 * pos] = s
-            verts.add(IcosianVec(f))
+            verts.add(tuple(f))
     for signs in iproduct((1, -1), repeat=4):
-        verts.add(IcosianVec(x for s in signs for x in (s, 0)))
+        verts.add(tuple(x for s in signs for x in (s, 0)))
     base = ((0, 0), (1, 0), (0, 1), (-1, 1))  # 0, 1, phi, 1/phi as (a, b)
     for perm in _EVEN_PERMS4:
         placed = [base[perm.index(i)] for i in range(4)]
@@ -173,7 +145,7 @@ def generate_vertices() -> tuple[IcosianVec, ...]:
             c = list(placed)
             for i, s in zip(nz, signs):
                 c[i] = (s * c[i][0], s * c[i][1])
-            verts.add(IcosianVec(x for pair in c for x in pair))
+            verts.add(tuple(x for pair in c for x in pair))
     out = tuple(sorted(verts))
     if len(out) != 120:
         raise ValueError(f"{len(out)} vertices, not 120")
@@ -182,7 +154,7 @@ def generate_vertices() -> tuple[IcosianVec, ...]:
 
 @cache
 def vertex_index() -> dict[Flat, int]:
-    return {v.flat: i for i, v in enumerate(generate_vertices())}
+    return {v: i for i, v in enumerate(generate_vertices())}
 
 
 # (1 + i + j + k)/2 and (phi + i/phi + k)/2 at standard scale: `mult_table`
@@ -214,21 +186,19 @@ def mult_table() -> tuple[tuple[int, ...], ...]:
     from the generator walk, row[x*g][b] = row[x][row[g][b]], since
     (x*g)*b = x*(g*b).  Raises unless the walk reaches all 120 rows."""
     idx = vertex_index()
-    flats = [v.flat for v in generate_vertices()]
-    rows = {idx[g]: tuple(idx[_halved(_flat_quat_mul(g, v))] for v in flats) for g in GENERATORS}
+    rows = {idx[g]: tuple(idx[icosian_mul(g, v)] for v in generate_vertices()) for g in GENERATORS}
     return generator_walk(rows, lambda x, g: rows[x][g])
 
 
 @cache
 def _one_index() -> int:
-    return vertex_index()[ICOSIAN_ONE.flat]
+    return vertex_index()[ICOSIAN_ONE]
 
 
 @cache
 def inverse_index() -> tuple[int, ...]:
-    verts = generate_vertices()
     idx = vertex_index()
-    return tuple(idx[v.quat_conj().flat] for v in verts)
+    return tuple(idx[conj(v)] for v in generate_vertices())
 
 
 def element_order_index(i: int) -> int:
@@ -244,7 +214,7 @@ def element_order_index(i: int) -> int:
 
 
 @cache
-def find_order5() -> IcosianVec:
+def find_order5() -> Flat:
     """The least order-5 vertex under the flat coordinate ordering."""
     for i, v in enumerate(generate_vertices()):
         if element_order_index(i) == 5:
@@ -255,10 +225,7 @@ def find_order5() -> IcosianVec:
 @cache
 def cell24_base_indices() -> frozenset[int]:
     """Indices of the 24 vertices of shapes (±2,0,0,0) and (±1,±1,±1,±1)."""
-    out = []
-    for i, v in enumerate(generate_vertices()):
-        if not any(v.flat[1::2]):
-            out.append(i)
+    out = [i for i, v in enumerate(generate_vertices()) if not any(v[1::2])]
     if len(out) != 24:
         raise ValueError(f"{len(out)} base 24-cell vertices, not 24")
     return frozenset(out)

@@ -294,23 +294,29 @@ class F4Geometry:
             raise ValueError(f"{len(out)} lines, not 357")
         return out
 
-    def line_members(self, line: frozenset[int]) -> tuple[list[int], list[int]]:
+    @cached_property
+    def line_info(self) -> dict[frozenset[int], tuple[tuple[int, ...], tuple[int, ...], str]]:
+        """Each line's sorted vertex-pair and 24-cell ids, which tag its points, and its type."""
+        types = {5: "pentagon", 4: "cell16", 3: "triangle", 0: "partition"}
+        out = {}
+        for line in self.lines:
+            tags = [self.tags[p] for p in line]
+            vs = tuple(sorted(ref for kind, ref in tags if kind == "vertex"))
+            cs = tuple(sorted(ref for kind, ref in tags if kind == "cell"))
+            out[line] = (vs, cs, types[len(vs)])
+        return out
+
+    def line_members(self, line: frozenset[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The sorted vertex-pair ids and 24-cell ids that tag a line's points."""
-        tags = [self.tags[p] for p in line]
-        return (
-            sorted(ref for kind, ref in tags if kind == "vertex"),
-            sorted(ref for kind, ref in tags if kind == "cell"),
-        )
+        return self.line_info[line][:2]
 
     def line_type(self, line: frozenset[int]) -> str:
-        nv = len(self.line_members(line)[0])
-        return {5: "pentagon", 4: "cell16", 3: "triangle", 0: "partition"}[nv]
+        return self.line_info[line][2]
 
     @cached_property
     def line_census(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for line in self.lines:
-            t = self.line_type(line)
+        for _, _, t in self.line_info.values():
             out[t] = out.get(t, 0) + 1
         return out
 
@@ -320,9 +326,7 @@ class F4Geometry:
         decagon_sets = set(cell.decagons)
         partition_sets = set(cell.partitions)
         ok: dict[str, int] = {"partition": 0, "pentagon": 0, "cell16": 0, "triangle": 0}
-        for line in self.lines:
-            vs, cs = self.line_members(line)
-            kind = self.line_type(line)
+        for vs, cs, kind in self.line_info.values():
             if kind == "partition":
                 if frozenset(cs) in partition_sets:
                     ok[kind] += 1
@@ -330,7 +334,7 @@ class F4Geometry:
                 if frozenset(vs) in decagon_sets:
                     ok[kind] += 1
             elif kind == "cell16":
-                if tuple(vs) in cell.cell16_ambient and cs == [cell.cell16_ambient[tuple(vs)]]:
+                if vs in cell.cell16_ambient and cs == (cell.cell16_ambient[vs],):
                     ok[kind] += 1
             else:  # triangle: hexagon pairs sharing two duads plus crossed cells
                 shared = set(cell.labels[vs[0]]) & set(cell.labels[vs[1]]) & set(cell.labels[vs[2]])
@@ -346,12 +350,11 @@ class F4Geometry:
                     if cell.hexagons[hex_cells] == frozenset(vs):
                         ok[kind] += 1
         # all lines are totally singular exactly for the partition type
-        for line in self.lines:
+        for line, (_, _, kind) in self.line_info.items():
             singular = all(self.q[x] == 0 for p in line for x in self.points[p])
-            if singular != (self.line_type(line) == "partition"):
+            if singular != (kind == "partition"):
                 raise ValueError(
-                    f"line {sorted(line)}: totally singular is {singular}, "
-                    f"but its type is {self.line_type(line)}"
+                    f"line {sorted(line)}: totally singular is {singular}, but its type is {kind}"
                 )
         return ok
 

@@ -7,8 +7,12 @@ duad labels these induce on vertex pairs, hexagons/decagons/pentagons and the
 prime-indexed generalisations of the array, the labeled 120-cell, and the
 rectified 600-cell.
 
-Vertex pairs {v, -v} are referred to by integer pair ids 0..59; a duad is a
-tuple (row, col) with row in 1..5 and col in 6..10 (10 is printed as X).
+Every vertex, of the 600-cell and of the 120-cell and rectified 600-cell
+built from it, is a flat integer 8-tuple of `icosian`; each polytope keeps
+its vertices sorted, and `Cell600.index` and `Cell120.index` map a vertex
+back to its position.  Vertex pairs {v, -v} are referred to by integer pair
+ids 0..59; a duad is a tuple (row, col) with row in 1..5 and col in 6..10
+(10 is printed as X).
 """
 
 from __future__ import annotations
@@ -17,22 +21,26 @@ from collections import namedtuple
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from functools import cache, cached_property
 from itertools import combinations
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .golden import PHI, phi_pow
 from .icosian import (
     ICOSIAN_ONE,
-    IcosianVec,
+    Flat,
     cell24_base_indices,
+    conj,
     element_order_index,
     find_order5,
+    flat_dot,
     generate_vertices,
     icosian_mul,
     inverse_index,
     mult_table,
     mulclose_indices,
+    neg,
     perm_parity,
     quat_mul,
+    scaled,
     vertex_index,
 )
 
@@ -100,8 +108,7 @@ class Cell600:
         self.vertices = generate_vertices()
         self.index = vertex_index()
         self.n = len(self.vertices)
-        self.flats = tuple(v.flat for v in self.vertices)
-        self.neg = tuple(self.index[(-v).flat] for v in self.vertices)
+        self.neg = tuple(self.index[neg(v)] for v in self.vertices)
 
     # ---------- inner products ----------
 
@@ -111,7 +118,7 @@ class Cell600:
         Cayley table: <u, v> = Re(u * conj(v)), and the halved product of two
         vertices is the vertex whose real part (flat slots 0 and 1) is the
         paper-scale inner product."""
-        names = tuple(_PP_KEYS[f[0], f[1]] for f in self.flats)
+        names = tuple(_PP_KEYS[f[0], f[1]] for f in self.vertices)
         by_conj = itemgetter(*inverse_index())
         return tuple(tuple(map(names.__getitem__, by_conj(row))) for row in mult_table())
 
@@ -263,15 +270,15 @@ class Cell600:
     # ---------- the 5x5 array and the ten partitions ----------
 
     @cached_property
-    def g(self) -> IcosianVec:
+    def g(self) -> Flat:
         return find_order5()
 
     @cached_property
     def array(self) -> tuple[tuple[int, ...], ...]:
         """array[i][j] = index of the 24-cell g^i * B * g^-j, B the base cell."""
         table = mult_table()
-        gi = self.index[self.g.flat]
-        gpow = [self.index[ICOSIAN_ONE.flat]]
+        gi = self.index[self.g]
+        gpow = [self.index[ICOSIAN_ONE]]
         for _ in range(4):
             gpow.append(table[gpow[-1]][gi])
         cellset_to_idx = {
@@ -439,7 +446,7 @@ class Cell600:
             raise ValueError("p must be 2, 3 or 5")
         table = mult_table()
         inv = inverse_index()
-        one = self.index[ICOSIAN_ONE.flat]
+        one = self.index[ICOSIAN_ONE]
         neg_one = self.neg[one]
         orders = [element_order_index(i) for i in range(self.n)]
         if p == 2:
@@ -482,12 +489,10 @@ class Cell600:
         return Cell120(self)
 
     @cached_property
-    def rectified(self) -> tuple[IcosianVec, ...]:
+    def rectified(self) -> tuple[Flat, ...]:
         """Vertices phi*(u+v) over the 720 edges (u, v); natural norm 12+16phi."""
-        out = set()
-        for i, j in self.edges:
-            w = (self.vertices[i] + self.vertices[j]).scaled(PHI)
-            out.add(w)
+        vs = self.vertices
+        out = {scaled(PHI, tuple(map(add, vs[i], vs[j]))) for i, j in self.edges}
         verts = tuple(sorted(out))
         if len(verts) != 720:
             raise ValueError(f"{len(verts)} rectified vertices, not 720")
@@ -513,14 +518,12 @@ class Cell120:
         scale = phi_pow(-2)  # 2 - phi
         centers = {}
         for tet in parent.tetra_cells:
-            s = parent.vertices[tet[0]]
-            for t in tet[1:]:
-                s = s + parent.vertices[t]
-            centers[s.scaled(scale)] = tet
+            s = tuple(map(sum, zip(*(parent.vertices[t] for t in tet))))
+            centers[scaled(scale, s)] = tet
         if len(centers) != 600:
             raise ValueError(f"{len(centers)} cell centres, not 600")
         self.vertices = tuple(sorted(centers))
-        self.index = {v.flat: i for i, v in enumerate(self.vertices)}
+        self.index = {v: i for i, v in enumerate(self.vertices)}
         self.tetra_of = tuple(centers[v] for v in self.vertices)
         self.n = 600
 
@@ -529,15 +532,13 @@ class Cell120:
         """25 disjoint 24-cells g^i * C * g^-j covering the 600 vertices, C
         the vertices of shape (+-2, +-2, 0, 0)."""
         g = self.parent.g
-        ginv = g.quat_conj()
         gpow = [ICOSIAN_ONE]
-        ginvpow = [ICOSIAN_ONE]
         for _ in range(4):
             gpow.append(icosian_mul(gpow[-1], g))
-            ginvpow.append(icosian_mul(ginvpow[-1], ginv))
+        ginvpow = [conj(x) for x in gpow]  # g^-j = conj(g)^j = conj(g^j)
         base = [
             v for v in self.vertices
-            if not any(v.flat[1::2]) and sorted(map(abs, v.flat[::2])) == [0, 0, 2, 2]
+            if not any(v[1::2]) and sorted(map(abs, v[::2])) == [0, 0, 2, 2]
         ]
         if len(base) != 24:
             raise ValueError(f"the base 24-cell of the 120-cell has {len(base)} vertices, not 24")
@@ -545,7 +546,7 @@ class Cell120:
         for i in range(5):
             for j in range(5):
                 cell = frozenset(
-                    self.index[icosian_mul(icosian_mul(gpow[i], w), ginvpow[j]).flat]
+                    self.index[icosian_mul(icosian_mul(gpow[i], w), ginvpow[j])]
                     for w in base
                 )
                 if len(cell) != 24:
@@ -633,16 +634,16 @@ class Cell120:
         x -> q*x is injective, so 120 distinct images in verts are all of
         them.  A set that is only a two-sided image a*H*b reads False.
         """
-        times4 = {tuple(4 * x for x in self.vertices[i].flat) for i in verts}
+        times4 = {tuple(4 * x for x in self.vertices[i]) for i in verts}
         if len(verts) != 120 or len(times4) != 120:
             return False
-        w0, fc = self.vertices[verts[0]], self.parent.vertices[0].quat_conj()
+        w0, fc = self.vertices[verts[0]], conj(self.parent.vertices[0])
         left, right = quat_mul(w0, fc), quat_mul(fc, w0)
-        if left.dot(left) != (32, 0):
+        if flat_dot(left, left) != (32, 0):
             return False
         h = self.parent.vertices
-        return all(quat_mul(left, v).flat in times4 for v in h) or all(
-            quat_mul(v, right).flat in times4 for v in h
+        return all(quat_mul(left, v) in times4 for v in h) or all(
+            quat_mul(v, right) in times4 for v in h
         )
 
 

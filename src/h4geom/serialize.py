@@ -1,21 +1,16 @@
 """Deterministic JSON encoding: exact values only, canonical ordering.
 
 A golden scalar is already an (a, b) pair in the (1, phi) basis, so it is
-emitted as the list [a, b] like any tuple, and an icosian as four such
-pairs; sets are emitted sorted.  Any other type raises TypeError.
+emitted as the list [a, b] like any tuple; sets are emitted sorted.  Any
+other type raises TypeError.
 """
 
 from __future__ import annotations
 
 import json
 
-from .icosian import IcosianVec
-
 
 def jsonable(obj):
-    if isinstance(obj, IcosianVec):
-        f = obj.flat
-        return [[f[k], f[k + 1]] for k in (0, 2, 4, 6)]
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):

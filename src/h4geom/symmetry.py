@@ -26,8 +26,8 @@ from itertools import chain, combinations_with_replacement
 from operator import itemgetter
 
 from .icosian import (
-    GENERATORS, ICOSIAN_ONE, IcosianVec, flat_dot, generate_vertices, generator_walk, inverse_index,
-    mult_table, perm_parity, vertex_index,
+    GENERATORS, ICOSIAN_ONE, Flat, flat_dot, generate_vertices, generator_walk, inverse_index,
+    mult_table, neg, perm_parity, vertex_index,
 )
 from .polytopes import Cell600, the_600cell
 
@@ -67,7 +67,7 @@ def _op_from_perm(perm: tuple[int, ...]) -> SymOp:
     (Conway & Smith, ch. 4), so each permutes the vertices evenly, and
     x -> -conj(x) fixes the 30 vertices of real part 0 and swaps 45 pairs."""
     verts = generate_vertices()
-    images = [verts[perm[b]].flat for b in _basis_indices()]
+    images = [verts[perm[b]] for b in _basis_indices()]
     for i, j in combinations_with_replacement(range(4), 2):
         a, b = flat_dot(images[i], images[j])
         if (a, b) != (4 * (i == j), 0):
@@ -99,22 +99,22 @@ def _set_action(sets: tuple[frozenset[int], ...]) -> _Action:
     return lambda perm: tuple(index[frozenset([perm[x] for x in s])] for s in sets)
 
 
-def left_mul(v: IcosianVec) -> SymOp:
+def left_mul(v: Flat) -> SymOp:
     """x -> v*x/2, a rotation: the Cayley table's row of v."""
-    return _op_from_perm(mult_table()[vertex_index()[v.flat]])
+    return _op_from_perm(mult_table()[vertex_index()[v]])
 
 
-def right_mul(v: IcosianVec) -> SymOp:
+def right_mul(v: Flat) -> SymOp:
     """x -> x*v/2, a rotation: the Cayley table's column of v."""
-    i = vertex_index()[v.flat]
+    i = vertex_index()[v]
     return _op_from_perm(tuple(row[i] for row in mult_table()))
 
 
-def reflection(v: IcosianVec) -> SymOp:
+def reflection(v: Flat) -> SymOp:
     """x -> x - 2 (x.v)/(v.v) v = (-v)*conj(x)*v/4; negates v, fixes its
     orthoplane, parity odd."""
     table, idx = mult_table(), vertex_index()
-    i, m = idx[v.flat], idx[(-v).flat]
+    i, m = idx[v], idx[neg(v)]
     return _op_from_perm(tuple(table[table[m][y]][i] for y in inverse_index()))
 
 
@@ -150,7 +150,7 @@ class SymmetryGroup:
         """x -> a*x, x -> b*x, x -> x*a, x -> x*b and x -> -conj(x) (the
         reflection that negates the real axis), for the generators a, b of 2I
         that `mult_table` certifies."""
-        a, b = map(IcosianVec, GENERATORS)
+        a, b = GENERATORS
         return (left_mul(a), left_mul(b), right_mul(a), right_mul(b), reflection(ICOSIAN_ONE))
 
     def triple(self, k: int) -> tuple[int, int, int]:

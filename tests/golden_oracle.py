@@ -5,7 +5,7 @@ against.
 `unit_inverse`, `halved` and `key`: the second form of a Z[phi] scalar that
 `h4geom` dropped when every golden scalar there became an integer pair
 (a, b).  It lives here as the reference for `h4geom.golden.mul`, `phi_pow`,
-`ReductionMap.reduce` and `IcosianVec.scaled`, and everything below is built
+`ReductionMap.reduce` and `h4geom.icosian.scaled`, and everything below is built
 on it.  `parity_by_inversions` is the pairwise inversion count that
 `h4geom.icosian.perm_parity` replaced with a cycle count.
 
@@ -14,8 +14,8 @@ sends sqrt(n) to any rational m with m**2 < n on the sqrt5-form x + y*sqrt5
 of each coordinate, with a golden prefactor `scale` and a form `multiplier`:
 the Fraction reduction layer that `h4geom.golden.ReductionMap` replaced.
 `GoldenVec` holds four GoldenInt coordinates and does all its arithmetic,
-the quaternion product included, in GoldenInt, as the flat
-`h4geom.icosian.IcosianVec` does on integers; `oracle_vertices` builds the
+the quaternion product included, in GoldenInt, as the functions of
+`h4geom.icosian` do on flat integer 8-tuples; `oracle_vertices` builds the
 120 icosians with it.  `fraction_short_vectors` lists the short vectors of an
 integer Gram matrix by a Fraction branch and bound, for the shape listings
 of `h4geom.embed`, and `sorted_root_basis` is the sorted-image search, with
@@ -25,7 +25,7 @@ applies an exact matrix (A + B*phi)/d to all 120 vertices, and
 symmetries that `h4geom.symmetry` reads off the Cayley table from their
 matrices.  `golden_eliminate` is the Bareiss elimination over Z[phi], with
 its `exact_quotient`, that `h4geom.golden.eliminate` dropped when all exact
-linear algebra moved to Z; `coords` reads a vector's four GoldenInt
+linear algebra moved to Z; `coords` reads a flat vector's four GoldenInt
 coordinates, and `golden_sign`, `is_unit` and `element_order` are helpers
 only the tests read.
 """
@@ -36,11 +36,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 from math import gcd, isqrt
+from operator import sub
 from typing import Sequence, Union
 
 from h4geom.embed import _half_dot
 from h4geom.golden import Elimination, eliminate
-from h4geom.icosian import Flat, IcosianVec, element_order_index, generate_vertices, quat_mul, vertex_index
+from h4geom.icosian import (
+    Flat, element_order_index, flat_dot, generate_vertices, quat_mul, scaled, vertex_index,
+)
 from h4geom.symmetry import SymOp
 
 
@@ -149,9 +152,8 @@ GOLDEN_ZERO = GoldenInt(0, 0)
 Ring = Union[int, GoldenInt]
 
 
-def coords(v) -> tuple[GoldenInt, ...]:
+def coords(f: Flat) -> tuple[GoldenInt, ...]:
     """The four coordinates of a flat golden vector as GoldenInts."""
-    f = v.flat
     return tuple(GoldenInt(f[k], f[k + 1]) for k in (0, 2, 4, 6))
 
 
@@ -178,8 +180,8 @@ def parity_by_inversions(seq) -> int:
     return sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:]) % 2
 
 
-def element_order(v: IcosianVec) -> int:
-    return element_order_index(vertex_index()[v.flat])
+def element_order(v: Flat) -> int:
+    return element_order_index(vertex_index()[v])
 
 
 def exact_quotient(x: Ring, d: Ring) -> Ring | None:
@@ -459,8 +461,8 @@ class GoldenVec:
         self.c = (c0, c1, c2, c3)
 
     @classmethod
-    def of(cls, v) -> GoldenVec:
-        """The oracle copy of an `IcosianVec`, read off its flat integers."""
+    def of(cls, v: Flat) -> GoldenVec:
+        """The oracle copy of a flat golden vector, read off its integers."""
         return cls(*coords(v))
 
     @property
@@ -619,7 +621,7 @@ def sorted_root_basis(h_img):
 
 # ---------- the exact-matrix symmetry constructors ----------
 
-BASIS = tuple(IcosianVec(int(j == 2 * k) for j in range(8)) for k in range(4))
+BASIS = tuple(tuple(int(j == 2 * k) for j in range(8)) for k in range(4))
 
 
 def apply_matrix(anum: tuple[int, ...], bnum: tuple[int, ...], den: int, flat: Flat) -> Flat:
@@ -639,13 +641,13 @@ def apply_matrix(anum: tuple[int, ...], bnum: tuple[int, ...], den: int, flat: F
     return tuple(out)
 
 
-def op_from_matrix(cols: list[IcosianVec], den: int) -> SymOp:
+def op_from_matrix(cols: list[Flat], den: int) -> SymOp:
     """The isometry with matrix (A + B*phi)/d, columns cols over d, applied to
     all 120 vertices; raises unless its determinant is a sign."""
-    anum = tuple(col.flat[2 * r] for r in range(4) for col in cols)
-    bnum = tuple(col.flat[2 * r + 1] for r in range(4) for col in cols)
+    anum = tuple(col[2 * r] for r in range(4) for col in cols)
+    bnum = tuple(col[2 * r + 1] for r in range(4) for col in cols)
     idx = vertex_index()
-    perm = tuple(idx[apply_matrix(anum, bnum, den, v.flat)] for v in generate_vertices())
+    perm = tuple(idx[apply_matrix(anum, bnum, den, v)] for v in generate_vertices())
     # det((A + B*phi)/d) = +-1 exactly when det(A + B*phi) = +-d**4
     det = golden_eliminate(
         [[GoldenInt(anum[4 * r + c], bnum[4 * r + c]) for c in range(4)] for r in range(4)]
@@ -656,16 +658,18 @@ def op_from_matrix(cols: list[IcosianVec], den: int) -> SymOp:
     return SymOp(perm, 1 if det == unit else -1)
 
 
-def matrix_left_mul(v: IcosianVec) -> SymOp:
+def matrix_left_mul(v: Flat) -> SymOp:
     """x -> v*x/2 from the quaternion products v*e."""
     return op_from_matrix([quat_mul(v, e) for e in BASIS], 2)
 
 
-def matrix_right_mul(v: IcosianVec) -> SymOp:
+def matrix_right_mul(v: Flat) -> SymOp:
     """x -> x*v/2 from the quaternion products e*v."""
     return op_from_matrix([quat_mul(e, v) for e in BASIS], 2)
 
 
-def matrix_reflection(v: IcosianVec) -> SymOp:
+def matrix_reflection(v: Flat) -> SymOp:
     """x -> x - 2 (x.v)/(v.v) v, column by column: 2e - (e.v) v, since v.v = 4."""
-    return op_from_matrix([e.scaled((2, 0)) - v.scaled(e.dot(v)) for e in BASIS], 2)
+    return op_from_matrix(
+        [tuple(map(sub, scaled((2, 0), e), scaled(flat_dot(e, v), v))) for e in BASIS], 2
+    )

@@ -49,7 +49,7 @@ def test_criterion_03_ten_partitions(cell):
 def test_criterion_04_group_and_stabilizers(cell, group):
     assert len(group.ops) == 14400
     assert group.rotation_count == 7200
-    v = cell.index[ICOSIAN_ONE.flat]
+    v = cell.index[ICOSIAN_ONE]
     pid = cell.pair_of[v]
     stab_v = group.stabilizer_of_vertex(v)
     assert len(stab_v) == 120
@@ -80,7 +80,7 @@ def test_criterion_05_partition_action_and_labels(cell, group):
     for k, op in enumerate(group.ops):
         img = {group.ten_perms[k][i] for i in rows}
         assert img == (rows if op.parity == 1 else set(range(5, 10)))
-    one_pid = cell.pair_of[cell.index[ICOSIAN_ONE.flat]]
+    one_pid = cell.pair_of[cell.index[ICOSIAN_ONE]]
     assert label_str(cell.labels[one_pid]) == "(16)(27)(38)(49)(5X)"
     assert len(set(cell.labels)) == 60
     assert all(perm_parity([d[1] for d in lab]) == 0 for lab in cell.labels)

@@ -12,6 +12,7 @@ from h4geom.golden import (
     mul,
     phi_pow,
 )
+from h4geom.icosian import flat_dot, scaled
 from h4geom.polytopes import the_600cell
 
 from golden_oracle import (
@@ -175,7 +176,7 @@ def test_split_norm_matches_reduced_norm_on_all_vertices(m):
     rmap = FractionMap(F(5), F(m))
     for v in cell.vertices:
         split = rmap.split_vector(coords(v))
-        natural = GoldenInt(*v.dot(v))
+        natural = GoldenInt(*flat_dot(v, v))
         assert rmap.reduced_norm(split) == reduce_scalar(natural, rmap)
 
 
@@ -184,7 +185,8 @@ def test_scaled_map_norm_compatibility():
     rmap = FractionMap(F(5), F(-1), scale=GoldenRational(GoldenInt(*PHI)), multiplier=F(1, 2))
     for v in cell.vertices[:24]:
         split = rmap.split_vector(coords(v))
-        scaled_norm = GoldenInt(*v.scaled(PHI).dot(v.scaled(PHI)))
+        w = scaled(PHI, v)
+        scaled_norm = GoldenInt(*flat_dot(w, w))
         assert rmap.reduced_norm(split) == reduce_scalar(scaled_norm, rmap) * F(1, 2)
 
 

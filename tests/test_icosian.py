@@ -8,17 +8,21 @@ from h4geom import icosian
 from h4geom.golden import phi_pow
 from h4geom.icosian import (
     ICOSIAN_ONE,
-    IcosianVec,
     cell24_base_indices,
+    conj,
     element_order_index,
     find_order5,
+    flat_dot,
     generate_vertices,
     icosian_mul,
     inverse_index,
     mulclose_indices,
     mult_table,
+    neg,
+    paper_dot,
     perm_parity,
     quat_mul,
+    scaled,
     vertex_index,
 )
 
@@ -27,7 +31,7 @@ from golden_oracle import GoldenInt, GoldenVec, coords, element_order, oracle_ve
 VERTS = generate_vertices()
 TABLE = mult_table()
 IDX = vertex_index()
-ONE = IDX[ICOSIAN_ONE.flat]
+ONE = IDX[ICOSIAN_ONE]
 
 
 def test_vertex_count_and_shapes():
@@ -46,8 +50,8 @@ def test_vertex_count_and_shapes():
 
 def test_all_norm_4_and_closed_under_negation():
     for v in VERTS:
-        assert v.dot(v) == (4, 0)
-        assert (-v).flat in IDX
+        assert flat_dot(v, v) == (4, 0)
+        assert neg(v) in IDX
 
 
 def test_identity_and_inverses():
@@ -59,7 +63,7 @@ def test_identity_and_inverses():
 
 def test_quaternion_inverse_law():
     for v in VERTS[:20]:
-        assert icosian_mul(v, v.quat_conj()) == ICOSIAN_ONE
+        assert icosian_mul(v, conj(v)) == ICOSIAN_ONE
 
 
 def test_closure_and_latin_square():
@@ -73,13 +77,12 @@ def test_closure_and_latin_square():
 def test_table_is_the_icosian_product_on_every_pair():
     for i, u in enumerate(VERTS):
         for j, v in enumerate(VERTS):
-            assert TABLE[i][j] == IDX[icosian_mul(u, v).flat]
+            assert TABLE[i][j] == IDX[icosian_mul(u, v)]
 
 
 def _product_table():
     """One quaternion product per entry: the oracle for the composed table."""
-    flats = [v.flat for v in VERTS]
-    return tuple(tuple(IDX[icosian._halved(icosian._flat_quat_mul(u, v))] for v in flats) for u in flats)
+    return tuple(tuple(IDX[icosian._halved(quat_mul(u, v))] for v in VERTS) for u in VERTS)
 
 
 def test_composed_table_equals_the_product_table_on_all_entries():
@@ -97,7 +100,7 @@ def test_mult_table_raises_when_the_generators_span_a_proper_subgroup(monkeypatc
 
 def test_mult_table_rejects_a_product_off_the_standard_scale(monkeypatch):
     verts = list(VERTS)
-    verts[0] = IcosianVec((1, 0, 0, 0, 0, 0, 0, 0))
+    verts[0] = (1, 0, 0, 0, 0, 0, 0, 0)
     monkeypatch.setattr(icosian, "generate_vertices", lambda: tuple(verts))
     with pytest.raises(ValueError, match="not at standard scale"):
         mult_table.__wrapped__()
@@ -105,7 +108,7 @@ def test_mult_table_rejects_a_product_off_the_standard_scale(monkeypatch):
 
 def _dict_quat_mul(u, v):
     """The quaternion product as it was written before the straight-line
-    kernel: the oracle for `_flat_quat_mul`."""
+    kernel: the oracle for `quat_mul`."""
     def gm(i, j):
         ua, ub = u[2 * i], u[2 * i + 1]
         va, vb = v[2 * j], v[2 * j + 1]
@@ -124,10 +127,9 @@ def _dict_quat_mul(u, v):
 
 
 def test_flat_quat_mul_matches_the_dict_product_on_all_vertex_pairs():
-    flats = [v.flat for v in VERTS]
-    for u in flats:
-        for v in flats:
-            assert icosian._flat_quat_mul(u, v) == _dict_quat_mul(u, v)
+    for u in VERTS:
+        for v in VERTS:
+            assert quat_mul(u, v) == _dict_quat_mul(u, v)
 
 
 _flat = st.tuples(*[st.integers(-50, 50)] * 8)
@@ -135,7 +137,7 @@ _flat = st.tuples(*[st.integers(-50, 50)] * 8)
 
 @given(_flat, _flat)
 def test_flat_quat_mul_matches_the_dict_product(u, v):
-    assert icosian._flat_quat_mul(u, v) == _dict_quat_mul(u, v)
+    assert quat_mul(u, v) == _dict_quat_mul(u, v)
 
 
 def test_left_right_multiplication_are_isometries():
@@ -145,8 +147,8 @@ def test_left_right_multiplication_are_isometries():
     for a, b in [(g, h)]:
         for u in sample:
             for w in sample:
-                assert icosian_mul(a, u).dot(icosian_mul(a, w)) == u.dot(w)
-                assert icosian_mul(u, b).dot(icosian_mul(w, b)) == u.dot(w)
+                assert flat_dot(icosian_mul(a, u), icosian_mul(a, w)) == flat_dot(u, w)
+                assert flat_dot(icosian_mul(u, b), icosian_mul(w, b)) == flat_dot(u, w)
 
 
 def test_element_orders_match_binary_icosahedral_group():
@@ -167,14 +169,14 @@ def test_element_orders_match_binary_icosahedral_group():
 
 def test_order_of_unit_elements():
     assert element_order(ICOSIAN_ONE) == 1
-    assert element_order(-ICOSIAN_ONE) == 2
+    assert element_order(neg(ICOSIAN_ONE)) == 2
 
 
 def test_find_order5_is_deterministic_and_correct():
     g = find_order5()
     assert element_order(g) == 5
-    assert g.flat == (-1, 1, -1, 0, 0, 0, 0, -1)  # least order-5 vertex
-    gi = IDX[g.flat]
+    assert g == (-1, 1, -1, 0, 0, 0, 0, -1)  # least order-5 vertex
+    gi = IDX[g]
     assert gi not in cell24_base_indices()
     # powers give a left transversal: the five cosets g^i * base cover everything
     base = cell24_base_indices()
@@ -196,48 +198,46 @@ def test_base_24cell_is_a_subgroup():
 
 
 def test_icosian_mul_rejects_non_icosians():
-    w = IcosianVec((1, 0, 0, 0, 0, 0, 0, 0))
+    w = (1, 0, 0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         icosian_mul(w, w)  # unit-scale input is not standard scale
 
 
 def test_quat_mul_matches_hand_values():
-    i_vec = IcosianVec((0, 0, 2, 0, 0, 0, 0, 0))
-    j_vec = IcosianVec((0, 0, 0, 0, 2, 0, 0, 0))
-    k_vec = IcosianVec((0, 0, 0, 0, 0, 0, 2, 0))
+    i_vec = (0, 0, 2, 0, 0, 0, 0, 0)
+    j_vec = (0, 0, 0, 0, 2, 0, 0, 0)
+    k_vec = (0, 0, 0, 0, 0, 0, 2, 0)
     assert icosian_mul(i_vec, j_vec) == k_vec
-    assert icosian_mul(j_vec, i_vec) == -k_vec
-    assert icosian_mul(i_vec, i_vec) == -ICOSIAN_ONE
-    assert quat_mul(ICOSIAN_ONE, ICOSIAN_ONE) == IcosianVec((4, 0, 0, 0, 0, 0, 0, 0))
+    assert icosian_mul(j_vec, i_vec) == neg(k_vec)
+    assert icosian_mul(i_vec, i_vec) == neg(ICOSIAN_ONE)
+    assert quat_mul(ICOSIAN_ONE, ICOSIAN_ONE) == (4, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_generate_vertices_equals_the_golden_construction_in_order():
     oracle = oracle_vertices()
     assert len(oracle) == 120
-    assert [v.flat for v in VERTS] == [w.flat for w in oracle]
+    assert list(VERTS) == [w.flat for w in oracle]
     assert [coords(v) for v in VERTS] == [w.c for w in oracle]
 
 
 def test_unary_arithmetic_matches_the_golden_oracle_on_every_vertex():
     for v in VERTS:
         w = GoldenVec.of(v)
-        assert (-v).flat == (-w).flat
-        assert v.quat_conj().flat == w.quat_conj().flat
+        assert neg(v) == (-w).flat
+        assert conj(v) == w.quat_conj().flat
 
 
 def test_binary_arithmetic_matches_the_golden_oracle_on_every_vertex_pair():
-    """add, sub, dot, paper_dot, quat_mul and icosian_mul on all 14,400
-    ordered pairs; the pairs of dot and paper_dot against the oracle's
+    """flat_dot, paper_dot, quat_mul and icosian_mul on all 14,400 ordered
+    pairs; the pairs of flat_dot and paper_dot against the oracle's
     GoldenInt and its `halved`."""
     oracle = [GoldenVec.of(v) for v in VERTS]
     for u, ou in zip(VERTS, oracle):
         for v, ov in zip(VERTS, oracle):
-            assert (u + v).flat == (ou + ov).flat
-            assert (u - v).flat == (ou - ov).flat
-            assert u.dot(v) == ou.dot(ov).key()
-            assert u.paper_dot(v) == ou.dot(ov).halved().key()
-            assert quat_mul(u, v).flat == ou.quat_mul(ov).flat
-            assert icosian_mul(u, v).flat == ou.icosian_mul(ov).flat
+            assert flat_dot(u, v) == ou.dot(ov).key()
+            assert paper_dot(u, v) == ou.dot(ov).halved().key()
+            assert quat_mul(u, v) == ou.quat_mul(ov).flat
+            assert icosian_mul(u, v) == ou.icosian_mul(ov).flat
 
 
 def test_scaled_matches_the_golden_oracle_on_the_three_polytopes(cell):
@@ -249,14 +249,14 @@ def test_scaled_matches_the_golden_oracle_on_the_three_polytopes(cell):
     for v in verts:
         w = GoldenVec.of(v)
         for s in scalars:
-            assert v.scaled(s).flat == w.scaled(GoldenInt(*s)).flat
+            assert scaled(s, v) == w.scaled(GoldenInt(*s)).flat
 
 
 def test_paper_dot_rejects_an_odd_natural_inner_product():
-    half = IcosianVec((1, 0, 1, 0, 0, 0, 0, 0))  # natural norm 2, paper norm 1
-    assert half.dot(ICOSIAN_ONE) == (2, 0) and half.paper_dot(ICOSIAN_ONE) == (1, 0)
+    half = (1, 0, 1, 0, 0, 0, 0, 0)  # natural norm 2, paper norm 1
+    assert flat_dot(half, ICOSIAN_ONE) == (2, 0) and paper_dot(half, ICOSIAN_ONE) == (1, 0)
     with pytest.raises(ValueError, match="not divisible by 2"):
-        IcosianVec((1, 0, 0, 0, 0, 0, 0, 0)).paper_dot(half)
+        paper_dot((1, 0, 0, 0, 0, 0, 0, 0), half)
 
 
 def test_perm_parity_agrees_with_the_inversion_count():

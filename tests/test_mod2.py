@@ -323,11 +323,19 @@ def test_table_matches_the_per_class_fold(geo, group):
 
 
 def test_line_members_match_the_tag_comprehensions(geo):
-    assert len(geo.lines) == 357
+    """`line_info`, built once, against each line's members and type
+    recomputed from the tags, on all 357 lines; `line_members`, `line_type`
+    and `line_census` read it, and the census keeps its counts."""
+    assert len(geo.lines) == 357 and list(geo.line_info) == list(geo.lines)
+    types = {5: "pentagon", 4: "cell16", 3: "triangle", 0: "partition"}
+    census = Counter()
     for line in geo.lines:
-        vs = sorted(geo.tags[p][1] for p in line if geo.tags[p][0] == "vertex")
-        cs = sorted(geo.tags[p][1] for p in line if geo.tags[p][0] == "cell")
-        assert geo.line_members(line) == (vs, cs)
+        vs = tuple(sorted(geo.tags[p][1] for p in line if geo.tags[p][0] == "vertex"))
+        cs = tuple(sorted(geo.tags[p][1] for p in line if geo.tags[p][0] == "cell"))
+        assert geo.line_info[line] == (vs, cs, types[len(vs)])
+        assert geo.line_members(line) == (vs, cs) and geo.line_type(line) == types[len(vs)]
+        census[types[len(vs)]] += 1
+    assert geo.line_census == census == {"partition": 10, "pentagon": 72, "cell16": 75, "triangle": 200}
 
 
 def test_isotropic_4spaces_count(geo):

@@ -9,14 +9,15 @@ import pytest
 from h4geom import checks
 from h4geom.icosian import (
     ICOSIAN_ONE,
-    IcosianVec,
     cell24_base_indices,
+    conj,
     element_order_index,
     flat_dot,
     icosian_mul,
     inverse_index,
     mulclose_indices,
     mult_table,
+    paper_dot,
     quat_mul,
 )
 from h4geom.polytopes import _PP_KEYS, Cell120, Cell600, _coset_grid, label_str, perm_parity
@@ -27,7 +28,7 @@ PHI_KEY = (0, 1)
 
 
 def paper_inner_product(cell, i, j):
-    a, b = flat_dot(cell.flats[i], cell.flats[j])
+    a, b = flat_dot(cell.vertices[i], cell.vertices[j])
     return (a // 2, b // 2)
 
 
@@ -54,7 +55,7 @@ def rectified_shape_census(cell):
 
 
 def test_inner_product_values_and_distribution(cell):
-    i0 = cell.index[ICOSIAN_ONE.flat]
+    i0 = cell.index[ICOSIAN_ONE]
     assert paper_inner_product(cell, i0, i0) == (2, 0)
     dist = Counter(cell.pp[i0][j] for j in range(cell.n) if j != i0)
     assert dist == {
@@ -70,8 +71,8 @@ def test_pp_from_the_cayley_table_matches_flat_dot_on_every_ordered_pair(cell):
     """The oracle: each of the 14,400 ordered pairs named from its flat dot
     product, halved to paper scale."""
     oracle = tuple(
-        tuple(_PP_KEYS[a // 2, b // 2] for a, b in (flat_dot(u, v) for v in cell.flats))
-        for u in cell.flats
+        tuple(_PP_KEYS[a // 2, b // 2] for a, b in (flat_dot(u, v) for v in cell.vertices))
+        for u in cell.vertices
     )
     assert cell.pp == oracle
 
@@ -167,7 +168,7 @@ def test_cells24_raises_when_a_24cell_holds_a_16cell_twice(cell):
 def test_array_rows_and_columns_partition(cell):
     duads = {cell.duad_of_cell[cell.array[i][j]] for i in range(5) for j in range(5)}
     assert duads == {(r, c) for r in range(1, 6) for c in range(6, 11)}
-    one_pid = cell.pair_of[cell.index[ICOSIAN_ONE.flat]]
+    one_pid = cell.pair_of[cell.index[ICOSIAN_ONE]]
     for i in range(5):
         assert one_pid in cell.cells24[cell.array[i][i]]
 
@@ -191,7 +192,7 @@ def test_disjointness_graph_is_rook_complement(cell):
 
 
 def test_labels(cell):
-    one_pid = cell.pair_of[cell.index[ICOSIAN_ONE.flat]]
+    one_pid = cell.pair_of[cell.index[ICOSIAN_ONE]]
     assert label_str(cell.labels[one_pid]) == "(16)(27)(38)(49)(5X)"
     assert len(set(cell.labels)) == 60
     for lab in cell.labels:
@@ -307,7 +308,7 @@ def _nested_loop_prime_entries(cell, p):
         sylow = mulclose_indices((x, y))
     else:
         x = next(i for i in range(n) if orders[i] == p)
-        sylow = mulclose_indices((x, cell.neg[cell.index[ICOSIAN_ONE.flat]]))
+        sylow = mulclose_indices((x, cell.neg[cell.index[ICOSIAN_ONE]]))
     normalizer = frozenset(
         h for h in range(n) if frozenset(table[table[h][s]][inv[h]] for s in sylow) == sylow
     )
@@ -334,8 +335,8 @@ def test_prime_array_entries_match_the_nested_loops(cell, p):
 def test_array_matches_the_per_cell_loop(cell):
     """Every entry of `array` against the per-cell loop it replaced."""
     table, inv = mult_table(), inverse_index()
-    gi = cell.index[cell.g.flat]
-    gpow = [cell.index[ICOSIAN_ONE.flat]]
+    gi = cell.index[cell.g]
+    gpow = [cell.index[ICOSIAN_ONE]]
     for _ in range(4):
         gpow.append(table[gpow[-1]][gi])
     base = sorted(cell24_base_indices())
@@ -347,7 +348,7 @@ def test_array_matches_the_per_cell_loop(cell):
 
 
 def test_coset_grid_raises_on_a_repeated_entry(cell):
-    one = cell.index[ICOSIAN_ONE.flat]
+    one = cell.index[ICOSIAN_ONE]
     with pytest.raises(ValueError, match="repeats an entry"):
         _coset_grid([one, one], [one])
 
@@ -403,8 +404,8 @@ def test_120cell_base_cell_is_the_two_sided_orbit_of_one_vertex(cell):
     600-cell's base 24-cell and v1 = (2, 2, 0, 0), is cell 0, g^0 * C * g^0."""
     d = cell.cell120
     base = [cell.vertices[i] for i in sorted(cell24_base_indices())]
-    v1 = IcosianVec((2, 0, 2, 0, 0, 0, 0, 0))
-    orbit = {icosian_mul(icosian_mul(a, v1), b).flat for a in base for b in base}
+    v1 = (2, 0, 2, 0, 0, 0, 0, 0)
+    orbit = {icosian_mul(icosian_mul(a, v1), b) for a in base for b in base}
     assert len(orbit) == 24
     assert frozenset(map(d.index.__getitem__, orbit)) == d.cells[0]
 
@@ -418,13 +419,13 @@ def test_120cell_rows_and_columns_are_600cells(cell):
     assert len(col) == 120
     spec = Counter()
     for i, j in combinations(col, 2):
-        spec[GoldenInt(*d.vertices[i].paper_dot(d.vertices[j])).halved().key()] += 1
+        spec[GoldenInt(*paper_dot(d.vertices[i], d.vertices[j])).halved().key()] += 1
     assert spec == spectrum_h
 
 
 @cache
 def _doubled_spectrum(cell):
-    dots = (flat_dot(u, v) for u, v in combinations(cell.flats, 2))
+    dots = (flat_dot(u, v) for u, v in combinations(cell.vertices, 2))
     return Counter((2 * a, 2 * b) for a, b in dots)
 
 
@@ -432,7 +433,7 @@ def _spectra_match(cell, verts):
     """The spectra oracle for `Cell120.is_600cell_image`: the natural inner
     products over the pairs of the 120-cell vertices `verts` are, as a
     multiset, twice those over the pairs of the 600-cell's vertices."""
-    flats = [cell.cell120.vertices[i].flat for i in verts]
+    flats = [cell.cell120.vertices[i] for i in verts]
     return Counter(flat_dot(u, v) for u, v in combinations(flats, 2)) == _doubled_spectrum(cell)
 
 
@@ -446,7 +447,7 @@ def _frame(d):
     n / N with n = v adj(B) conj(det B) and N = det B conj(det B).  Last,
     the flats of the 120-cell's vertices times N."""
     parent = d.parent
-    frame = [parent.flats[i] for i in parent.tetra_cells[0]]
+    frame = [parent.vertices[i] for i in parent.tetra_cells[0]]
     gram2 = tuple(
         tuple(tuple(2 * x for x in flat_dot(f, g)) for g in frame) for f in frame
     )
@@ -457,9 +458,9 @@ def _frame(d):
     cols = _right_mul_columns(
         [tuple(x for g in row for x in (g * scale).key()) for row in elim.adj]
     )
-    numerators = tuple(tuple(sum(map(mul, v, col)) for col in cols) for v in parent.flats)
+    numerators = tuple(tuple(sum(map(mul, v, col)) for col in cols) for v in parent.vertices)
     norm = elim.det.field_norm()
-    scaled = tuple(tuple(norm * x for x in v.flat) for v in d.vertices)
+    scaled = tuple(tuple(norm * x for x in v) for v in d.vertices)
     return gram2, numerators, scaled
 
 
@@ -478,7 +479,7 @@ def _frame_search(d, verts):
     M is injective, so 120 distinct vertices in verts are all of them.
     Unlike the quaternion certificate, it accepts two-sided images a*H*b.
     """
-    flats = [d.vertices[i].flat for i in verts]
+    flats = [d.vertices[i] for i in verts]
     if len(flats) != 120 or len(set(flats)) != 120:
         return False
     gram2, numerators, scaled_flats = _frame(d)
@@ -541,10 +542,10 @@ def test_similarity_certificate_matches_the_spectra_oracle(cell):
 def _one_sided(d, verts, left):
     """Whether verts is q*H (left) or H*q, as whole sets, for the q =
     w0 * conj(f) / 4 (or conj(f) * w0 / 4) of `Cell120.is_600cell_image`."""
-    w0, fc = d.vertices[verts[0]], d.parent.vertices[0].quat_conj()
+    w0, fc = d.vertices[verts[0]], conj(d.parent.vertices[0])
     p = quat_mul(w0, fc) if left else quat_mul(fc, w0)
-    images = {(quat_mul(p, v) if left else quat_mul(v, p)).flat for v in d.parent.vertices}
-    return images == {tuple(4 * x for x in d.vertices[i].flat) for i in verts}
+    images = {quat_mul(p, v) if left else quat_mul(v, p) for v in d.parent.vertices}
+    return images == {tuple(4 * x for x in d.vertices[i]) for i in verts}
 
 
 def test_rows_are_left_and_columns_right_multiples_of_the_600cell(cell):
@@ -603,7 +604,7 @@ def test_rectified_600cell(cell):
     r = cell.rectified
     assert len(r) == 720
     for w in r[:50]:
-        assert w.dot(w) == (12, 16)  # 20 + 8*sqrt(5)
+        assert flat_dot(w, w) == (12, 16)  # 20 + 8*sqrt(5)
     census = rectified_shape_census(cell)
     expected_shapes = {
         ((0, 0), (0, 0), (0, 2), (2, 2)),  # (0, 0, 2phi, 2phi^2)
