@@ -125,18 +125,15 @@ def _dump_lines():
     from . import mod2
 
     geo = mod2.f4_geometry()
-    out = []
-    for line in geo.lines:
-        vertex_pairs, cells = geo.line_members(line)
-        out.append(
-            {
-                "points": sorted(line),
-                "type": geo.line_type(line),
-                "vertex_pairs": vertex_pairs,
-                "cells": cells,
-            }
-        )
-    out.sort(key=lambda d: d["points"])
+    out = [
+        {
+            "points": sorted(line),
+            "type": info.type,
+            "vertex_pairs": info.vertex_pairs,
+            "cells": info.cells,
+        }
+        for line, info in geo.line_info.items()
+    ]
     return {"count": len(out), "lines": out}
 
 

@@ -13,19 +13,21 @@ of the classes it pairs to 1, which gives perp[x]) is one table built from
 its rows (`_table`); the 4-spaces grow along their echelon bases, each built
 once; phibar's B-self-adjointness and the biadditivity of the F4 form's
 polarization are checked one 256-value row at a time; and the pentad
-analyses intersect spaces as masks.
+analyses intersect spaces as masks, reading the maximal cliques of the
+completions' disjointness graph off `polytopes.cliques`: the cliques whose
+members have no common neighbour.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import combinations
-from operator import mul
+from operator import and_, mul
 
 from .embed import E8Lattice, IntVec, certify_e8
-from .polytopes import bits
+from .polytopes import bits, cliques
 
 # `SymOp` in annotations is `symmetry.SymOp`, left unimported so that the
 # lines and planes dumps never load symmetry.
@@ -108,6 +110,8 @@ def biadditive(values: Sequence[int]) -> bool:
 # rows**2 == rows + 1 in integers; cube_is_identity: table applied three
 # times is the identity.
 PhiMap = namedtuple("PhiMap", "rows mod2_rows table squares_to_phi_plus_one cube_is_identity")
+# The sorted vertex-pair and 24-cell ids that tag a line's points, and its type.
+LineInfo = namedtuple("LineInfo", "vertex_pairs cells type")
 
 
 class F4Geometry:
@@ -295,7 +299,7 @@ class F4Geometry:
         return out
 
     @cached_property
-    def line_info(self) -> dict[frozenset[int], tuple[tuple[int, ...], tuple[int, ...], str]]:
+    def line_info(self) -> dict[frozenset[int], LineInfo]:
         """Each line's sorted vertex-pair and 24-cell ids, which tag its points, and its type."""
         types = {5: "pentagon", 4: "cell16", 3: "triangle", 0: "partition"}
         out = {}
@@ -303,22 +307,12 @@ class F4Geometry:
             tags = [self.tags[p] for p in line]
             vs = tuple(sorted(ref for kind, ref in tags if kind == "vertex"))
             cs = tuple(sorted(ref for kind, ref in tags if kind == "cell"))
-            out[line] = (vs, cs, types[len(vs)])
+            out[line] = LineInfo(vs, cs, types[len(vs)])
         return out
-
-    def line_members(self, line: frozenset[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The sorted vertex-pair ids and 24-cell ids that tag a line's points."""
-        return self.line_info[line][:2]
-
-    def line_type(self, line: frozenset[int]) -> str:
-        return self.line_info[line][2]
 
     @cached_property
     def line_census(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for _, _, t in self.line_info.values():
-            out[t] = out.get(t, 0) + 1
-        return out
+        return dict(Counter(info.type for info in self.line_info.values()))
 
     def line_certificates(self) -> dict[str, int]:
         """Count lines whose point tags match the H4-side incidence oracle."""
@@ -525,21 +519,10 @@ class F4Geometry:
         adj = [
             _mask(j for j in range(n) if j != i and not masks[i] & masks[j]) for i in range(n)
         ]
-        cliques: list[int] = []  # maximal cliques, as bit masks over common
-
-        def bron(r: int, p: int, x: int) -> None:
-            if not p and not x:
-                cliques.append(r)
-                return
-            pivot = max(bits(p | x), key=lambda u: (adj[u] & p).bit_count())
-            for u in bits(p & ~adj[pivot]):
-                bron(r | 1 << u, p & adj[u], x & adj[u])
-                p &= ~(1 << u)
-                x |= 1 << u
-
-        bron(0, (1 << n) - 1, 0)
-        sizes = sorted({c.bit_count() + 2 for c in cliques})
-        stars = [c for c in cliques if c.bit_count() == 7]
+        # maximal cliques, as masks over common: the cliques no common space extends
+        maximal = [_mask(c) for c in cliques(adj) if not reduce(and_, (adj[u] for u in c))]
+        sizes = sorted({c.bit_count() + 2 for c in maximal})
+        stars = [c for c in maximal if c.bit_count() == 7]
         duad_graph_ok = False
         if len(stars) == 8:
             star_of = [_mask(k for k, c in enumerate(stars) if c >> i & 1) for i in range(n)]

@@ -13,6 +13,12 @@ its vertices sorted, and `Cell600.index` and `Cell120.index` map a vertex
 back to its position.  Vertex pairs {v, -v} are referred to by integer pair
 ids 0..59; a duad is a tuple (row, col) with row in 1..5 and col in 6..10
 (10 is printed as X).
+
+Graphs are held as one bitmask of neighbours per vertex, and `cliques` is
+the one clique search: the edges, triangles and tetrahedral cells are the
+cliques of 2, 3 and 4 vertices of the phi-adjacency graph `adj`, the 16-cells
+the 4-cliques of the orthogonality graph on pairs `pair_orth`, and the ten
+partitions the 5-cliques of the 24-cells' `disjointness_mask`.
 """
 
 from __future__ import annotations
@@ -89,6 +95,21 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def cliques(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every clique of the graph in which vertex a is adjacent to the set bits
+    of masks[a], once each, as its increasing vertex tuple, in lexicographic
+    order: a pre-order depth-first walk that extends a clique only by common
+    neighbours above its last vertex."""
+
+    def extend(clique: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
+        yield clique
+        for b in bits(cand):
+            yield from extend(clique + (b,), cand & masks[b] >> (b + 1) << (b + 1))
+
+    for a in range(len(masks)):
+        yield from extend((a,), masks[a] >> (a + 1) << (a + 1))
+
+
 def _coset_grid(reps: Sequence[int], base: Collection[int]) -> tuple[tuple[frozenset[int], ...], ...]:
     """The vertex sets g_i * base * g_j^-1 for g_i, g_j in reps, off the Cayley
     table; raises unless they are len(reps)**2 distinct sets."""
@@ -151,30 +172,21 @@ class Cell600:
         return tuple(sum(1 << j for j, x in enumerate(row) if x == "phi") for row in self.pp)
 
     @cached_property
+    def _adj_cliques(self) -> tuple[tuple[int, ...], ...]:
+        """Every clique of `adj`, searched once for the edges, faces and cells."""
+        return tuple(cliques(self.adj))
+
+    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.adj[i] >> j & 1
-        )
+        return tuple(c for c in self._adj_cliques if len(c) == 2)
 
     @cached_property
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
-        out = []
-        for i, j in self.edges:
-            common = self.adj[i] & self.adj[j]
-            out.extend((i, j, k) for k in bits(common >> (j + 1) << (j + 1)))  # only k > j
-        return tuple(out)
+        return tuple(c for c in self._adj_cliques if len(c) == 3)
 
     @cached_property
     def tetra_cells(self) -> tuple[tuple[int, int, int, int], ...]:
-        out = set()
-        for i, j in self.edges:
-            for k, l in combinations(bits(self.adj[i] & self.adj[j]), 2):
-                if self.adj[k] >> l & 1:
-                    out.add(tuple(sorted((i, j, k, l))))
-        cells = tuple(sorted(out))
+        cells = tuple(c for c in self._adj_cliques if len(c) == 4)
         if len(cells) != 600:
             raise ValueError(f"{len(cells)} tetrahedral cells, not 600")
         return cells
@@ -191,17 +203,8 @@ class Cell600:
 
     @cached_property
     def cells16(self) -> tuple[tuple[int, int, int, int], ...]:
-        out = []
-        for a in range(60):
-            for b in range(a + 1, 60):
-                if not self.pair_orth[a] >> b & 1:
-                    continue
-                common = self.pair_orth[a] & self.pair_orth[b]
-                members = [k for k in range(b + 1, 60) if common >> k & 1]
-                for c, d in combinations(members, 2):
-                    if self.pair_orth[c] >> d & 1:
-                        out.append((a, b, c, d))
-        cells = tuple(sorted(set(out)))
+        """The 4-cliques of `pair_orth`: four mutually orthogonal pairs."""
+        cells = tuple(c for c in cliques(self.pair_orth) if len(c) == 4)
         if len(cells) != 75:
             raise ValueError(f"{len(cells)} 16-cells, not 75")
         return cells
@@ -316,19 +319,8 @@ class Cell600:
         return _masks(25, lambda a, b: not self.cells24[a] & self.cells24[b])
 
     def find_all_partitions(self) -> tuple[frozenset[int], ...]:
-        """Exhaustive 5-clique search over the disjointness graph."""
-        cliques = []
-
-        def extend(stack: list[int], cand: int) -> None:
-            if len(stack) == 5:
-                cliques.append(frozenset(stack))
-                return
-            for b in bits(cand):
-                extend(stack + [b], cand & self.disjointness_mask[b] & ~((1 << (b + 1)) - 1))
-
-        for a in range(25):
-            extend([a], self.disjointness_mask[a] & ~((1 << (a + 1)) - 1))
-        return tuple(sorted(cliques, key=lambda s: tuple(sorted(s))))
+        """The 5-cliques of the disjointness graph."""
+        return tuple(frozenset(c) for c in cliques(self.disjointness_mask) if len(c) == 5)
 
     # ---------- labels ----------
 

@@ -27,14 +27,18 @@ matrices.  `golden_eliminate` is the Bareiss elimination over Z[phi], with
 its `exact_quotient`, that `h4geom.golden.eliminate` dropped when all exact
 linear algebra moved to Z; `coords` reads a flat vector's four GoldenInt
 coordinates, and `golden_sign`, `is_unit` and `element_order` are helpers
-only the tests read.
+only the tests read.  The clique searches at the end are the hand-written
+ones that `h4geom.polytopes.cliques` replaced: the edge double loop, the
+triangle and tetrahedron loops over edges and their common neighbours, the
+nested 16-cell loop, the depth-first 5-clique search and Bron–Kerbosch with
+pivoting (Bron & Kerbosch, CACM 1973) for maximal cliques.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 from math import gcd, isqrt
 from operator import sub
 from typing import Sequence, Union
@@ -44,6 +48,7 @@ from h4geom.golden import Elimination, eliminate
 from h4geom.icosian import (
     Flat, element_order_index, flat_dot, generate_vertices, quat_mul, scaled, vertex_index,
 )
+from h4geom.polytopes import bits
 from h4geom.symmetry import SymOp
 
 
@@ -673,3 +678,82 @@ def matrix_reflection(v: Flat) -> SymOp:
     return op_from_matrix(
         [tuple(map(sub, scaled((2, 0), e), scaled(flat_dot(e, v), v))) for e in BASIS], 2
     )
+
+
+# ---------- the hand-written clique searches ----------
+
+def edges_by_double_loop(adj: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The pairs i < j with j in adj[i]."""
+    n = len(adj)
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n) if adj[i] >> j & 1)
+
+
+def triangles_by_common_neighbours(adj: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
+    """Each edge (i, j) with each common neighbour k > j."""
+    out = []
+    for i, j in edges_by_double_loop(adj):
+        common = adj[i] & adj[j]
+        out.extend((i, j, k) for k in bits(common >> (j + 1) << (j + 1)))  # only k > j
+    return tuple(out)
+
+
+def tetrahedra_by_edge_pairs(adj: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
+    """Each edge with each adjacent pair of its common neighbours, sorted and
+    deduplicated through a set."""
+    out = set()
+    for i, j in edges_by_double_loop(adj):
+        for k, l in combinations(bits(adj[i] & adj[j]), 2):
+            if adj[k] >> l & 1:
+                out.add(tuple(sorted((i, j, k, l))))
+    return tuple(sorted(out))
+
+
+def cells16_by_nested_loop(pair_orth: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
+    """Each orthogonal pair a < b with each orthogonal pair c < d of their
+    common orthogonal pairs above b."""
+    n = len(pair_orth)
+    out = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not pair_orth[a] >> b & 1:
+                continue
+            common = pair_orth[a] & pair_orth[b]
+            members = [k for k in range(b + 1, n) if common >> k & 1]
+            for c, d in combinations(members, 2):
+                if pair_orth[c] >> d & 1:
+                    out.append((a, b, c, d))
+    return tuple(sorted(set(out)))
+
+
+def five_cliques_by_dfs(masks: Sequence[int]) -> tuple[frozenset[int], ...]:
+    """The 5-cliques, grown depth first by neighbours above the last vertex."""
+    found = []
+
+    def extend(stack: list[int], cand: int) -> None:
+        if len(stack) == 5:
+            found.append(frozenset(stack))
+            return
+        for b in bits(cand):
+            extend(stack + [b], cand & masks[b] & ~((1 << (b + 1)) - 1))
+
+    for a in range(len(masks)):
+        extend([a], masks[a] & ~((1 << (a + 1)) - 1))
+    return tuple(sorted(found, key=lambda s: tuple(sorted(s))))
+
+
+def bron_kerbosch(adj: Sequence[int]) -> list[int]:
+    """The maximal cliques, as bit masks, by Bron–Kerbosch with pivoting."""
+    found: list[int] = []
+
+    def bron(r: int, p: int, x: int) -> None:
+        if not p and not x:
+            found.append(r)
+            return
+        pivot = max(bits(p | x), key=lambda u: (adj[u] & p).bit_count())
+        for u in bits(p & ~adj[pivot]):
+            bron(r | 1 << u, p & adj[u], x & adj[u])
+            p &= ~(1 << u)
+            x |= 1 << u
+
+    bron(0, (1 << len(adj)) - 1, 0)
+    return found

@@ -145,6 +145,9 @@ def test_dump_lines_has_357_typed_entries():
     for entry in data["lines"]:
         types[entry["type"]] = types.get(entry["type"], 0) + 1
     assert types == {"partition": 10, "pentagon": 72, "cell16": 75, "triangle": 200}
+    points = [entry["points"] for entry in data["lines"]]
+    assert all(a < b for a, b in zip(points, points[1:]))
+    assert points == [sorted(line) for line in mod2.f4_geometry().lines]
 
 
 def test_verify_report_matches_fresh_process(tmp_path):
@@ -491,6 +494,34 @@ def test_pentads_fail_when_the_second_row_repeats_the_first(monkeypatch):
     result = _run_on_a_fresh_geometry(monkeypatch, "s5/pentads", repeat_row)
     assert _fields_that_differ(result) == set(result.expected)
     assert result.observed == {"error": "ValueError: pentad completions need two disjoint spaces"}
+
+
+def test_pentads_fail_when_a_common_space_is_missing(monkeypatch, geo):
+    """The first 4-space disjoint from rows 0 and 1 that is not a pentad row
+    dropped from the 270: the completions' maximal cliques lose it, so one
+    star shrinks to 6 spaces and the duad graph breaks, and one 135-class is
+    short of a space; nothing raises."""
+    assert checks.run_check("s5/pentads").status == "pass"
+    rows = set(geo.pentad_rows)
+    missing = next(
+        s for s in geo.isotropic4
+        if s not in rows and not s & (geo.pentad_rows[0] | geo.pentad_rows[1])
+    )
+
+    def drop_space(fresh):
+        fresh.isotropic4 = tuple(s for s in fresh.isotropic4 if s != missing)
+
+    result = _run_on_a_fresh_geometry(monkeypatch, "s5/pentads", drop_space)
+    assert _fields_that_differ(result) == {
+        "common_disjoint",
+        "completion_sizes",
+        "duad_graph_on_8_letters",
+        "two_135_classes_by_intersection_parity",
+    }
+    observed = result.observed
+    assert (observed["common_disjoint"], observed["completion_sizes"]) == (27, [5, 8, 9])
+    assert observed["duad_graph_on_8_letters"] is False
+    assert observed["two_135_classes_by_intersection_parity"] is False
 
 
 def test_labels120_reports_its_stored_parity(monkeypatch, cell):
@@ -1014,7 +1045,9 @@ def test_eliminate_is_integer_only_and_src_reads_no_golden_elimination():
     4-vectors is left in it: `golden` defines only its map and the
     elimination record, its scalars are plain integer pairs, every vertex is
     a plain tuple of 8 ints, and `h4geom` exports no `GoldenInt` or
-    `IcosianVec`."""
+    `IcosianVec`.  Nor does it name `bron`, and its only functions that call
+    themselves are the walk inside `polytopes.cliques` and
+    `serialize.jsonable`, so `cliques` is its one clique search."""
     with pytest.raises(TypeError):
         golden.eliminate([[golden.PHI]])
     for name in ("GoldenInt", "IcosianVec"):
@@ -1032,7 +1065,7 @@ def test_eliminate_is_integer_only_and_src_reads_no_golden_elimination():
     assert {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)} == {"ReductionMap", "Elimination"}
     paths = sorted((Path(__file__).resolve().parents[1] / "src" / "h4geom").glob("*.py"))
     assert len(paths) >= 10
-    banned = {"exact_quotient", "Ring", "GoldenInt", "GOLDEN_ZERO", "IcosianVec"}
+    banned = {"exact_quotient", "Ring", "GoldenInt", "GOLDEN_ZERO", "IcosianVec", "bron"}
     found = [
         f"{path.name}:{node.lineno}"
         for path in paths
@@ -1041,3 +1074,23 @@ def test_eliminate_is_integer_only_and_src_reads_no_golden_elimination():
         or {getattr(node, "id", None), getattr(node, "name", None)} & banned  # a name, def or import
     ]
     assert found == []
+
+    def calls_itself(fn):
+        """Whether fn calls its own name, bare or as a method of self."""
+        return any(
+            isinstance(n, ast.Call) and ast.unparse(n.func) in (fn.name, f"self.{fn.name}")
+            for n in ast.walk(fn)
+        )
+
+    def recursive(node, qualname):
+        """The dotted name of each function under node that calls itself."""
+        for child in ast.iter_child_nodes(node):
+            inner = qualname
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{qualname}.{child.name}"
+                if isinstance(child, ast.FunctionDef) and calls_itself(child):
+                    yield inner
+            yield from recursive(child, inner)
+
+    walks = {name for path in paths for name in recursive(ast.parse(path.read_text()), path.stem)}
+    assert walks == {"polytopes.cliques.extend", "serialize.jsonable"}

@@ -324,16 +324,17 @@ def test_table_matches_the_per_class_fold(geo, group):
 
 def test_line_members_match_the_tag_comprehensions(geo):
     """`line_info`, built once, against each line's members and type
-    recomputed from the tags, on all 357 lines; `line_members`, `line_type`
-    and `line_census` read it, and the census keeps its counts."""
+    recomputed from the tags, on all 357 lines; its named fields are read
+    directly, `line_census` reads it, and the census keeps its counts."""
     assert len(geo.lines) == 357 and list(geo.line_info) == list(geo.lines)
     types = {5: "pentagon", 4: "cell16", 3: "triangle", 0: "partition"}
     census = Counter()
     for line in geo.lines:
         vs = tuple(sorted(geo.tags[p][1] for p in line if geo.tags[p][0] == "vertex"))
         cs = tuple(sorted(geo.tags[p][1] for p in line if geo.tags[p][0] == "cell"))
-        assert geo.line_info[line] == (vs, cs, types[len(vs)])
-        assert geo.line_members(line) == (vs, cs) and geo.line_type(line) == types[len(vs)]
+        info = geo.line_info[line]
+        assert info == (vs, cs, types[len(vs)])
+        assert (info.vertex_pairs, info.cells, info.type) == (vs, cs, types[len(vs)])
         census[types[len(vs)]] += 1
     assert geo.line_census == census == {"partition": 10, "pentagon": 72, "cell16": 75, "triangle": 200}
 

@@ -1,12 +1,12 @@
 import copy
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, permutations
-from operator import mul
+from operator import and_, mul
 
 import pytest
 
-from h4geom import checks
+from h4geom import checks, mod2
 from h4geom.icosian import (
     ICOSIAN_ONE,
     cell24_base_indices,
@@ -20,9 +20,15 @@ from h4geom.icosian import (
     paper_dot,
     quat_mul,
 )
-from h4geom.polytopes import _PP_KEYS, Cell120, Cell600, _coset_grid, label_str, perm_parity
+from h4geom.polytopes import (
+    _PP_KEYS, Cell120, Cell600, _coset_grid, bits, cliques, label_str, perm_parity,
+)
 
-from golden_oracle import GoldenInt, coords, golden_eliminate, golden_sign, parity_by_inversions
+from golden_oracle import (
+    GoldenInt, bron_kerbosch, cells16_by_nested_loop, coords, edges_by_double_loop,
+    five_cliques_by_dfs, golden_eliminate, golden_sign, parity_by_inversions,
+    tetrahedra_by_edge_pairs, triangles_by_common_neighbours,
+)
 
 PHI_KEY = (0, 1)
 
@@ -87,6 +93,59 @@ def test_every_distinct_product_is_in_the_allowed_set(cell):
 
 def test_skeleton_counts(cell):
     assert cell.skeleton_counts() == (720, 1200, 600)
+
+
+def test_cliques_on_hand_graphs():
+    """The empty graph on 3 vertices, K4 and the 5-cycle; then every graph
+    on 5 vertices against the subsets that are cliques, and its maximal
+    cliques against Bron–Kerbosch."""
+    assert list(cliques((0, 0, 0))) == [(0,), (1,), (2,)]
+    k4 = tuple(0b1111 ^ 1 << a for a in range(4))
+    assert list(cliques(k4)) == sorted(c for r in range(1, 5) for c in combinations(range(4), r))
+    assert len(list(cliques(k4))) == 15
+    c5 = tuple(1 << (a + 1) % 5 | 1 << (a - 1) % 5 for a in range(5))
+    assert list(cliques(c5)) == [
+        (0,), (0, 1), (0, 4), (1,), (1, 2), (2,), (2, 3), (3,), (3, 4), (4,)
+    ]
+    edges = list(combinations(range(5), 2))
+    for chosen in range(1 << len(edges)):
+        adj = [0] * 5
+        for k, (a, b) in enumerate(edges):
+            if chosen >> k & 1:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        found = list(cliques(adj))
+        assert found == sorted(
+            c for r in range(1, 6) for c in combinations(range(5), r)
+            if all(adj[a] >> b & 1 for a, b in combinations(c, 2))
+        )
+        maximal = [sum(1 << u for u in c) for c in found if not reduce(and_, (adj[u] for u in c))]
+        assert sorted(maximal) == sorted(bron_kerbosch(adj))
+
+
+def test_clique_properties_match_the_hand_written_searches(cell, geo):
+    """Each search that `cliques` replaced, over the whole graph: the
+    600-cell's skeleton on `adj`, the 16-cells on `pair_orth` and the ten
+    partitions on `disjointness_mask`; and on the 28 common 4-spaces of
+    pentad rows 0 and 1, Bron–Kerbosch's maximal cliques against the
+    cliques with no common neighbour, which `pentad_completions` reads."""
+    assert cell.edges == edges_by_double_loop(cell.adj)
+    assert cell.triangles == triangles_by_common_neighbours(cell.adj)
+    assert cell.tetra_cells == tetrahedra_by_edge_pairs(cell.adj)
+    assert cell.cells16 == cells16_by_nested_loop(cell.pair_orth)
+    assert cell.find_all_partitions() == five_cliques_by_dfs(cell.disjointness_mask)
+    m12 = mod2._mask(geo.pentad_rows[0]) | mod2._mask(geo.pentad_rows[1])
+    masks = [m for m in geo.isotropic4_masks if not m & m12]
+    adj = [mod2._mask(j for j, w in enumerate(masks) if not m & w) for m in masks]  # m & m != 0
+    assert len(adj) == 28
+    maximal = [mod2._mask(c) for c in cliques(adj) if not reduce(and_, (adj[u] for u in c))]
+    assert sorted(maximal) == sorted(bron_kerbosch(adj))
+    res = geo.pentad_completions(geo.pentad_rows[0], geo.pentad_rows[1])
+    assert res["completion_sizes"] == sorted({c.bit_count() + 2 for c in maximal}) == [5, 9]
+    spaces = [s for s in geo.isotropic4 if not mod2._mask(s) & m12]
+    stars = sorted(({spaces[i] for i in bits(c)} for c in maximal if c.bit_count() == 7),
+                   key=lambda star: sorted(tuple(sorted(u)) for u in star))
+    assert res["stars"] == stars and len(stars) == 8
 
 
 def test_16cells(cell):
