@@ -7,6 +7,10 @@ as facts/fact1..fact10 plus per-topic groups (s2/, s4/, s5/, s6/, s7/).
 
 from __future__ import annotations
 
+import gc
+import json
+import os
+import threading
 import time
 from collections import Counter, namedtuple
 from collections.abc import Callable
@@ -661,15 +665,19 @@ CHECKS: dict[str, tuple[object, Callable[[], object]]] = {
     ),
 }
 
-# dependency order: polytopes before symmetry before embed before mod2
+# Dependency order: polytopes before symmetry before embed before mod2, except
+# that s7/commuting (the group and the F4 geometry) ends the polytope and group
+# half.  `run_checks` runs BEFORE_FORK, which build the 600-cell tables both
+# halves read, then forks one worker for IN_WORKER, the lattice and F4 half.
 CHECK_ORDER = [
     "facts/fact1", "facts/fact2", "facts/fact5", "facts/fact7", "facts/fact8",
     "s2/labels120", "s4/hexagons", "s4/decagons", "s4/pentagons", "s4/array-p2",
-    "facts/fact3", "facts/fact4", "facts/fact6",
+    "facts/fact3", "facts/fact4", "facts/fact6", "s7/commuting",
     "facts/fact9", "s6/example1", "s6/example2", "s6/example3",
     "facts/fact10", "s7/phi", "s7/points", "s7/lines", "s7/planes",
-    "s7/qomega", "s7/commuting", "s5/spaces", "s5/pentads",
+    "s7/qomega", "s5/spaces", "s5/pentads",
 ]
+BEFORE_FORK, IN_WORKER = CHECK_ORDER[:2], CHECK_ORDER[14:]
 
 
 def run_check(check_id: str) -> CheckResult:
@@ -677,10 +685,11 @@ def run_check(check_id: str) -> CheckResult:
     t0 = time.perf_counter()
     try:
         observed = fn()
-    except Exception as exc:  # a certificate failed or a builder broke
+        ok = jsonable(expected) == jsonable(observed)
+    except Exception as exc:  # a certificate failed, a builder broke or a value cannot be encoded
         observed = {"error": f"{type(exc).__name__}: {exc}"}
+        ok = False
     elapsed = int((time.perf_counter() - t0) * 1000)
-    ok = jsonable(expected) == jsonable(observed)
     return CheckResult(
         check_id=check_id,
         status="pass" if ok else "fail",
@@ -689,3 +698,40 @@ def run_check(check_id: str) -> CheckResult:
         provenance="paper",
         elapsed_ms=elapsed,
     )
+
+
+def run_checks(ids) -> list[CheckResult]:
+    """`run_check` of each id, in the order given.  With ids in both halves,
+    one forked worker runs the IN_WORKER ones and sends back each result's
+    status, encoded observed value and elapsed_ms.  The run stays serial
+    within one half, without `os.fork`, or beside other threads, which a
+    fork would not copy."""
+    theirs = [c for c in ids if c in IN_WORKER]
+    mine = [c for c in ids if c not in IN_WORKER and c not in BEFORE_FORK]
+    if len(theirs) in (0, len(ids)) or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [run_check(c) for c in ids]
+    results = [run_check(c) for c in ids if c in BEFORE_FORK]
+    gc.freeze()  # no collection, here or in the worker, then scans (or copies) what they share
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker leaves by _exit, so it never flushes the inherited stdio
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "w") as out:
+                rows = [(x.check_id, x.status, jsonable(x.observed), x.elapsed_ms) for x in map(run_check, theirs)]
+                json.dump(rows, out)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with open(r) as pipe:
+            results += map(run_check, mine)
+            sent = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    lost = {"error": f"worker exited with status {code}"}
+    rows = json.loads(sent) if code == 0 else [(c, "fail", lost, 0) for c in theirs]
+    results += (CheckResult(c, status, CHECKS[c][0], obs, "paper", ms) for c, status, obs, ms in rows)
+    return sorted(results, key=lambda x: ids.index(x.check_id))

@@ -44,7 +44,7 @@ def cmd_verify(args) -> int:
     if not selected:
         print(f"error: no checks match {args.only!r}", file=sys.stderr)
         return 2
-    results = [checks.run_check(cid) for cid in selected]
+    results = checks.run_checks(selected)
     results.sort(key=lambda r: r.check_id)
     report = [
         {

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 from pathlib import Path
 
@@ -184,6 +185,117 @@ def test_raising_check_is_a_failure_and_the_run_goes_on(tmp_path, monkeypatch):
     failed = next(d for d in data if d["status"] == "fail")
     assert failed["check"] == "s4/pentagons"
     assert failed["observed"] == {"error": "KeyError: 'missing table'"}
+
+
+def test_unencodable_observed_value_is_a_failure_and_the_report_is_written(tmp_path, monkeypatch):
+    """A check whose value `jsonable` refuses fails with the encoder's error,
+    in this process (facts/fact1) and in the forked worker (s7/phi)."""
+    bad = dict(checks.CHECKS)
+    for cid in ("facts/fact1", "s7/phi"):
+        bad[cid] = (bad[cid][0], lambda: {"vertices": Fraction(1, 2)})
+    monkeypatch.setattr(checks, "CHECKS", bad)
+    report = tmp_path / "r.json"
+    for only in ("facts/fact1", "*"):
+        assert main(["verify", "--only", only, "--report", str(report)]) == 1
+        data = {d["check"]: d for d in json.loads(report.read_text())}
+        failed = {cid for cid, d in data.items() if d["status"] == "fail"}
+        assert failed == {"facts/fact1", "s7/phi"} & data.keys(), only
+        for cid in failed:
+            assert data[cid]["observed"] == {"error": "TypeError: cannot serialize Fraction"}
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def test_forked_verify_matches_serial_run_check_on_every_check(tmp_path, monkeypatch):
+    """One fork per verify; each check runs once, the worker half in one
+    other process; and the report equals `run_check` on all 26 ids in turn,
+    entry by entry, timings aside."""
+    serial = {
+        r.check_id: jsonable({"status": r.status, "provenance": r.provenance,
+                              "expected": r.expected, "observed": r.observed})
+        for r in map(checks.run_check, checks.CHECK_ORDER)
+    }
+    log = tmp_path / "ran.log"
+    logged = dict(checks.CHECKS)
+    for cid, (expected, fn) in checks.CHECKS.items():
+        def run(cid=cid, fn=fn):
+            with open(log, "a") as fh:  # one O_APPEND write per line, from either process
+                fh.write(f"{os.getpid()} {cid}\n")
+            return fn()
+        logged[cid] = (expected, run)
+    monkeypatch.setattr(checks, "CHECKS", logged)
+    forks = _count_forks(monkeypatch)
+    report = tmp_path / "r.json"
+    assert main(["verify", "--report", str(report)]) == 0
+    assert forks == [os.getpid()]
+    ran = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(cid for _, cid in ran) == sorted(checks.CHECK_ORDER)
+    ran = {cid: pid for pid, cid in ran}
+    worker = {cid for cid, pid in ran.items() if pid != str(os.getpid())}
+    assert worker == set(checks.IN_WORKER)
+    assert len({ran[cid] for cid in worker}) == 1
+    entries = json.loads(report.read_text())
+    assert [e["check"] for e in entries] == sorted(serial)
+    for e in entries:
+        assert isinstance(e.pop("elapsed_ms"), int)
+        assert {k: v for k, v in e.items() if k != "check"} == serial[e["check"]], e["check"]
+
+
+def test_verify_stays_serial_within_one_half_or_beside_a_thread(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    for ids in (checks.BEFORE_FORK, checks.CHECK_ORDER[2:14], checks.IN_WORKER):
+        assert [r.check_id for r in checks.run_checks(ids)] == ids
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        results = checks.run_checks(checks.CHECK_ORDER)
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert [r.check_id for r in results] == checks.CHECK_ORDER
+    assert {r.status for r in results} == {"pass"}
+
+
+def test_a_worker_that_dies_fails_its_checks_and_leaves_no_child(tmp_path, monkeypatch, capsys):
+    """A worker check that ends the worker by `os._exit(3)`: every worker
+    check fails with that status, this process's checks still pass, the
+    report is written, the exit code is 1 and the worker is reaped."""
+    me = os.getpid()
+
+    def die():
+        if os.getpid() == me:
+            raise RuntimeError("s5/spaces ran in this process, not in a worker")
+        os._exit(3)
+
+    bad = dict(checks.CHECKS)
+    bad["s5/spaces"] = (bad["s5/spaces"][0], die)
+    monkeypatch.setattr(checks, "CHECKS", bad)
+    report = tmp_path / "r.json"
+    assert main(["verify", "--report", str(report)]) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    data = {d["check"]: d for d in json.loads(report.read_text())}
+    assert len(data) == 26
+    for cid, d in data.items():
+        if cid in checks.IN_WORKER:
+            assert (d["status"], d["observed"]) == ("fail", {"error": "worker exited with status 3"})
+        else:
+            assert d["status"] == "pass", cid
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"{len(checks.IN_WORKER)} of 26 checks failed"
 
 
 def test_builder_error_in_warm_up_is_reported_by_its_checks(tmp_path, monkeypatch):
@@ -861,6 +973,28 @@ def test_traced_verify_counts_each_shell_split_call(tmp_path):
     counts = json.loads(out.stdout.splitlines()[-1])["counts"]["0"]
     assert counts["golden.split_vector_calls"] == 2221
     assert counts["symmetry.order"] == 14400
+
+
+def test_verify_prints_only_the_parent_s_lines(tmp_path):
+    """The forked worker writes nothing to stdout or stderr: a fresh verify
+    prints 26 status lines and the summary, and a traced op adds exactly one
+    JSON line at the end."""
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    report = str(tmp_path / "r.json")
+    runs = (
+        [sys.executable, "-m", "h4geom.cli", "verify", "--report", report],
+        [sys.executable, "perfbench/stages.py", "0", "all", "--", "verify", "--report", report],
+    )
+    for traced, argv in enumerate(runs):
+        out = subprocess.run(argv, cwd=repo, env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stderr) == (0, ""), argv
+        lines = out.stdout.splitlines()
+        assert len(lines) == 27 + traced, argv
+        assert sum(line.startswith("PASS  ") for line in lines) == 26
+        assert lines[26] == "all 26 checks passed"
+        if traced:
+            assert json.loads(lines[27])["rc"] == 0
 
 
 def test_traced_dump_wraps_the_cli_dumps(tmp_path):
