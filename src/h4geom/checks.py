@@ -28,7 +28,7 @@ from .icosian import (
     scaled,
     vertex_index,
 )
-from .polytopes import label_str, perm_parity, the_600cell
+from .polytopes import closure, label_str, perm_parity, the_600cell
 from .serialize import jsonable
 
 
@@ -77,7 +77,7 @@ def _fact4():
     stab_v = grp.stabilizer_of_vertex(v)
     stab_c = grp.stabilizer_of_cell(cell_idx)
     vperms = grp.pair_perms_of(stab_v)
-    orbits_pairs = grp.orbits(vperms, range(60))
+    orbits_pairs = closure(vperms, range(60))
     pid = c.pair_of[v]
     keyed = {}
     for orb in orbits_pairs:
@@ -86,9 +86,9 @@ def _fact4():
             raise ValueError(f"a stabilizer orbit on pairs mixes classes {sorted(cls)}")
         keyed.setdefault(cls.pop(), []).append(len(orb))
     cperms = grp.cell_perms_of(stab_c)
-    orbits_cells = sorted(len(o) for o in grp.orbits(cperms, range(25)))
+    orbits_cells = sorted(len(o) for o in closure(cperms, range(25)))
     cpair_perms = grp.pair_perms_of(stab_c)
-    orbits_cpairs = sorted(len(o) for o in grp.orbits(cpair_perms, range(60)))
+    orbits_cpairs = sorted(len(o) for o in closure(cpair_perms, range(60)))
     return {
         "vertex_stabilizer": len(stab_v),
         "cell_stabilizer": len(stab_c),

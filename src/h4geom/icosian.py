@@ -13,7 +13,7 @@ closed under it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from functools import cache
 from itertools import permutations, product as iproduct
 from operator import itemgetter
@@ -220,30 +220,3 @@ def find_order5() -> Flat:
         if element_order_index(i) == 5:
             return v
     raise RuntimeError("no order-5 icosian found")
-
-
-@cache
-def cell24_base_indices() -> frozenset[int]:
-    """Indices of the 24 vertices of shapes (±2,0,0,0) and (±1,±1,±1,±1)."""
-    out = [i for i, v in enumerate(generate_vertices()) if not any(v[1::2])]
-    if len(out) != 24:
-        raise ValueError(f"{len(out)} base 24-cell vertices, not 24")
-    return frozenset(out)
-
-
-def mulclose_indices(gens: Iterable[int]) -> frozenset[int]:
-    """Subgroup of the 120-group generated by the given vertex indices."""
-    table = mult_table()
-    gens = list(gens)
-    els = set(gens)
-    frontier = list(els)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = table[x][g]
-                if y not in els:
-                    els.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(els)

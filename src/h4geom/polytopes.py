@@ -14,11 +14,24 @@ back to its position.  Vertex pairs {v, -v} are referred to by integer pair
 ids 0..59; a duad is a tuple (row, col) with row in 1..5 and col in 6..10
 (10 is printed as X).
 
+The vertices are the group 2I (the paper's Fact 8), and four families are
+read off its subgroups (Conway & Smith, On Quaternions and Octonions, ch. 4):
+each is the set of left cosets x*S, over every conjugate S, of Q8 (the 75
+16-cells), 2T, the normaliser of Q8 (the 25 24-cells), C6 = <x, -1> for x of
+order 3 (the 200 hexagons) or C10 = <x, -1> for x of order 5 (the 72
+decagons), each as its pair ids (`Cell600.cosets`).  `Cell600.sylow` finds
+these subgroups and their normalisers, which the prime arrays read, and
+`closure` is the one closure of points under maps, for subgroups here and for
+orbits in the checks.  Each family keeps a geometric raise: a 16-cell's
+pairs are mutually orthogonal, a 24-cell's 16-cells partition its pairs at
+product +-1, a hexagon lies in two 24-cells with its pairs at product +-1,
+and a decagon's pairs meet at phi or phi^-1.
+
 Graphs are held as one bitmask of neighbours per vertex, and `cliques` is
 the one clique search: the edges, triangles and tetrahedral cells are the
-cliques of 2, 3 and 4 vertices of the phi-adjacency graph `adj`, the 16-cells
-the 4-cliques of the orthogonality graph on pairs `pair_orth`, and the ten
-partitions the 5-cliques of the 24-cells' `disjointness_mask`.
+cliques of 2, 3 and 4 vertices of the phi-adjacency graph `adj`, and the ten
+partitions the 5-cliques of the 24-cells' `disjointness_mask`, the
+certificate that no other partition exists.
 """
 
 from __future__ import annotations
@@ -26,14 +39,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from operator import add, itemgetter
 
 from .golden import PHI, phi_pow
 from .icosian import (
     ICOSIAN_ONE,
     Flat,
-    cell24_base_indices,
     conj,
     element_order_index,
     find_order5,
@@ -42,7 +54,6 @@ from .icosian import (
     icosian_mul,
     inverse_index,
     mult_table,
-    mulclose_indices,
     neg,
     perm_parity,
     quat_mul,
@@ -108,6 +119,26 @@ def cliques(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
     for a in range(len(masks)):
         yield from extend((a,), masks[a] >> (a + 1) << (a + 1))
+
+
+def closure(maps: Sequence[Sequence[int]], points: Iterable[int]) -> list[frozenset[int]]:
+    """The closure of each of points under maps (each a table, x -> m[x]),
+    once each, in the order of the points: under permutations, their orbits.
+    A subgroup of 2I is the closure of 1 under its generators' rows of the
+    Cayley table."""
+    out, seen = [], set()
+    for p in points:
+        if p not in seen:
+            reached, frontier = {p}, [p]
+            while frontier:
+                x = frontier.pop()
+                for m in maps:
+                    if (y := m[x]) not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+            seen |= reached
+            out.append(frozenset(reached))
+    return out
 
 
 def _coset_grid(reps: Sequence[int], base: Collection[int]) -> tuple[tuple[frozenset[int], ...], ...]:
@@ -201,47 +232,83 @@ class Cell600:
         """Bitmask of the pairs orthogonal to each pair."""
         return _masks(60, lambda a, b: self.pair_class[a][b] == "0")
 
+    def pairs_at(self, pids: Iterable[int], classes: Collection[str]) -> bool:
+        """Whether every two of the pairs pids have their unsigned product in classes."""
+        return all(self.pair_class[p][q] in classes for p, q in combinations(pids, 2))
+
+    @cached_property
+    def sylow(self) -> dict[int, tuple[frozenset[int], frozenset[int]]]:
+        """For p = 2, 3 and 5, a subgroup of 2I and its normaliser, as vertex
+        indices: Q8 = <x, y> in 2T, for x the first element of order 4 and y
+        the first that makes 8; and C6 or C10 = <x, -1>, for x the first
+        element of order p.  Raises unless their orders are 8 and 24, 6 and 12,
+        10 and 20."""
+        table, inv = mult_table(), inverse_index()
+        one = self.index[ICOSIAN_ONE]
+        orders = [element_order_index(i) for i in range(self.n)]
+
+        def generated(*gens: int) -> frozenset[int]:
+            return closure([table[g] for g in gens], [one])[0]
+
+        x = orders.index(4)
+        q8 = next(s for y in range(self.n) if orders[y] == 4 and len(s := generated(x, y)) == 8)
+        out = {}
+        for p, sub in ((2, q8), (3, generated(orders.index(3), self.neg[one])),
+                       (5, generated(orders.index(5), self.neg[one]))):
+            normaliser = frozenset(
+                h for h in range(self.n) if frozenset(table[table[h][s]][inv[h]] for s in sub) == sub
+            )
+            if (len(sub), len(normaliser)) != {2: (8, 24), 3: (6, 12), 5: (10, 20)}[p]:
+                raise ValueError(f"p = {p}: subgroup of order {len(sub)} with normaliser of order {len(normaliser)}")
+            out[p] = (sub, normaliser)
+        return out
+
+    def cosets(self, subgroup: Collection[int]) -> tuple[tuple[int, ...], ...]:
+        """The left cosets x*S of every conjugate S = h*subgroup*h^-1, each as
+        its sorted pair ids, once each and sorted."""
+        table, inv, pair_of = mult_table(), inverse_index(), self.pair_of
+        out = set()
+        for sub in {frozenset(table[table[h][s]][inv[h]] for s in subgroup) for h in range(self.n)}:
+            left = set(range(self.n))
+            while left:
+                x = left.pop()
+                coset = [table[x][s] for s in sub]
+                left.difference_update(coset)
+                out.add(tuple(sorted({pair_of[v] for v in coset})))
+        return tuple(sorted(out))
+
     @cached_property
     def cells16(self) -> tuple[tuple[int, int, int, int], ...]:
-        """The 4-cliques of `pair_orth`: four mutually orthogonal pairs."""
-        cells = tuple(c for c in cliques(self.pair_orth) if len(c) == 4)
+        """The cosets of Q8: four mutually orthogonal pairs each."""
+        cells = self.cosets(self.sylow[2][0])
+        for cell in cells:
+            if len(cell) != 4 or not self.pairs_at(cell, ("0",)):
+                raise ValueError(f"16-cell {cell} is not four mutually orthogonal pairs")
         if len(cells) != 75:
             raise ValueError(f"{len(cells)} 16-cells, not 75")
         return cells
 
     @cached_property
-    def _cells24_16cells(self) -> dict[frozenset[int], tuple[tuple[int, ...], ...]]:
-        """Each 24-cell, in sorted order, mapped to the 16-cells whose extension
-        it is: a 16-cell extended by the 8 pairs at unsigned product 1 with all
-        four of its members.  Raises unless there are 25 and the 16-cells of
-        each partition its 12 pairs; pairs of two 16-cells of one 24-cell are
-        then at product +-1, since each lies in the other's extension."""
-        seen: dict[frozenset[int], list[tuple[int, ...]]] = {}
-        for cell in self.cells16:
-            extra = [
-                q for q in range(60)
-                if q not in cell
-                and all(self.pair_class[q][p] == "1" for p in cell)
-            ]
-            if len(extra) != 8:
-                raise ValueError("16-cell completion is not 8 pairs")
-            seen.setdefault(frozenset(cell) | frozenset(extra), []).append(cell)
-        if len(seen) != 25:
-            raise ValueError(f"{len(seen)} 24-cells, not 25")
-        for full, sixteens in seen.items():
-            if sorted(p for t in sixteens for p in t) != sorted(full):
-                raise ValueError(f"the 16-cells of 24-cell {sorted(full)} do not partition its 12 pairs")
-        return {full: tuple(seen[full]) for full in sorted(seen, key=lambda s: tuple(sorted(s)))}
+    def tetrads24(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The 16-cells inside each 24-cell, a coset of 2T, in sorted order.
+        Raises unless there are 25 and the 16-cells of each partition its 12
+        pairs, with pairs of two of them at product +-1."""
+        out = []
+        for cell in self.cosets(self.sylow[2][1]):
+            inside = tuple(t for t in self.cells16 if set(t).issubset(cell))
+            if sorted(chain(*inside)) != list(cell):
+                raise ValueError(f"the 16-cells of 24-cell {cell} do not partition its 12 pairs")
+            if not all(self.pair_class[p][q] == "1" for s, t in combinations(inside, 2) for p in s for q in t):
+                raise ValueError(f"two 16-cells of 24-cell {cell} hold pairs not at product +-1")
+            out.append(inside)
+        if len(out) != 25:
+            raise ValueError(f"{len(out)} 24-cells, not 25")
+        return tuple(out)
 
     @cached_property
     def cells24(self) -> tuple[frozenset[int], ...]:
         """The 25 24-cells, as sets of pair ids, sorted."""
-        return tuple(self._cells24_16cells)
-
-    @cached_property
-    def tetrads24(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The three 16-cells (tetrads of mutually orthogonal pairs) inside each 24-cell."""
-        return tuple(self._cells24_16cells.values())
+        return tuple(frozenset(chain(*tetrads)) for tetrads in self.tetrads24)
 
     @cached_property
     def cell16_ambient(self) -> dict[tuple[int, ...], int]:
@@ -278,7 +345,7 @@ class Cell600:
 
     @cached_property
     def array(self) -> tuple[tuple[int, ...], ...]:
-        """array[i][j] = index of the 24-cell g^i * B * g^-j, B the base cell."""
+        """array[i][j] = index of the 24-cell g^i * B * g^-j, B = 2T, the normaliser of Q8."""
         table = mult_table()
         gi = self.index[self.g]
         gpow = [self.index[ICOSIAN_ONE]]
@@ -290,7 +357,7 @@ class Cell600:
         }
         return tuple(
             tuple(map(cellset_to_idx.__getitem__, row))
-            for row in _coset_grid(gpow, sorted(cell24_base_indices()))
+            for row in _coset_grid(gpow, sorted(self.sylow[2][1]))
         )
 
     @cached_property
@@ -344,22 +411,19 @@ class Cell600:
 
     @cached_property
     def hexagons(self) -> dict[frozenset[int], frozenset[int]]:
-        """Map {cell_a, cell_b} -> the 3 vertex pairs in both (a hexagon)."""
+        """Map {cell_a, cell_b} -> the 3 vertex pairs in both (a hexagon): the
+        cosets of C6, each with its pairs at product +-1 and in exactly two 24-cells."""
         out = {}
-        for a, b in combinations(range(25), 2):
-            inter = self.cells24[a] & self.cells24[b]
-            if not inter:
-                continue
-            if len(inter) != 3:
-                raise ValueError(f"24-cells {a} and {b} share {len(inter)} pairs, not 0 or 3")
-            ps = sorted(inter)
-            for p, q in combinations(ps, 2):
-                if self.pair_class[p][q] != "1":
-                    raise ValueError(f"pairs {p} and {q} of a hexagon are not at product 1")
-            out[frozenset((a, b))] = frozenset(inter)
-        if len(out) != 200 or len(set(out.values())) != 200:
+        for hexagon in self.cosets(self.sylow[3][0]):
+            if not self.pairs_at(hexagon, ("1",)):
+                raise ValueError(f"the pairs of hexagon {hexagon} are not at product 1")
+            holders = tuple(sorted(set.intersection(*(set(self.cell_of_pair[p]) for p in hexagon))))
+            if len(holders) != 2:
+                raise ValueError(f"hexagon {hexagon} lies in {len(holders)} 24-cells, not 2")
+            out[holders] = frozenset(hexagon)
+        if len(out) != 200:
             raise ValueError(f"{len(out)} hexagons, not 200 distinct")
-        return out
+        return {frozenset(k): out[k] for k in sorted(out)}
 
     @cached_property
     def hexagon_list(self) -> tuple[frozenset[int], ...]:
@@ -389,27 +453,14 @@ class Cell600:
 
     @cached_property
     def decagons(self) -> tuple[frozenset[int], ...]:
-        table = mult_table()
-        inv = inverse_index()
-        seen = set()
-        for i, j in self.edges:
-            t = table[inv[i]][j]
-            orbit = [i]
-            w = i
-            for _ in range(9):
-                w = table[w][t]
-                orbit.append(w)
-            if len(set(orbit)) != 10:
-                raise ValueError(f"edge ({i}, {j}) does not lie on a decagon")
-            seen.add(frozenset(self.pair_of[w] for w in orbit))
-        out = tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
-        if len(out) != 72:
-            raise ValueError(f"{len(out)} decagons, not 72")
-        for d in out:
-            for p, q in combinations(sorted(d), 2):
-                if self.pair_class[p][q] not in ("phi", "phi-inv"):
-                    raise ValueError(f"decagon pairs {p} and {q} are not at product phi or phi-inv")
-        return out
+        """The cosets of C10, with their pairs at product phi or phi^-1."""
+        decagons = self.cosets(self.sylow[5][0])
+        for d in decagons:
+            if not self.pairs_at(d, ("phi", "phi-inv")):
+                raise ValueError(f"the pairs of decagon {d} are not at product phi or phi-inv")
+        if len(decagons) != 72:
+            raise ValueError(f"{len(decagons)} decagons, not 72")
+        return tuple(map(frozenset, decagons))
 
     @cached_property
     def decagon_of_edge(self) -> dict[tuple[int, int], frozenset[int]]:
@@ -434,39 +485,20 @@ class Cell600:
     # ---------- prime arrays ----------
 
     def prime_array(self, p: int) -> "PrimeArray":
+        """The array g_i * N * g_j^-1 of the normaliser N of `sylow`'s p-subgroup,
+        g_i the first element of each left coset of N."""
         if p not in (2, 3, 5):
             raise ValueError("p must be 2, 3 or 5")
         table = mult_table()
-        inv = inverse_index()
-        one = self.index[ICOSIAN_ONE]
-        neg_one = self.neg[one]
-        orders = [element_order_index(i) for i in range(self.n)]
-        if p == 2:
-            x = next(i for i in range(self.n) if orders[i] == 4)
-            y = next(
-                i for i in range(self.n)
-                if orders[i] == 4 and len(mulclose_indices((x, i))) == 8
-            )
-            sylow = mulclose_indices((x, y))
-            expected_n = 24
-        else:
-            x = next(i for i in range(self.n) if orders[i] == p)
-            sylow = mulclose_indices((x, neg_one))
-            expected_n = {3: 12, 5: 20}[p]
-        normalizer = frozenset(
-            h for h in range(self.n)
-            if frozenset(table[table[h][s]][inv[h]] for s in sylow) == sylow
-        )
-        if len(normalizer) != expected_n:
-            raise ValueError(f"p = {p}: normalizer of order {len(normalizer)}, not {expected_n}")
-        q1 = self.n // len(normalizer)  # q + 1 of the array
+        normaliser = self.sylow[p][1]
+        q1 = self.n // len(normaliser)  # q + 1 of the array
         first: dict[frozenset[int], int] = {}  # each left coset and its first element
         for h in range(self.n):
-            first.setdefault(frozenset(table[h][s] for s in normalizer), h)
+            first.setdefault(frozenset(table[h][s] for s in normaliser), h)
         reps = list(first.values())
         if len(reps) != q1:
             raise ValueError(f"p = {p}: {len(reps)} cosets, not {q1}")
-        entries = _coset_grid(reps, normalizer)
+        entries = _coset_grid(reps, normaliser)
         for k in range(q1):
             row_union = set().union(*(entries[k][j] for j in range(q1)))
             col_union = set().union(*(entries[i][k] for i in range(q1)))

@@ -305,25 +305,6 @@ class SymmetryGroup:
     def stabilizer_of_cell(self, c: int) -> tuple[int, ...]:
         return tuple(k for k, y in enumerate(self._images_of(self._cell_tables, c)) if y == c)
 
-    def orbits(self, perms: list[tuple[int, ...]], points: range) -> list[set[int]]:
-        seen: set[int] = set()
-        out = []
-        for p in points:
-            if p in seen:
-                continue
-            orbit = {p}
-            frontier = [p]
-            while frontier:
-                x = frontier.pop()
-                for perm in perms:
-                    y = perm[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
-            seen |= orbit
-            out.append(orbit)
-        return out
-
     @cached_property
     def center(self) -> tuple[int, ...]:
         """Elements commuting with every generator, after a first cut to the

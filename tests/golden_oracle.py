@@ -31,7 +31,13 @@ only the tests read.  The clique searches at the end are the hand-written
 ones that `h4geom.polytopes.cliques` replaced: the edge double loop, the
 triangle and tetrahedron loops over edges and their common neighbours, the
 nested 16-cell loop, the depth-first 5-clique search and Bron–Kerbosch with
-pivoting (Bron & Kerbosch, CACM 1973) for maximal cliques.
+pivoting (Bron & Kerbosch, CACM 1973) for maximal cliques.  After them come
+the constructions that `h4geom.polytopes.Cell600.cosets` and `closure`
+replaced: the subgroup closure under right products by its generators and
+the orbit search of the symmetry group, the base 24-cell by its coordinate
+shapes, the 16-cells as the 4-cliques of `pair_orth`, the 24-cells by
+extending each 16-cell, the hexagons by intersecting every two 24-cells and
+the decagons by a power walk from each edge.
 """
 
 from __future__ import annotations
@@ -41,14 +47,15 @@ from fractions import Fraction
 from itertools import combinations, permutations, product as iproduct
 from math import gcd, isqrt
 from operator import sub
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from h4geom.embed import _half_dot
 from h4geom.golden import Elimination, eliminate
 from h4geom.icosian import (
-    Flat, element_order_index, flat_dot, generate_vertices, quat_mul, scaled, vertex_index,
+    Flat, element_order_index, flat_dot, generate_vertices, inverse_index, mult_table, quat_mul, scaled,
+    vertex_index,
 )
-from h4geom.polytopes import bits
+from h4geom.polytopes import Cell600, bits, cliques
 from h4geom.symmetry import SymOp
 
 
@@ -757,3 +764,99 @@ def bron_kerbosch(adj: Sequence[int]) -> list[int]:
 
     bron(0, (1 << len(adj)) - 1, 0)
     return found
+
+
+# ---------- the closures and the subgroup families before the cosets ----------
+
+def mulclose_by_right_products(gens: Iterable[int]) -> frozenset[int]:
+    """Subgroup of the 120-group generated by the given vertex indices: the
+    generators closed under right products by them, breadth first."""
+    table = mult_table()
+    gens = list(gens)
+    els = set(gens)
+    frontier = list(els)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = table[x][g]
+                if y not in els:
+                    els.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(els)
+
+
+def orbits_by_search(perms: Sequence[Sequence[int]], points: range) -> list[set[int]]:
+    """The orbit of each point not yet reached, searched depth first."""
+    seen: set[int] = set()
+    out = []
+    for p in points:
+        if p in seen:
+            continue
+        orbit = {p}
+        frontier = [p]
+        while frontier:
+            x = frontier.pop()
+            for perm in perms:
+                y = perm[x]
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        out.append(orbit)
+    return out
+
+
+def cell24_base_by_shape() -> frozenset[int]:
+    """Indices of the 24 vertices of shapes (±2,0,0,0) and (±1,±1,±1,±1)."""
+    return frozenset(i for i, v in enumerate(generate_vertices()) if not any(v[1::2]))
+
+
+def cells16_by_orthogonal_cliques(pair_orth: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
+    """The 4-cliques of `pair_orth`: four mutually orthogonal pairs."""
+    return tuple(c for c in cliques(pair_orth) if len(c) == 4)
+
+
+def cells24_by_16cell_extension(cell: Cell600) -> dict[frozenset[int], tuple[tuple[int, ...], ...]]:
+    """Each 24-cell, in sorted order, mapped to the 16-cells whose extension
+    it is: a 16-cell extended by the 8 pairs at unsigned product 1 with all
+    four of its members."""
+    seen: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    for small in cell.cells16:
+        extra = [
+            q for q in range(60)
+            if q not in small and all(cell.pair_class[q][p] == "1" for p in small)
+        ]
+        assert len(extra) == 8
+        seen.setdefault(frozenset(small) | frozenset(extra), []).append(small)
+    return {full: tuple(seen[full]) for full in sorted(seen, key=lambda s: tuple(sorted(s)))}
+
+
+def hexagons_by_intersections(cell: Cell600) -> dict[frozenset[int], frozenset[int]]:
+    """Every two 24-cells that meet, mapped to the 3 pairs they share."""
+    out = {}
+    for a, b in combinations(range(25), 2):
+        inter = cell.cells24[a] & cell.cells24[b]
+        if inter:
+            assert len(inter) == 3
+            assert all(cell.pair_class[p][q] == "1" for p, q in combinations(inter, 2))
+            out[frozenset((a, b))] = frozenset(inter)
+    return out
+
+
+def decagons_by_power_walk(cell: Cell600) -> tuple[frozenset[int], ...]:
+    """From each edge (i, j), the walk i, i*t, i*t^2, ... for t = i^-1 * j,
+    ten steps round a decagon, as its pair ids."""
+    table, inv = mult_table(), inverse_index()
+    seen = set()
+    for i, j in cell.edges:
+        t = table[inv[i]][j]
+        orbit = [i]
+        w = i
+        for _ in range(9):
+            w = table[w][t]
+            orbit.append(w)
+        assert len(set(orbit)) == 10
+        seen.add(frozenset(cell.pair_of[w] for w in orbit))
+    return tuple(sorted(seen, key=lambda s: tuple(sorted(s))))

@@ -11,7 +11,7 @@ from collections import Counter
 
 from h4geom.cli import _DUMPERS
 from h4geom.icosian import ICOSIAN_ONE
-from h4geom.polytopes import label_str, perm_parity
+from h4geom.polytopes import closure, label_str, perm_parity
 from h4geom.serialize import dumps
 
 from golden_oracle import fraction_short_vectors
@@ -55,7 +55,7 @@ def test_criterion_04_group_and_stabilizers(cell, group):
     assert len(stab_v) == 120
     vperms = [group._pair_action(group.ops[k].perm) for k in stab_v]
     sig = {}
-    for orb in group.orbits(vperms, range(60)):
+    for orb in closure(vperms, range(60)):
         cls = {cell.pair_class[pid][q] for q in orb}
         assert len(cls) == 1
         sig.setdefault(cls.pop(), []).append(len(orb))
@@ -64,9 +64,9 @@ def test_criterion_04_group_and_stabilizers(cell, group):
     stab_c = group.stabilizer_of_cell(c0)
     assert len(stab_c) == 576
     cperms = [group.cell_perms[k] for k in stab_c]
-    assert sorted(len(o) for o in group.orbits(cperms, range(25))) == [1, 8, 16]
+    assert sorted(len(o) for o in closure(cperms, range(25))) == [1, 8, 16]
     pperms = [group._pair_action(group.ops[k].perm) for k in stab_c]
-    assert sorted(len(o) for o in group.orbits(pperms, range(60))) == [12, 48]
+    assert sorted(len(o) for o in closure(pperms, range(60))) == [12, 48]
     _ok(4, "|Aut| 14400, rotations 7200, stabilizers 120/576 with orbit signatures")
 
 

@@ -1181,7 +1181,10 @@ def test_eliminate_is_integer_only_and_src_reads_no_golden_elimination():
     a plain tuple of 8 ints, and `h4geom` exports no `GoldenInt` or
     `IcosianVec`.  Nor does it name `bron`, and its only functions that call
     themselves are the walk inside `polytopes.cliques` and
-    `serialize.jsonable`, so `cliques` is its one clique search."""
+    `serialize.jsonable`, so `cliques` is its one clique search.  Nor does it
+    name `_cells24_16cells`, `cell24_base_indices`, or the closures
+    `mulclose_indices` and `orbits`, so `polytopes.closure` is its one
+    closure and every 24-cell is a coset of 2T."""
     with pytest.raises(TypeError):
         golden.eliminate([[golden.PHI]])
     for name in ("GoldenInt", "IcosianVec"):
@@ -1199,7 +1202,8 @@ def test_eliminate_is_integer_only_and_src_reads_no_golden_elimination():
     assert {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)} == {"ReductionMap", "Elimination"}
     paths = sorted((Path(__file__).resolve().parents[1] / "src" / "h4geom").glob("*.py"))
     assert len(paths) >= 10
-    banned = {"exact_quotient", "Ring", "GoldenInt", "GOLDEN_ZERO", "IcosianVec", "bron"}
+    banned = {"exact_quotient", "Ring", "GoldenInt", "GOLDEN_ZERO", "IcosianVec", "bron", "_cells24_16cells",
+              "cell24_base_indices", "mulclose_indices", "orbits"}
     found = [
         f"{path.name}:{node.lineno}"
         for path in paths

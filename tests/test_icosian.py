@@ -8,7 +8,6 @@ from h4geom import icosian
 from h4geom.golden import phi_pow
 from h4geom.icosian import (
     ICOSIAN_ONE,
-    cell24_base_indices,
     conj,
     element_order_index,
     find_order5,
@@ -16,7 +15,6 @@ from h4geom.icosian import (
     generate_vertices,
     icosian_mul,
     inverse_index,
-    mulclose_indices,
     mult_table,
     neg,
     paper_dot,
@@ -26,7 +24,12 @@ from h4geom.icosian import (
     vertex_index,
 )
 
-from golden_oracle import GoldenInt, GoldenVec, coords, element_order, oracle_vertices, parity_by_inversions
+from h4geom.polytopes import closure
+
+from golden_oracle import (
+    GoldenInt, GoldenVec, cell24_base_by_shape, coords, element_order, mulclose_by_right_products, oracle_vertices,
+    parity_by_inversions,
+)
 
 VERTS = generate_vertices()
 TABLE = mult_table()
@@ -177,9 +180,9 @@ def test_find_order5_is_deterministic_and_correct():
     assert element_order(g) == 5
     assert g == (-1, 1, -1, 0, 0, 0, 0, -1)  # least order-5 vertex
     gi = IDX[g]
-    assert gi not in cell24_base_indices()
+    base = cell24_base_by_shape()
+    assert gi not in base
     # powers give a left transversal: the five cosets g^i * base cover everything
-    base = cell24_base_indices()
     cover = set()
     acc = ONE
     for _ in range(5):
@@ -192,9 +195,12 @@ def test_find_order5_is_deterministic_and_correct():
 
 
 def test_base_24cell_is_a_subgroup():
-    base = cell24_base_indices()
+    """The Hurwitz units, the base 24-cell by its shapes, are closed under
+    products, by the old closure and by `closure` of 1 under their rows."""
+    base = cell24_base_by_shape()
     assert len(base) == 24
-    assert mulclose_indices(base) == base
+    assert mulclose_by_right_products(base) == base
+    assert closure([TABLE[b] for b in base], [ONE]) == [base]
 
 
 def test_icosian_mul_rejects_non_icosians():

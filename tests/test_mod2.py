@@ -5,6 +5,7 @@ import pytest
 
 from h4geom import checks, mod2
 from h4geom.mod2 import F4_MUL, F4_TRACE, OMEGA, OMEGA_BAR, biadditive
+from h4geom.polytopes import closure
 from h4geom.symmetry import SymOp
 
 
@@ -271,6 +272,63 @@ def test_qomega_fails_on_a_flipped_q_value_or_a_swapped_cell_tag(monkeypatch):
 def test_symmetry_action_commutes_with_phibar(geo, group):
     for g in group.generators:
         assert geo.commutes_with_phi(g)
+
+
+def _point_perms(geo, group):
+    """Each generator's permutation of the 85 points, through its table on
+    the 256 classes (`action_mod2`), which must carry points onto points."""
+    perms = []
+    for g in group.generators:
+        a = geo.action_mod2(g)
+        perm = tuple(geo.point_of[a[min(pt)]] for pt in geo.points)
+        assert all(frozenset(a[x] for x in pt) == geo.points[k] for pt, k in zip(geo.points, perm))
+        perms.append(perm)
+    return perms
+
+
+def test_point_orbits_are_the_vertex_and_cell_tags(geo, group):
+    """The group the five generators induce on E8/2E8 splits the 85 points
+    into orbits of 60 and 25: exactly the vertex-tagged and cell-tagged points."""
+    orbits = closure(_point_perms(geo, group), range(85))
+    assert sorted(map(len, orbits)) == [25, 60]
+    by_kind = {kind: frozenset(k for k, t in enumerate(geo.tags) if t[0] == kind) for kind in ("vertex", "cell")}
+    assert set(orbits) == set(by_kind.values())
+
+
+def test_line_orbits_are_the_line_types(geo, group):
+    """The same group splits the 357 lines into orbits of 200, 72, 75 and 10,
+    each all of one `line_info` type."""
+    index = {line: k for k, line in enumerate(geo.lines)}
+    perms = [tuple(index[frozenset(perm[p] for p in line)] for line in geo.lines) for perm in _point_perms(geo, group)]
+    orbits = closure(perms, range(len(geo.lines)))
+    assert sorted(map(len, orbits)) == [10, 72, 75, 200]
+    types = {}
+    for orbit in orbits:
+        kinds = {geo.line_info[geo.lines[k]].type for k in orbit}
+        assert len(kinds) == 1
+        types[len(orbit)] = kinds.pop()
+    assert types == {200: "triangle", 72: "pentagon", 75: "cell16", 10: "partition"}
+
+
+def _equivariance_misses(geo, group, tags):
+    """The (generator, point) with tag(g.p) != g.tag(p), g acting on the 60
+    pairs and the 25 24-cells through `symmetry`'s actions."""
+    misses = []
+    for m, (g, perm) in enumerate(zip(group.generators, _point_perms(geo, group))):
+        pairs = group._pair_action(g.perm)
+        acts = {"vertex": pairs, "cell": group._on_cells(pairs)}
+        misses += [(m, k) for k, (kind, ref) in enumerate(tags) if tags[perm[k]] != (kind, acts[kind][ref])]
+    return misses
+
+
+def test_tags_are_equivariant_and_a_cell_tag_swap_breaks_it(geo, group):
+    """For each generator g and point p, tag(g.p) = g.tag(p); with two cell
+    tags swapped it fails."""
+    assert _equivariance_misses(geo, group, geo.tags) == []
+    tags = list(geo.tags)
+    i, j = [k for k, (kind, _) in enumerate(tags) if kind == "cell"][:2]
+    tags[i], tags[j] = tags[j], tags[i]
+    assert _equivariance_misses(geo, group, tags) != []
 
 
 def test_action_mod2_checks_every_root(geo, group):

@@ -1,4 +1,5 @@
 import copy
+import re
 from collections import Counter
 from functools import cache, reduce
 from itertools import combinations, permutations
@@ -6,28 +7,27 @@ from operator import and_, mul
 
 import pytest
 
-from h4geom import checks, mod2
+from h4geom import checks, mod2, polytopes
 from h4geom.icosian import (
     ICOSIAN_ONE,
-    cell24_base_indices,
     conj,
     element_order_index,
     flat_dot,
     icosian_mul,
     inverse_index,
-    mulclose_indices,
     mult_table,
     paper_dot,
     quat_mul,
 )
 from h4geom.polytopes import (
-    _PP_KEYS, Cell120, Cell600, _coset_grid, bits, cliques, label_str, perm_parity,
+    _PP_KEYS, Cell120, Cell600, _coset_grid, bits, cliques, closure, label_str, perm_parity,
 )
 
 from golden_oracle import (
-    GoldenInt, bron_kerbosch, cells16_by_nested_loop, coords, edges_by_double_loop,
-    five_cliques_by_dfs, golden_eliminate, golden_sign, parity_by_inversions,
-    tetrahedra_by_edge_pairs, triangles_by_common_neighbours,
+    GoldenInt, bron_kerbosch, cell24_base_by_shape, cells16_by_nested_loop, cells16_by_orthogonal_cliques,
+    cells24_by_16cell_extension, coords, decagons_by_power_walk, edges_by_double_loop, five_cliques_by_dfs,
+    golden_eliminate, golden_sign, hexagons_by_intersections, mulclose_by_right_products, orbits_by_search,
+    parity_by_inversions, tetrahedra_by_edge_pairs, triangles_by_common_neighbours,
 )
 
 PHI_KEY = (0, 1)
@@ -218,10 +218,167 @@ def test_tetrads_and_ambient_24cells_match_the_orthogonality_oracle(cell):
 
 
 def test_cells24_raises_when_a_24cell_holds_a_16cell_twice(cell):
+    """A 16-cell listed twice lies twice in its 24-cell, a coset of 2T, so
+    the 16-cells inside that coset do not partition its pairs."""
     fresh = Cell600()
     fresh.cells16 = cell.cells16 + cell.cells16[:1]
-    with pytest.raises(ValueError, match="do not partition its 12 pairs"):
+    home = tuple(sorted(cell.cells24[cell.cell16_ambient[cell.cells16[0]]]))
+    with pytest.raises(ValueError, match=re.escape(f"the 16-cells of 24-cell {home} do not partition its 12 pairs")):
         fresh.cells24
+
+
+def test_sylow_subgroups_normalisers_and_the_base_24cell(cell):
+    """`sylow` holds Q8 in 2T, C6 and C10 with normalisers of orders 24, 12
+    and 20, each a subgroup, found as the old search found them; and 2T, which
+    `array` reads, is the base 24-cell of shapes (±2,0,0,0) and (±1,±1,±1,±1)."""
+    table, one = mult_table(), cell.index[ICOSIAN_ONE]
+    orders = [element_order_index(i) for i in range(cell.n)]
+    x = orders.index(4)
+    y = next(i for i in range(cell.n) if orders[i] == 4 and len(mulclose_by_right_products((x, i))) == 8)
+    old = {2: mulclose_by_right_products((x, y))}
+    old |= {p: mulclose_by_right_products((orders.index(p), cell.neg[one])) for p in (3, 5)}
+    assert {p: len(sub) for p, (sub, _) in cell.sylow.items()} == {2: 8, 3: 6, 5: 10}
+    assert {p: len(nor) for p, (_, nor) in cell.sylow.items()} == {2: 24, 3: 12, 5: 20}
+    for p, (sub, nor) in cell.sylow.items():
+        assert sub == old[p] and sub < nor
+        for group in (sub, nor):
+            assert {table[a][b] for a in group for b in group} == group
+    assert cell.sylow[2][1] == cell24_base_by_shape()
+
+
+def test_closure_matches_both_old_routines_on_every_call_src_makes(monkeypatch):
+    """Every call that `Cell600.sylow` and `facts/fact4` make to `closure`:
+    each subgroup against the old closure under right products by its
+    generators, and each of the three orbit sets of the stabilizers against
+    the old orbit search."""
+    calls = []
+
+    def recording(maps, points):
+        points = list(points)
+        out = closure(maps, points)
+        calls.append((maps, points, out))
+        return out
+
+    monkeypatch.setattr(polytopes, "closure", recording)
+    monkeypatch.setattr(checks, "closure", recording)
+    fresh = Cell600()
+    fresh.sylow
+    assert checks.run_check("facts/fact4").status == "pass"
+    one = fresh.index[ICOSIAN_ONE]
+    subgroups = [call for call in calls if len(call[0][0]) == fresh.n]
+    orbits = [call for call in calls if len(call[0][0]) != fresh.n]
+    assert len(subgroups) >= 3 and [len(points) for _, points, _ in orbits] == [60, 25, 60]
+    for maps, points, out in subgroups:
+        assert points == [one]
+        gens = [m[one] for m in maps]  # the row of g sends 1 to g
+        assert out == [mulclose_by_right_products(gens)]
+    for maps, points, out in orbits:
+        assert out == orbits_by_search(maps, range(len(points)))
+
+
+def test_cosets_give_each_family_as_its_old_construction(cell):
+    """On the whole of each family: the 16-cells (in the same order), the
+    24-cells with their 16-cells and ambient map, the hexagons (the same keys
+    in the same order), the decagons with their edges, and the 8-cells,
+    against the searches the cosets replaced."""
+    assert cell.cells16 == cells16_by_orthogonal_cliques(cell.pair_orth) == cells16_by_nested_loop(cell.pair_orth)
+    extension = cells24_by_16cell_extension(cell)
+    assert cell.cells24 == tuple(extension)
+    assert cell.tetrads24 == tuple(extension.values())
+    assert cell.cell16_ambient == {t: k for k, tetrads in enumerate(extension.values()) for t in tetrads}
+    cells8 = {frozenset(a) | frozenset(b) for tetrads in extension.values() for a, b in combinations(tetrads, 2)}
+    assert cell.cells8 == tuple(sorted(cells8, key=lambda s: tuple(sorted(s))))
+    hexagons = hexagons_by_intersections(cell)
+    assert list(cell.hexagons.items()) == list(hexagons.items())
+    assert cell.hexagon_list == tuple(sorted(hexagons.values(), key=lambda s: tuple(sorted(s))))
+    decagons = decagons_by_power_walk(cell)
+    assert cell.decagons == decagons
+    walked = {}
+    for i, j in cell.edges:
+        walked[i, j] = next(d for d in decagons if {cell.pair_of[i], cell.pair_of[j]} <= d)
+    assert cell.decagon_of_edge == walked
+
+
+def _replace_last_pair(cls):
+    """The first member of a listing with its last pair swapped for the first
+    pair outside it at unsigned product cls with its first pair."""
+
+    def corrupt(c, listing):
+        first = listing[0]
+        q = next(q for q in range(60) if q not in first and c.pair_class[first[0]][q] == cls)
+        return (tuple(sorted((*first[:-1], q))), *listing[1:])
+
+    return corrupt
+
+
+def _three_16cells_of_different_24cells(c, listing):
+    """A 24-cell swapped for three disjoint 16-cells, not all of one 24-cell,
+    that are the only 16-cells inside their 12 pairs."""
+    for a, b, d in combinations(c.cells16, 3):
+        union = set(a + b + d)
+        if len(union) == 12 and not c.pairs_at(union, ("0", "1")):
+            if sum(set(t) <= union for t in c.cells16) == 3:
+                return (tuple(sorted(union)), *listing[1:])
+
+
+def _non_hexagon_triple(c, listing):
+    """A hexagon swapped for three pairs, one of each 16-cell of a 24-cell,
+    that lie in that 24-cell alone."""
+    for tetrads in c.tetrads24:
+        for triple in zip(*tetrads):
+            if len(set.intersection(*(set(c.cell_of_pair[p]) for p in triple))) == 1:
+                return (tuple(sorted(triple)), *listing[1:])
+
+
+def _drop_first(c, listing):
+    return listing[1:]
+
+
+# Each family: the p of its subgroup in `sylow`, 0 for the subgroup or 1 for
+# its normaliser, and the first check to read it.
+_FAMILIES = {
+    "cells16": (2, 0, "facts/fact2"),
+    "cells24": (2, 1, "facts/fact2"),
+    "hexagons": (3, 0, "s4/hexagons"),
+    "decagons": (5, 0, "s4/decagons"),
+}
+
+
+@pytest.mark.parametrize(
+    "family, corrupt, message",
+    [
+        pytest.param("cells16", _replace_last_pair("1"), r"16-cell \(.*\) is not four mutually orthogonal pairs",
+                     id="cells16-orthogonal"),
+        pytest.param("cells16", _drop_first, r"74 16-cells, not 75", id="cells16-count"),
+        pytest.param("cells24", _replace_last_pair("phi"),
+                     r"the 16-cells of 24-cell \(.*\) do not partition its 12 pairs", id="cells24-partition"),
+        pytest.param("cells24", _three_16cells_of_different_24cells,
+                     r"two 16-cells of 24-cell \(.*\) hold pairs not at product \+-1", id="cells24-product"),
+        pytest.param("cells24", _drop_first, r"24 24-cells, not 25", id="cells24-count"),
+        pytest.param("hexagons", _replace_last_pair("0"), r"the pairs of hexagon \(.*\) are not at product 1",
+                     id="hexagons-product"),
+        pytest.param("hexagons", _non_hexagon_triple, r"hexagon \(.*\) lies in 1 24-cells, not 2",
+                     id="hexagons-holders"),
+        pytest.param("hexagons", _drop_first, r"199 hexagons, not 200 distinct", id="hexagons-count"),
+        pytest.param("decagons", _replace_last_pair("0"),
+                     r"the pairs of decagon \(.*\) are not at product phi or phi-inv", id="decagons-product"),
+        pytest.param("decagons", _drop_first, r"71 decagons, not 72", id="decagons-count"),
+    ],
+)
+def test_each_family_raises_on_corrupted_cosets_and_its_first_check_fails(monkeypatch, family, corrupt, message):
+    """One family of a fresh cell built from corrupted cosets of its subgroup
+    (the others left whole): reading it raises its geometric certificate's
+    error, and the first check to read it is a `fail` entry naming it."""
+    p, which, check_id = _FAMILIES[family]
+    fresh = Cell600()
+    real, target = fresh.cosets, fresh.sylow[p][which]
+    fresh.cosets = lambda sub: corrupt(fresh, real(sub)) if sub == target else real(sub)
+    with pytest.raises(ValueError, match=message) as raised:
+        getattr(fresh, family)
+    monkeypatch.setattr(checks, "the_600cell", lambda: fresh)
+    result = checks.run_check(check_id)
+    assert result.status == "fail"
+    assert result.observed == {"error": f"ValueError: {raised.value}"}
 
 
 def test_array_rows_and_columns_partition(cell):
@@ -363,11 +520,11 @@ def _nested_loop_prime_entries(cell, p):
     orders = [element_order_index(i) for i in range(n)]
     if p == 2:
         x = next(i for i in range(n) if orders[i] == 4)
-        y = next(i for i in range(n) if orders[i] == 4 and len(mulclose_indices((x, i))) == 8)
-        sylow = mulclose_indices((x, y))
+        y = next(i for i in range(n) if orders[i] == 4 and len(mulclose_by_right_products((x, i))) == 8)
+        sylow = mulclose_by_right_products((x, y))
     else:
         x = next(i for i in range(n) if orders[i] == p)
-        sylow = mulclose_indices((x, cell.neg[cell.index[ICOSIAN_ONE]]))
+        sylow = mulclose_by_right_products((x, cell.neg[cell.index[ICOSIAN_ONE]]))
     normalizer = frozenset(
         h for h in range(n) if frozenset(table[table[h][s]][inv[h]] for s in sylow) == sylow
     )
@@ -398,7 +555,7 @@ def test_array_matches_the_per_cell_loop(cell):
     gpow = [cell.index[ICOSIAN_ONE]]
     for _ in range(4):
         gpow.append(table[gpow[-1]][gi])
-    base = sorted(cell24_base_indices())
+    base = sorted(cell24_base_by_shape())
     for i in range(5):
         for j in range(5):
             verts = frozenset(table[table[gpow[i]][a]][inv[gpow[j]]] for a in base)
@@ -462,7 +619,7 @@ def test_120cell_base_cell_is_the_two_sided_orbit_of_one_vertex(cell):
     """The construction `Cell120.cells` replaced: B * v1 * B, for B the
     600-cell's base 24-cell and v1 = (2, 2, 0, 0), is cell 0, g^0 * C * g^0."""
     d = cell.cell120
-    base = [cell.vertices[i] for i in sorted(cell24_base_indices())]
+    base = [cell.vertices[i] for i in sorted(cell24_base_by_shape())]
     v1 = (2, 0, 2, 0, 0, 0, 0, 0)
     orbit = {icosian_mul(icosian_mul(a, v1), b) for a in base for b in base}
     assert len(orbit) == 24

@@ -11,8 +11,9 @@ import pytest
 
 from h4geom import checks, icosian, symmetry
 from h4geom.icosian import (
-    GENERATORS, ICOSIAN_ONE, flat_dot, generate_vertices, inverse_index, mulclose_indices, mult_table, neg, scaled,
+    GENERATORS, ICOSIAN_ONE, flat_dot, generate_vertices, inverse_index, mult_table, neg, scaled,
 )
+from h4geom.polytopes import closure
 from h4geom.symmetry import (
     SymmetryGroup,
     SymOp,
@@ -156,7 +157,8 @@ def test_generators_are_the_multiplications_by_the_certified_pair(cell, group):
     its own, and the five generators are x -> a*x, x -> b*x, x -> x*a,
     x -> x*b and x -> -conj(x), with the parities of their vertex permutations."""
     a, b = GENERATORS
-    assert mulclose_indices((cell.index[a], cell.index[b])) == frozenset(range(cell.n))
+    rows = [mult_table()[cell.index[g]] for g in (a, b)]
+    assert closure(rows, [cell.index[ICOSIAN_ONE]]) == [frozenset(range(cell.n))]
     expected = (left_mul(a), left_mul(b), right_mul(a), right_mul(b), reflection(ICOSIAN_ONE))
     assert [(g.perm, g.parity) for g in group.generators] == [(g.perm, g.parity) for g in expected]
     assert [g.parity for g in expected] == [1, 1, 1, 1, -1]
@@ -336,7 +338,7 @@ def test_vertex_stabilizer_orbits(cell, group):
     stab = group.stabilizer_of_vertex(v)
     assert len(stab) == 120
     perms = [pair_perm(group, group.ops[k]) for k in stab]
-    orbits = group.orbits(perms, range(60))
+    orbits = closure(perms, range(60))
     by_class = {}
     for orb in orbits:
         classes = {cell.pair_class[pid][q] for q in orb}
@@ -362,15 +364,15 @@ def test_cell_stabilizer_orbits(cell, group):
     stab = group.stabilizer_of_cell(c0)
     assert len(stab) == 576
     cperms = [group.cell_perms[k] for k in stab]
-    assert sorted(len(o) for o in group.orbits(cperms, range(25))) == [1, 8, 16]
+    assert sorted(len(o) for o in closure(cperms, range(25))) == [1, 8, 16]
     pperms = [pair_perm(group, group.ops[k]) for k in stab]
-    assert sorted(len(o) for o in group.orbits(pperms, range(60))) == [12, 48]
+    assert sorted(len(o) for o in closure(pperms, range(60))) == [12, 48]
     # transitivity on the 16 non-disjoint 24-cells is the size-16 orbit
     nondisjoint = {
         b for b in range(25)
         if b != c0 and not (cell.disjointness_mask[c0] >> b & 1)
     }
-    assert nondisjoint in [set(o) for o in group.orbits(cperms, range(25))]
+    assert nondisjoint in [set(o) for o in closure(cperms, range(25))]
 
 
 def test_identity_fixes_the_ten_partitions(group):
