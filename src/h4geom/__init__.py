@@ -15,7 +15,6 @@ _EXPORTS = {
     "ReductionMap": "golden",
     "phi_pow": "golden",
     "ICOSIAN_ONE": "icosian",
-    "find_order5": "icosian",
     "generate_vertices": "icosian",
     "icosian_mul": "icosian",
     "quat_mul": "icosian",

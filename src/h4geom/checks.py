@@ -21,7 +21,6 @@ from . import embed, mod2, symmetry
 from .golden import PHI
 from .icosian import (
     ICOSIAN_ONE,
-    element_order_index,
     flat_dot,
     generate_vertices,
     mult_table,
@@ -167,7 +166,7 @@ def _fact8():
             shapes["half_integer"] += 1
         else:
             shapes["golden"] += 1
-    orders = Counter(element_order_index(i) for i in range(n))
+    orders = Counter(the_600cell().orders)
     return {
         "icosians": n,
         "cayley_table_is_latin_square": latin,
@@ -240,11 +239,7 @@ def _orthogonal_pairs_in_entries(array, shapes):
 def _s4_hexagons():
     c = the_600cell()
     entries_ok, seen_pairs = _orthogonal_pairs_in_entries(c.prime_array(3), c.hexagon_list)
-    example = c.hexagons[
-        frozenset(
-            k for k in range(25) if c.duad_of_cell[k] in ((1, 6), (2, 7))
-        )
-    ]
+    example = c.hexagons[frozenset(map(c.duad_of_cell.index, ((1, 6), (2, 7))))]
     example_labels = sorted(label_str(c.labels[p]) for p in example)
     return {
         "hexagons": len(c.hexagon_list),

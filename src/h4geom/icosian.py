@@ -191,6 +191,13 @@ def mult_table() -> tuple[tuple[int, ...], ...]:
 
 
 @cache
+def mult_columns() -> tuple[tuple[int, ...], ...]:
+    """The Cayley table's columns: mult_columns()[j][i] = index of v_i * v_j,
+    so column j is the map x -> x * v_j."""
+    return tuple(zip(*mult_table()))
+
+
+@cache
 def _one_index() -> int:
     return vertex_index()[ICOSIAN_ONE]
 
@@ -212,11 +219,3 @@ def element_order_index(i: int) -> int:
             raise RuntimeError("order computation ran away; table is corrupt")
     return k
 
-
-@cache
-def find_order5() -> Flat:
-    """The least order-5 vertex under the flat coordinate ordering."""
-    for i, v in enumerate(generate_vertices()):
-        if element_order_index(i) == 5:
-            return v
-    raise RuntimeError("no order-5 icosian found")

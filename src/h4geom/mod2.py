@@ -27,7 +27,7 @@ from itertools import combinations
 from operator import and_, mul
 
 from .embed import E8Lattice, IntVec, certify_e8
-from .polytopes import bits, cliques
+from .polytopes import bits, cliques, closure
 
 # `SymOp` in annotations is `symmetry.SymOp`, left unimported so that the
 # lines and planes dumps never load symmetry.
@@ -203,13 +203,11 @@ class F4Geometry:
 
     @cached_property
     def points(self) -> tuple[frozenset[int], ...]:
-        t = self.phi.table
-        seen = set()
-        for x in range(1, 256):
-            seen.add(frozenset((x, t[x], x ^ t[x])))
-        pts = tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
-        if len(pts) != 85:
-            raise ValueError(f"{len(pts)} points, not 85")
+        """The 85 orbits of phibar on the nonzero classes, {x, t x, x ^ t x},
+        in the order of their least classes; raises unless each has 3."""
+        pts = tuple(closure([self.phi.table], range(1, 256)))
+        if len(pts) != 85 or any(len(p) != 3 for p in pts):
+            raise ValueError(f"{len(pts)} points of sizes {sorted(set(map(len, pts)))}, not 85 of 3 classes")
         return pts
 
     @cached_property
@@ -314,35 +312,26 @@ class F4Geometry:
     def line_census(self) -> dict[str, int]:
         return dict(Counter(info.type for info in self.line_info.values()))
 
+    def line_certified(self, info: LineInfo) -> bool:
+        """Whether a line's point tags match the H4-side incidence oracle: a
+        partition line's cells are a row or column of the array, a pentagon's
+        pairs a decagon, a cell16 line's pairs a 16-cell with its 24-cell, and
+        a triangle's pairs the hexagon of the two cells crossed from its own."""
+        vs, cs, kind = info
+        cell = self.cell
+        if kind == "partition":
+            return frozenset(cs) in cell.partitions
+        if kind == "pentagon":
+            return frozenset(vs) in cell.decagons
+        if kind == "cell16":
+            return vs in cell.cell16_ambient and cs == (cell.cell16_ambient[vs],)
+        return len(cs) == 2 and cell.hexagons.get(cell.crossed(cs)) == frozenset(vs)
+
     def line_certificates(self) -> dict[str, int]:
         """Count lines whose point tags match the H4-side incidence oracle."""
-        cell = self.cell
-        decagon_sets = set(cell.decagons)
-        partition_sets = set(cell.partitions)
-        ok: dict[str, int] = {"partition": 0, "pentagon": 0, "cell16": 0, "triangle": 0}
-        for vs, cs, kind in self.line_info.values():
-            if kind == "partition":
-                if frozenset(cs) in partition_sets:
-                    ok[kind] += 1
-            elif kind == "pentagon":
-                if frozenset(vs) in decagon_sets:
-                    ok[kind] += 1
-            elif kind == "cell16":
-                if vs in cell.cell16_ambient and cs == (cell.cell16_ambient[vs],):
-                    ok[kind] += 1
-            else:  # triangle: hexagon pairs sharing two duads plus crossed cells
-                shared = set(cell.labels[vs[0]]) & set(cell.labels[vs[1]]) & set(cell.labels[vs[2]])
-                if len(shared) != 2:
-                    continue
-                (ra, ca), (rb, cb) = sorted(shared)
-                crossed = {(ra, cb), (rb, ca)}
-                if {cell.duad_of_cell[c] for c in cs} == crossed:
-                    # the three pairs must be the full hexagon of the two cells
-                    hex_cells = frozenset(
-                        k for k in range(25) if cell.duad_of_cell[k] in shared
-                    )
-                    if cell.hexagons[hex_cells] == frozenset(vs):
-                        ok[kind] += 1
+        ok = dict.fromkeys(("partition", "pentagon", "cell16", "triangle"), 0)
+        for info in self.line_info.values():
+            ok[info.type] += self.line_certified(info)
         # all lines are totally singular exactly for the partition type
         for line, (_, _, kind) in self.line_info.items():
             singular = all(self.q[x] == 0 for p in line for x in self.points[p])

@@ -9,10 +9,11 @@ rectified 600-cell.
 
 Every vertex, of the 600-cell and of the 120-cell and rectified 600-cell
 built from it, is a flat integer 8-tuple of `icosian`; each polytope keeps
-its vertices sorted, and `Cell600.index` and `Cell120.index` map a vertex
-back to its position.  Vertex pairs {v, -v} are referred to by integer pair
-ids 0..59; a duad is a tuple (row, col) with row in 1..5 and col in 6..10
-(10 is printed as X).
+its vertices sorted, and `Cell600.index` maps a vertex back to its position.
+The 120-cell's vertex k is the centre of the 600-cell's tetrahedral cell
+`Cell120.tetra_of[k]`, and is found by that tetrahedron.  Vertex pairs
+{v, -v} are referred to by integer pair ids 0..59; a duad is a tuple
+(row, col) with row in 1..5 and col in 6..10 (10 is printed as X).
 
 The vertices are the group 2I (the paper's Fact 8), and four families are
 read off its subgroups (Conway & Smith, On Quaternions and Octonions, ch. 4):
@@ -22,7 +23,12 @@ order 3 (the 200 hexagons) or C10 = <x, -1> for x of order 5 (the 72
 decagons), each as its pair ids (`Cell600.cosets`).  `Cell600.sylow` finds
 these subgroups and their normalisers, which the prime arrays read, and
 `closure` is the one closure of points under maps, for subgroups here and for
-orbits in the checks.  Each family keeps a geometric raise: a 16-cell's
+orbits in the checks.  `Cell600.orders` holds each element's order, and
+`Cell600.gpow` the powers of g, its first element of order 5.  One map,
+`_two_sided(a, b)`: x -> a*x*b^-1, read off the Cayley table, gives the
+conjugates, the normalisers, the 5x5 array and the prime arrays, and carries
+the 120-cell's base 24-cell to its 25 24-cells g^i * C * g^-j, tetrahedron
+by tetrahedron.  Each family keeps a geometric raise: a 16-cell's
 pairs are mutually orthogonal, a 24-cell's 16-cells partition its pairs at
 product +-1, a hexagon lies in two 24-cells with its pairs at product +-1,
 and a decagon's pairs meet at phi or phi^-1.
@@ -39,7 +45,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from functools import cache, cached_property
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from operator import add, itemgetter
 
 from .golden import PHI, phi_pow
@@ -48,11 +54,10 @@ from .icosian import (
     Flat,
     conj,
     element_order_index,
-    find_order5,
     flat_dot,
     generate_vertices,
-    icosian_mul,
     inverse_index,
+    mult_columns,
     mult_table,
     neg,
     perm_parity,
@@ -141,12 +146,19 @@ def closure(maps: Sequence[Sequence[int]], points: Iterable[int]) -> list[frozen
     return out
 
 
+@cache
+def _two_sided(a: int, b: int) -> tuple[int, ...]:
+    """The map x -> a*x*b^-1 of 2I, as a table on vertex indices: the row of a
+    read through the Cayley table's column of b^-1.  Cached, since `sylow`
+    and `cosets` conjugate by each h again for every subgroup."""
+    return itemgetter(*mult_table()[a])(mult_columns()[inverse_index()[b]])
+
+
 def _coset_grid(reps: Sequence[int], base: Collection[int]) -> tuple[tuple[frozenset[int], ...], ...]:
-    """The vertex sets g_i * base * g_j^-1 for g_i, g_j in reps, off the Cayley
-    table; raises unless they are len(reps)**2 distinct sets."""
-    table, inv = mult_table(), inverse_index()
+    """The vertex sets g_i * base * g_j^-1 for g_i, g_j in reps; raises unless
+    they are len(reps)**2 distinct sets."""
     grid = tuple(
-        tuple(frozenset(table[table[gi][s]][inv[gj]] for s in base) for gj in reps) for gi in reps
+        tuple(frozenset(map(_two_sided(gi, gj).__getitem__, base)) for gj in reps) for gi in reps
     )
     if len({e for row in grid for e in row}) != len(reps) ** 2:
         raise ValueError(f"the {len(reps)}x{len(reps)} grid g_i * B * g_j^-1 repeats an entry")
@@ -237,15 +249,25 @@ class Cell600:
         return all(self.pair_class[p][q] in classes for p, q in combinations(pids, 2))
 
     @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """The order of each element of 2I, by vertex index."""
+        return tuple(map(element_order_index, range(self.n)))
+
+    @cached_property
+    def gpow(self) -> tuple[int, ...]:
+        """The powers g^0..g^4 of g, the first element of order 5, as vertex indices."""
+        table, g = mult_table(), self.orders.index(5)
+        return tuple(accumulate([g] * 4, lambda x, y: table[x][y], initial=self.index[ICOSIAN_ONE]))
+
+    @cached_property
     def sylow(self) -> dict[int, tuple[frozenset[int], frozenset[int]]]:
         """For p = 2, 3 and 5, a subgroup of 2I and its normaliser, as vertex
         indices: Q8 = <x, y> in 2T, for x the first element of order 4 and y
         the first that makes 8; and C6 or C10 = <x, -1>, for x the first
         element of order p.  Raises unless their orders are 8 and 24, 6 and 12,
         10 and 20."""
-        table, inv = mult_table(), inverse_index()
+        table, orders = mult_table(), self.orders
         one = self.index[ICOSIAN_ONE]
-        orders = [element_order_index(i) for i in range(self.n)]
 
         def generated(*gens: int) -> frozenset[int]:
             return closure([table[g] for g in gens], [one])[0]
@@ -256,7 +278,7 @@ class Cell600:
         for p, sub in ((2, q8), (3, generated(orders.index(3), self.neg[one])),
                        (5, generated(orders.index(5), self.neg[one]))):
             normaliser = frozenset(
-                h for h in range(self.n) if frozenset(table[table[h][s]][inv[h]] for s in sub) == sub
+                h for h in range(self.n) if frozenset(map(_two_sided(h, h).__getitem__, sub)) == sub
             )
             if (len(sub), len(normaliser)) != {2: (8, 24), 3: (6, 12), 5: (10, 20)}[p]:
                 raise ValueError(f"p = {p}: subgroup of order {len(sub)} with normaliser of order {len(normaliser)}")
@@ -266,9 +288,9 @@ class Cell600:
     def cosets(self, subgroup: Collection[int]) -> tuple[tuple[int, ...], ...]:
         """The left cosets x*S of every conjugate S = h*subgroup*h^-1, each as
         its sorted pair ids, once each and sorted."""
-        table, inv, pair_of = mult_table(), inverse_index(), self.pair_of
+        table, pair_of = mult_table(), self.pair_of
         out = set()
-        for sub in {frozenset(table[table[h][s]][inv[h]] for s in subgroup) for h in range(self.n)}:
+        for sub in {frozenset(map(_two_sided(h, h).__getitem__, subgroup)) for h in range(self.n)}:
             left = set(range(self.n))
             while left:
                 x = left.pop()
@@ -340,24 +362,15 @@ class Cell600:
     # ---------- the 5x5 array and the ten partitions ----------
 
     @cached_property
-    def g(self) -> Flat:
-        return find_order5()
-
-    @cached_property
     def array(self) -> tuple[tuple[int, ...], ...]:
         """array[i][j] = index of the 24-cell g^i * B * g^-j, B = 2T, the normaliser of Q8."""
-        table = mult_table()
-        gi = self.index[self.g]
-        gpow = [self.index[ICOSIAN_ONE]]
-        for _ in range(4):
-            gpow.append(table[gpow[-1]][gi])
         cellset_to_idx = {
             frozenset(self.pairs[p][0] for p in cell) | frozenset(self.pairs[p][1] for p in cell): k
             for k, cell in enumerate(self.cells24)
         }
         return tuple(
             tuple(map(cellset_to_idx.__getitem__, row))
-            for row in _coset_grid(gpow, sorted(self.sylow[2][1]))
+            for row in _coset_grid(self.gpow, sorted(self.sylow[2][1]))
         )
 
     @cached_property
@@ -384,6 +397,11 @@ class Cell600:
     def disjointness_mask(self) -> tuple[int, ...]:
         """Bitmask of the 24-cells disjoint from each 24-cell."""
         return _masks(25, lambda a, b: not self.cells24[a] & self.cells24[b])
+
+    def crossed(self, cells: Collection[int]) -> frozenset[int]:
+        """For the 24-cells (i j) and (i' j'), the cells (i j') and (i' j)."""
+        (ra, ca), (rb, cb) = map(self.duad_of_cell.__getitem__, cells)
+        return frozenset((self.array[ra - 1][cb - 6], self.array[rb - 1][ca - 6]))
 
     def find_all_partitions(self) -> tuple[frozenset[int], ...]:
         """The 5-cliques of the disjointness graph."""
@@ -438,14 +456,9 @@ class Cell600:
         the crossed cells (i j'), (i' j)."""
         pairs = set()
         for cellpair, hexagon in self.hexagons.items():
-            a, b = sorted(cellpair)
-            (ra, ca), (rb, cb) = self.duad_of_cell[a], self.duad_of_cell[b]
-            crossed = frozenset(
-                (c for c in range(25) if self.duad_of_cell[c] in ((ra, cb), (rb, ca)))
-            )
-            mate = self.hexagons[crossed]
+            mate = self.hexagons[self.crossed(cellpair)]
             if not self.pair_sets_orthogonal(hexagon, mate):
-                raise ValueError(f"the crossed hexagon of cells {a}, {b} is not orthogonal")
+                raise ValueError(f"the crossed hexagon of cells {sorted(cellpair)} is not orthogonal")
             pairs.add(frozenset((hexagon, mate)))
         if len(pairs) != 100:
             raise ValueError(f"{len(pairs)} orthogonal hexagon pairs, not 100")
@@ -486,16 +499,13 @@ class Cell600:
 
     def prime_array(self, p: int) -> "PrimeArray":
         """The array g_i * N * g_j^-1 of the normaliser N of `sylow`'s p-subgroup,
-        g_i the first element of each left coset of N."""
+        g_i the least element of each left coset of N: each orbit of `closure`
+        under right multiplication by N."""
         if p not in (2, 3, 5):
             raise ValueError("p must be 2, 3 or 5")
-        table = mult_table()
         normaliser = self.sylow[p][1]
         q1 = self.n // len(normaliser)  # q + 1 of the array
-        first: dict[frozenset[int], int] = {}  # each left coset and its first element
-        for h in range(self.n):
-            first.setdefault(frozenset(table[h][s] for s in normaliser), h)
-        reps = list(first.values())
+        reps = [min(coset) for coset in closure([mult_columns()[s] for s in normaliser], range(self.n))]
         if len(reps) != q1:
             raise ValueError(f"p = {p}: {len(reps)} cosets, not {q1}")
         entries = _coset_grid(reps, normaliser)
@@ -535,7 +545,8 @@ class PrimeArray(namedtuple("PrimeArray", "p size entries cell")):
 
 class Cell120:
     """The dual polytope: 600 cell centers of the 600-cell, rescaled so the
-    base 24-cell is (±2, ±2, 0, 0) with all permutations and signs."""
+    base 24-cell is (±2, ±2, 0, 0) with all permutations and signs.  Vertex k
+    is the centre of the tetrahedral cell tetra_of[k], by which it is indexed."""
 
     def __init__(self, parent: Cell600) -> None:
         self.parent = parent
@@ -547,31 +558,28 @@ class Cell120:
         if len(centers) != 600:
             raise ValueError(f"{len(centers)} cell centres, not 600")
         self.vertices = tuple(sorted(centers))
-        self.index = {v: i for i, v in enumerate(self.vertices)}
         self.tetra_of = tuple(centers[v] for v in self.vertices)
         self.n = 600
 
     @cached_property
     def cells(self) -> tuple[frozenset[int], ...]:
         """25 disjoint 24-cells g^i * C * g^-j covering the 600 vertices, C
-        the vertices of shape (+-2, +-2, 0, 0)."""
-        g = self.parent.g
-        gpow = [ICOSIAN_ONE]
-        for _ in range(4):
-            gpow.append(icosian_mul(gpow[-1], g))
-        ginvpow = [conj(x) for x in gpow]  # g^-j = conj(g)^j = conj(g^j)
+        the vertices of shape (+-2, +-2, 0, 0): x -> g^i * x * g^-j is an
+        isometry of the 600-cell, so it carries the centre of each tetrahedron
+        to the centre of the tetrahedron of its images."""
         base = [
-            v for v in self.vertices
+            k for k, v in enumerate(self.vertices)
             if not any(v[1::2]) and sorted(map(abs, v[::2])) == [0, 0, 2, 2]
         ]
         if len(base) != 24:
             raise ValueError(f"the base 24-cell of the 120-cell has {len(base)} vertices, not 24")
-        cells = []
+        of_tetra = {tet: k for k, tet in enumerate(self.tetra_of)}
+        gpow, cells = self.parent.gpow, []
         for i in range(5):
             for j in range(5):
+                image = _two_sided(gpow[i], gpow[j])
                 cell = frozenset(
-                    self.index[icosian_mul(icosian_mul(gpow[i], w), ginvpow[j])]
-                    for w in base
+                    of_tetra[tuple(sorted(map(image.__getitem__, self.tetra_of[k])))] for k in base
                 )
                 if len(cell) != 24:
                     raise ValueError(f"120-cell 24-cell ({i}, {j}) has {len(cell)} vertices")

@@ -27,7 +27,7 @@ from operator import itemgetter
 
 from .icosian import (
     GENERATORS, ICOSIAN_ONE, Flat, flat_dot, generate_vertices, generator_walk, inverse_index,
-    mult_table, neg, perm_parity, vertex_index,
+    mult_columns, mult_table, neg, perm_parity, vertex_index,
 )
 from .polytopes import Cell600, the_600cell
 
@@ -106,8 +106,7 @@ def left_mul(v: Flat) -> SymOp:
 
 def right_mul(v: Flat) -> SymOp:
     """x -> x*v/2, a rotation: the Cayley table's column of v."""
-    i = vertex_index()[v]
-    return _op_from_perm(tuple(row[i] for row in mult_table()))
+    return _op_from_perm(mult_columns()[vertex_index()[v]])
 
 
 def reflection(v: Flat) -> SymOp:
@@ -221,8 +220,7 @@ class SymmetryGroup:
     @cached_property
     def _vertex_tables(self) -> tuple[tuple, tuple, tuple[int, ...]]:
         """Vertex permutations of x -> l*x and x -> x*r for each icosian, and of x -> conj(x)."""
-        table = mult_table()
-        return table, tuple(zip(*table)), inverse_index()
+        return mult_table(), mult_columns(), inverse_index()
 
     @cached_property
     def _pair_tables(self) -> tuple[list, list, tuple[int, ...]]:

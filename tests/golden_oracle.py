@@ -37,7 +37,13 @@ replaced: the subgroup closure under right products by its generators and
 the orbit search of the symmetry group, the base 24-cell by its coordinate
 shapes, the 16-cells as the 4-cliques of `pair_orth`, the 24-cells by
 extending each 16-cell, the hexagons by intersecting every two 24-cells and
-the decagons by a power walk from each edge.
+the decagons by a power walk from each edge.  Last come the constructions
+that `Cell600.orders`, `Cell600.gpow`, `closure` and the two-sided map
+`polytopes._two_sided` replaced: the search for the least element of order 5,
+the 120-cell's 24-cells by quaternion products on coordinates, the
+first-element loop over the left cosets of a normaliser, the F4 points as
+the triples {x, t x, x ^ t x}, and the triangle lines certified through the
+two duads their three pairs share.
 """
 
 from __future__ import annotations
@@ -52,8 +58,8 @@ from typing import Iterable, Sequence, Union
 from h4geom.embed import _half_dot
 from h4geom.golden import Elimination, eliminate
 from h4geom.icosian import (
-    Flat, element_order_index, flat_dot, generate_vertices, inverse_index, mult_table, quat_mul, scaled,
-    vertex_index,
+    ICOSIAN_ONE, Flat, conj, element_order_index, flat_dot, generate_vertices, icosian_mul, inverse_index,
+    mult_table, quat_mul, scaled, vertex_index,
 )
 from h4geom.polytopes import Cell600, bits, cliques
 from h4geom.symmetry import SymOp
@@ -860,3 +866,59 @@ def decagons_by_power_walk(cell: Cell600) -> tuple[frozenset[int], ...]:
         assert len(set(orbit)) == 10
         seen.add(frozenset(cell.pair_of[w] for w in orbit))
     return tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
+
+
+# ---------- the constructions before the two-sided map ----------
+
+def find_order5() -> Flat:
+    """The least order-5 vertex under the flat coordinate ordering."""
+    for i, v in enumerate(generate_vertices()):
+        if element_order_index(i) == 5:
+            return v
+    raise RuntimeError("no order-5 icosian found")
+
+
+def cell120_cells_by_quaternion_products(d) -> tuple[frozenset[int], ...]:
+    """The 25 24-cells of the 120-cell d, g^i * C * g^-j, by quaternion
+    products on the coordinates of C's 24 vertices, for g = `find_order5()`."""
+    index = {v: k for k, v in enumerate(d.vertices)}
+    gpow = [ICOSIAN_ONE]
+    for _ in range(4):
+        gpow.append(icosian_mul(gpow[-1], find_order5()))
+    ginvpow = [conj(x) for x in gpow]  # g^-j = conj(g)^j = conj(g^j)
+    base = [v for v in d.vertices if not any(v[1::2]) and sorted(map(abs, v[::2])) == [0, 0, 2, 2]]
+    assert len(base) == 24
+    return tuple(
+        frozenset(index[icosian_mul(icosian_mul(gpow[i], w), ginvpow[j])] for w in base)
+        for i in range(5) for j in range(5)
+    )
+
+
+def coset_reps_by_first_element(normaliser: Iterable[int]) -> list[int]:
+    """The first vertex index h, in index order, of each left coset h*N."""
+    table = mult_table()
+    first: dict[frozenset[int], int] = {}
+    for h in range(len(table)):
+        first.setdefault(frozenset(table[h][s] for s in normaliser), h)
+    return list(first.values())
+
+
+def points_by_triples(t: Sequence[int]) -> tuple[frozenset[int], ...]:
+    """The sets {x, t x, x ^ t x} over the 255 nonzero classes, sorted."""
+    seen = {frozenset((x, t[x], x ^ t[x])) for x in range(1, 256)}
+    return tuple(sorted(seen, key=lambda s: tuple(sorted(s))))
+
+
+def triangle_certified_by_shared_duads(cell: Cell600, vs: Sequence[int], cs: Sequence[int]) -> bool:
+    """Whether three pairs vs share exactly two duads, the cells cs carry the
+    crossed duads, and vs is the hexagon of the two cells of the shared duads."""
+    if len(vs) != 3:
+        return False
+    shared = set(cell.labels[vs[0]]) & set(cell.labels[vs[1]]) & set(cell.labels[vs[2]])
+    if len(shared) != 2:
+        return False
+    (ra, ca), (rb, cb) = sorted(shared)
+    if {cell.duad_of_cell[c] for c in cs} != {(ra, cb), (rb, ca)}:
+        return False
+    hex_cells = frozenset(k for k in range(25) if cell.duad_of_cell[k] in shared)
+    return cell.hexagons[hex_cells] == frozenset(vs)

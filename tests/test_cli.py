@@ -1152,6 +1152,22 @@ def test_src_holds_no_assert():
     assert found == []
 
 
+def test_src_imports_only_the_standard_library():
+    """Every import in src/h4geom is relative or names a standard-library
+    module: the runtime needs nothing installed beside Python."""
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "h4geom").glob("*.py"))
+    assert len(paths) >= 10
+    outside = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and not node.level
+        for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else [node.module])
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []
+
+
 def test_src_imports_no_unused_name():
     """Every name a module of src/h4geom imports is read in it, so a routine
     deleted with its last caller leaves no import behind."""
@@ -1184,7 +1200,10 @@ def test_eliminate_is_integer_only_and_src_reads_no_golden_elimination():
     `serialize.jsonable`, so `cliques` is its one clique search.  Nor does it
     name `_cells24_16cells`, `cell24_base_indices`, or the closures
     `mulclose_indices` and `orbits`, so `polytopes.closure` is its one
-    closure and every 24-cell is a coset of 2T."""
+    closure and every 24-cell is a coset of 2T.  Nor does it name
+    `find_order5`; `polytopes` reads no `icosian_mul`, so every product there
+    comes off the Cayley table; and only `Cell600.orders` reads
+    `element_order_index`, the one table of element orders."""
     with pytest.raises(TypeError):
         golden.eliminate([[golden.PHI]])
     for name in ("GoldenInt", "IcosianVec"):
@@ -1203,7 +1222,7 @@ def test_eliminate_is_integer_only_and_src_reads_no_golden_elimination():
     paths = sorted((Path(__file__).resolve().parents[1] / "src" / "h4geom").glob("*.py"))
     assert len(paths) >= 10
     banned = {"exact_quotient", "Ring", "GoldenInt", "GOLDEN_ZERO", "IcosianVec", "bron", "_cells24_16cells",
-              "cell24_base_indices", "mulclose_indices", "orbits"}
+              "cell24_base_indices", "mulclose_indices", "orbits", "find_order5"}
     found = [
         f"{path.name}:{node.lineno}"
         for path in paths
@@ -1232,3 +1251,19 @@ def test_eliminate_is_integer_only_and_src_reads_no_golden_elimination():
 
     walks = {name for path in paths for name in recursive(ast.parse(path.read_text()), path.stem)}
     assert walks == {"polytopes.cliques.extend", "serialize.jsonable"}
+
+    def readers(node, qualname, name):
+        """The dotted name of each function under node that reads name."""
+        for child in ast.iter_child_nodes(node):
+            inner = qualname
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{qualname}.{child.name}"
+            elif isinstance(child, ast.Name) and child.id == name or isinstance(child, ast.Attribute) and child.attr == name:
+                yield qualname
+            yield from readers(child, inner, name)
+
+    def read_by(name):
+        return {r for path in paths for r in readers(ast.parse(path.read_text()), path.stem, name)}
+
+    assert read_by("element_order_index") == {"polytopes.Cell600.orders"}
+    assert {r for r in read_by("icosian_mul") if r.startswith("polytopes")} == set()

@@ -10,11 +10,11 @@ from h4geom.icosian import (
     ICOSIAN_ONE,
     conj,
     element_order_index,
-    find_order5,
     flat_dot,
     generate_vertices,
     icosian_mul,
     inverse_index,
+    mult_columns,
     mult_table,
     neg,
     paper_dot,
@@ -27,8 +27,8 @@ from h4geom.icosian import (
 from h4geom.polytopes import closure
 
 from golden_oracle import (
-    GoldenInt, GoldenVec, cell24_base_by_shape, coords, element_order, mulclose_by_right_products, oracle_vertices,
-    parity_by_inversions,
+    GoldenInt, GoldenVec, cell24_base_by_shape, coords, element_order, find_order5, mulclose_by_right_products,
+    oracle_vertices, parity_by_inversions,
 )
 
 VERTS = generate_vertices()
@@ -143,8 +143,8 @@ def test_flat_quat_mul_matches_the_dict_product(u, v):
     assert quat_mul(u, v) == _dict_quat_mul(u, v)
 
 
-def test_left_right_multiplication_are_isometries():
-    g = find_order5()
+def test_left_right_multiplication_are_isometries(cell):
+    g = VERTS[cell.gpow[1]]
     h = VERTS[17]
     sample = VERTS[::11]
     for a, b in [(g, h)]:
@@ -175,23 +175,40 @@ def test_order_of_unit_elements():
     assert element_order(neg(ICOSIAN_ONE)) == 2
 
 
-def test_find_order5_is_deterministic_and_correct():
+def test_find_order5_is_deterministic_and_correct(cell):
+    """The old search's least order-5 vertex is g = gpow[1], the first element
+    of order 5 in `Cell600.orders`, and gpow lists its powers g^0..g^4."""
     g = find_order5()
     assert element_order(g) == 5
     assert g == (-1, 1, -1, 0, 0, 0, 0, -1)  # least order-5 vertex
     gi = IDX[g]
+    assert cell.gpow[1] == gi == cell.orders.index(5)
     base = cell24_base_by_shape()
     assert gi not in base
     # powers give a left transversal: the five cosets g^i * base cover everything
     cover = set()
     acc = ONE
-    for _ in range(5):
+    for k in range(5):
+        assert cell.gpow[k] == acc
         coset = {TABLE[acc][b] for b in base}
         assert len(coset) == 24 and not (coset & cover)
         cover |= coset
         acc = TABLE[acc][gi]
     assert len(cover) == 120
     assert acc == ONE  # g**5 = 1
+
+
+def test_orders_match_element_order_index_on_all_elements(cell):
+    """`Cell600.orders`, the one table of element orders, against
+    `element_order_index` on all 120 elements."""
+    assert cell.orders == tuple(element_order_index(i) for i in range(120))
+    assert Counter(cell.orders) == {1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24}
+
+
+def test_mult_columns_are_the_cayley_tables_columns():
+    cols = mult_columns()
+    assert len(cols) == 120
+    assert all(cols[j][i] == TABLE[i][j] for i in range(120) for j in range(120))
 
 
 def test_base_24cell_is_a_subgroup():

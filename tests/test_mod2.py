@@ -8,6 +8,8 @@ from h4geom.mod2 import F4_MUL, F4_TRACE, OMEGA, OMEGA_BAR, biadditive
 from h4geom.polytopes import closure
 from h4geom.symmetry import SymOp
 
+from golden_oracle import points_by_triples, triangle_certified_by_shared_duads
+
 
 def bform(geo, x, y):
     """B(x, y) on classes: the parity of rowvec[x] & y."""
@@ -164,6 +166,42 @@ def test_points_are_phibar_closed(geo):
         assert {t[x] for x in p} == set(p)
 
 
+def test_points_match_the_triples_and_point_of_inverts_them(geo):
+    """The 85 orbits of phibar against the old triples {x, t x, x ^ t x}, in
+    order, and `point_of` on all 256 classes."""
+    assert geo.points == points_by_triples(geo.phi.table)
+    assert geo.point_of == tuple(
+        next((k for k, p in enumerate(geo.points) if x in p), -1) for x in range(256)
+    )
+
+
+def test_points_raise_unless_85_orbits_of_3(geo):
+    """phibar replaced by the identity: 255 orbits of one class each."""
+    fresh = mod2.F4Geometry(geo.e8)
+    fresh.phi = fresh.phi._replace(table=tuple(range(256)))
+    with pytest.raises(ValueError, match="255 points of sizes \\[1\\], not 85 of 3 classes"):
+        fresh.points
+
+
+def test_triangle_branches_agree_on_every_line(geo):
+    """The crossed-cells test of `line_certified` and the old shared-duads
+    test, both applied as the triangle test to all 357 lines, hold on exactly
+    the 200 triangles; a triangle with its two cell tags replaced by the
+    crossed cells, the hexagon's own, fails both."""
+    cell, held = geo.cell, Counter()
+    for info in geo.line_info.values():
+        as_triangle = info._replace(type="triangle")
+        verdict = geo.line_certified(as_triangle)
+        assert verdict == triangle_certified_by_shared_duads(cell, info.vertex_pairs, info.cells)
+        held[info.type] += verdict
+        if info.type == "triangle":
+            moved = info._replace(cells=tuple(sorted(cell.crossed(info.cells))))
+            assert moved.cells != info.cells
+            assert not geo.line_certified(moved)
+            assert not triangle_certified_by_shared_duads(cell, moved.vertex_pairs, moved.cells)
+    assert held == Counter(triangle=200)
+
+
 def test_line_census_and_certificates(geo):
     assert geo.line_census == {
         "partition": 10, "pentagon": 72, "cell16": 75, "triangle": 200,
@@ -278,8 +316,7 @@ def _point_perms(geo, group):
     """Each generator's permutation of the 85 points, through its table on
     the 256 classes (`action_mod2`), which must carry points onto points."""
     perms = []
-    for g in group.generators:
-        a = geo.action_mod2(g)
+    for a in map(geo.action_mod2, group.generators):
         perm = tuple(geo.point_of[a[min(pt)]] for pt in geo.points)
         assert all(frozenset(a[x] for x in pt) == geo.points[k] for pt, k in zip(geo.points, perm))
         perms.append(perm)
@@ -308,6 +345,36 @@ def test_line_orbits_are_the_line_types(geo, group):
         assert len(kinds) == 1
         types[len(orbit)] = kinds.pop()
     assert types == {200: "triangle", 72: "pentagon", 75: "cell16", 10: "partition"}
+
+
+def test_plane_orbits_are_the_vertex_and_cell_tags(geo, group):
+    """The same group splits the 85 planes into orbits of 60 and 25: the
+    complements of the vertex-tagged and of the cell-tagged points."""
+    index = {plane: k for k, plane in enumerate(geo.planes)}
+    perms = [tuple(index[frozenset(perm[p] for p in plane)] for plane in geo.planes) for perm in _point_perms(geo, group)]
+    orbits = closure(perms, range(85))
+    assert sorted(map(len, orbits)) == [25, 60]
+    by_kind = {kind: frozenset(k for k, t in enumerate(geo.tags) if t[0] == kind) for kind in ("vertex", "cell")}
+    assert set(orbits) == set(by_kind.values())
+
+
+def test_singular_4space_orbits_refine_the_two_parity_classes(geo, group):
+    """The same group, acting on the 256 classes, splits the 270 totally
+    singular 4-spaces into orbits of 10, 25, 60, 75 and 100.  The 10 are the
+    pentad rows and columns; 10 + 25 + 100 is the intersection-parity class of
+    pentad row 0 and 60 + 75 the other class."""
+    index = {space: k for k, space in enumerate(geo.isotropic4)}
+    perms = [
+        tuple(index[frozenset(a[x] for x in space)] for space in geo.isotropic4)
+        for a in map(geo.action_mod2, group.generators)
+    ]
+    orbits = {len(orbit): orbit for orbit in closure(perms, range(270))}
+    assert sorted(orbits) == [10, 25, 60, 75, 100]
+    assert {geo.isotropic4[k] for k in orbits[10]} == set(geo.pentad_rows + geo.pentad_cols)
+    row0 = geo.pentad_rows[0]
+    same = frozenset(k for k, u in enumerate(geo.isotropic4) if len(u & row0) in (0, 3, 15))
+    assert same == orbits[10] | orbits[25] | orbits[100]
+    assert frozenset(range(270)) - same == orbits[60] | orbits[75]
 
 
 def _equivariance_misses(geo, group, tags):

@@ -20,14 +20,15 @@ from h4geom.icosian import (
     quat_mul,
 )
 from h4geom.polytopes import (
-    _PP_KEYS, Cell120, Cell600, _coset_grid, bits, cliques, closure, label_str, perm_parity,
+    _PP_KEYS, Cell120, Cell600, _coset_grid, _two_sided, bits, cliques, closure, label_str, perm_parity,
 )
 
 from golden_oracle import (
-    GoldenInt, bron_kerbosch, cell24_base_by_shape, cells16_by_nested_loop, cells16_by_orthogonal_cliques,
-    cells24_by_16cell_extension, coords, decagons_by_power_walk, edges_by_double_loop, five_cliques_by_dfs,
-    golden_eliminate, golden_sign, hexagons_by_intersections, mulclose_by_right_products, orbits_by_search,
-    parity_by_inversions, tetrahedra_by_edge_pairs, triangles_by_common_neighbours,
+    GoldenInt, bron_kerbosch, cell24_base_by_shape, cell120_cells_by_quaternion_products, cells16_by_nested_loop,
+    cells16_by_orthogonal_cliques, cells24_by_16cell_extension, coords, coset_reps_by_first_element,
+    decagons_by_power_walk, edges_by_double_loop, find_order5, five_cliques_by_dfs, golden_eliminate, golden_sign,
+    hexagons_by_intersections, mulclose_by_right_products, orbits_by_search, parity_by_inversions,
+    tetrahedra_by_edge_pairs, triangles_by_common_neighbours,
 )
 
 PHI_KEY = (0, 1)
@@ -528,13 +529,7 @@ def _nested_loop_prime_entries(cell, p):
     normalizer = frozenset(
         h for h in range(n) if frozenset(table[table[h][s]][inv[h]] for s in sylow) == sylow
     )
-    reps, cosets = [], set()
-    for h in range(n):
-        cs = frozenset(table[h][s] for s in normalizer)
-        if cs not in cosets:
-            cosets.add(cs)
-            reps.append(h)
-    entries = []
+    reps, entries = coset_reps_by_first_element(normalizer), []
     for gi in reps:
         row = []
         for gj in reps:
@@ -549,18 +544,78 @@ def test_prime_array_entries_match_the_nested_loops(cell, p):
 
 
 def test_array_matches_the_per_cell_loop(cell):
-    """Every entry of `array` against the per-cell loop it replaced."""
+    """Every entry of `array` against the per-cell loop it replaced, with g
+    from the old order-5 search and its own power loop; and `duad_of_cell`
+    and the 60 labels as read off that array."""
     table, inv = mult_table(), inverse_index()
-    gi = cell.index[cell.g]
+    gi = cell.index[find_order5()]
     gpow = [cell.index[ICOSIAN_ONE]]
     for _ in range(4):
         gpow.append(table[gpow[-1]][gi])
+    assert cell.gpow == tuple(gpow)
     base = sorted(cell24_base_by_shape())
+    duads = {}
     for i in range(5):
         for j in range(5):
             verts = frozenset(table[table[gpow[i]][a]][inv[gpow[j]]] for a in base)
             pids = cell.cells24[cell.array[i][j]]
             assert verts == {v for p in pids for v in cell.pairs[p]}
+            duads[cell.cells24.index(frozenset(cell.pair_of[v] for v in verts))] = (1 + i, 6 + j)
+    assert cell.duad_of_cell == tuple(duads[k] for k in range(25))
+    assert cell.labels == tuple(
+        tuple(sorted(duads[k] for k in range(25) if pid in cell.cells24[k])) for pid in range(60)
+    )
+
+
+def test_two_sided_matches_the_inline_product_on_every_call_src_makes(monkeypatch):
+    """Each map x -> a*x*b^-1 that a fresh 600-cell's conjugates,
+    normalisers, array, prime arrays and 120-cell 24-cells read, against
+    table[table[a][x]][inv[b]] on all 120 x."""
+    table, inv = mult_table(), inverse_index()
+    calls = []
+
+    def recording(a, b):
+        out = _two_sided(a, b)
+        calls.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(polytopes, "_two_sided", recording)
+    fresh = Cell600()
+    fresh.cells16, fresh.cells24, fresh.hexagons, fresh.decagons, fresh.array
+    for p in (2, 3, 5):
+        fresh.prime_array(p)
+    fresh.cell120.cells
+    assert {(a, b) for a, b, _ in calls if a == b} == {(h, h) for h in range(fresh.n)}
+    assert {(a, b) for a, b, _ in calls if a != b} >= {(x, y) for x in fresh.gpow for y in fresh.gpow if x != y}
+    for a, b, out in calls:
+        assert out == tuple(table[table[a][x]][inv[b]] for x in range(fresh.n))
+
+
+def test_prime_array_reps_are_the_first_elements_of_the_cosets(cell, monkeypatch):
+    """For p = 2, 3 and 5, the coset representatives `prime_array` hands to
+    `_coset_grid` are those of the old first-element loop, and so are its
+    entries."""
+    seen = []
+
+    def recording(reps, base):
+        seen.append(list(reps))
+        return _coset_grid(reps, base)
+
+    monkeypatch.setattr(polytopes, "_coset_grid", recording)
+    for p in (2, 3, 5):
+        normaliser = cell.sylow[p][1]
+        reps = coset_reps_by_first_element(normaliser)
+        assert cell.prime_array(p).entries == _coset_grid(reps, normaliser)
+        assert seen[-1] == reps
+
+
+def test_crossed_swaps_the_columns_of_two_cells(cell):
+    """On every two 24-cells (i j), (i' j'): the cells (i j') and (i' j), as
+    the old scan of all 25 duads found them."""
+    for a, b in combinations(range(25), 2):
+        (ra, ca), (rb, cb) = cell.duad_of_cell[a], cell.duad_of_cell[b]
+        scan = frozenset(c for c in range(25) if cell.duad_of_cell[c] in ((ra, cb), (rb, ca)))
+        assert cell.crossed((a, b)) == cell.crossed((b, a)) == scan
 
 
 def test_coset_grid_raises_on_a_repeated_entry(cell):
@@ -623,7 +678,14 @@ def test_120cell_base_cell_is_the_two_sided_orbit_of_one_vertex(cell):
     v1 = (2, 0, 2, 0, 0, 0, 0, 0)
     orbit = {icosian_mul(icosian_mul(a, v1), b) for a in base for b in base}
     assert len(orbit) == 24
-    assert frozenset(map(d.index.__getitem__, orbit)) == d.cells[0]
+    assert frozenset(map({v: k for k, v in enumerate(d.vertices)}.__getitem__, orbit)) == d.cells[0]
+
+
+def test_120cell_cells_match_the_quaternion_product_loop(cell):
+    """All 25 24-cells, in order, against the quaternion products on
+    coordinates that mapping tetrahedra through `_two_sided` replaced."""
+    d = cell.cell120
+    assert d.cells == cell120_cells_by_quaternion_products(d)
 
 
 def test_120cell_rows_and_columns_are_600cells(cell):

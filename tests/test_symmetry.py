@@ -209,7 +209,7 @@ def test_vertex_permutation_parity_is_the_determinant_sign_on_all_elements(cell,
 
 
 def test_left_right_mul_are_rotations_fixing_products(cell):
-    g = cell.g
+    g = cell.vertices[cell.gpow[1]]
     lv, rv = left_mul(g), right_mul(g)
     assert lv.parity == 1 and rv.parity == 1
     sample = cell.vertices[::13]
