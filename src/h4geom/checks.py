@@ -152,11 +152,9 @@ def _fact8():
     verts = generate_vertices()
     table = mult_table()
     n = len(verts)
-    latin = all(len(set(row)) == n for row in table) and all(
-        len({table[i][j] for i in range(n)}) == n for j in range(n)
-    )
+    latin = all(len(set(line)) == n for line in (*table, *zip(*table)))
     one = vertex_index()[ICOSIAN_ONE]
-    has_inverses = all(any(table[i][j] == one for j in range(n)) for i in range(n))
+    has_inverses = all(one in row for row in table)
     shapes = Counter()
     for f in verts:
         nz = sorted((abs(f[k]), abs(f[k + 1])) for k in (0, 2, 4, 6))

@@ -4,14 +4,16 @@ Classes of E8/2E8 are 8-bit masks of coordinates over the certified root
 basis.  Q(x) is half the E8 norm of a lift mod 2, B its polarization.  The
 multiplication-by-phi endomorphism descends to an order-3 automorphism that
 makes the 255 nonzero classes into 85 projective points, labeled by the 60
-vertex pairs and the 25 24-cells; lines, planes, the F4-valued form, and the
-270 totally singular 4-spaces are classified against the polytope oracles.
+vertex pairs and the 25 24-cells (a 24-cell's point is the meet of its 12 pair
+points' planes); lines, planes, the F4-valued form, and the 270 totally
+singular 4-spaces are classified against the polytope oracles.
 
 Sets of classes are 256-bit masks.  Every linear map of the classes (B's
 rows, phibar, a symmetry's action, and the map from a row of B to the mask
 of the classes it pairs to 1, which gives perp[x]) is one table built from
-its rows (`_table`); the 4-spaces grow along their echelon bases, each built
-once; phibar's B-self-adjointness and the biadditivity of the F4 form's
+its rows (`_table`), as is Q, by Q(y + e_i) = Q(y) + Q(e_i) + B(y, e_i); a
+point's plane is one mask; the 4-spaces grow along their echelon bases, each
+built once; phibar's B-self-adjointness and the biadditivity of the F4 form's
 polarization are checked one 256-value row at a time; and the pentad
 analyses intersect spaces as masks, reading the maximal cliques of the
 completions' disjointness graph off `polytopes.cliques`: the cliques whose
@@ -120,7 +122,11 @@ class F4Geometry:
         self.cell = e8.cell
 
         self.rowvec = _table(_bitrows(e8.gram))
-        self.q = tuple(self._q_of_class(x) for x in range(256))
+        # Q(y + e_i) = Q(y) + Q(e_i) + B(y, e_i), doubled as in `_table`
+        q = [0]
+        for i, row in enumerate(e8.gram):
+            q += [v ^ (row[i] // 2 & 1) ^ (self.rowvec[y] >> i & 1) for y, v in enumerate(q)]
+        self.q = tuple(q)
 
         # lattice coordinates of the 120 roots and of their phi images
         self.root_coords = tuple(e8.coords_of(u) for u in e8.h_img)
@@ -130,14 +136,6 @@ class F4Geometry:
         self.class_of_phi_h = _bitrows(self.phi_coords)
 
     # ---------- forms ----------
-
-    def _q_of_class(self, x: int) -> int:
-        ones = list(bits(x))
-        s = 0
-        for i in ones:
-            for j in ones:
-                s += self.e8.gram[i][j]
-        return (s // 2) & 1
 
     @cached_property
     def perp(self) -> tuple[int, ...]:
@@ -220,9 +218,11 @@ class F4Geometry:
 
     @cached_property
     def tags(self) -> tuple[tuple[str, int], ...]:
-        """85 tags: ('vertex', pair_id) or ('cell', cell24_index)."""
+        """85 tags: ('vertex', pair_id) or ('cell', cell24_index); a 24-cell's
+        point is the meet of its 12 pair points' planes, singular and untagged."""
         cell = self.cell
         tags: dict[int, tuple[str, int]] = {}
+        pair_points = []
         for pid, (i, _) in enumerate(cell.pairs):
             c = self.class_of_h[i]
             if self.class_of_h[cell.neg[i]] != c:
@@ -233,27 +233,17 @@ class F4Geometry:
             if self.class_of_phi_h[i] not in self.points[pt]:
                 raise ValueError(f"pair {pid}: the phi image leaves its point")
             tags[pt] = ("vertex", pid)
-        for k, p in enumerate(self.points):
-            if k not in tags and any(self.q[x] for x in p):
-                raise ValueError(f"untagged point {k} is not singular")
-        # a line with four vertex points carries a 16-cell; its fifth point
-        # is tagged by the ambient 24-cell
-        proposals: dict[int, set[int]] = {}
-        for line in self.lines:
-            key = tuple(sorted(tags[p][1] for p in line if p in tags))
-            if len(key) != 4:
-                continue
-            rest = [p for p in line if p not in tags]
-            if key in cell.cell16_ambient and len(rest) == 1:
-                proposals.setdefault(rest[0], set()).add(cell.cell16_ambient[key])
-        if len(proposals) != 25:
-            raise ValueError(f"{len(proposals)} points carry a 24-cell tag, not 25")
-        for pt, cells in proposals.items():
-            if len(cells) != 1:
-                raise ValueError("ambiguous 24-cell tag")
-            tags[pt] = ("cell", cells.pop())
-        if len(set(tags.values())) != 85:
-            raise ValueError("the 85 tags are not distinct")
+            pair_points.append(pt)
+        for k, pids in enumerate(cell.cells24):
+            meet = reduce(and_, (self.plane_classes[pair_points[p]] for p in pids))
+            pt = self.point_of[meet.bit_length() - 1]
+            if meet != _mask(self.points[pt]):
+                raise ValueError(f"24-cell {k}: its 12 planes meet in {meet.bit_count()} classes, not one point")
+            if pt in tags:
+                raise ValueError(f"24-cell {k}: its point {pt} is already tagged {tags[pt]}")
+            if any(self.q[x] for x in self.points[pt]):
+                raise ValueError(f"24-cell {k}: its point {pt} is not singular")
+            tags[pt] = ("cell", k)
         return tuple(tags[k] for k in range(85))
 
     @cached_property
@@ -342,12 +332,16 @@ class F4Geometry:
         return ok
 
     @cached_property
+    def plane_classes(self) -> tuple[int, ...]:
+        """Each point's plane, its B-orthogonal complement, as the 256-bit mask
+        perp[a] & perp[b] & ~1 for two classes a, b of the point."""
+        return tuple(self.perp[a] & self.perp[b] & ~1 for a, b, _ in map(sorted, self.points))
+
+    @cached_property
     def planes(self) -> tuple[frozenset[int], ...]:
         """85 planes: B-orthogonal complements of the 85 points."""
         out = []
-        for p in self.points:
-            a, b = sorted(p)[:2]
-            perp = self.perp[a] & self.perp[b] & ~1
+        for p, perp in zip(self.points, self.plane_classes):
             pts = frozenset(self.point_of[y] for y in bits(perp))
             if perp.bit_count() != 63 or len(pts) != 21:
                 raise ValueError(f"the complement of point {sorted(p)} is not a plane of 21 points")

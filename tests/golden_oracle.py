@@ -43,7 +43,10 @@ that `Cell600.orders`, `Cell600.gpow`, `closure` and the two-sided map
 the 120-cell's 24-cells by quaternion products on coordinates, the
 first-element loop over the left cosets of a normaliser, the F4 points as
 the triples {x, t x, x ^ t x}, and the triangle lines certified through the
-two duads their three pairs share.
+two duads their three pairs share.  Then the F4 constructions that the
+doubling of Q and the meet of planes replaced: Q of each class by the double
+loop over its lift's Gram entries, and the 24-cell tags read off the lines
+that hold one of its 16-cells.
 """
 
 from __future__ import annotations
@@ -922,3 +925,29 @@ def triangle_certified_by_shared_duads(cell: Cell600, vs: Sequence[int], cs: Seq
         return False
     hex_cells = frozenset(k for k in range(25) if cell.duad_of_cell[k] in shared)
     return cell.hexagons[hex_cells] == frozenset(vs)
+
+
+# ---------- the F4 constructions before the doubling of Q and the meet of planes ----------
+
+def q_by_double_loop(gram: Sequence[Sequence[int]], x: int) -> int:
+    """Q of the class x: half the sum of gram[i][j] over its set bits i and j, mod 2."""
+    ones = list(bits(x))
+    return sum(gram[i][j] for i in ones for j in ones) // 2 & 1
+
+
+def tags_by_16cell_lines(geo) -> tuple[tuple[str, int], ...]:
+    """The 85 point tags: each pair on the point of its vertex's class, and
+    each 24-cell on the fifth point of a line whose other four points are the
+    pairs of one of its 16-cells; raises unless 25 points get one 24-cell each."""
+    ambient = geo.cell.cell16_ambient
+    tags = {geo.point_of[geo.class_of_h[i]]: ("vertex", pid) for pid, (i, _) in enumerate(geo.cell.pairs)}
+    proposals: dict[int, set[int]] = {}
+    for line in geo.lines:
+        key = tuple(sorted(tags[p][1] for p in line if p in tags))
+        rest = [p for p in line if p not in tags]
+        if key in ambient and len(rest) == 1:
+            proposals.setdefault(rest[0], set()).add(ambient[key])
+    if len(proposals) != 25 or any(len(cells) != 1 for cells in proposals.values()):
+        raise ValueError("ambiguous 24-cell tag")
+    tags.update((pt, ("cell", c)) for pt, (c,) in proposals.items())
+    return tuple(tags[k] for k in range(85))

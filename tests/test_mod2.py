@@ -1,14 +1,18 @@
 from collections import Counter
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from h4geom import checks, mod2
+from h4geom.cli import main
 from h4geom.mod2 import F4_MUL, F4_TRACE, OMEGA, OMEGA_BAR, biadditive
-from h4geom.polytopes import closure
+from h4geom.polytopes import bits, closure
 from h4geom.symmetry import SymOp
 
-from golden_oracle import points_by_triples, triangle_certified_by_shared_duads
+from golden_oracle import (
+    points_by_triples, q_by_double_loop, tags_by_16cell_lines, triangle_certified_by_shared_duads,
+)
 
 
 def bform(geo, x, y):
@@ -55,6 +59,10 @@ def test_q_well_defined_on_classes(geo):
     for x in range(0, 256, 5):
         for y in range(0, 256, 3):
             assert geo.q[x ^ y] == geo.q[x] ^ geo.q[y] ^ bform(geo, x, y)
+
+
+def test_q_by_doubling_matches_the_double_loop_on_all_classes(geo):
+    assert geo.q == tuple(q_by_double_loop(geo.e8.gram, x) for x in range(256))
 
 
 def test_phi_map_properties(geo):
@@ -160,6 +168,69 @@ def test_points_and_tags(geo):
     assert len({t[1] for t in tags if t[0] == "cell"}) == 25
 
 
+def test_tags_match_the_16cell_line_oracle(geo):
+    """The meet of the planes against the old proposals from the lines that
+    hold a 16-cell, on all 85 points."""
+    assert geo.tags == tags_by_16cell_lines(geo)
+
+
+def test_tags_and_the_planes_dump_leave_lines_unbuilt(geo, capsys):
+    fresh = mod2.F4Geometry(geo.e8)
+    assert len(fresh.tags) == 85 and "lines" not in vars(fresh)
+    mod2.f4_geometry.cache_clear()
+    try:
+        assert main(["dump", "planes"]) == 0
+        assert '"count": 85' in capsys.readouterr().out
+        assert "lines" not in vars(mod2.f4_geometry())
+    finally:
+        mod2.f4_geometry.cache_clear()
+
+
+def test_tags_raise_naming_the_24cell_when_two_pairs_trade_classes(monkeypatch, geo):
+    """Pairs 0 and q trade their vertex and phi-image classes: the pair tags
+    still pass, but the first 24-cell holding exactly one of the two loses its
+    point, so the tag builder raises naming it and facts/fact10 fails."""
+    cell = geo.cell
+    q = next(q for q in range(60) if cell.cell_of_pair[q] != cell.cell_of_pair[0])
+    first = min(set(cell.cell_of_pair[0]) ^ set(cell.cell_of_pair[q]))
+
+    def corrupt(geo):
+        for name in ("class_of_h", "class_of_phi_h"):
+            classes = list(getattr(geo, name))
+            for a, b in ((cell.pairs[0][0], cell.pairs[q][0]), (cell.pairs[0][1], cell.pairs[q][1])):
+                classes[a], classes[b] = classes[b], classes[a]
+            setattr(geo, name, tuple(classes))
+
+    fresh = mod2.F4Geometry(geo.e8)
+    corrupt(fresh)
+    with pytest.raises(ValueError, match=f"^24-cell {first}: its 12 planes meet in "):
+        fresh.tags
+    differ, result = _run_on_a_corrupted_geometry(monkeypatch, "facts/fact10", corrupt)
+    assert differ == {"points", "vertex_points", "cell_points"}
+    assert result.observed["error"].startswith(f"ValueError: 24-cell {first}: ")
+
+
+def test_tags_raise_on_a_cell_point_that_is_not_singular(geo):
+    fresh = mod2.F4Geometry(geo.e8)
+    pt = geo.point_of_cell[3]
+    x = min(geo.points[pt])
+    fresh.q = fresh.q[:x] + (1,) + fresh.q[x + 1:]
+    with pytest.raises(ValueError, match=f"^24-cell 3: its point {pt} is not singular$"):
+        fresh.tags
+
+
+def test_tags_raise_when_a_24cell_meets_at_a_vertex_point(geo):
+    """24-cell 0 replaced by 12 of the 15 pairs orthogonal to pair 0: their
+    planes meet in pair 0's point, which the raise names."""
+    cell = geo.cell
+    fresh = mod2.F4Geometry(geo.e8)
+    twelve = frozenset(list(bits(cell.pair_orth[0]))[:12])
+    fresh.cell = SimpleNamespace(pairs=cell.pairs, neg=cell.neg, cells24=(twelve, *cell.cells24[1:]))
+    pt = geo.point_of_pair[0]
+    with pytest.raises(ValueError, match=f"^24-cell 0: its point {pt} is already tagged \\('vertex', 0\\)$"):
+        fresh.tags
+
+
 def test_points_are_phibar_closed(geo):
     t = geo.phi.table
     for p in geo.points:
@@ -249,7 +320,8 @@ def test_q_omega(geo):
 def _run_on_a_corrupted_geometry(monkeypatch, check_id, corrupt):
     """check_id through `run_check` on an F4 geometry built afresh and then
     passed to corrupt, the cached geometry cleared before and after; asserts
-    that the check fails and returns the fields that differ, and the result."""
+    that the check fails and returns the fields that differ (all of them when
+    the check raised), and the result."""
     real_init = mod2.F4Geometry.__init__
 
     def corrupted_init(self, e8):
@@ -265,7 +337,7 @@ def _run_on_a_corrupted_geometry(monkeypatch, check_id, corrupt):
         mod2.f4_geometry.cache_clear()
     assert result.status == "fail"
     expected = checks.CHECKS[check_id][0]
-    return {field for field, value in expected.items() if result.observed[field] != value}, result
+    return {field for field, value in expected.items() if result.observed.get(field) != value}, result
 
 
 def _swap_tags(geo, a, b):
@@ -286,6 +358,21 @@ def test_lines_fails_on_two_swapped_vertex_tags(monkeypatch):
     differ, result = _run_on_a_corrupted_geometry(monkeypatch, "s7/lines", corrupt)
     assert differ == {"certified"}
     assert result.observed["certified"] == {"cell16": 65, "partition": 10, "pentagon": 60, "triangle": 182}
+
+
+def test_lines_moves_only_cell16_on_a_16cell_given_the_wrong_24cell(monkeypatch, cell):
+    """One 16-cell mapped to the next 24-cell in `cell16_ambient`: the tags
+    do not read it, so they hold, and only the line through that 16-cell
+    loses its certificate."""
+    tags = mod2.f4_geometry().tags
+    ambient = dict(cell.cell16_ambient)
+    t = next(iter(ambient))
+    ambient[t] = (ambient[t] + 1) % 25
+    monkeypatch.setattr(cell, "cell16_ambient", ambient)
+    differ, result = _run_on_a_corrupted_geometry(monkeypatch, "s7/lines", lambda geo: None)
+    assert differ == {"certified"}
+    assert result.observed["certified"] == {"cell16": 74, "partition": 10, "pentagon": 72, "triangle": 200}
+    assert mod2.f4_geometry().tags == tags
 
 
 def test_qomega_fails_on_a_flipped_q_value_or_a_swapped_cell_tag(monkeypatch):
